@@ -1,12 +1,7 @@
 """Run the ablation grid on the synthetic benchmark and print a summary table.
 
-Arms, all at shared defaults unless overridden:
-  raw        pretrain on observed (shifted) source, evaluate on target
-  translated pretrain on blended translation, evaluate on target
-  baseline   clustering self-training on top of the translated pretrain
-  ablated    mean-teacher stage without momentum queue or joint batches
-  full       complete mean-teacher stage
-  reranked   full arm evaluated with re-ranked distances
+The arms are those of ``uda_reid.pipeline.ablation_arms``, all at shared
+defaults unless overridden.
 
 Usage: python scripts/run_ablation.py [--seeds 0,1,2,3,4] [--fidelity 0.55]
 """
@@ -17,33 +12,7 @@ import time
 
 import numpy as np
 
-from uda_reid.pipeline import (StageConfig, default_benchmark, stage_baseline,
-                               stage_mmt_plus, stage_pretrain, eval_encoder)
-
-
-def run_seed(seed: int, fidelity: float | None) -> dict:
-    overrides = {}
-    if fidelity is not None:
-        overrides["translation_fidelity"] = fidelity
-    bench = default_benchmark(seed=seed, **overrides)
-    cfg = StageConfig(seed=seed)
-
-    pre_raw, _ = stage_pretrain(bench.source, cfg)
-    pre_tr, _ = stage_pretrain(bench.translated, cfg)
-    base, _ = stage_baseline(pre_tr, bench.target_train, cfg)
-    full_state, _ = stage_mmt_plus(pre_tr, bench.source, bench.target_train, cfg)
-    abl_cfg = StageConfig(seed=seed, lambda_moco=0.0, joint_source=False)
-    abl_state, _ = stage_mmt_plus(pre_tr, bench.source, bench.target_train, abl_cfg)
-
-    full = full_state.export("teacher1")
-    return {
-        "raw": eval_encoder(pre_raw, bench.val_split).mAP,
-        "translated": eval_encoder(pre_tr, bench.val_split).mAP,
-        "baseline": eval_encoder(base, bench.val_split).mAP,
-        "ablated": eval_encoder(abl_state.export("teacher1"), bench.val_split).mAP,
-        "full": eval_encoder(full, bench.val_split).mAP,
-        "reranked": eval_encoder(full, bench.val_split, use_rerank=True).mAP,
-    }
+from uda_reid.pipeline import ablation_arms
 
 
 def main() -> int:
@@ -54,10 +23,11 @@ def main() -> int:
     args = ap.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
 
+    overrides = {} if args.fidelity is None else {"translation_fidelity": args.fidelity}
     started = time.time()
     per_seed = {}
     for seed in seeds:
-        per_seed[seed] = run_seed(seed, args.fidelity)
+        per_seed[seed] = ablation_arms(seed, **overrides)
         row = " ".join(f"{k}={v:.3f}" for k, v in per_seed[seed].items())
         print(f"seed {seed}: {row}", file=sys.stderr, flush=True)
 

@@ -16,6 +16,7 @@ the package.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import os
 import sys
@@ -76,53 +77,61 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="cap BLAS/OpenMP worker threads (default: all cores)")
 
 
-_TRAIN_FLAGS = [
-    ("--epochs", int), ("--iters-per-epoch", int), ("--p-classes", int),
-    ("--k-per", int), ("--lr", float), ("--weight-decay", float),
-    ("--lambda-soft", float), ("--lambda-moco", float), ("--alpha", float),
-    ("--tau", float), ("--queue-capacity", int), ("--k", int),
-    ("--eps", float), ("--min-pts", int), ("--seed", int),
-    ("--margin", float), ("--scale", float), ("--encoder-dim", int),
-    ("--lr-schedule", str), ("--lr-gamma", float),
-]
+def _flag_type(name, typ):
+    from .datamodel import parse_field
+
+    def parse(raw):
+        try:
+            return parse_field(name, typ, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
+    """One flag per text-settable field of config dataclass ``cls`` (or of
+    its fields in ``names``), ``--lr-gamma`` for ``lr_gamma``, parsed by the
+    field's type.  Unset flags stay None."""
+    from .datamodel import config_fields
+
+    for name, typ in config_fields(cls).items():
+        if names is not None and name not in names:
+            continue
+        metavar = None
+        if typ is bool:
+            metavar = "{true,false}"
+        elif isinstance(typ, enum.EnumMeta):
+            metavar = "{" + ",".join(m.value for m in typ) + "}"
+        elif typ == tuple[int, ...]:
+            metavar = "N[,N...]"
+        p.add_argument("--" + name.replace("_", "-"), type=_flag_type(name, typ),
+                       default=None, metavar=metavar)
+
+
+def _config(cls, args):
+    """The ``--config`` file's values (defaults without one), overridden by
+    every config flag given, validated."""
+    from .datamodel import config_fields, load_config
+
+    config = getattr(args, "config", None)
+    cfg = load_config(cls, config) if config else cls()
+    updates = {name: getattr(args, name) for name in config_fields(cls)
+               if getattr(args, name, None) is not None}
+    cfg = replace(cfg, **updates)
+    cfg.validate()
+    return cfg
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    from .pipeline import StageConfig
+
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file; flags override its values")
-    for flag, typ in _TRAIN_FLAGS:
-        p.add_argument(flag, type=typ, default=None)
-    p.add_argument("--loss-mode", choices=["plain_ce", "arcface", "cosface"],
-                   default=None)
-    p.add_argument("--joint-source", choices=["true", "false"], default=None)
-    p.add_argument("--lr-milestones", default=None,
-                   help="comma-separated epoch indices for the step schedule")
+    _add_config_flags(p, StageConfig)
     p.add_argument("--log", metavar="FILE", default=None,
                    help="write per-epoch records as JSON lines")
     p.add_argument("--val", metavar="FILE", default=None,
                    help="labeled dataset evaluated after each epoch")
-
-
-def _stage_config(args):
-    from .pipeline import LossMode, StageConfig, load_stage_config
-
-    cfg = load_stage_config(args.config) if args.config else StageConfig()
-    updates = {}
-    for flag, _ in _TRAIN_FLAGS:
-        name = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    if args.loss_mode is not None:
-        updates["loss_mode"] = LossMode(args.loss_mode)
-    if args.joint_source is not None:
-        updates["joint_source"] = args.joint_source == "true"
-    if args.lr_milestones is not None:
-        updates["lr_milestones"] = tuple(
-            int(v) for v in str(args.lr_milestones).split(","))
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
 
 
 def _load_dataset(path):
@@ -163,28 +172,9 @@ def _train_summary(log, out_path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> dict:
-    from .datamodel import (SynthConfig, generate_synthetic, parse_kv,
-                            save_features, synth_config_from_kv)
+    from .datamodel import SynthConfig, generate_synthetic, save_features
 
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = synth_config_from_kv(parse_kv(fh.read()))
-    else:
-        cfg = SynthConfig()
-    updates = {}
-    for name in ("num_ids_source", "num_ids_target", "samples_per_id",
-                 "raw_dim", "cameras", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    for name in ("cluster_spread", "translation_fidelity", "shift_strength",
-                 "shift_offset"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-
+    cfg = _config(SynthConfig, args)
     os.makedirs(args.out, exist_ok=True)
     source, target, translated = generate_synthetic(cfg)
     paths = {}
@@ -198,9 +188,9 @@ def _cmd_synth(args) -> dict:
 
 def _cmd_pretrain(args) -> dict:
     from .encoder import save_params
-    from .pipeline import stage_pretrain
+    from .pipeline import StageConfig, stage_pretrain
 
-    cfg = _stage_config(args)
+    cfg = _config(StageConfig, args)
     train = _load_dataset(args.data)
     params, log = stage_pretrain(train, cfg, val_split=_val_split(args))
     save_params(args.out, params)
@@ -211,9 +201,9 @@ def _cmd_pretrain(args) -> dict:
 
 def _cmd_baseline(args) -> dict:
     from .encoder import load_params, save_params
-    from .pipeline import stage_baseline
+    from .pipeline import StageConfig, stage_baseline
 
-    cfg = _stage_config(args)
+    cfg = _config(StageConfig, args)
     pretrained = load_params(args.params)
     target = _load_dataset(args.data)
     params, log = stage_baseline(pretrained, target, cfg,
@@ -226,9 +216,9 @@ def _cmd_baseline(args) -> dict:
 
 def _cmd_mmtplus(args) -> dict:
     from .encoder import load_params, save_params
-    from .pipeline import stage_mmt_plus
+    from .pipeline import StageConfig, stage_mmt_plus
 
-    cfg = _stage_config(args)
+    cfg = _config(StageConfig, args)
     pretrained = load_params(args.params)
     pretrained2 = load_params(args.params2) if args.params2 else None
     source = _load_dataset(args.source)
@@ -246,12 +236,14 @@ def _cmd_mmtplus(args) -> dict:
 def _cmd_cluster(args) -> dict:
     from .datamodel import save_features
     from .encoder import load_params
+    from .pipeline import StageConfig
     from .pseudolabel import relabel_epoch
 
     params = load_params(args.params)
     ds = _load_dataset(args.data)
-    labeling = relabel_epoch(ds, params, k=args.k, eps=args.eps,
-                             min_pts=args.min_pts, blend=args.blend)
+    cfg = _config(StageConfig, args)
+    labeling = relabel_epoch(ds, params, k=cfg.k, eps=cfg.eps,
+                             min_pts=cfg.min_pts, blend=args.blend)
     out = args.out if args.out else args.data
     save_features(out, ds)
     verb = "copied to" if args.out else "rewrote pseudo labels in"
@@ -365,6 +357,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="uda-reid", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     from . import __version__
+    from .datamodel import SynthConfig
+    from .pipeline import StageConfig
 
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -374,12 +368,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate the synthetic two-domain benchmark")
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--config", metavar="FILE")
-    for flag in ("--num-ids-source", "--num-ids-target", "--samples-per-id",
-                 "--raw-dim", "--cameras", "--seed"):
-        p.add_argument(flag, type=int, default=None)
-    for flag in ("--cluster-spread", "--translation-fidelity",
-                 "--shift-strength", "--shift-offset"):
-        p.add_argument(flag, type=float, default=None)
+    _add_config_flags(p, SynthConfig)
     _add_common(p)
     p.set_defaults(handler=_cmd_synth)
 
@@ -421,9 +410,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE",
                    help="write the relabeled copy here and leave --data untouched")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--eps", type=float, default=0.6)
-    p.add_argument("--min-pts", type=int, default=4)
+    _add_config_flags(p, StageConfig, names=("k", "eps", "min_pts"))
     p.add_argument("--blend", type=float, default=None,
                    help="cluster on blend*euclidean + (1-blend)*jaccard")
     _add_common(p)

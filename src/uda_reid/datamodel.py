@@ -1,5 +1,5 @@
-"""Datasets, per-sample metadata, the binary feature-file format, and the
-synthetic two-domain generator.
+"""Datasets, the binary feature-file format, the synthetic two-domain
+generator, and the text parser shared by every config dataclass.
 
 A dataset is a dense float32 feature table plus four parallel per-row
 metadata columns (identity, camera, domain tag, pseudo label).  Sentinels
@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,16 +51,6 @@ CAMERA_SIGNAL = 0.9
 class Domain(enum.IntEnum):
     SOURCE = 0
     TARGET = 1
-
-
-@dataclass(frozen=True)
-class SampleMeta:
-    """Per-row metadata view; ``None`` stands for the unlabeled/outlier sentinels."""
-
-    identity: int | None
-    camera: int
-    domain: Domain
-    pseudo: int | None = None
 
 
 @dataclass
@@ -111,22 +102,6 @@ class Dataset:
             raise ValueError("source rows must carry ground-truth identities")
         return self
 
-    def meta_at(self, i: int) -> SampleMeta:
-        ident = int(self.identities[i])
-        pseudo = int(self.pseudo[i])
-        return SampleMeta(
-            identity=None if ident == IDENTITY_NONE else ident,
-            camera=int(self.cameras[i]),
-            domain=Domain(int(self.domains[i])),
-            pseudo=None if pseudo == PSEUDO_OUTLIER else pseudo,
-        )
-
-    def with_pseudo(self, assignment) -> "Dataset":
-        assignment = np.asarray(assignment, dtype=np.int32)
-        if assignment.shape != (self.n,):
-            raise ValueError("pseudo assignment length mismatch")
-        return replace(self, pseudo=assignment)
-
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
         return Dataset(
@@ -136,19 +111,6 @@ class Dataset:
             domains=self.domains[idx],
             pseudo=self.pseudo[idx],
             name=self.name,
-        )
-
-    @classmethod
-    def from_meta(cls, features, meta, name="") -> "Dataset":
-        idents = [IDENTITY_NONE if m.identity is None else m.identity for m in meta]
-        pseudos = [PSEUDO_OUTLIER if m.pseudo is None else m.pseudo for m in meta]
-        return cls(
-            features=features,
-            identities=np.array(idents, dtype=np.int32),
-            cameras=np.array([m.camera for m in meta], dtype=np.int32),
-            domains=np.array([int(m.domain) for m in meta], dtype=np.uint8),
-            pseudo=np.array(pseudos, dtype=np.int32),
-            name=name,
         )
 
 
@@ -403,7 +365,8 @@ def generate_synthetic(cfg: SynthConfig):
 
 
 # ---------------------------------------------------------------------------
-# key = value configuration files (shared by synth and stage configs)
+# Config text: ``key = value`` files and command-line flags.  The fields of a
+# config dataclass and their types are the schema for both.
 # ---------------------------------------------------------------------------
 
 def parse_kv(text: str) -> dict:
@@ -423,27 +386,51 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-_SYNTH_FIELDS = {
-    "num_ids_source": int,
-    "num_ids_target": int,
-    "samples_per_id": int,
-    "raw_dim": int,
-    "cluster_spread": float,
-    "translation_fidelity": float,
-    "cameras": int,
-    "seed": int,
-    "shift_strength": float,
-    "shift_offset": float,
-}
+_TEXT_TYPES = (int, float, bool, str, tuple[int, ...])
 
 
-def synth_config_from_kv(pairs: dict) -> SynthConfig:
+def config_fields(cls) -> dict:
+    """Name -> type of each field of config dataclass ``cls`` that text can
+    set: int, float, bool, str, an enum, or a tuple of ints."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)
+            if hints[f.name] in _TEXT_TYPES or isinstance(hints[f.name], enum.EnumMeta)}
+
+
+def parse_field(name: str, typ, raw: str):
+    """The value of config field ``name`` of type ``typ`` written as ``raw``;
+    ConfigError names the field when the text does not parse."""
+    if typ is bool:
+        if raw.lower() not in ("true", "false", "0", "1"):
+            raise ConfigError(name, f"expected boolean, got {raw!r}")
+        return raw.lower() in ("true", "1")
+    if isinstance(typ, enum.EnumMeta):
+        try:
+            return typ(raw)
+        except ValueError:
+            raise ConfigError(name, f"unknown {name.replace('_', ' ')} {raw!r}") from None
+    try:
+        if typ == tuple[int, ...]:
+            return tuple(int(v) for v in raw.split(","))
+        return typ(raw)
+    except ValueError as exc:
+        raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from None
+
+
+def config_from_kv(cls, pairs: dict):
+    """A validated ``cls`` config with the given fields parsed from text."""
+    types = config_fields(cls)
     kwargs = {}
     for key, raw in pairs.items():
-        if key not in _SYNTH_FIELDS:
-            raise ConfigError(key, "unknown synthetic-config key")
-        try:
-            kwargs[key] = _SYNTH_FIELDS[key](raw)
-        except ValueError as exc:
-            raise ConfigError(key, f"cannot parse {raw!r}: {exc}") from exc
-    return SynthConfig(**kwargs).validate()
+        if key not in types:
+            raise ConfigError(key, "unknown configuration key")
+        kwargs[key] = parse_field(key, types[key], raw)
+    cfg = cls(**kwargs)
+    cfg.validate()
+    return cfg
+
+
+def load_config(cls, path):
+    """A validated ``cls`` config read from a ``key = value`` file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return config_from_kv(cls, parse_kv(fh.read()))

@@ -4,12 +4,13 @@ EMA updates, FIFO feature queues, and a decoupled-weight-decay Adam step.
 """
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DivergenceError, MiningError
+from .errors import DivergenceError, FormatError, MiningError
 from .numerics import l2_normalize_rows
 
 EPS_VAR = 1e-5
@@ -56,15 +57,10 @@ class EncoderParams:
         return EncoderParams(self.weight.copy(), self.bias.copy(), self.classifier.copy(),
                              self.running_mean.copy(), self.running_var.copy())
 
-    def with_classifier(self, num_classes: int, rng: np.random.Generator) -> "EncoderParams":
-        """Same encoder weights with a freshly initialized classifier head."""
-        out = self.copy()
-        out.classifier = rng.normal(0.0, 1.0 / np.sqrt(self.d_out),
-                                    size=(num_classes, self.d_out))
-        return out
-
     def validate(self) -> None:
         for name, arr in self.all_arrays().items():
+            if arr.ndim != (1 if name == "bias" else 2):
+                raise ValueError(f"{name} has {arr.ndim} dimensions")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite values in {name}")
         if self.bias.shape != (self.d_out,):
@@ -77,6 +73,9 @@ class EncoderParams:
             raise ValueError("running_var shape mismatch")
         if np.any(self.running_var < EPS_VAR):
             raise ValueError(f"variance entries must be >= {EPS_VAR}")
+
+
+_PARAMS_NAMES = tuple(f.name for f in fields(EncoderParams))
 
 
 def init_params(d_in: int, d_out: int, num_classes: int, seed: int) -> EncoderParams:
@@ -297,12 +296,16 @@ def encode_dataset(params: EncoderParams, dataset) -> np.ndarray:
                    training=False)
 
 
+_PARAMS_HEADER = struct.Struct("<4sHI")
+
+
 def save_params(path, params: EncoderParams) -> None:
     """Deterministic little-endian container: magic, version, entry count,
     then (name, shape, float64 payload) per array."""
+    params.validate()
     entries = params.all_arrays()
     blob = bytearray()
-    blob += struct.pack("<4sHI", PARAMS_MAGIC, PARAMS_VERSION, len(entries))
+    blob += _PARAMS_HEADER.pack(PARAMS_MAGIC, PARAMS_VERSION, len(entries))
     for name, arr in entries.items():
         raw = np.ascontiguousarray(arr, dtype="<f8")
         encoded = name.encode("ascii")
@@ -316,29 +319,49 @@ def save_params(path, params: EncoderParams) -> None:
 
 
 def load_params(path) -> EncoderParams:
+    """Inverse of :func:`save_params`.  A malformed file raises FormatError
+    at the failing byte offset; the arrays are then validated."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, version, count = struct.unpack_from("<4sHI", blob, 0)
+    offset = 0
+
+    def take(fmt: str, what: str) -> tuple:
+        nonlocal offset
+        size = struct.calcsize(fmt)
+        if offset + size > len(blob):
+            raise FormatError(offset, f"truncated {what}")
+        values = struct.unpack_from(fmt, blob, offset)
+        offset += size
+        return values
+
+    magic, version, count = take(_PARAMS_HEADER.format, "header")
     if magic != PARAMS_MAGIC:
-        raise ValueError("not an encoder parameter file")
+        raise FormatError(0, "not an encoder parameter file")
     if version != PARAMS_VERSION:
-        raise ValueError(f"unsupported parameter file version {version}")
-    offset = struct.calcsize("<4sHI")
+        raise FormatError(4, f"unsupported parameter file version {version}")
     arrays = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("ascii")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
+        start = offset
+        (name_len,) = take("<H", "array name")
+        (raw_name,) = take(f"<{name_len}s", "array name")
+        name = raw_name.decode("ascii", errors="replace")
+        if name not in _PARAMS_NAMES:
+            raise FormatError(start, f"unknown array {name!r}")
+        if name in arrays:
+            raise FormatError(start, f"duplicate array {name!r}")
+        (ndim,) = take("<B", "array rank")
+        shape = take(f"<{ndim}I", "array shape")
+        size = math.prod(shape)
+        if offset + 8 * size > len(blob):
+            raise FormatError(offset, f"truncated {name} values")
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=size,
+                                     offset=offset).reshape(shape).astype(np.float64)
         offset += 8 * size
-        arrays[name] = arr.astype(np.float64)
-    params = EncoderParams(arrays["weight"], arrays["bias"], arrays["classifier"],
-                           arrays["running_mean"], arrays["running_var"])
+    if offset != len(blob):
+        raise FormatError(offset, "trailing data after the last array")
+    missing = [name for name in _PARAMS_NAMES if name not in arrays]
+    if missing:
+        raise FormatError(offset, f"missing array {missing[0]!r}")
+    params = EncoderParams(**arrays)
     params.validate()
     return params

@@ -3,7 +3,8 @@
 Stage I is realized by the generator's translation transform (plus the
 relation-consistency diagnostic), stage II pretrains on labeled data, and
 stage III runs mutual mean-teacher self-training with joint-domain batches,
-a momentum queue per network, and per-epoch pseudo-label refresh.
+a momentum queue per network, and per-epoch pseudo-label refresh.  All
+training stages share one epoch driver and differ only in their step.
 """
 from __future__ import annotations
 
@@ -15,10 +16,11 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import losses
-from .datamodel import (Dataset, SynthConfig, generate_synthetic, parse_kv)
+from .datamodel import Dataset, SynthConfig, generate_synthetic
 from .encoder import (AdamState, EncoderParams, FeatureQueue, adam_step,
-                      backward, ema_update, encode_dataset, forward,
-                      forward_cached, init_params, pk_sample, queue_push)
+                      backward, classifier_backward, classifier_logits,
+                      ema_update, encode_dataset, forward, forward_cached,
+                      init_params, pk_sample, queue_push)
 from .errors import ConfigError, DivergenceError
 from .numerics import cdist, l2_normalize_rows
 from .pseudolabel import relabel_epoch
@@ -63,7 +65,7 @@ class StageConfig:
     encoder_dim: int = 32
     joint_source: bool = True
     lr_schedule: str = "constant"           # or "step"
-    lr_milestones: tuple = (40, 70)
+    lr_milestones: tuple[int, ...] = (40, 70)
     lr_gamma: float = 0.1
 
     def validate(self) -> None:
@@ -93,43 +95,6 @@ class StageConfig:
             return self.lr
         passed = sum(1 for m in self.lr_milestones if epoch >= m)
         return self.lr * (self.lr_gamma ** passed)
-
-
-_STAGE_FIELDS = {f.name: f.type for f in dc_fields(StageConfig)}
-
-
-def stage_config_from_kv(pairs: dict[str, str]) -> StageConfig:
-    """Build a StageConfig from parsed key=value pairs."""
-    kwargs = {}
-    for key, raw in pairs.items():
-        if key not in _STAGE_FIELDS:
-            raise ConfigError(key, "unknown configuration key")
-        if key == "loss_mode":
-            try:
-                kwargs[key] = LossMode(raw)
-            except ValueError:
-                raise ConfigError(key, f"unknown loss mode {raw!r}") from None
-        elif key == "lr_schedule":
-            kwargs[key] = raw
-        elif key == "joint_source":
-            if raw.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(key, f"expected boolean, got {raw!r}")
-            kwargs[key] = raw.lower() in ("true", "1")
-        elif key == "lr_milestones":
-            kwargs[key] = tuple(int(v) for v in raw.split(","))
-        elif key in ("lr", "weight_decay", "lambda_soft", "lambda_moco",
-                     "alpha", "tau", "eps", "margin", "scale"):
-            kwargs[key] = float(raw)
-        else:
-            kwargs[key] = int(raw)
-    cfg = StageConfig(**kwargs)
-    cfg.validate()
-    return cfg
-
-
-def load_stage_config(path) -> StageConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return stage_config_from_kv(parse_kv(fh.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +171,9 @@ def _hard_loss(params: EncoderParams, feats: np.ndarray, labels: np.ndarray,
     """(value, d_feats, d_classifier) for the configured hard loss."""
     mode = cfg.loss_mode.margin_mode
     if mode is None:
-        logits = feats @ params.classifier.T
-        out = losses.cross_entropy_batch(logits, labels)
-        d_logits = out.grads["logits"]
-        return out.value, d_logits @ params.classifier, d_logits.T @ feats
+        out = losses.cross_entropy_batch(classifier_logits(params, feats), labels)
+        d_cls, d_feats = classifier_backward(params, feats, out.grads["logits"])
+        return out.value, d_feats, d_cls
     out = losses.margin_classification_batch(feats, params.classifier, labels,
                                              mode, cfg.margin, cfg.scale)
     return out.value, out.grads["features"], out.grads["class_weights"]
@@ -226,6 +190,14 @@ def _centroid_classifier(feats: np.ndarray, labels: np.ndarray,
             raise ValueError(f"class {c} has no members")
         cents[c] = feats[members].mean(axis=0)
     return l2_normalize_rows(cents, "class centroid")
+
+
+def _cluster_centroids(params: EncoderParams, target: Dataset,
+                       num_clusters: int) -> np.ndarray:
+    """Centroid classifier over the target's current pseudo-label clusters."""
+    keep = target.pseudo >= 0
+    return _centroid_classifier(encode_dataset(params, target)[keep],
+                                target.pseudo[keep], num_clusters)
 
 
 def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
@@ -251,6 +223,95 @@ def _maybe_eval(params, val_split, rec):
 
 
 # ---------------------------------------------------------------------------
+# The epoch driver shared by every stage
+# ---------------------------------------------------------------------------
+
+def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
+                eval_params: EncoderParams, val_split: QueryGallerySplit | None,
+                relabel=None, rebuild=None) -> None:
+    """Train ``cfg.epochs`` epochs of ``cfg.iters_per_epoch`` steps each.
+
+    ``step(labeling)`` draws one batch and returns ``(parts, update)``: one
+    dict of loss parts per network it trains, and a callable that applies
+    the updates.  A part dict without a ``"total"`` trains on the sum of its
+    parts; the guard checks every total for finiteness before ``update``
+    runs.  The record averages each part over all part dicts of the epoch;
+    a missing total is recorded as the sum of the part sums over that count.
+
+    Self-training stages pass ``relabel(epoch) -> PseudoLabeling``, run at
+    each epoch start: an epoch without clusters is recorded as skipped and
+    not trained, otherwise ``rebuild(num_clusters)`` re-seeds the
+    classifiers and every optimizer drops its classifier moments.
+    """
+    started = time.perf_counter()
+    for epoch in range(cfg.epochs):
+        for adam in adams:
+            adam.lr = cfg.lr_at(epoch)
+        rec = EpochRecord(epoch=epoch)
+        labeling = None
+        if relabel is not None:
+            labeling = relabel(epoch)
+            rec.num_clusters = labeling.num_clusters
+            rec.num_outliers = labeling.num_outliers
+            if labeling.num_clusters == 0:
+                log.skipped_epochs += 1
+                rec.skipped = True
+                _maybe_eval(eval_params, val_split, rec)
+                log.add(rec)
+                continue
+            rebuild(labeling.num_clusters)
+            for adam in adams:
+                adam.reset("classifier")
+        sums, count = {}, 0
+        for it in range(cfg.iters_per_epoch):
+            parts, update = step(labeling)
+            for part in parts:
+                total = part.get("total", sum(part.values()))
+                if not np.isfinite(total):
+                    raise DivergenceError(epoch, it, f"non-finite loss {total}")
+            update()
+            for part in parts:
+                for name, value in part.items():
+                    sums[name] = sums.get(name, 0.0) + value
+            count += len(parts)
+        for name, value in sums.items():
+            setattr(rec, name, value / count)
+        if "total" not in sums:
+            rec.total = sum(sums.values()) / count
+        rec.lr = adams[0].lr
+        _maybe_eval(eval_params, val_split, rec)
+        log.add(rec)
+    log.wall_time_s = time.perf_counter() - started
+
+
+def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
+                     raws: np.ndarray, domains: np.ndarray, labels: np.ndarray,
+                     rng: np.random.Generator):
+    """Step of a single network trained on hard labels: classification plus
+    hardest-mined triplet loss on a PK batch.
+
+    Pretraining (no labeling) samples ``cfg.p_classes`` identities.  Self-
+    training samples at most one class per cluster and drops the triplet
+    term when a single cluster is left.
+    """
+    def step(labeling):
+        p = cfg.p_classes if labeling is None else min(cfg.p_classes, labeling.num_clusters)
+        idx = pk_sample(labels, p, cfg.k_per, rng)
+        batch_labels = labels[idx].astype(np.int64)
+        feats, x_hat = forward_cached(params, raws[idx], domains[idx], training=True)
+        cls_val, d_feats, d_cls = _hard_loss(params, feats, batch_labels, cfg)
+        tri_val, d_tri = 0.0, 0.0
+        if labeling is None or p > 1:
+            tri = losses.softmax_triplet_loss(feats, batch_labels)
+            tri_val, d_tri = tri.value, tri.grads["batch"]
+        grads = backward(params, x_hat, d_feats + d_tri)
+        grads["classifier"] = d_cls
+        return ([{"cls": cls_val, "tri": tri_val}],
+                lambda: adam_step(params.trainable(), grads, adam))
+    return step
+
+
+# ---------------------------------------------------------------------------
 # Stage II: supervised pretraining
 # ---------------------------------------------------------------------------
 
@@ -264,36 +325,10 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
     dense, p_s = _dense_labels(train.identities)
     params = init_params(train.d, cfg.encoder_dim, p_s, cfg.seed)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng([cfg.seed, 11])
     log = RunLog(stage="pretrain", seed=cfg.seed)
-    started = time.perf_counter()
-
-    raws = train.features.astype(np.float64)
-    for epoch in range(cfg.epochs):
-        adam.lr = cfg.lr_at(epoch)
-        cls_sum = tri_sum = 0.0
-        for it in range(cfg.iters_per_epoch):
-            idx = pk_sample(dense, cfg.p_classes, cfg.k_per, rng)
-            labels = dense[idx]
-            feats, x_hat = forward_cached(params, raws[idx], train.domains[idx],
-                                          training=True)
-            cls_val, d_feats, d_cls = _hard_loss(params, feats, labels, cfg)
-            tri = losses.softmax_triplet_loss(feats, labels)
-            total = cls_val + tri.value
-            if not np.isfinite(total):
-                raise DivergenceError(epoch, it, f"non-finite loss {total}")
-            grads = backward(params, x_hat, d_feats + tri.grads["batch"])
-            grads["classifier"] = d_cls
-            adam_step(params.trainable(), grads, adam)
-            cls_sum += cls_val
-            tri_sum += tri.value
-        rec = EpochRecord(epoch=epoch, lr=adam.lr,
-                          cls=cls_sum / cfg.iters_per_epoch,
-                          tri=tri_sum / cfg.iters_per_epoch,
-                          total=(cls_sum + tri_sum) / cfg.iters_per_epoch)
-        _maybe_eval(params, val_split, rec)
-        log.add(rec)
-    log.wall_time_s = time.perf_counter() - started
+    step = _hard_label_step(params, adam, cfg, train.features.astype(np.float64),
+                            train.domains, dense, np.random.default_rng([cfg.seed, 11]))
+    _run_epochs(cfg, log, (adam,), step, params, val_split)
     return params, log
 
 
@@ -309,57 +344,18 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
         raise ValueError("pretrained encoder dimension does not match data")
     params = pretrained.copy()
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng([cfg.seed, 13])
     log = RunLog(stage="baseline", seed=cfg.seed)
-    started = time.perf_counter()
+    step = _hard_label_step(params, adam, cfg, target.features.astype(np.float64),
+                            target.domains, target.pseudo,
+                            np.random.default_rng([cfg.seed, 13]))
 
-    raws = target.features.astype(np.float64)
-    for epoch in range(cfg.epochs):
-        adam.lr = cfg.lr_at(epoch)
-        labeling = relabel_epoch(target, params, cfg.k, cfg.eps, cfg.min_pts, epoch)
-        if labeling.num_clusters == 0:
-            log.skipped_epochs += 1
-            rec = EpochRecord(epoch=epoch, skipped=True, num_clusters=0,
-                              num_outliers=labeling.num_outliers)
-            _maybe_eval(params, val_split, rec)
-            log.add(rec)
-            continue
-        feats_all = encode_dataset(params, target)
-        keep = target.pseudo >= 0
-        params.classifier = _centroid_classifier(feats_all[keep], target.pseudo[keep],
-                                                 labeling.num_clusters)
-        adam.reset("classifier")
+    def rebuild(num_clusters):
+        params.classifier = _cluster_centroids(params, target, num_clusters)
 
-        p_eff = min(cfg.p_classes, labeling.num_clusters)
-        cls_sum = tri_sum = 0.0
-        for it in range(cfg.iters_per_epoch):
-            idx = pk_sample(target.pseudo, p_eff, cfg.k_per, rng)
-            labels = target.pseudo[idx].astype(np.int64)
-            feats, x_hat = forward_cached(params, raws[idx], target.domains[idx],
-                                          training=True)
-            cls_val, d_feats, d_cls = _hard_loss(params, feats, labels, cfg)
-            if p_eff > 1:
-                tri = losses.softmax_triplet_loss(feats, labels)
-                tri_val, d_tri = tri.value, tri.grads["batch"]
-            else:
-                tri_val, d_tri = 0.0, 0.0
-            total = cls_val + tri_val
-            if not np.isfinite(total):
-                raise DivergenceError(epoch, it, f"non-finite loss {total}")
-            grads = backward(params, x_hat, d_feats + d_tri)
-            grads["classifier"] = d_cls
-            adam_step(params.trainable(), grads, adam)
-            cls_sum += cls_val
-            tri_sum += tri_val
-        rec = EpochRecord(epoch=epoch, lr=adam.lr,
-                          cls=cls_sum / cfg.iters_per_epoch,
-                          tri=tri_sum / cfg.iters_per_epoch,
-                          total=(cls_sum + tri_sum) / cfg.iters_per_epoch,
-                          num_clusters=labeling.num_clusters,
-                          num_outliers=labeling.num_outliers)
-        _maybe_eval(params, val_split, rec)
-        log.add(rec)
-    log.wall_time_s = time.perf_counter() - started
+    _run_epochs(cfg, log, (adam,), step, params, val_split,
+                relabel=lambda epoch: relabel_epoch(target, params, cfg.k, cfg.eps,
+                                                    cfg.min_pts, epoch),
+                rebuild=rebuild)
     return params, log
 
 
@@ -371,8 +367,6 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
 class TeacherState:
     students: tuple
     teachers: tuple
-    queues: tuple
-    alpha: float
 
     def export(self, which: str = "teacher1") -> EncoderParams:
         if which == "teacher1":
@@ -397,7 +391,7 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
                    pretrained2: EncoderParams | None = None) -> tuple[TeacherState, RunLog]:
     """Two students, two mean teachers, two queues, joint label space.
 
-    Per epoch: pseudo-labels refreshed with teacher 1, classifiers rebuilt
+    Per epoch: pseudo-labels refreshed with student 1, classifiers rebuilt
     from class centroids over the joint source+target label space.  Per
     iteration: one PK batch per domain, soft cross-entropy against the peer
     teacher, hard loss on joint labels, momentum-contrast loss against the
@@ -412,114 +406,81 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
 
     s1 = pretrained.copy()
     s2 = pretrained2.copy() if pretrained2 is not None else _decorrelated_copy(pretrained, cfg.seed)
-    t1, t2 = s1.copy(), s2.copy()
+    students, teachers = (s1, s2), (s1.copy(), s2.copy())
     queues = (FeatureQueue(cfg.queue_capacity, cfg.encoder_dim),
               FeatureQueue(cfg.queue_capacity, cfg.encoder_dim))
     adams = (AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay),
              AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay))
     rng = np.random.default_rng([cfg.seed, 17])
     log = RunLog(stage="mmt_plus", seed=cfg.seed)
-    started = time.perf_counter()
 
     dense_src, p_s = _dense_labels(source.identities)
     raws_s = source.features.astype(np.float64)
     raws_t = target.features.astype(np.float64)
 
-    for epoch in range(cfg.epochs):
-        for adam in adams:
-            adam.lr = cfg.lr_at(epoch)
-        # relabel with the current student encoder: at desk-scale step counts
-        # the EMA teacher lags too far behind to provide fresh labels
-        labeling = relabel_epoch(target, s1, cfg.k, cfg.eps, cfg.min_pts, epoch)
-        if labeling.num_clusters == 0:
-            log.skipped_epochs += 1
-            rec = EpochRecord(epoch=epoch, skipped=True, num_clusters=0,
-                              num_outliers=labeling.num_outliers)
-            _maybe_eval(t1, val_split, rec)
-            log.add(rec)
-            continue
-        p_t = labeling.num_clusters
-        offset = p_s if cfg.joint_source else 0
-
-        keep = target.pseudo >= 0
-        for student, teacher, adam in ((s1, t1, adams[0]), (s2, t2, adams[1])):
-            tgt_cents = _centroid_classifier(encode_dataset(student, target)[keep],
-                                             target.pseudo[keep], p_t)
+    def rebuild(num_clusters):
+        for student, teacher in zip(students, teachers):
+            cents = _cluster_centroids(student, target, num_clusters)
             if cfg.joint_source:
-                src_cents = _centroid_classifier(encode_dataset(student, source),
-                                                 dense_src, p_s)
-                student.classifier = np.concatenate([src_cents, tgt_cents], axis=0)
-            else:
-                student.classifier = tgt_cents
-            teacher.classifier = student.classifier.copy()
-            adam.reset("classifier")
+                cents = np.concatenate([_centroid_classifier(
+                    encode_dataset(student, source), dense_src, p_s), cents], axis=0)
+            student.classifier = cents
+            teacher.classifier = cents.copy()
 
-        p_eff = min(cfg.p_classes, p_t)
-        sums = {"soft": 0.0, "hard": 0.0, "moco": 0.0, "total": 0.0}
-        for it in range(cfg.iters_per_epoch):
-            if cfg.joint_source:
-                idx_s = pk_sample(dense_src, cfg.p_classes, cfg.k_per, rng)
-                idx_t = pk_sample(target.pseudo, p_eff, cfg.k_per, rng)
-                rows = np.concatenate([raws_s[idx_s], raws_t[idx_t]], axis=0)
-                doms = np.concatenate([source.domains[idx_s], target.domains[idx_t]])
-                labels = np.concatenate([dense_src[idx_s],
-                                         offset + target.pseudo[idx_t].astype(np.int64)])
-            else:
-                idx_t = pk_sample(target.pseudo, p_eff, cfg.k_per, rng)
-                rows = raws_t[idx_t]
-                doms = target.domains[idx_t]
-                labels = target.pseudo[idx_t].astype(np.int64)
+    def step(labeling):
+        p_eff = min(cfg.p_classes, labeling.num_clusters)
+        if cfg.joint_source:
+            idx_s = pk_sample(dense_src, cfg.p_classes, cfg.k_per, rng)
+            idx_t = pk_sample(target.pseudo, p_eff, cfg.k_per, rng)
+            rows = np.concatenate([raws_s[idx_s], raws_t[idx_t]], axis=0)
+            doms = np.concatenate([source.domains[idx_s], target.domains[idx_t]])
+            labels = np.concatenate([dense_src[idx_s],
+                                     p_s + target.pseudo[idx_t].astype(np.int64)])
+        else:
+            idx_t = pk_sample(target.pseudo, p_eff, cfg.k_per, rng)
+            rows = raws_t[idx_t]
+            doms = target.domains[idx_t]
+            labels = target.pseudo[idx_t].astype(np.int64)
 
-            # both students see the same batch; updates applied after both
-            # gradient computations so neither sees the other's new weights
-            staged = []
-            for student, peer_teacher, own_teacher, queue, adam in (
-                    (s1, t2, t1, queues[0], adams[0]),
-                    (s2, t1, t2, queues[1], adams[1])):
-                feats, x_hat = forward_cached(student, rows, doms, training=True)
-                peer_feats = forward(peer_teacher, rows, doms, training=False)
-                peer_logits = peer_feats @ peer_teacher.classifier.T
-                student_logits = feats @ student.classifier.T
+        # teachers only move by EMA after both students step, so one forward
+        # each serves as student 1's own/peer teacher and student 2's peer/own
+        teacher_feats = [forward(t, rows, doms, training=False) for t in teachers]
+        parts, grads = [], []
+        for i, student in enumerate(students):
+            own_feats, peer_feats = teacher_feats[i], teacher_feats[1 - i]
+            feats, x_hat = forward_cached(student, rows, doms, training=True)
+            soft = losses.soft_ce_batch(classifier_logits(student, feats),
+                                        classifier_logits(teachers[1 - i], peer_feats))
+            hard_val, d_feats_hard, d_cls_hard = _hard_loss(student, feats, labels, cfg)
+            moco = losses.moco_batch(feats, own_feats, queues[i].contents(), cfg.tau)
+            total = losses.mmt_plus_total(soft.value, hard_val, moco.value,
+                                          cfg.lambda_soft, cfg.lambda_moco)
+            d_cls_soft, d_feats_soft = classifier_backward(
+                student, feats, cfg.lambda_soft * soft.grads["student_logits"])
+            g = backward(student, x_hat, d_feats_soft
+                         + (1.0 - cfg.lambda_soft) * d_feats_hard
+                         + cfg.lambda_moco * moco.grads["queries"])
+            g["classifier"] = d_cls_soft + (1.0 - cfg.lambda_soft) * d_cls_hard
+            grads.append(g)
+            parts.append({"soft": soft.value, "hard": hard_val, "moco": moco.value,
+                          "total": total})
 
-                soft = losses.soft_ce_batch(student_logits, peer_logits)
-                hard_val, d_feats_hard, d_cls_hard = _hard_loss(student, feats, labels, cfg)
-                own_feats = forward(own_teacher, rows, doms, training=False)
-                moco = losses.moco_batch(feats, own_feats, queue.contents(), cfg.tau)
-                total = losses.mmt_plus_total(soft.value, hard_val, moco.value,
-                                              cfg.lambda_soft, cfg.lambda_moco)
-                if not np.isfinite(total):
-                    raise DivergenceError(epoch, it, f"non-finite loss {total}")
-
-                d_logits = cfg.lambda_soft * soft.grads["student_logits"]
-                d_feats = (d_logits @ student.classifier
-                           + (1.0 - cfg.lambda_soft) * d_feats_hard
-                           + cfg.lambda_moco * moco.grads["queries"])
-                d_cls = d_logits.T @ feats + (1.0 - cfg.lambda_soft) * d_cls_hard
-                grads = backward(student, x_hat, d_feats)
-                grads["classifier"] = d_cls
-                staged.append((student, own_teacher, queue, adam, grads, own_feats,
-                               soft.value, hard_val, moco.value, total))
-
-            for (student, own_teacher, queue, adam, grads, own_feats,
-                 soft_val, hard_val, moco_val, total) in staged:
-                adam_step(student.trainable(), grads, adam)
-                ema_update(own_teacher, student, cfg.alpha)
+        # neither student sees the other's new weights within an iteration
+        def update():
+            for student, teacher, queue, adam, g, own_feats in zip(
+                    students, teachers, queues, adams, grads, teacher_feats):
+                adam_step(student.trainable(), g, adam)
+                ema_update(teacher, student, cfg.alpha)
                 queue_push(queue, own_feats)
-                sums["soft"] += soft_val
-                sums["hard"] += hard_val
-                sums["moco"] += moco_val
-                sums["total"] += total
+        return parts, update
 
-        denom = 2 * cfg.iters_per_epoch
-        rec = EpochRecord(epoch=epoch, lr=adams[0].lr,
-                          soft=sums["soft"] / denom, hard=sums["hard"] / denom,
-                          moco=sums["moco"] / denom, total=sums["total"] / denom,
-                          num_clusters=p_t, num_outliers=labeling.num_outliers)
-        _maybe_eval(t1, val_split, rec)
-        log.add(rec)
-    log.wall_time_s = time.perf_counter() - started
-    return TeacherState(students=(s1, s2), teachers=(t1, t2), queues=queues,
-                        alpha=cfg.alpha), log
+    # relabel with the current student encoder: at desk-scale step counts
+    # the EMA teacher lags too far behind to provide fresh labels
+    _run_epochs(cfg, log, adams, step, teachers[0], val_split,
+                relabel=lambda epoch: relabel_epoch(target, s1, cfg.k, cfg.eps,
+                                                    cfg.min_pts, epoch),
+                rebuild=rebuild)
+    return TeacherState(students=students, teachers=teachers), log
 
 
 # ---------------------------------------------------------------------------
@@ -601,3 +562,31 @@ def run_full_pipeline(seed: int = 0, cfg: StageConfig | None = None,
     report = eval_encoder(final, bench.val_split, use_rerank=use_rerank)
     return {"params": final, "state": state, "report": report,
             "logs": {"pretrain": pre_log, "mmt_plus": mmt_log}}
+
+
+def ablation_arms(seed: int, **synth_overrides) -> dict:
+    """Validation mAP of each ablation arm on the seed's default benchmark.
+
+    raw: pretrain on the observed (shifted) source; translated: pretrain on
+    the translated source; baseline: clustering self-training on top of the
+    translated pretrain; ablated: stage III without momentum queue or joint
+    batches; full: complete stage III; reranked: the full arm evaluated with
+    re-ranked distances.
+    """
+    bench = default_benchmark(seed=seed, **synth_overrides)
+    cfg = StageConfig(seed=seed)
+    pre_raw, _ = stage_pretrain(bench.source, cfg)
+    pre_tr, _ = stage_pretrain(bench.translated, cfg)
+    base, _ = stage_baseline(pre_tr, bench.target_train, cfg)
+    full_state, _ = stage_mmt_plus(pre_tr, bench.source, bench.target_train, cfg)
+    abl_cfg = StageConfig(seed=seed, lambda_moco=0.0, joint_source=False)
+    abl_state, _ = stage_mmt_plus(pre_tr, bench.source, bench.target_train, abl_cfg)
+    full = full_state.export("teacher1")
+    return {
+        "raw": eval_encoder(pre_raw, bench.val_split).mAP,
+        "translated": eval_encoder(pre_tr, bench.val_split).mAP,
+        "baseline": eval_encoder(base, bench.val_split).mAP,
+        "ablated": eval_encoder(abl_state.export("teacher1"), bench.val_split).mAP,
+        "full": eval_encoder(full, bench.val_split).mAP,
+        "reranked": eval_encoder(full, bench.val_split, use_rerank=True).mAP,
+    }

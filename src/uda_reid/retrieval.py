@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset, concat_datasets
+from .datamodel import Dataset
 from .errors import DegenerateStructureError
 from .numerics import cdist, l2_normalize_rows
 from .pseudolabel import (DistanceMatrix, Metric, jaccard_from_membership,
@@ -104,12 +104,6 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
         v = np.stack([v[order[i, :k2]].mean(axis=0) for i in range(n_total)])
     jac = jaccard_from_membership(v)
     return lam * cross + (1.0 - lam) * jac[:n_q, n_q:]
-
-
-def rerank_split(split: QueryGallerySplit, k1: int = 30, k2: int = 6,
-                 lam: float = 0.3) -> np.ndarray:
-    split.validate()
-    return rerank(split.query.features, split.gallery.features, k1, k2, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +202,3 @@ def evaluate_split(split: QueryGallerySplit, dist=None, top_limit: int = 100) ->
     return evaluate(dist, split.query.identities, split.query.cameras,
                     split.gallery.identities, split.gallery.cameras, top_limit)
 
-
-def joint_dataset(split: QueryGallerySplit) -> Dataset:
-    return concat_datasets(split.query, split.gallery)

@@ -19,8 +19,7 @@ from uda_reid.encoder import init_params, ema_update
 from uda_reid.gradcheck import run_gradcheck
 from uda_reid.losses import mmt_plus_total
 from uda_reid.numerics import cdist
-from uda_reid.pipeline import (StageConfig, default_benchmark, eval_encoder,
-                               stage_baseline, stage_mmt_plus, stage_pretrain)
+from uda_reid.pipeline import ablation_arms
 from uda_reid.pseudolabel import (dbscan, jaccard_distance,
                                   k_reciprocal_neighbors, pairwise_euclidean)
 from uda_reid.retrieval import camera_adjust, evaluate, rerank
@@ -181,31 +180,9 @@ def test_criterion_4_protocol_fixtures(capsys):
 
 @pytest.fixture(scope="module")
 def ablation():
-    """Median validation mAP per arm, mirroring scripts/run_ablation.py."""
+    """Median validation mAP per arm, the grid of scripts/run_ablation.py."""
     started = time.time()
-    per_seed = []
-    for seed in range(5):
-        bench = default_benchmark(seed=seed)
-        cfg = StageConfig(seed=seed)
-        pre_raw, _ = stage_pretrain(bench.source, cfg)
-        pre_tr, _ = stage_pretrain(bench.translated, cfg)
-        base, _ = stage_baseline(pre_tr, bench.target_train, cfg)
-        full_state, _ = stage_mmt_plus(pre_tr, bench.source,
-                                       bench.target_train, cfg)
-        abl_cfg = StageConfig(seed=seed, lambda_moco=0.0, joint_source=False)
-        abl_state, _ = stage_mmt_plus(pre_tr, bench.source,
-                                      bench.target_train, abl_cfg)
-        full = full_state.export("teacher1")
-        per_seed.append({
-            "raw": eval_encoder(pre_raw, bench.val_split).mAP,
-            "translated": eval_encoder(pre_tr, bench.val_split).mAP,
-            "baseline": eval_encoder(base, bench.val_split).mAP,
-            "ablated": eval_encoder(abl_state.export("teacher1"),
-                                    bench.val_split).mAP,
-            "full": eval_encoder(full, bench.val_split).mAP,
-            "reranked": eval_encoder(full, bench.val_split,
-                                     use_rerank=True).mAP,
-        })
+    per_seed = [ablation_arms(seed) for seed in range(5)]
     medians = {arm: float(np.median([row[arm] for row in per_seed]))
                for arm in per_seed[0]}
     return medians, time.time() - started

@@ -5,7 +5,9 @@ and exactly one JSON object on stdout; human-readable notes go to stderr.
 """
 import io
 import json
+import re
 import shutil
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 
 from uda_reid.cli import run
 from uda_reid.datamodel import load_features
+from uda_reid.encoder import init_params, save_params
 
 TINY_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "8",
               "--samples-per-id", "6", "--raw-dim", "16", "--seed", "0"]
@@ -282,6 +285,62 @@ def test_data_errors_exit_2(arts, tmp_path):
                        "--iters-per-epoch", "2", "--encoder-dim", "8",
                        "--p-classes", "64"])
     assert code == 2 and "usable" in err
+
+
+def test_params_file_faults_exit_2(arts, tmp_path):
+    path = tmp_path / "enc.params"
+    save_params(path, init_params(2, 1, 1, seed=0))
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.params"
+    faults = [blob[:size] for size in range(len(blob))]
+    faults.append(struct.pack("<4sHI", b"URDP", 1, 0))  # no entries at all
+    for content in faults:
+        bad.write_bytes(content)
+        code, out, err = go(["cluster", "--params", bad, "--data", arts["target"],
+                             "--out", tmp_path / "relab.bin"])
+        assert code == 2 and out == "", (len(content), err)
+        assert "format error at byte" in err, (len(content), err)
+
+
+TRAIN_FLAGS = {"--config", "--log", "--val", "--epochs", "--iters-per-epoch",
+               "--p-classes", "--k-per", "--lr", "--weight-decay",
+               "--lambda-soft", "--lambda-moco", "--alpha", "--tau",
+               "--queue-capacity", "--k", "--eps", "--min-pts", "--seed",
+               "--loss-mode", "--margin", "--scale", "--encoder-dim",
+               "--joint-source", "--lr-schedule", "--lr-milestones",
+               "--lr-gamma"}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("synth", {"--out", "--config", "--num-ids-source", "--num-ids-target",
+               "--samples-per-id", "--raw-dim", "--cluster-spread",
+               "--translation-fidelity", "--cameras", "--seed",
+               "--shift-strength", "--shift-offset"}),
+    ("pretrain", {"--data", "--out"} | TRAIN_FLAGS),
+    ("baseline", {"--params", "--data", "--out"} | TRAIN_FLAGS),
+    ("mmtplus", {"--params", "--params2", "--source", "--target", "--out",
+                 "--export"} | TRAIN_FLAGS),
+    ("cluster", {"--params", "--data", "--out", "--k", "--eps", "--min-pts",
+                 "--blend"}),
+])
+def test_subcommand_flags(command, flags):
+    code, _, err = go([command, "--help"])
+    assert code == 0
+    assert set(re.findall(r"--[a-z0-9-]+", err)) == flags | {"--help", "--threads"}
+
+
+def test_config_flag_values_parse_by_field_type(arts, tmp_path):
+    payload = ok(["mmtplus", "--params", arts["pre"], "--source", arts["source"],
+                  "--target", arts["target"], "--out", tmp_path / "t.params",
+                  "--joint-source", "false", "--loss-mode", "cosface",
+                  "--lr-schedule", "step", "--lr-milestones", "1,2"]
+                 + TINY_TRAIN)
+    assert payload["epochs"] == 2
+    for flag, value in (("--joint-source", "maybe"), ("--loss-mode", "softmax"),
+                        ("--lr-milestones", "1;2"), ("--lr", "fast")):
+        code, _, err = go(["pretrain", "--data", arts["translated"], "--out",
+                           tmp_path / "p.params", flag, value])
+        assert code == 1 and flag in err, (flag, err)
 
 
 def test_version_flag():

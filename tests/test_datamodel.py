@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uda_reid.datamodel import (Dataset, Domain, IDENTITY_NONE, PSEUDO_OUTLIER,
-                                SampleMeta, SynthConfig, concat_datasets,
+                                SynthConfig, concat_datasets, config_from_kv,
                                 generate_synthetic, load_features, parse_kv,
-                                save_features, synth_config_from_kv)
+                                save_features)
 from uda_reid.errors import ConfigError, FormatError
 
 
@@ -75,40 +75,12 @@ def test_validate_rejects_bad_sentinels_and_shapes():
         ds.validate()
 
 
-def test_meta_round_trip():
-    ds = random_dataset(3, unlabeled_target=True)
-    meta = [ds.meta_at(i) for i in range(ds.n)]
-    back = Dataset.from_meta(ds.features, meta, name=ds.name)
-    assert np.array_equal(back.identities, ds.identities)
-    assert np.array_equal(back.cameras, ds.cameras)
-    assert np.array_equal(back.domains, ds.domains)
-    assert np.array_equal(back.pseudo, ds.pseudo)
-    unlabeled = np.flatnonzero(ds.identities == IDENTITY_NONE)
-    if unlabeled.size:
-        assert meta[unlabeled[0]].identity is None
-        assert meta[unlabeled[0]].pseudo is None
-
-
-def test_meta_at_maps_sentinels_to_none():
-    feats = np.zeros((1, 2), dtype=np.float32)
-    ds = Dataset(feats, [IDENTITY_NONE], [2], [1], [PSEUDO_OUTLIER])
-    m = ds.meta_at(0)
-    assert m == SampleMeta(identity=None, camera=2, domain=Domain.TARGET, pseudo=None)
-
-
 def test_with_pseudo_and_subset():
     ds = random_dataset(4)
-    labeled = ds.with_pseudo(np.arange(ds.n))
-    assert labeled.pseudo[5] == 5
-    assert ds.pseudo[5] == PSEUDO_OUTLIER  # original untouched
-
     sub = ds.subset([2, 0])
     assert sub.n == 2
     assert np.array_equal(sub.features[0], ds.features[2])
     assert sub.identities[1] == ds.identities[0]
-
-    with pytest.raises(ValueError):
-        ds.with_pseudo(np.arange(ds.n - 1))
 
 
 def test_concat_preserves_order_and_counts():
@@ -313,10 +285,11 @@ def test_parse_kv_errors():
 
 
 def test_synth_config_from_kv():
-    cfg = synth_config_from_kv({"num_ids_source": "4", "translation_fidelity": "0.3"})
+    cfg = config_from_kv(SynthConfig, {"num_ids_source": "4",
+                                       "translation_fidelity": "0.3"})
     assert cfg.num_ids_source == 4
     assert cfg.translation_fidelity == 0.3
     with pytest.raises(ConfigError, match="unknown"):
-        synth_config_from_kv({"bogus": "1"})
+        config_from_kv(SynthConfig, {"bogus": "1"})
     with pytest.raises(ConfigError, match="cannot parse"):
-        synth_config_from_kv({"raw_dim": "wide"})
+        config_from_kv(SynthConfig, {"raw_dim": "wide"})

@@ -1,5 +1,7 @@
 """Encoder parameters, standardization, sampling, EMA/queue state, Adam, and
 parameter serialization."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from uda_reid.encoder import (EPS_VAR, AdamState, EncoderParams, FeatureQueue,
                               classifier_logits, ema_update, encode_dataset,
                               forward, forward_cached, init_params,
                               load_params, pk_sample, queue_push, save_params)
-from uda_reid.errors import DivergenceError, MiningError, NormalizationError
+from uda_reid.errors import (DivergenceError, FormatError, MiningError,
+                             NormalizationError)
 from uda_reid.gradcheck import central_difference, relative_error
 
 
@@ -59,15 +62,6 @@ def test_validate_rejects_broken_params():
     p.running_var[0, 0] = 0.0
     with pytest.raises(ValueError, match="variance"):
         p.validate()
-
-
-def test_with_classifier_fresh_head_only():
-    p = small_params()
-    rng = np.random.default_rng(3)
-    q = p.with_classifier(9, rng)
-    assert q.classifier.shape == (9, p.d_out)
-    assert np.array_equal(q.weight, p.weight)
-    assert p.classifier.shape == (5, p.d_out)  # original untouched
 
 
 def test_copy_is_deep():
@@ -449,3 +443,65 @@ def test_params_load_rejects_garbage(tmp_path):
     bad.write_bytes(bytes(blob[:4]) + b"\x07\x00" + bytes(blob[6:]))
     with pytest.raises(ValueError, match="version"):
         load_params(bad)
+
+
+def test_params_save_rejects_invalid_params(tmp_path):
+    p = small_params()
+    p.running_var[1, 2] = np.nan
+    path = tmp_path / "enc.bin"
+    with pytest.raises(ValueError, match="running_var"):
+        save_params(path, p)
+    assert not path.exists()
+
+
+def test_params_load_reports_structural_faults(tmp_path):
+    p = small_params()
+    path = tmp_path / "enc.bin"
+    save_params(path, p)
+    blob = path.read_bytes()
+    header = struct.calcsize("<4sHI")
+    last = blob.rindex(b"running_var") - 2  # the entry's name length
+    bad = tmp_path / "bad.bin"
+
+    bad.write_bytes(blob[:6] + struct.pack("<I", 6) + blob[header:] + blob[last:])
+    with pytest.raises(FormatError, match="duplicate array 'running_var'") as err:
+        load_params(bad)
+    assert err.value.offset == len(blob)
+
+    bad.write_bytes(blob[:6] + struct.pack("<I", 4) + blob[header:last])
+    with pytest.raises(FormatError, match="missing array 'running_var'") as err:
+        load_params(bad)
+    assert err.value.offset == last
+
+    bad.write_bytes(blob + b"\x00")
+    with pytest.raises(FormatError, match="trailing") as err:
+        load_params(bad)
+    assert err.value.offset == len(blob)
+
+    bad.write_bytes(blob[:-1])
+    with pytest.raises(FormatError, match="truncated running_var") as err:
+        load_params(bad)
+    assert err.value.offset == len(blob) - 8 * p.running_var.size
+
+    # the weight entry stored flat: well-formed bytes, wrong rank
+    shape_end = header + 2 + len("weight") + 1 + 8
+    bad.write_bytes(blob[:header] + struct.pack("<H", 6) + b"weight"
+                    + struct.pack("<BI", 1, p.weight.size) + blob[shape_end:])
+    with pytest.raises(ValueError, match="weight has 1 dimensions"):
+        load_params(bad)
+
+
+def test_params_load_bit_flips_raise_value_errors(tmp_path):
+    path = tmp_path / "enc.bin"
+    save_params(path, init_params(2, 1, 1, seed=0))
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for pos in range(len(blob)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << bit
+            bad.write_bytes(bytes(flipped))
+            try:
+                load_params(bad)
+            except ValueError:
+                pass

@@ -6,16 +6,18 @@ import math
 import numpy as np
 import pytest
 
+import make_stage_logs_fixture as stage_logs
+from uda_reid import pipeline
 from uda_reid.datamodel import (PSEUDO_OUTLIER, Dataset, SynthConfig,
                                 generate_synthetic)
 from uda_reid.encoder import EPS_VAR, EncoderParams, init_params
 from uda_reid.errors import ConfigError, DivergenceError
 from uda_reid.losses import LossOut
+from uda_reid.datamodel import config_from_kv, load_config
 from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
                                StageConfig, TeacherState, default_benchmark,
-                               eval_encoder, load_stage_config,
-                               relation_consistency_check, run_full_pipeline,
-                               stage_baseline, stage_config_from_kv,
+                               eval_encoder, relation_consistency_check,
+                               run_full_pipeline, stage_baseline,
                                stage_mmt_plus, stage_pretrain)
 
 TINY_BENCH = dict(train_per_id=6, val_per_id=4, num_ids_source=8,
@@ -85,7 +87,7 @@ def test_config_validation_errors(kwargs, field):
 
 
 def test_config_from_kv_parses_every_type():
-    cfg = stage_config_from_kv({
+    cfg = config_from_kv(StageConfig, {
         "epochs": "3", "lr": "0.01", "loss_mode": "cosface",
         "joint_source": "false", "lr_milestones": "3,5",
         "lr_schedule": "step", "alpha": "0.9",
@@ -97,22 +99,24 @@ def test_config_from_kv_parses_every_type():
     assert cfg.lr_milestones == (3, 5)
     assert cfg.lr_schedule == "step"
     assert cfg.alpha == 0.9
-    assert stage_config_from_kv({"joint_source": "1"}).joint_source is True
+    assert config_from_kv(StageConfig, {"joint_source": "1"}).joint_source is True
 
 
 def test_config_from_kv_errors():
     with pytest.raises(ConfigError, match="unknown configuration"):
-        stage_config_from_kv({"bogus": "1"})
+        config_from_kv(StageConfig, {"bogus": "1"})
     with pytest.raises(ConfigError, match="loss mode"):
-        stage_config_from_kv({"loss_mode": "softmax"})
+        config_from_kv(StageConfig, {"loss_mode": "softmax"})
     with pytest.raises(ConfigError, match="boolean"):
-        stage_config_from_kv({"joint_source": "maybe"})
+        config_from_kv(StageConfig, {"joint_source": "maybe"})
+    with pytest.raises(ConfigError, match="epochs"):
+        config_from_kv(StageConfig, {"epochs": "abc"})
 
 
 def test_load_stage_config(tmp_path):
     path = tmp_path / "stage.conf"
     path.write_text("# training\nepochs = 4\nlr = 0.005  # small\n")
-    cfg = load_stage_config(path)
+    cfg = load_config(StageConfig, path)
     assert cfg.epochs == 4 and cfg.lr == 0.005
 
 
@@ -323,7 +327,22 @@ def test_mmt_symmetric_students_stay_identical(bench, pretrained):
     t1, t2 = state.teachers
     assert all_equal(s1, s2)
     assert all_equal(t1, t2)
-    assert np.array_equal(state.queues[0].contents(), state.queues[1].contents())
+
+
+def test_mmt_forwards_each_teacher_once_per_iteration(bench, pretrained,
+                                                     monkeypatch):
+    calls = []
+    real_forward = pipeline.forward
+
+    def counting(params, *args, **kwargs):
+        calls.append(params)
+        return real_forward(params, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "forward", counting)
+    state, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                              tiny_cfg(epochs=1, iters_per_epoch=1))
+    assert len(calls) == 2
+    assert {id(p) for p in calls} == {id(t) for t in state.teachers}
 
 
 def test_mmt_records_stage_losses(bench, pretrained):
@@ -472,3 +491,26 @@ def test_run_full_pipeline_smoke(bench):
     assert result["logs"]["pretrain"].stage == "pretrain"
     assert result["logs"]["mmt_plus"].stage == "mmt_plus"
     assert 0.0 <= result["logs"]["mmt_plus"].final_val_map <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# training output against records committed with the code
+# ---------------------------------------------------------------------------
+
+def _fixture_records(case):
+    lines = stage_logs.OUT.read_text().splitlines()
+    return [rec for rec in map(json.loads, lines) if rec["case"] == case]
+
+
+@pytest.mark.parametrize("case", sorted(stage_logs.CASES))
+def test_stage_logs_match_fixture(case):
+    want = _fixture_records(case)
+    got = stage_logs.run_case(case)
+    assert want and [sorted(r) for r in got] == [sorted(r) for r in want]
+    for got_rec, want_rec in zip(got, want):
+        for key, value in want_rec.items():
+            if isinstance(value, float):
+                assert got_rec[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+            else:
+                assert type(got_rec[key]) is type(value), key
+                assert got_rec[key] == value, key

@@ -8,8 +8,7 @@ from uda_reid.errors import DegenerateStructureError, NormalizationError
 from uda_reid.numerics import cdist, l2_normalize_rows
 from uda_reid.retrieval import (EvalReport, QueryGallerySplit, camera_adjust,
                                 ensemble_features, evaluate, evaluate_split,
-                                joint_dataset, rerank, rerank_split,
-                                split_query_gallery)
+                                rerank, split_query_gallery)
 
 
 def labeled_dataset(identities, cameras=None, d=3, seed=0):
@@ -51,16 +50,6 @@ def test_split_errors():
     # singleton identities produce no queries at all
     with pytest.raises(ValueError, match="non-empty"):
         split_query_gallery(labeled_dataset([0, 1, 2]))
-
-
-def test_joint_dataset_round_trip():
-    ds = labeled_dataset([0, 0, 1, 1])
-    split = split_query_gallery(ds, per_id=1)
-    joined = joint_dataset(split)
-    assert joined.n == ds.n
-    assert np.array_equal(joined.identities,
-                          np.concatenate([split.query.identities,
-                                          split.gallery.identities]))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +95,6 @@ def test_rerank_parameter_errors():
         rerank(q, g, k1=3, k2=1, lam=1.2)
     with pytest.raises(ValueError, match="incompatible"):
         rerank(q, np.ones((3, 4)))
-
-
-def test_rerank_split_uses_split_features():
-    ds = labeled_dataset([0, 0, 1, 1, 2, 2], d=4, seed=1)
-    split = split_query_gallery(ds, per_id=1)
-    direct = rerank(split.query.features, split.gallery.features, k1=4, k2=2, lam=0.3)
-    assert np.array_equal(rerank_split(split, k1=4, k2=2, lam=0.3), direct)
 
 
 # ---------------------------------------------------------------------------
