@@ -454,7 +454,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_ensemble)
 
     p = sub.add_parser("gradcheck",
-                       help="finite-difference check of every loss kernel")
+                       help="finite-difference check of every hand-derived "
+                            "gradient the trainer calls")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-4)

@@ -1,14 +1,16 @@
-"""Central-difference verification of the analytic loss gradients.
+"""Central-difference verification of the analytic gradients the trainer uses.
 
-Each kernel gets a randomized trial generator; ``run_gradcheck`` draws
-``trials`` independent inputs per kernel and reports the worst relative
-error between the analytic gradient and a float64 central difference.
+Each check draws a small random batch and differentiates the function that
+``pipeline`` calls on that batch: the batch loss kernels and the two encoder
+backward pieces.  ``run_gradcheck`` draws ``trials`` independent batches per
+check and reports the worst relative error between the analytic gradient and
+a float64 central difference.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import losses
+from . import encoder, losses
 
 
 def central_difference(fn, x, step: float = 1e-6):
@@ -37,98 +39,122 @@ def relative_error(analytic, numeric) -> float:
     return float(np.linalg.norm(analytic - numeric) / denom)
 
 
-def _pk_labels(rng, n_classes, per_class):
-    labels = np.repeat(np.arange(n_classes), per_class)
-    rng.shuffle(labels)
-    return labels
+def worst_error(value_fn, inputs: dict, grads: dict) -> float:
+    """Worst relative error between each analytic ``grads[name]`` and the
+    central difference of ``value_fn(**inputs)`` in ``inputs[name]``."""
+    worst = 0.0
+    for name, grad in grads.items():
+        def vary(x, name=name):
+            return value_fn(**{**inputs, name: x})
+        worst = max(worst, relative_error(grad, central_difference(vary, inputs[name])))
+    return worst
+
+
+def _loss_error(kernel, inputs: dict, wrt: dict) -> float:
+    """``worst_error`` of a loss kernel; ``wrt`` maps each differentiated
+    input to its key in the kernel's ``grads``."""
+    grads = kernel(**inputs).grads
+    return worst_error(lambda **kw: kernel(**kw).value, inputs,
+                       {name: grads[key] for name, key in wrt.items()})
 
 
 def _check_cross_entropy(rng):
-    p = int(rng.integers(2, 9))
-    logits = rng.normal(0.0, 2.0, size=p)
-    label = int(rng.integers(0, p))
-    out = losses.cross_entropy_cls(logits, label)
-    num = central_difference(lambda z: losses.cross_entropy_cls(z, label).value, logits)
-    return relative_error(out.grads["logits"], num)
-
-
-def _check_triplet_T(rng):
-    pair = rng.uniform(0.1, 4.0, size=2)
-    _, dd_p, dd_n = losses.softmax_triplet_T_grad(pair[0], pair[1])
-    num = central_difference(lambda v: losses.softmax_triplet_T(v[0], v[1]), pair)
-    return relative_error(np.array([dd_p, dd_n]), num)
+    n, p = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+    return _loss_error(losses.cross_entropy_batch,
+                       {"logits": rng.normal(0.0, 2.0, size=(n, p)),
+                        "labels": rng.integers(0, p, size=n)},
+                       {"logits": "logits"})
 
 
 def _check_triplet_loss(rng):
-    n_classes = int(rng.integers(2, 4))
-    per_class = int(rng.integers(2, 4))
-    d = int(rng.integers(3, 7))
-    labels = _pk_labels(rng, n_classes, per_class)
-    feats = rng.normal(0.0, 1.0, size=(labels.size, d))
-    out = losses.softmax_triplet_loss(feats, labels)
-    num = central_difference(lambda f: losses.softmax_triplet_loss(f, labels).value, feats)
-    return relative_error(out.grads["batch"], num)
+    labels = rng.permutation(np.repeat(np.arange(rng.integers(2, 4)), rng.integers(2, 4)))
+    feats = rng.normal(0.0, 1.0, size=(labels.size, int(rng.integers(3, 7))))
+    return _loss_error(losses.softmax_triplet_loss,
+                       {"feats": feats, "labels": labels}, {"feats": "batch"})
 
 
 def _check_relation(rng):
     m = int(rng.integers(3, 9))
-    p = rng.uniform(0.05, 0.95, size=m)
-    q = rng.uniform(0.05, 0.95, size=m)
-    out = losses.relation_consistency(p, q)
-    num = central_difference(lambda v: losses.relation_consistency(v, q).value, p)
-    return relative_error(out.grads["t_translated"], num)
+    return _loss_error(losses.relation_consistency,
+                       {"t_translated": rng.uniform(0.05, 0.95, size=m),
+                        "t_source": rng.uniform(0.05, 0.95, size=m)},
+                       {"t_translated": "t_translated"})
 
 
 def _check_soft_ce(rng):
-    p = int(rng.integers(2, 9))
-    student = rng.normal(0.0, 2.0, size=p)
-    teacher = rng.normal(0.0, 2.0, size=p)
-    out = losses.soft_ce_mutual(student, teacher)
-    num = central_difference(lambda s: losses.soft_ce_mutual(s, teacher).value, student)
-    return relative_error(out.grads["student_logits"], num)
+    shape = (int(rng.integers(1, 6)), int(rng.integers(2, 9)))
+    return _loss_error(losses.soft_ce_batch,
+                       {"student_logits": rng.normal(0.0, 2.0, size=shape),
+                        "teacher_logits": rng.normal(0.0, 2.0, size=shape)},
+                       {"student_logits": "student_logits"})
 
 
 def _check_moco(rng):
-    d = int(rng.integers(3, 7))
-    k = int(rng.integers(0, 7))
-    query = rng.normal(0.0, 1.0, size=d)
-    key = rng.normal(0.0, 1.0, size=d)
-    queue = rng.normal(0.0, 1.0, size=(k, d))
-    tau = float(rng.uniform(0.4, 1.2))
-    out = losses.moco_loss(query, key, queue, tau)
-    num = central_difference(lambda q: losses.moco_loss(q, key, queue, tau).value, query)
-    return relative_error(out.grads["query"], num)
+    n, d = int(rng.integers(1, 5)), int(rng.integers(3, 7))
+    return _loss_error(losses.moco_batch,
+                       {"queries": rng.normal(0.0, 1.0, size=(n, d)),
+                        "keys_pos": rng.normal(0.0, 1.0, size=(n, d)),
+                        "queue": rng.normal(0.0, 1.0, size=(int(rng.integers(0, 7)), d)),
+                        "tau": float(rng.uniform(0.4, 1.2))},
+                       {"queries": "queries"})
 
 
 def _check_margin(rng, mode):
-    d = int(rng.integers(4, 7))
-    p = int(rng.integers(2, 6))
-    feature = rng.normal(0.0, 1.0, size=d)
-    weights = rng.normal(0.0, 1.0, size=(p, d))
-    label = int(rng.integers(0, p))
-    margin = float(rng.uniform(0.1, 0.4))
-    scale = float(rng.uniform(4.0, 16.0))
-    out = losses.margin_classification(feature, weights, label, mode, margin, scale)
-    num_f = central_difference(
-        lambda f: losses.margin_classification(f, weights, label, mode, margin, scale).value,
-        feature)
-    num_w = central_difference(
-        lambda w: losses.margin_classification(feature, w, label, mode, margin, scale).value,
-        weights)
-    err_f = relative_error(out.grads["feature"], num_f)
-    err_w = relative_error(out.grads["class_weights"], num_w)
-    return max(err_f, err_w)
+    n, d, p = int(rng.integers(2, 5)), int(rng.integers(4, 7)), int(rng.integers(2, 6))
+    return _loss_error(losses.margin_classification_batch,
+                       {"features": rng.normal(0.0, 1.0, size=(n, d)),
+                        "class_weights": rng.normal(0.0, 1.0, size=(p, d)),
+                        "labels": rng.integers(0, p, size=n), "mode": mode,
+                        "margin": float(rng.uniform(0.1, 0.4)),
+                        "scale": float(rng.uniform(4.0, 16.0))},
+                       {"features": "features", "class_weights": "class_weights"})
+
+
+# The encoder pieces map an upstream gradient to parameter gradients; a
+# random linear read-out of their output stands in for the loss.
+
+def _check_classifier_backward(rng):
+    n, d, p = int(rng.integers(1, 6)), int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    params = encoder.init_params(2, d, p, seed=int(rng.integers(2**31)))
+    feats = rng.normal(0.0, 1.0, size=(n, d))
+    sense = rng.normal(0.0, 1.0, size=(n, p))
+    d_cls, d_feats = encoder.classifier_backward(params, feats, sense)
+
+    def value(classifier, feats):
+        probe = params.copy()
+        probe.classifier = classifier
+        return float(np.sum(encoder.classifier_logits(probe, feats) * sense))
+    return worst_error(value, {"classifier": params.classifier, "feats": feats},
+                       {"classifier": d_cls, "feats": d_feats})
+
+
+def _check_affine_backward(rng):
+    n, d_in, d_out = int(rng.integers(2, 7)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    params = encoder.init_params(d_in, d_out, 1, seed=int(rng.integers(2**31)))
+    raws = rng.normal(0.0, 1.0, size=(n, d_in))
+    domains = rng.integers(0, encoder.NUM_DOMAINS, size=n)
+    sense = rng.normal(0.0, 1.0, size=(n, d_out))
+    # training mode standardizes by batch statistics, as every step does
+    _, x_hat = encoder.forward_cached(params.copy(), raws, domains, training=True)
+
+    def value(weight, bias):
+        probe = params.copy()
+        probe.weight, probe.bias = weight, bias
+        return float(np.sum(encoder.forward(probe, raws, domains, training=True) * sense))
+    return worst_error(value, {"weight": params.weight, "bias": params.bias},
+                       encoder.backward(params, x_hat, sense))
 
 
 KERNEL_CHECKS = {
-    "cross_entropy_cls": _check_cross_entropy,
-    "softmax_triplet_T": _check_triplet_T,
+    "cross_entropy_batch": _check_cross_entropy,
     "softmax_triplet_loss": _check_triplet_loss,
     "relation_consistency": _check_relation,
-    "soft_ce_mutual": _check_soft_ce,
-    "moco_loss": _check_moco,
+    "soft_ce_batch": _check_soft_ce,
+    "moco_batch": _check_moco,
     "margin_arcface": lambda rng: _check_margin(rng, losses.MarginMode.ARCFACE),
     "margin_cosface": lambda rng: _check_margin(rng, losses.MarginMode.COSFACE),
+    "classifier_backward": _check_classifier_backward,
+    "affine_backward": _check_affine_backward,
 }
 
 

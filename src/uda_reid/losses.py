@@ -2,9 +2,9 @@
 
 Every kernel is a pure function returning a :class:`LossOut` whose ``grads``
 map names each differentiable input to a gradient of matching shape.
-Values and gradients are computed in float64.  Batched variants reduce with
-the arithmetic mean over anchors/rows; constant (non-differentiated) inputs
-carry no gradient entry.
+Values and gradients are computed in float64.  Kernels take whole batches
+and reduce with the arithmetic mean over anchors/rows; constant
+(non-differentiated) inputs carry no gradient entry.
 """
 from __future__ import annotations
 
@@ -43,19 +43,6 @@ def _as_float64(x, name):
 # Classification cross-entropy
 # ---------------------------------------------------------------------------
 
-def cross_entropy_cls(logits, label: int) -> LossOut:
-    """-log softmax(logits)[label], stabilized by max-shift."""
-    logits = _as_float64(logits, "logits")
-    if logits.ndim != 1 or logits.size == 0:
-        raise ValueError("logits must be a non-empty 1-d vector")
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range [0, {logits.size})")
-    logp = log_softmax(logits)
-    grad = np.exp(logp)
-    grad[label] -= 1.0
-    return LossOut(value=float(-logp[label]), grads={"logits": grad})
-
-
 def cross_entropy_batch(logits, labels) -> LossOut:
     """Mean cross-entropy over rows; gradient w.r.t. the full logit matrix."""
     logits = _as_float64(logits, "logits")
@@ -73,22 +60,6 @@ def cross_entropy_batch(logits, labels) -> LossOut:
 # ---------------------------------------------------------------------------
 # Softmax-triplet statistic and loss
 # ---------------------------------------------------------------------------
-
-def softmax_triplet_T(d_p: float, d_n: float) -> float:
-    """exp(d_n) / (exp(d_p) + exp(d_n)), evaluated as sigmoid(d_n - d_p)."""
-    if not (np.isfinite(d_p) and np.isfinite(d_n)):
-        raise ValueError("distances must be finite")
-    if d_p < 0 or d_n < 0:
-        raise ValueError("distances must be >= 0")
-    return float(sigmoid(d_n - d_p))
-
-
-def softmax_triplet_T_grad(d_p: float, d_n: float):
-    """(T, dT/dd_p, dT/dd_n); T'(x) through sigmoid(d_n - d_p)."""
-    t = softmax_triplet_T(d_p, d_n)
-    slope = t * (1.0 - t)
-    return t, -slope, slope
-
 
 def hardest_triplets(feats, labels):
     """Per-anchor hardest positive/negative by Euclidean distance.
@@ -185,14 +156,9 @@ def relation_consistency(t_translated, t_source) -> LossOut:
 # Soft cross-entropy between peer networks (teacher side constant)
 # ---------------------------------------------------------------------------
 
-def soft_ce_mutual(student_logits, teacher_logits) -> LossOut:
-    """-sum softmax(teacher) * log softmax(student); no gradient to the teacher."""
-    out = soft_ce_batch(np.atleast_2d(student_logits), np.atleast_2d(teacher_logits))
-    grad = out.grads["student_logits"]
-    return LossOut(value=out.value, grads={"student_logits": grad.reshape(np.shape(student_logits))})
-
-
 def soft_ce_batch(student_logits, teacher_logits) -> LossOut:
+    """Mean over rows of -sum softmax(teacher) * log softmax(student); no
+    gradient to the teacher."""
     s = _as_float64(student_logits, "student_logits")
     t = _as_float64(teacher_logits, "teacher_logits")
     if s.shape != t.shape:
@@ -211,19 +177,12 @@ def soft_ce_batch(student_logits, teacher_logits) -> LossOut:
 # Momentum-contrast loss against a feature queue
 # ---------------------------------------------------------------------------
 
-def moco_loss(query, key_pos, queue, tau: float = 0.7) -> LossOut:
-    """InfoNCE over [positive key, queue negatives]; all inputs re-normalized.
-
-    Gradient flows to the raw (pre-normalization) query only; the positive
-    key and queue entries are constants.
-    """
-    query = _as_float64(query, "query")
-    out = moco_batch(query[None, :], np.asarray(key_pos, dtype=np.float64)[None, :], queue, tau)
-    return LossOut(value=out.value, grads={"query": out.grads["queries"][0]},
-                   diagnostics=out.diagnostics)
-
-
 def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
+    """Mean InfoNCE over [positive key, queue negatives]; all rows re-normalized.
+
+    Gradient flows to the raw (pre-normalization) queries only; the positive
+    keys and queue entries are constants.  An empty queue gives zero loss.
+    """
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     queries = _as_float64(queries, "queries")
@@ -261,16 +220,6 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
 # ---------------------------------------------------------------------------
 # Margin-based classification (cosine logits with additive margins)
 # ---------------------------------------------------------------------------
-
-def margin_classification(feature, class_weights, label: int,
-                          mode: MarginMode = MarginMode.COSFACE,
-                          margin: float = 0.25, scale: float = 16.0) -> LossOut:
-    out = margin_classification_batch(np.atleast_2d(feature), class_weights,
-                                      np.asarray([label]), mode, margin, scale)
-    return LossOut(value=out.value,
-                   grads={"feature": out.grads["features"][0],
-                          "class_weights": out.grads["class_weights"]})
-
 
 def margin_classification_batch(features, class_weights, labels,
                                 mode: MarginMode = MarginMode.COSFACE,

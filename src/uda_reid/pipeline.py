@@ -235,8 +235,10 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
     dict of loss parts per network it trains, and a callable that applies
     the updates.  A part dict without a ``"total"`` trains on the sum of its
     parts; the guard checks every total for finiteness before ``update``
-    runs.  The record averages each part over all part dicts of the epoch;
-    a missing total is recorded as the sum of the part sums over that count.
+    runs.  An overflow or invalid operation inside ``step`` or ``update``
+    is a divergence at that epoch and iteration, like a non-finite total.
+    The record averages each part over all part dicts of the epoch; a
+    missing total is recorded as the sum of the part sums over that count.
 
     Self-training stages pass ``relabel(epoch) -> PseudoLabeling``, run at
     each epoch start: an epoch without clusters is recorded as skipped and
@@ -264,12 +266,16 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
                 adam.reset("classifier")
         sums, count = {}, 0
         for it in range(cfg.iters_per_epoch):
-            parts, update = step(labeling)
-            for part in parts:
-                total = part.get("total", sum(part.values()))
-                if not np.isfinite(total):
-                    raise DivergenceError(epoch, it, f"non-finite loss {total}")
-            update()
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    parts, update = step(labeling)
+                    for part in parts:
+                        total = part.get("total", sum(part.values()))
+                        if not np.isfinite(total):
+                            raise DivergenceError(epoch, it, f"non-finite loss {total}")
+                    update()
+            except FloatingPointError as exc:
+                raise DivergenceError(epoch, it, f"floating-point {exc}") from exc
             for part in parts:
                 for name, value in part.items():
                     sums[name] = sums.get(name, 0.0) + value

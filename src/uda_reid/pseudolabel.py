@@ -19,6 +19,7 @@ from .errors import DegenerateStructureError
 from .numerics import cdist, l2_normalize_rows
 
 SYMMETRY_TOL = 1e-6
+SYMMETRY_BLOCK = 256  # rows per block of the symmetry check
 
 
 class Metric(enum.Enum):
@@ -44,8 +45,11 @@ class DistanceMatrix:
             raise ValueError("non-finite distance values")
         if np.any(np.abs(np.diag(v)) > 0):
             raise ValueError("diagonal must be exactly zero")
-        if np.max(np.abs(v - v.T)) > SYMMETRY_TOL:
-            raise ValueError(f"asymmetry beyond {SYMMETRY_TOL}")
+        # row blocks keep the temporaries at SYMMETRY_BLOCK x n, not n x n
+        for start in range(0, v.shape[0], SYMMETRY_BLOCK):
+            stop = start + SYMMETRY_BLOCK
+            if np.max(np.abs(v[start:stop] - v[:, start:stop].T)) > SYMMETRY_TOL:
+                raise ValueError(f"asymmetry beyond {SYMMETRY_TOL}")
         if self.metric is Metric.JACCARD and (v.min() < -1e-9 or v.max() > 1 + 1e-9):
             raise ValueError("jaccard distances must lie in [0, 1]")
 

@@ -287,6 +287,49 @@ def test_data_errors_exit_2(arts, tmp_path):
     assert code == 2 and "usable" in err
 
 
+SMALL_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "3",
+               "--samples-per-id", "4", "--raw-dim", "8", "--seed", "0"]
+SMALL_TRAIN = ["--p-classes", "2", "--k-per", "2", "--encoder-dim", "4",
+               "--k", "4", "--min-pts", "2"]
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """A benchmark with a 12-row target set and an encoder pretrained on it."""
+    root = tmp_path_factory.mktemp("small")
+    ok(["synth", "--out", root / "data"] + SMALL_SYNTH)
+    ok(["pretrain", "--data", root / "data" / "translated.bin",
+        "--out", root / "pre.params", "--epochs", "1"] + SMALL_TRAIN)
+    return root
+
+
+def test_pretrain_divergence_exits_3(small, tmp_path):
+    code, out, err = go(["pretrain", "--data", small / "data" / "translated.bin",
+                         "--out", tmp_path / "p.params", "--lr", "1e10"] + SMALL_TRAIN)
+    assert code == 3 and out == "", err
+    assert "divergence at epoch 0, iteration" in err and "Warning" not in err
+    assert not (tmp_path / "p.params").exists()
+
+
+def test_mmtplus_divergence_exits_3(small, tmp_path):
+    code, out, err = go(["mmtplus", "--params", small / "pre.params",
+                         "--source", small / "data" / "source.bin",
+                         "--target", small / "data" / "target.bin",
+                         "--out", tmp_path / "t.params", "--lr", "1e30"] + SMALL_TRAIN)
+    assert code == 3 and out == "", err
+    assert "divergence at epoch 0, iteration" in err and "Warning" not in err
+    assert not (tmp_path / "t.params").exists()
+
+
+def test_cluster_k_not_below_row_count_exits_2(small, tmp_path):
+    code, out, err = go(["cluster", "--params", small / "pre.params",
+                         "--data", small / "data" / "target.bin",
+                         "--out", tmp_path / "relab.bin"])  # default k=20, 12 rows
+    assert code == 2 and out == "", err
+    assert "k must satisfy 1 <= k < n" in err
+    assert not (tmp_path / "relab.bin").exists()
+
+
 def test_params_file_faults_exit_2(arts, tmp_path):
     path = tmp_path / "enc.params"
     save_params(path, init_params(2, 1, 1, seed=0))

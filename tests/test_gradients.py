@@ -1,9 +1,19 @@
-"""Finite-difference verification machinery and per-kernel gradient checks."""
+"""Finite-difference verification machinery, per-kernel gradient checks, and
+checks of the whole objective each training step hands to Adam."""
 import numpy as np
 import pytest
 
+from uda_reid import pipeline
+from uda_reid.encoder import pk_sample
 from uda_reid.gradcheck import (KERNEL_CHECKS, central_difference,
-                                relative_error, run_gradcheck)
+                                relative_error, run_gradcheck, worst_error)
+from uda_reid.pipeline import (LossMode, StageConfig, default_benchmark,
+                               stage_baseline, stage_mmt_plus, stage_pretrain)
+
+TINY_BENCH = dict(train_per_id=6, val_per_id=4, num_ids_source=8,
+                  num_ids_target=8, raw_dim=16)
+TINY_CFG = dict(epochs=2, iters_per_epoch=4, p_classes=4, k_per=2,
+                encoder_dim=8, queue_capacity=32, k=10)
 
 
 def test_central_difference_on_quadratic():
@@ -42,3 +52,100 @@ def test_run_gradcheck_covers_all_kernels_and_is_deterministic():
     assert first == second
     other = run_gradcheck(trials=5, seed=4)
     assert other != first  # different draws give different worst errors
+
+
+# ---------------------------------------------------------------------------
+# whole-objective checks of the training steps
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bench():
+    return default_benchmark(seed=0, **TINY_BENCH)
+
+
+@pytest.fixture(scope="module")
+def pretrained(bench):
+    return stage_pretrain(bench.translated, StageConfig(**TINY_CFG))[0]
+
+
+def frozen_step(monkeypatch, run_stage):
+    """The step a stage trains with, frozen for finite differences.
+
+    ``run_stage`` runs with ``_run_epochs`` replaced: the replacement relabels
+    and rebuilds once and takes three real steps, which fills the queues.
+    Afterwards every PK draw repeats one batch, ``adam_step`` records the
+    grads instead of applying them, and the EMA and queue updates are off, so
+    teachers and queues stay put.  Returns the trained networks, the step on
+    the fixed labeling, and the list the grads are recorded into.
+    """
+    drive = {}
+
+    def run_epochs(cfg, log, adams, step, eval_params, val_split,
+                   relabel=None, rebuild=None):
+        labeling = None
+        if relabel is not None:
+            labeling = relabel(0)
+            assert labeling.num_clusters > 1
+            rebuild(labeling.num_clusters)
+        for _ in range(3):
+            step(labeling)[1]()
+        drive["step"] = lambda: step(labeling)
+
+    monkeypatch.setattr(pipeline, "_run_epochs", run_epochs)
+    nets = run_stage()
+    recorded = []
+    monkeypatch.setattr(pipeline, "pk_sample", lambda labels, p, k, rng:
+                        pk_sample(labels, p, k, np.random.default_rng(0)))
+    monkeypatch.setattr(pipeline, "adam_step",
+                        lambda params, grads, state: recorded.append(grads))
+    monkeypatch.setattr(pipeline, "ema_update", lambda teacher, student, alpha: None)
+    monkeypatch.setattr(pipeline, "queue_push", lambda queue, feats: None)
+    return nets, drive["step"], recorded
+
+
+def objective_error(nets, step, recorded):
+    """Worst relative error between the grads each network's update hands to
+    ``adam_step`` and central differences of that network's training total
+    (``total``, or the sum of its parts, as the epoch driver reads it).
+    Every array of every trained network, running statistics included, is
+    reset to its starting value before each evaluation; the teachers and
+    queues stay put under ``frozen_step``."""
+    start = [net.copy() for net in nets]
+    step()[1]()
+    grads = recorded[-len(nets):]
+    worst = 0.0
+    for i in range(len(nets)):
+        def total(i=i, **trained):
+            for net, saved in zip(nets, start):
+                for name, arr in saved.all_arrays().items():
+                    setattr(net, name, arr.copy())
+            for name, arr in trained.items():
+                setattr(nets[i], name, arr)
+            part = step()[0][i]
+            return part.get("total", sum(part.values()))
+        worst = max(worst, worst_error(total, start[i].trainable(), grads[i]))
+    return worst
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "baseline"])
+@pytest.mark.parametrize("mode", list(LossMode))
+def test_hard_label_step_grads_match_objective(monkeypatch, bench, pretrained, stage, mode):
+    cfg = StageConfig(**TINY_CFG, loss_mode=mode)
+    target = bench.target_train.subset(np.arange(bench.target_train.n))
+    if stage == "pretrain":
+        run = lambda: [stage_pretrain(bench.translated, cfg)[0]]
+    else:
+        run = lambda: [stage_baseline(pretrained, target, cfg)[0]]
+    assert objective_error(*frozen_step(monkeypatch, run)) < 1e-6
+
+
+@pytest.mark.parametrize("joint_source", [True, False])
+@pytest.mark.parametrize("mode", list(LossMode))
+def test_mmt_step_grads_match_objective(monkeypatch, bench, pretrained, mode, joint_source):
+    cfg = StageConfig(**TINY_CFG, loss_mode=mode, joint_source=joint_source)
+    target = bench.target_train.subset(np.arange(bench.target_train.n))
+    nets, step, recorded = frozen_step(monkeypatch, lambda: list(
+        stage_mmt_plus(pretrained, bench.source, target, cfg)[0].students))
+    parts = step()[0]
+    assert all(part["moco"] > 0 for part in parts)  # the queues took rows
+    assert objective_error(nets, step, recorded) < 1e-6

@@ -11,13 +11,10 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from uda_reid.errors import MiningError, NormalizationError
 from uda_reid.losses import (MarginMode, cross_entropy_batch,
-                             cross_entropy_cls, hardest_triplets,
-                             margin_classification,
-                             margin_classification_batch, mmt_plus_total,
-                             moco_batch, moco_loss, relation_consistency,
-                             soft_ce_batch, soft_ce_mutual,
-                             softmax_triplet_T, softmax_triplet_T_grad,
-                             softmax_triplet_loss, triplet_T_values)
+                             hardest_triplets, margin_classification_batch,
+                             mmt_plus_total, moco_batch, relation_consistency,
+                             soft_ce_batch, softmax_triplet_loss,
+                             triplet_T_values)
 
 SIGMOID_1 = 0.7310585786300049
 ENTROPY_SIGMOID_1 = 0.5822031088882179
@@ -34,49 +31,49 @@ def logit_vectors(min_p=2, max_p=6):
 # ---------------------------------------------------------------------------
 
 def test_ce_uniform_gives_log_p():
-    assert cross_entropy_cls(np.zeros(4), 1).value == pytest.approx(math.log(4), abs=1e-12)
+    assert cross_entropy_batch(np.zeros((1, 4)), [1]).value == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_ce_worked_example():
-    out = cross_entropy_cls([1.0, 2.0, 3.0], 2)
+    out = cross_entropy_batch([[1.0, 2.0, 3.0]], [2])
     assert out.value == pytest.approx(0.40760596444438013, abs=1e-12)
     probs = np.exp([1, 2, 3]) / np.exp([1, 2, 3]).sum()
     expected = probs.copy()
     expected[2] -= 1.0
-    assert np.allclose(out.grads["logits"], expected, atol=1e-12)
+    assert np.allclose(out.grads["logits"][0], expected, atol=1e-12)
 
 
 def test_ce_gradient_sums_to_zero():
-    out = cross_entropy_cls([0.3, -1.2, 4.0, 0.0], 0)
+    out = cross_entropy_batch([[0.3, -1.2, 4.0, 0.0]], [0])
     assert out.grads["logits"].sum() == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=40)
 @given(logits=logit_vectors(), shift=finite_floats)
 def test_ce_shift_invariance(logits, shift):
-    a = cross_entropy_cls(logits, 0).value
-    b = cross_entropy_cls(logits + shift, 0).value
+    a = cross_entropy_batch(logits[None], [0]).value
+    b = cross_entropy_batch(logits[None] + shift, [0]).value
     assert abs(a - b) < 1e-9
 
 
 def test_ce_errors():
     with pytest.raises(ValueError, match="label"):
-        cross_entropy_cls([1.0, 2.0], 2)
+        cross_entropy_batch([[1.0, 2.0]], [2])
     with pytest.raises(ValueError, match="label"):
-        cross_entropy_cls([1.0, 2.0], -1)
+        cross_entropy_batch([[1.0, 2.0]], [-1])
     with pytest.raises(ValueError):
-        cross_entropy_cls([], 0)
+        cross_entropy_batch([[]], [0])
     with pytest.raises(ValueError, match="finite"):
-        cross_entropy_cls([np.nan, 1.0], 0)
+        cross_entropy_batch([[np.nan, 1.0]], [0])
 
 
 def test_ce_batch_is_mean_of_rows():
     logits = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
     labels = [2, 1]
     out = cross_entropy_batch(logits, labels)
-    singles = [cross_entropy_cls(logits[i], labels[i]) for i in range(2)]
+    singles = [cross_entropy_batch(logits[i:i + 1], labels[i:i + 1]) for i in range(2)]
     assert out.value == pytest.approx(np.mean([s.value for s in singles]), abs=1e-12)
-    stacked = np.stack([s.grads["logits"] for s in singles]) / 2
+    stacked = np.concatenate([s.grads["logits"] for s in singles]) / 2
     assert np.allclose(out.grads["logits"], stacked, atol=1e-12)
 
 
@@ -89,31 +86,31 @@ def test_ce_batch_label_range():
 # softmax-triplet statistic
 # ---------------------------------------------------------------------------
 
+def anchor_T(d_p, d_n):
+    """T of anchor 0 in a 1-d batch whose hardest positive lies at distance
+    d_p and hardest negative at distance d_n."""
+    feats = np.array([[0.0], [d_p], [-d_n], [-d_n - 10.0]])
+    return triplet_T_values(feats, [0, 0, 1, 1])[0]
+
+
 def test_t_statistic_midpoint_and_complement():
-    assert softmax_triplet_T(1.3, 1.3) == pytest.approx(0.5, abs=1e-12)
-    assert softmax_triplet_T(0.0, 1.0) == pytest.approx(SIGMOID_1, abs=1e-12)
+    assert anchor_T(1.3, 1.3) == pytest.approx(0.5, abs=1e-12)
+    assert anchor_T(0.0, 1.0) == pytest.approx(SIGMOID_1, abs=1e-12)
     for a, b in [(0.2, 1.7), (3.0, 0.1)]:
-        assert softmax_triplet_T(a, b) + softmax_triplet_T(b, a) == pytest.approx(1.0, abs=1e-12)
+        assert anchor_T(a, b) + anchor_T(b, a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_t_statistic_matches_ratio_form():
     d_p, d_n = 1.25, 0.5
     direct = math.exp(d_n) / (math.exp(d_p) + math.exp(d_n))
-    assert softmax_triplet_T(d_p, d_n) == pytest.approx(direct, abs=1e-12)
+    assert anchor_T(d_p, d_n) == pytest.approx(direct, abs=1e-12)
 
 
 def test_t_statistic_errors():
-    with pytest.raises(ValueError):
-        softmax_triplet_T(-0.1, 1.0)
-    with pytest.raises(ValueError):
-        softmax_triplet_T(1.0, np.inf)
-
-
-def test_t_grad_slopes():
-    t, dp, dn = softmax_triplet_T_grad(0.0, 1.0)
-    assert t == pytest.approx(SIGMOID_1, abs=1e-12)
-    assert dn == pytest.approx(t * (1 - t), abs=1e-12)
-    assert dp == pytest.approx(-dn, abs=1e-12)
+    with pytest.raises(ValueError, match="finite"):
+        anchor_T(1.0, np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        anchor_T(np.nan, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +224,12 @@ def test_relation_consistency_errors():
 # ---------------------------------------------------------------------------
 
 def test_soft_ce_uniform_target():
-    out = soft_ce_mutual(np.zeros(4), np.zeros(4))
+    out = soft_ce_batch(np.zeros((1, 4)), np.zeros((1, 4)))
     assert out.value == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_soft_ce_worked_example():
-    out = soft_ce_mutual([0.0, 1.0], [1.0, 0.0])
+    out = soft_ce_batch([[0.0, 1.0]], [[1.0, 0.0]])
     assert out.value == pytest.approx(1.0443202661482278, abs=1e-12)
     assert out.value == pytest.approx(oracles.soft_ce_ref([0.0, 1.0], [1.0, 0.0]), abs=1e-12)
 
@@ -240,29 +237,29 @@ def test_soft_ce_worked_example():
 def test_soft_ce_hard_teacher_limit():
     student = np.array([0.3, -0.7, 1.1])
     teacher = np.array([60.0, 0.0, 0.0])
-    soft = soft_ce_mutual(student, teacher).value
-    hard = cross_entropy_cls(student, 0).value
+    soft = soft_ce_batch(student[None], teacher[None]).value
+    hard = cross_entropy_batch(student[None], [0]).value
     assert soft == pytest.approx(hard, abs=1e-9)
 
 
 def test_soft_ce_gradient_is_prob_gap():
     student = np.array([0.2, -0.4, 0.9])
     teacher = np.array([1.0, 1.0, -2.0])
-    out = soft_ce_mutual(student, teacher)
+    out = soft_ce_batch(student[None], teacher[None])
     s_prob = np.exp(student) / np.exp(student).sum()
     t_prob = np.exp(teacher) / np.exp(teacher).sum()
-    assert np.allclose(out.grads["student_logits"], s_prob - t_prob, atol=1e-12)
+    assert np.allclose(out.grads["student_logits"][0], s_prob - t_prob, atol=1e-12)
 
 
 @settings(max_examples=40)
 @given(student=logit_vectors(3, 3), teacher=logit_vectors(3, 3), shift=finite_floats)
 def test_soft_ce_bounded_below_by_teacher_entropy(student, teacher, shift):
-    value = soft_ce_mutual(student, teacher).value
+    value = soft_ce_batch(student[None], teacher[None]).value
     t_prob = np.exp(teacher - teacher.max())
     t_prob /= t_prob.sum()
     entropy = -np.sum(t_prob * np.log(np.maximum(t_prob, 1e-300)))
     assert value >= entropy - 1e-9
-    shifted = soft_ce_mutual(student + shift, teacher + shift).value
+    shifted = soft_ce_batch(student[None] + shift, teacher[None] + shift).value
     assert abs(shifted - value) < 1e-9
 
 
@@ -270,7 +267,7 @@ def test_soft_ce_batch_reduces_with_mean():
     s = np.array([[0.0, 1.0], [2.0, -1.0]])
     t = np.array([[1.0, 0.0], [0.5, 0.5]])
     out = soft_ce_batch(s, t)
-    singles = [soft_ce_mutual(s[i], t[i]).value for i in range(2)]
+    singles = [soft_ce_batch(s[i:i + 1], t[i:i + 1]).value for i in range(2)]
     assert out.value == pytest.approx(np.mean(singles), abs=1e-12)
     with pytest.raises(ValueError, match="mismatch"):
         soft_ce_batch(s, t[:1])
@@ -281,14 +278,14 @@ def test_soft_ce_batch_reduces_with_mean():
 # ---------------------------------------------------------------------------
 
 def test_moco_empty_queue_is_zero():
-    out = moco_loss([1.0, 0.0], [1.0, 0.0], None)
+    out = moco_batch([[1.0, 0.0]], [[1.0, 0.0]], None)
     assert out.value == 0.0
-    out = moco_loss([1.0, 0.0], [0.0, 1.0], np.zeros((0, 2)))
+    out = moco_batch([[1.0, 0.0]], [[0.0, 1.0]], np.zeros((0, 2)))
     assert out.value == 0.0
 
 
 def test_moco_worked_example():
-    out = moco_loss([1.0, 0.0], [1.0, 0.0], [[0.0, 1.0], [0.0, 1.0]], tau=0.7)
+    out = moco_batch([[1.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]], tau=0.7)
     assert out.value == pytest.approx(0.3915704041748236, abs=1e-12)
 
 
@@ -297,12 +294,12 @@ def test_moco_scale_invariance_of_value():
     q = rng.normal(size=5)
     k = rng.normal(size=5)
     queue = rng.normal(size=(4, 5))
-    a = moco_loss(q, k, queue)
-    b = moco_loss(10.0 * q, k, queue)
+    a = moco_batch(q[None], k[None], queue)
+    b = moco_batch(10.0 * q[None], k[None], queue)
     assert b.value == pytest.approx(a.value, abs=1e-12)
     # the gradient through normalization is tangent to the query direction
     q_hat = q / np.linalg.norm(q)
-    assert np.dot(a.grads["query"], q_hat) == pytest.approx(0.0, abs=1e-12)
+    assert np.dot(a.grads["queries"][0], q_hat) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_moco_batch_mean_and_errors():
@@ -311,7 +308,7 @@ def test_moco_batch_mean_and_errors():
     ks = rng.normal(size=(3, 4))
     queue = rng.normal(size=(5, 4))
     out = moco_batch(qs, ks, queue)
-    singles = [moco_loss(qs[i], ks[i], queue).value for i in range(3)]
+    singles = [moco_batch(qs[i:i + 1], ks[i:i + 1], queue).value for i in range(3)]
     assert out.value == pytest.approx(np.mean(singles), abs=1e-12)
     assert out.grads["queries"].shape == qs.shape
 
@@ -320,7 +317,7 @@ def test_moco_batch_mean_and_errors():
     with pytest.raises(ValueError, match="align"):
         moco_batch(qs, ks[:2], queue)
     with pytest.raises(NormalizationError):
-        moco_loss([0.0, 0.0], [1.0, 0.0], queue[:, :2])
+        moco_batch([[0.0, 0.0]], [[1.0, 0.0]], queue[:, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +332,26 @@ def test_margin_zero_reduces_to_plain_ce():
     w_hat = weights / np.linalg.norm(weights, axis=1, keepdims=True)
     cos_logits = 16.0 * (w_hat @ f_hat)
     for mode in (MarginMode.COSFACE, MarginMode.ARCFACE):
-        out = margin_classification(feature, weights, 1, mode, margin=0.0)
-        assert out.value == pytest.approx(cross_entropy_cls(cos_logits, 1).value, abs=1e-9)
+        out = margin_classification_batch(feature[None], weights, [1], mode, margin=0.0)
+        assert out.value == pytest.approx(
+            cross_entropy_batch(cos_logits[None], [1]).value, abs=1e-9)
 
 
 def test_cosface_colinear_example():
-    feature = np.array([2.0, 0.0])
+    feature = np.array([[2.0, 0.0]])
     weights = np.array([[1.0, 0.0], [0.0, 3.0]])
-    out = margin_classification(feature, weights, 0, MarginMode.COSFACE,
-                                margin=0.25, scale=16.0)
+    out = margin_classification_batch(feature, weights, [0], MarginMode.COSFACE,
+                                      margin=0.25, scale=16.0)
     assert out.value == pytest.approx(6.144193477732806e-06, rel=1e-9)
 
 
 def test_arcface_handles_angle_clamp():
     # feature opposite its class weight: theta = pi, margin pushes past it
-    feature = np.array([-1.0, 0.0])
+    feature = np.array([[-1.0, 0.0]])
     weights = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = margin_classification(feature, weights, 0, MarginMode.ARCFACE)
+    out = margin_classification_batch(feature, weights, [0], MarginMode.ARCFACE)
     assert np.isfinite(out.value)
-    assert np.all(np.isfinite(out.grads["feature"]))
+    assert np.all(np.isfinite(out.grads["features"]))
     assert np.all(np.isfinite(out.grads["class_weights"]))
 
 
@@ -363,7 +361,7 @@ def test_margin_batch_reduces_with_mean():
     weights = rng.normal(size=(4, 5))
     labels = [0, 2, 3]
     out = margin_classification_batch(feats, weights, labels)
-    singles = [margin_classification(feats[i], weights, labels[i]).value
+    singles = [margin_classification_batch(feats[i:i + 1], weights, labels[i:i + 1]).value
                for i in range(3)]
     assert out.value == pytest.approx(np.mean(singles), abs=1e-12)
     assert out.grads["features"].shape == feats.shape
@@ -382,7 +380,7 @@ def test_margin_errors():
     with pytest.raises(ValueError, match="label"):
         margin_classification_batch(feats, weights, [0, 2])
     with pytest.raises(NormalizationError):
-        margin_classification(np.zeros(3), weights, 0)
+        margin_classification_batch(np.zeros((1, 3)), weights, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +416,9 @@ def test_total_errors():
 @settings(max_examples=30)
 @given(logits=logit_vectors())
 def test_losses_nonnegative_with_finite_grads(logits):
-    ce = cross_entropy_cls(logits, 0)
+    ce = cross_entropy_batch(logits[None], [0])
     assert ce.value >= 0.0
     assert np.all(np.isfinite(ce.grads["logits"]))
-    soft = soft_ce_mutual(logits, logits)
+    soft = soft_ce_batch(logits[None], logits[None])
     assert soft.value >= 0.0
     assert np.all(np.isfinite(soft.grads["student_logits"]))

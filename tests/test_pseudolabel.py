@@ -8,7 +8,8 @@ from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.encoder import init_params
 from uda_reid.errors import DegenerateStructureError
 from uda_reid.numerics import l2_normalize_rows
-from uda_reid.pseudolabel import (DistanceMatrix, Metric, PseudoLabeling,
+from uda_reid.pseudolabel import (SYMMETRY_BLOCK, SYMMETRY_TOL,
+                                  DistanceMatrix, Metric, PseudoLabeling,
                                   dbscan, jaccard_distance,
                                   jaccard_from_membership,
                                   k_reciprocal_neighbors, membership_matrix,
@@ -224,6 +225,19 @@ def test_dbscan_permutation_invariant_up_to_relabeling():
     shuffled = DistanceMatrix(dm.values[np.ix_(perm, perm)], Metric.EUCLIDEAN)
     permuted = dbscan(shuffled, eps=1.5, min_pts=3)
     assert oracles.same_partition(base.assignment[perm], permuted.assignment)
+
+
+def test_distance_matrix_symmetry_checked_in_every_row_block():
+    n = 2 * SYMMETRY_BLOCK + 3
+    v = np.ones((n, n))
+    np.fill_diagonal(v, 0.0)
+    v[n - 1, 1] += 0.9 * SYMMETRY_TOL  # within tolerance: accepted
+    DistanceMatrix(v, Metric.EUCLIDEAN).validate()
+    for row, col in [(n - 1, 0), (0, n - 1), (SYMMETRY_BLOCK, SYMMETRY_BLOCK - 1)]:
+        skew = v.copy()
+        skew[row, col] += 2 * SYMMETRY_TOL
+        with pytest.raises(ValueError, match="asymmetry"):
+            DistanceMatrix(skew, Metric.EUCLIDEAN).validate()
 
 
 def test_dbscan_parameter_and_input_errors():
