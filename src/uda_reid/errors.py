@@ -37,7 +37,8 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss; carries the epoch/iteration position."""
 
     def __init__(self, epoch=None, iteration=None, message=""):
-        where = f" at epoch {epoch}, iteration {iteration}" if epoch is not None else ""
+        where = "" if epoch is None else f" at epoch {epoch}"
+        where += "" if iteration is None else f", iteration {iteration}"
         super().__init__(f"divergence{where}: {message}")
         self.epoch = epoch
         self.iteration = iteration

@@ -235,8 +235,8 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
     dict of loss parts per network it trains, and a callable that applies
     the updates.  A part dict without a ``"total"`` trains on the sum of its
     parts; the guard checks every total for finiteness before ``update``
-    runs.  An overflow or invalid operation inside ``step`` or ``update``
-    is a divergence at that epoch and iteration, like a non-finite total.
+    runs.  An overflow or invalid operation in ``relabel``, ``rebuild``,
+    ``step`` or ``update`` is a divergence at that epoch, like a non-finite total.
     The record averages each part over all part dicts of the epoch; a
     missing total is recorded as the sum of the part sums over that count.
 
@@ -250,41 +250,39 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
         for adam in adams:
             adam.lr = cfg.lr_at(epoch)
         rec = EpochRecord(epoch=epoch)
-        labeling = None
-        if relabel is not None:
-            labeling = relabel(epoch)
-            rec.num_clusters = labeling.num_clusters
-            rec.num_outliers = labeling.num_outliers
-            if labeling.num_clusters == 0:
-                log.skipped_epochs += 1
-                rec.skipped = True
-                _maybe_eval(eval_params, val_split, rec)
-                log.add(rec)
-                continue
-            rebuild(labeling.num_clusters)
-            for adam in adams:
-                adam.reset("classifier")
-        sums, count = {}, 0
-        for it in range(cfg.iters_per_epoch):
-            try:
-                with np.errstate(over="raise", invalid="raise"):
+        sums, count, it = {}, 0, None  # it stays None through relabel and rebuild
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                labeling = None if relabel is None else relabel(epoch)
+                if labeling is not None:
+                    rec.num_clusters = labeling.num_clusters
+                    rec.num_outliers = labeling.num_outliers
+                    rec.skipped = labeling.num_clusters == 0
+                    if not rec.skipped:
+                        rebuild(labeling.num_clusters)
+                        for adam in adams:
+                            adam.reset("classifier")
+                for it in range(0 if rec.skipped else cfg.iters_per_epoch):
                     parts, update = step(labeling)
                     for part in parts:
                         total = part.get("total", sum(part.values()))
                         if not np.isfinite(total):
                             raise DivergenceError(epoch, it, f"non-finite loss {total}")
                     update()
-            except FloatingPointError as exc:
-                raise DivergenceError(epoch, it, f"floating-point {exc}") from exc
-            for part in parts:
-                for name, value in part.items():
-                    sums[name] = sums.get(name, 0.0) + value
-            count += len(parts)
-        for name, value in sums.items():
-            setattr(rec, name, value / count)
-        if "total" not in sums:
-            rec.total = sum(sums.values()) / count
-        rec.lr = adams[0].lr
+                    for part in parts:
+                        for name, value in part.items():
+                            sums[name] = sums.get(name, 0.0) + value
+                    count += len(parts)
+        except FloatingPointError as exc:
+            raise DivergenceError(epoch, it, f"floating-point {exc}") from exc
+        if rec.skipped:
+            log.skipped_epochs += 1
+        else:
+            for name, value in sums.items():
+                setattr(rec, name, value / count)
+            if "total" not in sums:
+                rec.total = sum(sums.values()) / count
+            rec.lr = adams[0].lr
         _maybe_eval(eval_params, val_split, rec)
         log.add(rec)
     log.wall_time_s = time.perf_counter() - started

@@ -4,6 +4,9 @@ Pipeline: encode the target split, take pairwise Euclidean distances, expand
 k-reciprocal neighbor sets into fuzzy memberships, convert to Jaccard
 distances, and cluster with density-based scanning.  Outliers keep the
 OUTLIER sentinel and are skipped by batch sampling downstream.
+
+Neighbor sets are built as (n, k) index tables, -1 marking no member, from
+one stable ranking: ties break by the lower index throughout.
 """
 from __future__ import annotations
 
@@ -92,24 +95,12 @@ def pairwise_euclidean(feats) -> DistanceMatrix:
 # k-reciprocal neighbor expansion
 # ---------------------------------------------------------------------------
 
-def _knn(order: np.ndarray, row: int, k: int) -> np.ndarray:
-    """First k neighbors of ``row`` excluding itself, by distance rank."""
-    ranked = order[row]
-    return ranked[ranked != row][:k]
-
-
-def _reciprocal(order: np.ndarray, row: int, k: int,
-                cache: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    key = (row, k)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    cand = _knn(order, row, k)
-    mask = np.fromiter((row in set(_knn(order, c, k)) for c in cand),
-                       dtype=bool, count=cand.size)
-    result = cand[mask]
-    cache[key] = result
-    return result
+def _reciprocal(knn: np.ndarray) -> np.ndarray:
+    """R(p, k) from the (n, k) table of k nearest neighbors: knn[p, j] where
+    p is among that neighbor's own k nearest, else -1."""
+    rows = np.arange(knn.shape[0])[:, None]
+    mutual = np.column_stack([(knn[c] == rows).any(axis=1) for c in knn.T])
+    return np.where(mutual, knn, -1)
 
 
 def k_reciprocal_neighbors(dist: DistanceMatrix, k: int) -> list[np.ndarray]:
@@ -124,22 +115,24 @@ def k_reciprocal_neighbors(dist: DistanceMatrix, k: int) -> list[np.ndarray]:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     # argsort with index tiebreak gives a fixed, reproducible ranking
     order = np.argsort(dist.values, axis=1, kind="stable")
-    cache: dict[tuple[int, int], np.ndarray] = {}
-    half_k = int(np.ceil(k / 2))
-    expanded = []
-    for p in range(n):
-        r_p = _reciprocal(order, p, k, cache)
-        members = set(r_p.tolist())
-        base = set(r_p.tolist())
-        for q in r_p:
-            r_q_half = _reciprocal(order, int(q), half_k, cache)
-            if r_q_half.size == 0:
-                continue
-            overlap = sum(1 for g in r_q_half if g in base)
-            if overlap >= (2.0 / 3.0) * r_q_half.size:
-                members.update(int(g) for g in r_q_half)
-        expanded.append(np.array(sorted(members), dtype=np.int64))
-    return expanded
+    # k nearest without the row itself: drop it from the first k+1 ranks, or
+    # drop rank k+1 when ties at distance zero rank the row lower
+    top = order[:, :k + 1]
+    keep = top != np.arange(n)[:, None]
+    keep[keep.all(axis=1), k] = False
+    knn = top[keep].reshape(n, k)
+    r_k, r_half = _reciprocal(knn), _reciprocal(knn[:, :(k + 1) // 2])
+    half_sizes = (r_half >= 0).sum(axis=1)
+    rows = np.arange(n)[:, None]
+    keys = [(rows * n + r_k)[r_k >= 0]]  # row * n + member: sorts by row, then member
+    for q in r_k.T:
+        halves = r_half[q]  # rows with q = -1 read row n-1 and are masked
+        in_base = np.column_stack([(r_k == g[:, None]).any(axis=1) for g in halves.T])
+        shared = in_base & (halves >= 0)
+        grow = (q >= 0) & (shared.sum(axis=1) >= (2.0 / 3.0) * half_sizes[q])
+        keys.append((rows * n + halves)[grow[:, None] & (halves >= 0) & ~in_base])
+    keys = np.unique(np.concatenate(keys))
+    return np.split(keys % n, np.cumsum(np.bincount(keys // n, minlength=n))[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +141,10 @@ def k_reciprocal_neighbors(dist: DistanceMatrix, k: int) -> list[np.ndarray]:
 
 def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> np.ndarray:
     """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere."""
-    n = dist.n
-    v = np.zeros((n, n))
-    for p, members in enumerate(neighbor_sets):
-        if members.size:
-            v[p, members] = np.exp(-dist.values[p, members])
+    rows = np.repeat(np.arange(len(neighbor_sets)), list(map(len, neighbor_sets)))
+    cols = np.concatenate(neighbor_sets)
+    v = np.zeros((dist.n, dist.n))
+    v[rows, cols] = np.exp(-dist.values[rows, cols])
     return v
 
 
@@ -174,9 +166,10 @@ def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
             d = 1.0 - min_acc / union
         d[union <= 0] = 1.0  # both memberships empty: treat as disjoint
         out[p] = d
-    out = 0.5 * (out + out.T)
+    # out is exactly symmetric: min_acc[q] of row p adds the same terms in the
+    # same (increasing g) order as min_acc[p] of row q, and the unions commute
     np.fill_diagonal(out, 0.0)
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:

@@ -100,8 +100,13 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     sets = k_reciprocal_neighbors(euclid, k1)
     v = membership_matrix(euclid, sets)
     if k2 > 1:
-        order = np.argsort(euclid.values, axis=1, kind="stable")
-        v = np.stack([v[order[i, :k2]].mean(axis=0) for i in range(n_total)])
+        # the k2 nearest of each row, self included; the copy frees the full ranking
+        local = np.argsort(euclid.values, axis=1, kind="stable")[:, :k2].copy()
+        expanded = v[local[:, 0]]
+        for rank in range(1, k2):
+            expanded += v[local[:, rank]]
+        expanded /= k2
+        v = expanded
     jac = jaccard_from_membership(v)
     return lam * cross + (1.0 - lam) * jac[:n_q, n_q:]
 

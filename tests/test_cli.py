@@ -321,6 +321,19 @@ def test_mmtplus_divergence_exits_3(small, tmp_path):
     assert not (tmp_path / "t.params").exists()
 
 
+def test_mmtplus_divergence_in_relabel_exits_3(small, tmp_path):
+    # the steps stay finite but leave weights near 1e163; encoding the target
+    # for epoch 2's relabel overflows before any iteration of that epoch
+    code, out, err = go(["mmtplus", "--params", small / "pre.params",
+                         "--source", small / "data" / "source.bin",
+                         "--target", small / "data" / "target.bin",
+                         "--out", tmp_path / "t.params", "--lr", "1e30",
+                         "--iters-per-epoch", "3", "--epochs", "3"] + SMALL_TRAIN)
+    assert code == 3 and out == "", err
+    assert "divergence at epoch 2: floating-point" in err and "Warning" not in err
+    assert not (tmp_path / "t.params").exists()
+
+
 def test_cluster_k_not_below_row_count_exits_2(small, tmp_path):
     code, out, err = go(["cluster", "--params", small / "pre.params",
                          "--data", small / "data" / "target.bin",

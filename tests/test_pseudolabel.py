@@ -27,6 +27,21 @@ def random_distances(seed, n, d=4):
     return pairwise_euclidean(rng.normal(size=(n, d)))
 
 
+def oracle_distances(seed):
+    """Distances of 12 random points for an integer seed, else a named case."""
+    rng = np.random.default_rng(0)
+    if seed == "lattice":  # integer points: many distances tie exactly
+        return pairwise_euclidean(rng.integers(0, 4, size=(14, 2)))
+    if seed == "duplicates":  # later copies rank an earlier copy before themselves
+        base = rng.integers(-2, 3, size=(5, 3))
+        return pairwise_euclidean(base[[0, 1, 2, 0, 3, 1, 4, 0, 2, 3, 4, 1, 0]])
+    if seed == "clustered":  # 12 identities x 10 rows
+        centres = rng.normal(size=(12, 8))
+        return pairwise_euclidean(np.repeat(centres, 10, axis=0)
+                                  + 0.4 * rng.normal(size=(120, 8)))
+    return random_distances(seed, n=12)
+
+
 # ---------------------------------------------------------------------------
 # distance matrix container
 # ---------------------------------------------------------------------------
@@ -98,10 +113,11 @@ def test_expansion_unions_strongly_overlapping_halves():
     assert [s.tolist() for s in sets] == ref
 
 
-@pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("k,seed", [(k, seed) for k in (1, 3, 7)
+                                    for seed in [*range(8), "lattice", "duplicates"]]
+                         + [(20, "clustered")])
 def test_expanded_sets_match_reference(seed, k):
-    dm = random_distances(seed, n=12)
+    dm = oracle_distances(seed)
     got = [s.tolist() for s in k_reciprocal_neighbors(dm, k)]
     assert got == oracles.expanded_ref(dm.values, k)
 
@@ -153,6 +169,17 @@ def test_jaccard_distance_matches_reference(seed):
     ref = oracles.jaccard_distance_ref(dm.values, 3)
     assert np.allclose(got.values, ref, atol=1e-10)
     got.validate()
+
+
+def test_jaccard_exactly_symmetric_across_blocks():
+    n = SYMMETRY_BLOCK + 44  # two blocks of the symmetry check
+    rng = np.random.default_rng(0)
+    v = rng.random((n, n)) * (rng.random((n, n)) < 0.05)
+    v[:3] = 0.0  # rows with empty support
+    d = jaccard_from_membership(v)
+    assert np.allclose(d, oracles.jaccard_ref(v), atol=1e-12)
+    assert np.array_equal(d, d.T)
+    DistanceMatrix(d, Metric.JACCARD).validate()
 
 
 def test_jaccard_distant_pairs_are_fully_disjoint():

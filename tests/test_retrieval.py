@@ -64,15 +64,35 @@ def test_rerank_lambda_one_is_plain_euclidean():
     assert np.array_equal(out, cdist(q, g))
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("k1,k2", [(5, 3), (4, 1)])
+def oracle_points(seed):
+    """(query, gallery): 4 x 8 random points for an integer seed, else a
+    named case."""
+    rng = np.random.default_rng(seed if isinstance(seed, int) else 0)
+    if seed == "lattice":  # integer points: many distances tie exactly
+        pts = rng.integers(0, 3, size=(12, 2)).astype(np.float64)
+    elif seed == "duplicates":  # later copies rank an earlier copy before themselves
+        base = rng.integers(-2, 3, size=(5, 3)).astype(np.float64)
+        pts = base[[0, 1, 2, 0, 3, 1, 4, 0, 2, 3, 4, 1]]
+    elif seed == "clustered":  # 12 identities x 10 rows, 40 queries
+        pts = (np.repeat(rng.normal(size=(12, 8)), 10, axis=0)
+               + 0.4 * rng.normal(size=(120, 8)))
+        return pts[::3], np.delete(pts, np.s_[::3], axis=0)
+    else:
+        return rng.normal(size=(4, 3)), rng.normal(size=(8, 3))
+    return pts[:4], pts[4:]
+
+
+@pytest.mark.parametrize("k1,k2,seed", [(k1, k2, seed) for k1, k2 in [(5, 3), (4, 1)]
+                                        for seed in range(5)]
+                         + [(7, 6, seed) for seed in range(5)]
+                         + [(k1, k2, seed) for k1, k2 in [(5, 3), (7, 6)]
+                            for seed in ("lattice", "duplicates")]
+                         + [(20, 6, "clustered")])
 def test_rerank_matches_stepwise_reference(seed, k1, k2):
-    rng = np.random.default_rng(seed)
-    q = rng.normal(size=(4, 3))
-    g = rng.normal(size=(8, 3))
+    q, g = oracle_points(seed)
     got = rerank(q, g, k1=k1, k2=k2, lam=0.3)
     ref = oracles.rerank_ref(q, g, k1=k1, k2=k2, lam=0.3)
-    assert got.shape == (4, 8)
+    assert got.shape == (q.shape[0], g.shape[0])
     assert np.allclose(got, ref, atol=1e-6)
 
 
