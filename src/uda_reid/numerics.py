@@ -10,6 +10,7 @@ import numpy as np
 from .errors import NormalizationError
 
 EPS_NORM = 1e-12
+ROW_BLOCK = 64  # rows per block of the blocked (n, m) kernels
 
 
 def sigmoid(x):
@@ -51,11 +52,20 @@ def l2_normalize_rows(x, name="input"):
 
 
 def cdist(a, b):
-    """Euclidean distances between rows of ``a`` (n x d) and ``b`` (m x d)."""
+    """Euclidean distances between rows of ``a`` (n x d) and ``b`` (m x d).
+
+    sqrt(max((|a|^2 + |b|^2) - 2 a.b, 0)), finished in place on the one
+    (n, m) product by row blocks, so no other (n, m) array is allocated.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     aa = np.sum(a * a, axis=1)[:, None]
     bb = np.sum(b * b, axis=1)[None, :]
-    sq = aa + bb - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+    out = a @ b.T
+    for start in range(0, out.shape[0], ROW_BLOCK):
+        block = out[start:start + ROW_BLOCK]
+        block *= 2.0
+        np.subtract(aa[start:start + ROW_BLOCK] + bb, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        np.sqrt(block, out=block)
+    return out

@@ -6,7 +6,10 @@ distances, and cluster with density-based scanning.  Outliers keep the
 OUTLIER sentinel and are skipped by batch sampling downstream.
 
 Neighbor sets are built as (n, k) index tables, -1 marking no member, from
-one stable ranking: ties break by the lower index throughout.
+a tie-exact partial ranking: ties break by the lower index throughout.  The
+Jaccard kernel reads the memberships as sparse (row, member, weight) entries
+through an inverted index, and its sums add the same terms in the same
+order as a dense row-by-row loop would.
 """
 from __future__ import annotations
 
@@ -19,10 +22,11 @@ import numpy as np
 from .datamodel import PSEUDO_OUTLIER, Dataset
 from .encoder import EncoderParams, encode_dataset
 from .errors import DegenerateStructureError
-from .numerics import cdist, l2_normalize_rows
+from .numerics import ROW_BLOCK, cdist, l2_normalize_rows
 
 SYMMETRY_TOL = 1e-6
-SYMMETRY_BLOCK = 256  # rows per block of the symmetry check
+SYMMETRY_BLOCK = 256  # side of the square tiles of the symmetry check
+JACCARD_TERMS = 1 << 16  # min terms per block of the Jaccard kernel
 
 
 class Metric(enum.Enum):
@@ -48,11 +52,14 @@ class DistanceMatrix:
             raise ValueError("non-finite distance values")
         if np.any(np.abs(np.diag(v)) > 0):
             raise ValueError("diagonal must be exactly zero")
-        # row blocks keep the temporaries at SYMMETRY_BLOCK x n, not n x n
-        for start in range(0, v.shape[0], SYMMETRY_BLOCK):
-            stop = start + SYMMETRY_BLOCK
-            if np.max(np.abs(v[start:stop] - v[:, start:stop].T)) > SYMMETRY_TOL:
-                raise ValueError(f"asymmetry beyond {SYMMETRY_TOL}")
+        # tile (i, j) against tile (j, i) for j >= i: small temporaries, and
+        # both tiles are read a row at a time rather than a column at a time
+        for i in range(0, v.shape[0], SYMMETRY_BLOCK):
+            for j in range(i, v.shape[0], SYMMETRY_BLOCK):
+                upper = v[i:i + SYMMETRY_BLOCK, j:j + SYMMETRY_BLOCK]
+                lower = v[j:j + SYMMETRY_BLOCK, i:i + SYMMETRY_BLOCK]
+                if np.max(np.abs(upper - lower.T)) > SYMMETRY_TOL:
+                    raise ValueError(f"asymmetry beyond {SYMMETRY_TOL}")
         if self.metric is Metric.JACCARD and (v.min() < -1e-9 or v.max() > 1 + 1e-9):
             raise ValueError("jaccard distances must lie in [0, 1]")
 
@@ -95,6 +102,27 @@ def pairwise_euclidean(feats) -> DistanceMatrix:
 # k-reciprocal neighbor expansion
 # ---------------------------------------------------------------------------
 
+def nearest(values: np.ndarray, m: int) -> np.ndarray:
+    """Column indices of each row's m smallest entries, in the order a
+    stable sort of the whole row gives them: by value, ties broken by the
+    lower index, NaN last.
+
+    Per block of rows, a partition finds each row's m-th smallest value;
+    every entry not above it is kept, and only those are sorted by (row,
+    value, index).
+    """
+    out = np.empty((values.shape[0], m), dtype=np.intp)
+    for start in range(0, values.shape[0], ROW_BLOCK):
+        block = values[start:start + ROW_BLOCK]
+        kth = np.partition(block, m - 1, axis=1)[:, m - 1:m]
+        rows, cols = np.nonzero(~(block > kth))  # at least m per row, by (row, index)
+        ranked = cols[np.lexsort((block[rows, cols], rows))]
+        counts = np.bincount(rows, minlength=block.shape[0])
+        first = np.cumsum(counts) - counts
+        out[start:start + ROW_BLOCK] = ranked[first[:, None] + np.arange(m)]
+    return out
+
+
 def _reciprocal(knn: np.ndarray) -> np.ndarray:
     """R(p, k) from the (n, k) table of k nearest neighbors: knn[p, j] where
     p is among that neighbor's own k nearest, else -1."""
@@ -113,11 +141,9 @@ def k_reciprocal_neighbors(dist: DistanceMatrix, k: int) -> list[np.ndarray]:
     n = dist.n
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    # argsort with index tiebreak gives a fixed, reproducible ranking
-    order = np.argsort(dist.values, axis=1, kind="stable")
     # k nearest without the row itself: drop it from the first k+1 ranks, or
     # drop rank k+1 when ties at distance zero rank the row lower
-    top = order[:, :k + 1]
+    top = nearest(dist.values, k + 1)
     keep = top != np.arange(n)[:, None]
     keep[keep.all(axis=1), k] = False
     knn = top[keep].reshape(n, k)
@@ -139,43 +165,117 @@ def k_reciprocal_neighbors(dist: DistanceMatrix, k: int) -> list[np.ndarray]:
 # Jaccard distance over fuzzy neighborhood memberships
 # ---------------------------------------------------------------------------
 
+def _membership_entries(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]):
+    """(row, member, weight) per member of each R*(p), in row-major order,
+    with weight exp(-D[p][g])."""
+    rows = np.repeat(np.arange(len(neighbor_sets)), list(map(len, neighbor_sets)))
+    members = np.concatenate(neighbor_sets)
+    return rows, members, np.exp(-dist.values[rows, members])
+
+
 def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> np.ndarray:
     """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere."""
-    rows = np.repeat(np.arange(len(neighbor_sets)), list(map(len, neighbor_sets)))
-    cols = np.concatenate(neighbor_sets)
+    rows, members, weights = _membership_entries(dist, neighbor_sets)
     v = np.zeros((dist.n, dist.n))
-    v[rows, cols] = np.exp(-dist.values[rows, cols])
+    v[rows, members] = weights
     return v
 
 
-def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
-    """1 - sum(min)/sum(max) per row pair, via the inverted-index idiom."""
-    n = v.shape[0]
-    row_sums = v.sum(axis=1)
+def _row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """offsets[p]:offsets[p + 1] spans row p's entries in row-major order."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _dense_row_sums(rows, members, weights, n: int) -> np.ndarray:
+    """The row sums of the dense V these entries fill, summed as dense rows:
+    numpy sums a row pairwise, so where its zeros sit can move the last bit,
+    and a sum over the nonzeros alone could differ from ``v.sum(axis=1)``."""
+    offsets = _row_offsets(rows, n)
+    sums = np.empty(n)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        span = slice(offsets[lo], offsets[hi])
+        block = np.zeros((hi - lo, n))
+        block[rows[span] - lo, members[span]] = weights[span]
+        sums[lo:hi] = block.sum(axis=1)
+    return sums
+
+
+def _term_blocks(row_terms: np.ndarray):
+    """[lo, hi) row ranges of at most ROW_BLOCK rows and, unless one row
+    alone exceeds it, JACCARD_TERMS min terms: the term arrays of a block
+    stay small even where a few members are held by many rows."""
+    ends = np.cumsum(row_terms)
+    lo = 0
+    while lo < row_terms.size:
+        hi = int(np.searchsorted(ends, ends[lo] - row_terms[lo] + JACCARD_TERMS, side="right"))
+        hi = min(max(hi, lo + 1), lo + ROW_BLOCK)
+        yield lo, hi
+        lo = hi
+
+
+def _jaccard(rows, members, weights, row_sums, num_rows: int) -> np.ndarray:
+    """Jaccard distances of rows [0, num_rows) of V to all its n rows, from
+    V's entries (row, member, weight) in row-major order and its row sums.
+
+    1 - sum(min)/sum(max) per row pair, with sum(max) taken as the two row
+    sums minus sum(min).  A pair that shares no member is exactly 1.  For a
+    pair (p, q) that does, each member g that p holds meets every row q that
+    holds g, through an inverted index; ``np.bincount`` adds the min terms
+    in input order, which is increasing g for every pair, so the sums are
+    bitwise those of a dense loop over each row's members in order.
+    """
+    n = row_sums.size
     if not row_sums.any():
         raise DegenerateStructureError("every expanded neighbor set is empty")
-    inv_index = [np.flatnonzero(v[:, g]) for g in range(n)]
-    out = np.empty((n, n))
-    for p in range(n):
-        min_acc = np.zeros(n)
-        for g in np.flatnonzero(v[p]):
-            rows = inv_index[g]
-            min_acc[rows] += np.minimum(v[p, g], v[rows, g])
-        union = row_sums[p] + row_sums - min_acc
+    nonzero = weights != 0
+    rows, members, weights = rows[nonzero], members[nonzero], weights[nonzero]
+    # inverted index: the rows holding member g, in increasing row order
+    by_member = np.lexsort((rows, members))
+    holders, held = rows[by_member], weights[by_member]
+    holder_offsets = _row_offsets(members, n)
+    offsets = _row_offsets(rows, n)
+    meets_all = holder_offsets[members + 1] - holder_offsets[members]
+    out = np.ones((num_rows, n))
+    flat = out.reshape(-1)
+    for lo, hi in _term_blocks(np.bincount(rows, weights=meets_all, minlength=n)[:num_rows]):
+        span = slice(offsets[lo], offsets[hi])
+        g, meets = members[span], meets_all[span]
+        skip = np.repeat(holder_offsets[g] - (np.cumsum(meets) - meets), meets)
+        pos = skip + np.arange(skip.size)  # per entry, the run of g's holders
+        terms = np.minimum(np.repeat(weights[span], meets), held[pos])
+        keys = np.repeat(rows[span] - lo, meets) * n + holders[pos]
+        inter = np.bincount(keys, weights=terms, minlength=(hi - lo) * n)
+        hit = np.zeros(inter.size, dtype=bool)  # a bool block scans faster than inter
+        hit[keys] = True
+        shared = np.flatnonzero(hit)
+        p, q = lo + shared // n, shared % n
+        union = row_sums[p] + row_sums[q] - inter[shared]
         with np.errstate(invalid="ignore"):
-            d = 1.0 - min_acc / union
-        d[union <= 0] = 1.0  # both memberships empty: treat as disjoint
-        out[p] = d
-    # out is exactly symmetric: min_acc[q] of row p adds the same terms in the
-    # same (increasing g) order as min_acc[p] of row q, and the unions commute
+            d = 1.0 - inter[shared] / union
+        d[union <= 0] = 1.0  # a union that is not positive counts as disjoint
+        flat[lo * n + shared] = np.clip(d, 0.0, 1.0, out=d)
     np.fill_diagonal(out, 0.0)
-    return np.clip(out, 0.0, 1.0, out=out)
+    return out
+
+
+def jaccard_from_membership(v: np.ndarray, num_rows: int | None = None) -> np.ndarray:
+    """1 - sum(min)/sum(max) per row pair of a dense membership matrix V:
+    rows [0, num_rows) against all rows, every row by default.  The full
+    matrix is exactly symmetric: (p, q) and (q, p) add the same terms in
+    the same order."""
+    rows, members = np.nonzero(v)
+    return _jaccard(rows, members, v[rows, members], v.sum(axis=1),
+                    v.shape[0] if num_rows is None else num_rows)
 
 
 def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:
-    sets = k_reciprocal_neighbors(dist, k)
-    v = membership_matrix(dist, sets)
-    return DistanceMatrix(values=jaccard_from_membership(v), metric=Metric.JACCARD)
+    """Jaccard distances over the R*(p, k) memberships, computed from their
+    entries: no dense membership matrix is built."""
+    rows, members, weights = _membership_entries(dist, k_reciprocal_neighbors(dist, k))
+    row_sums = _dense_row_sums(rows, members, weights, dist.n)
+    values = _jaccard(rows, members, weights, row_sums, dist.n)
+    return DistanceMatrix(values=values, metric=Metric.JACCARD)
 
 
 # ---------------------------------------------------------------------------

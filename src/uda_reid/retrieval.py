@@ -10,10 +10,9 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import DegenerateStructureError
-from .numerics import cdist, l2_normalize_rows
-from .pseudolabel import (DistanceMatrix, Metric, jaccard_from_membership,
-                          k_reciprocal_neighbors, membership_matrix,
-                          pairwise_euclidean)
+from .numerics import ROW_BLOCK, cdist, l2_normalize_rows
+from .pseudolabel import (jaccard_from_membership, k_reciprocal_neighbors,
+                          membership_matrix, nearest, pairwise_euclidean)
 
 
 @dataclass
@@ -100,15 +99,17 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     sets = k_reciprocal_neighbors(euclid, k1)
     v = membership_matrix(euclid, sets)
     if k2 > 1:
-        # the k2 nearest of each row, self included; the copy frees the full ranking
-        local = np.argsort(euclid.values, axis=1, kind="stable")[:, :k2].copy()
+        local = nearest(euclid.values, k2)  # the k2 nearest of each row, self included
         expanded = v[local[:, 0]]
-        for rank in range(1, k2):
-            expanded += v[local[:, rank]]
+        # by row blocks, so that no (n, n) gather is made beside v and expanded
+        for start in range(0, n_total, ROW_BLOCK):
+            block = expanded[start:start + ROW_BLOCK]
+            for rank in range(1, k2):
+                block += v[local[start:start + ROW_BLOCK, rank]]
         expanded /= k2
         v = expanded
-    jac = jaccard_from_membership(v)
-    return lam * cross + (1.0 - lam) * jac[:n_q, n_q:]
+    jac = jaccard_from_membership(v, num_rows=n_q)  # only the query rows are read
+    return lam * cross + (1.0 - lam) * jac[:, n_q:]
 
 
 # ---------------------------------------------------------------------------

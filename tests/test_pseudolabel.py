@@ -1,19 +1,22 @@
 """Neighborhood expansion, Jaccard distances, density clustering, and the
 per-epoch relabeling entry point."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from uda_reid import pseudolabel
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.encoder import init_params
 from uda_reid.errors import DegenerateStructureError
-from uda_reid.numerics import l2_normalize_rows
+from uda_reid.numerics import ROW_BLOCK, cdist, l2_normalize_rows
 from uda_reid.pseudolabel import (SYMMETRY_BLOCK, SYMMETRY_TOL,
                                   DistanceMatrix, Metric, PseudoLabeling,
                                   dbscan, jaccard_distance,
                                   jaccard_from_membership,
                                   k_reciprocal_neighbors, membership_matrix,
-                                  pairwise_euclidean, relabel_epoch)
+                                  nearest, pairwise_euclidean, relabel_epoch)
 
 
 def line_distances(positions):
@@ -62,6 +65,18 @@ def test_pairwise_matches_reference():
     feats = rng.normal(size=(7, 3))
     dm = pairwise_euclidean(feats)
     assert np.allclose(dm.values, oracles.pairwise_ref(feats), atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(128, 32), (ROW_BLOCK + 9, 5), (3, 1)])
+def test_cdist_is_the_unblocked_formula_bitwise(shape):
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=shape)
+    for b in (rng.normal(size=(shape[0] + 4, shape[1])), a,
+              rng.integers(0, 3, size=shape).astype(np.float64)):
+        aa = np.sum(a * a, axis=1)[:, None]
+        bb = np.sum(b * b, axis=1)[None, :]
+        expected = np.sqrt(np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0))
+        assert np.array_equal(cdist(a, b), expected)
 
 
 def test_pairwise_euclidean_errors():
@@ -122,6 +137,40 @@ def test_expanded_sets_match_reference(seed, k):
     assert got == oracles.expanded_ref(dm.values, k)
 
 
+def tie_heavy_values(case):
+    """Square matrices whose rows hold many exactly equal entries."""
+    rng = np.random.default_rng(0)
+    if case == "lattice":
+        return pairwise_euclidean(rng.integers(0, 3, size=(40, 2))).values
+    if case == "duplicates":
+        base = rng.integers(-1, 2, size=(6, 2))
+        return pairwise_euclidean(base[rng.integers(0, 6, size=36)]).values
+    if case == "all-equal":
+        return np.full((20, 20), 0.5)
+    if case == "blocks":  # several row blocks, the last one partial
+        return pairwise_euclidean(rng.integers(0, 4, size=(ROW_BLOCK + 45, 2))).values
+    return rng.integers(0, 3, size=(30, 30)).astype(np.float64)  # "integers", asymmetric
+
+
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "all-equal", "blocks", "integers"])
+def test_nearest_is_the_stable_argsort_prefix(case):
+    values = tie_heavy_values(case)
+    n = values.shape[1]
+    k = 7
+    ranking = np.argsort(values, axis=1, kind="stable")
+    for m in (1, 2, k + 1, n):
+        assert np.array_equal(nearest(values, m), ranking[:, :m])
+
+
+def test_nearest_ranks_nan_last():
+    values = np.array([[np.nan, 1.0, np.nan, 0.0],
+                       [np.nan, np.nan, np.nan, 2.0],
+                       [1.0, 1.0, 1.0, 1.0]])
+    ranking = np.argsort(values, axis=1, kind="stable")
+    for m in (1, 2, 3, 4):
+        assert np.array_equal(nearest(values, m), ranking[:, :m])
+
+
 def test_neighbor_k_bounds():
     dm = random_distances(0, n=5)
     with pytest.raises(ValueError, match="k must"):
@@ -180,6 +229,74 @@ def test_jaccard_exactly_symmetric_across_blocks():
     assert np.allclose(d, oracles.jaccard_ref(v), atol=1e-12)
     assert np.array_equal(d, d.T)
     DistanceMatrix(d, Metric.JACCARD).validate()
+
+
+@pytest.mark.parametrize("seed,k", [(seed, k) for seed in [*range(4), "lattice", "duplicates"]
+                                    for k in (1, 3, 7)] + [("clustered", 20)])
+def test_jaccard_equals_the_dense_row_loop_bitwise(seed, k):
+    dm = oracle_distances(seed)
+    v = membership_matrix(dm, k_reciprocal_neighbors(dm, k))
+    loop = oracles.jaccard_loop_ref(v)
+    assert np.array_equal(jaccard_distance(dm, k).values, loop)
+    assert np.array_equal(jaccard_from_membership(v), loop)
+    assert np.allclose(loop, oracles.jaccard_ref(v), atol=1e-12)
+
+
+def test_jaccard_from_entries_across_row_blocks_with_empty_rows():
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(ROW_BLOCK + 60, 3))
+    x[5] = 50.0  # an isolated row: no reciprocal neighbor, empty membership
+    dm = pairwise_euclidean(x)
+    sets = k_reciprocal_neighbors(dm, 5)
+    assert sets[5].size == 0
+    v = membership_matrix(dm, sets)
+    got = jaccard_distance(dm, 5).values
+    assert np.array_equal(got, oracles.jaccard_loop_ref(v))
+    assert np.all(got[5, np.arange(dm.n) != 5] == 1.0)
+
+
+def test_jaccard_query_rows_are_the_full_matrix_first_rows():
+    rng = np.random.default_rng(2)
+    n = ROW_BLOCK + 30
+    v = rng.random((n, n)) * (rng.random((n, n)) < 0.04)
+    v[[0, 7, n - 1]] = 0.0  # empty memberships among the query rows and after them
+    full = jaccard_from_membership(v)
+    for rows in (1, 8, ROW_BLOCK, ROW_BLOCK + 1, n):
+        part = jaccard_from_membership(v, num_rows=rows)
+        assert part.shape == (rows, n)
+        assert np.array_equal(part, full[:rows])
+
+
+def test_jaccard_term_budget_splits_blocks_without_changing_bits(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 90
+    v = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    v[:, 7] = rng.random(n) + 0.1  # a member every row holds
+    v[3] = 0.0
+    full = jaccard_from_membership(v)
+    # rows whose terms alone exceed the budget, and blocks of several rows
+    for budget in (50, 3000):
+        monkeypatch.setattr(pseudolabel, "JACCARD_TERMS", budget)
+        assert np.array_equal(jaccard_from_membership(v), full)
+        assert np.array_equal(jaccard_from_membership(v, num_rows=11), full[:11])
+    assert np.array_equal(full, oracles.jaccard_loop_ref(v))
+
+
+def test_jaccard_distance_holds_no_dense_membership():
+    rng = np.random.default_rng(3)
+    n = 1000
+    x = np.repeat(rng.normal(size=(50, 32)), 20, axis=0) + 0.5 * rng.normal(size=(n, 32))
+    dm = pairwise_euclidean(l2_normalize_rows(x))
+    result_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        jaccard_distance(dm, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result plus O(block x n) temporaries: no (n, n) membership or ranking
+    # (a dense membership beside the result peaks at 2.2x)
+    assert peak < 2.0 * result_bytes, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_jaccard_distant_pairs_are_fully_disjoint():
@@ -260,7 +377,11 @@ def test_distance_matrix_symmetry_checked_in_every_row_block():
     np.fill_diagonal(v, 0.0)
     v[n - 1, 1] += 0.9 * SYMMETRY_TOL  # within tolerance: accepted
     DistanceMatrix(v, Metric.EUCLIDEAN).validate()
-    for row, col in [(n - 1, 0), (0, n - 1), (SYMMETRY_BLOCK, SYMMETRY_BLOCK - 1)]:
+    b = SYMMETRY_BLOCK
+    for row, col in [(n - 1, 0), (0, n - 1), (b, b - 1),
+                     (10, b + 20),  # a tile above the diagonal
+                     (b + 20, 10),  # a tile below it
+                     (2 * b + 1, 2 * b + 2), (b + 5, 2 * b + 2)]:  # the partial last tiles
         skew = v.copy()
         skew[row, col] += 2 * SYMMETRY_TOL
         with pytest.raises(ValueError, match="asymmetry"):

@@ -6,6 +6,8 @@ import oracles
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.errors import DegenerateStructureError, NormalizationError
 from uda_reid.numerics import cdist, l2_normalize_rows
+from uda_reid.pseudolabel import (k_reciprocal_neighbors, membership_matrix,
+                                  pairwise_euclidean)
 from uda_reid.retrieval import (EvalReport, QueryGallerySplit, camera_adjust,
                                 ensemble_features, evaluate, evaluate_split,
                                 rerank, split_query_gallery)
@@ -87,13 +89,42 @@ def oracle_points(seed):
                          + [(7, 6, seed) for seed in range(5)]
                          + [(k1, k2, seed) for k1, k2 in [(5, 3), (7, 6)]
                             for seed in ("lattice", "duplicates")]
-                         + [(20, 6, "clustered")])
+                         + [(20, 6, "clustered")]
+                         + [(k, k, seed) for k in (5, 7) for seed in (0, 1, "lattice", "duplicates")]
+                         + [(7, 1, seed) for seed in ("lattice", "duplicates")])
 def test_rerank_matches_stepwise_reference(seed, k1, k2):
     q, g = oracle_points(seed)
     got = rerank(q, g, k1=k1, k2=k2, lam=0.3)
     ref = oracles.rerank_ref(q, g, k1=k1, k2=k2, lam=0.3)
     assert got.shape == (q.shape[0], g.shape[0])
     assert np.allclose(got, ref, atol=1e-6)
+
+
+def rerank_full_sort(q, g, k1, k2, lam):
+    """rerank with a full stable argsort for the k2 expansion and the dense
+    row-loop Jaccard over every pooled row: the same arithmetic, in the same
+    order, as the package."""
+    n_q = q.shape[0]
+    euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
+    v = membership_matrix(euclid, k_reciprocal_neighbors(euclid, k1))
+    if k2 > 1:
+        local = np.argsort(euclid.values, axis=1, kind="stable")[:, :k2]
+        expanded = v[local[:, 0]]
+        for rank in range(1, k2):
+            expanded += v[local[:, rank]]
+        expanded /= k2
+        v = expanded
+    jac = oracles.jaccard_loop_ref(v)
+    return lam * euclid.values[:n_q, n_q:] + (1.0 - lam) * jac[:n_q, n_q:]
+
+
+@pytest.mark.parametrize("k1,k2,seed", [(k1, k2, seed) for k1, k2 in [(5, 1), (5, 3), (7, 7)]
+                                        for seed in (0, "lattice", "duplicates")]
+                         + [(20, 1, "clustered"), (20, 6, "clustered"), (20, 20, "clustered")])
+def test_rerank_bitwise_equals_full_sort_and_dense_loop(seed, k1, k2):
+    q, g = oracle_points(seed)
+    assert np.array_equal(rerank(q, g, k1=k1, k2=k2, lam=0.3),
+                          rerank_full_sort(q, g, k1, k2, 0.3))
 
 
 def test_rerank_prefers_exact_duplicate():
