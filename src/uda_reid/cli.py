@@ -134,6 +134,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    help="labeled dataset evaluated after each epoch")
 
 
+def _add_rerank_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k1", type=int, default=30)
+    p.add_argument("--k2", type=int, default=6)
+    p.add_argument("--lam", type=float, default=0.3)
+
+
 def _load_dataset(path):
     from .datamodel import load_features
 
@@ -423,9 +429,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--params", metavar="FILE",
                    help="encode with this encoder first (else stored features)")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--k1", type=int, default=30)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lam", type=float, default=0.3)
+    _add_rerank_flags(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_rerank)
 
@@ -434,9 +438,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gallery", required=True, metavar="FILE")
     p.add_argument("--params", metavar="FILE")
     p.add_argument("--rerank", action="store_true")
-    p.add_argument("--k1", type=int, default=30)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lam", type=float, default=0.3)
+    _add_rerank_flags(p)
     p.add_argument("--cam-weight", type=float, nargs="?", const=0.1,
                    default=None, metavar="W",
                    help="subtract W * camera-feature distance (default W .1)")

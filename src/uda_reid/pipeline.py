@@ -207,10 +207,8 @@ def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
 
     Retrieval operates on L2-normalized encoder outputs.
     """
-    q = l2_normalize_rows(forward(params, split.query.features.astype(np.float64),
-                                  split.query.domains, training=False), "query feature")
-    g = l2_normalize_rows(forward(params, split.gallery.features.astype(np.float64),
-                                  split.gallery.domains, training=False), "gallery feature")
+    q = l2_normalize_rows(encode_dataset(params, split.query), "query feature")
+    g = l2_normalize_rows(encode_dataset(params, split.gallery), "gallery feature")
     dist = rerank(q, g, k1, k2, lam) if use_rerank else cdist(q, g)
     return evaluate_split(split, dist=dist, top_limit=top_limit)
 

@@ -6,10 +6,11 @@ distances, and cluster with density-based scanning.  Outliers keep the
 OUTLIER sentinel and are skipped by batch sampling downstream.
 
 Neighbor sets are built as (n, k) index tables, -1 marking no member, from
-a tie-exact partial ranking: ties break by the lower index throughout.  The
-Jaccard kernel reads the memberships as sparse (row, member, weight) entries
-through an inverted index, and its sums add the same terms in the same
-order as a dense row-by-row loop would.
+a tie-exact partial ranking: ties break by the lower index throughout.
+``jaccard_rows`` serves relabeling and re-ranking alike: it keeps the
+memberships as sparse (row, member, weight) entries, read through an
+inverted index, and its sums add the same terms in the same order as the
+dense forms ``membership_matrix`` and ``jaccard_from_membership`` would.
 """
 from __future__ import annotations
 
@@ -174,7 +175,10 @@ def _membership_entries(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]):
 
 
 def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> np.ndarray:
-    """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere."""
+    """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere.
+
+    Kept as the dense form of the memberships for tests and references;
+    the package itself reads them only as entries."""
     rows, members, weights = _membership_entries(dist, neighbor_sets)
     v = np.zeros((dist.n, dist.n))
     v[rows, members] = weights
@@ -184,6 +188,30 @@ def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> 
 def _row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
     """offsets[p]:offsets[p + 1] spans row p's entries in row-major order."""
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[i], starts[i] + counts[i]), concatenated."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _local_expansion(dist: DistanceMatrix, rows, members, weights, k2: int):
+    """Entries, in row-major order, of V averaged over each row's k2 nearest
+    rows (itself included).  For each rank in order, row p takes the entries
+    of its neighbor of that rank, and ``np.bincount`` sums each (p, g) in
+    rank order: bitwise the dense sum, which only adds exact zeros beyond."""
+    n = dist.n
+    offsets = _row_offsets(rows, n)
+    src = nearest(dist.values, k2).T.reshape(-1)  # rank-major: every row's rank 0 first
+    counts = offsets[src + 1] - offsets[src]
+    pick = _runs(offsets[src], counts)
+    keys = np.repeat(np.tile(np.arange(n) * n, k2), counts) + members[pick]
+    order = np.argsort(keys, kind="stable")  # merges k2 sorted runs; ties keep rank order
+    keys = keys[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    sums = np.bincount(np.cumsum(first) - 1, weights=weights[pick[order]])
+    cells = keys[first]
+    return cells // n, cells % n, sums / k2
 
 
 def _dense_row_sums(rows, members, weights, n: int) -> np.ndarray:
@@ -241,8 +269,7 @@ def _jaccard(rows, members, weights, row_sums, num_rows: int) -> np.ndarray:
     for lo, hi in _term_blocks(np.bincount(rows, weights=meets_all, minlength=n)[:num_rows]):
         span = slice(offsets[lo], offsets[hi])
         g, meets = members[span], meets_all[span]
-        skip = np.repeat(holder_offsets[g] - (np.cumsum(meets) - meets), meets)
-        pos = skip + np.arange(skip.size)  # per entry, the run of g's holders
+        pos = _runs(holder_offsets[g], meets)  # per entry, the run of g's holders
         terms = np.minimum(np.repeat(weights[span], meets), held[pos])
         keys = np.repeat(rows[span] - lo, meets) * n + holders[pos]
         inter = np.bincount(keys, weights=terms, minlength=(hi - lo) * n)
@@ -259,23 +286,37 @@ def _jaccard(rows, members, weights, row_sums, num_rows: int) -> np.ndarray:
     return out
 
 
-def jaccard_from_membership(v: np.ndarray, num_rows: int | None = None) -> np.ndarray:
-    """1 - sum(min)/sum(max) per row pair of a dense membership matrix V:
-    rows [0, num_rows) against all rows, every row by default.  The full
-    matrix is exactly symmetric: (p, q) and (q, p) add the same terms in
-    the same order."""
-    rows, members = np.nonzero(v)
-    return _jaccard(rows, members, v[rows, members], v.sum(axis=1),
-                    v.shape[0] if num_rows is None else num_rows)
+def jaccard_rows(dist: DistanceMatrix, neighbor_sets: list[np.ndarray], k2: int = 1,
+                 num_rows: int | None = None) -> np.ndarray:
+    """Jaccard distances of rows [0, num_rows) (every row by default) to all
+    rows, over the R* memberships with weights exp(-D[p][g]).  With k2 > 1
+    each membership row is first averaged over the row's k2 nearest rows,
+    itself included (local query expansion).  Computed from entries: no
+    dense membership matrix is built."""
+    n = dist.n
+    if not 1 <= k2 <= n:
+        raise ValueError(f"k2 must satisfy 1 <= k2 <= n, got k2={k2}, n={n}")
+    entries = _membership_entries(dist, neighbor_sets)
+    if k2 > 1:
+        entries = _local_expansion(dist, *entries, k2)
+    return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows)
 
 
 def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:
-    """Jaccard distances over the R*(p, k) memberships, computed from their
-    entries: no dense membership matrix is built."""
-    rows, members, weights = _membership_entries(dist, k_reciprocal_neighbors(dist, k))
-    row_sums = _dense_row_sums(rows, members, weights, dist.n)
-    values = _jaccard(rows, members, weights, row_sums, dist.n)
+    """Jaccard distances over the R*(p, k) memberships."""
+    values = jaccard_rows(dist, k_reciprocal_neighbors(dist, k))
     return DistanceMatrix(values=values, metric=Metric.JACCARD)
+
+
+def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
+    """1 - sum(min)/sum(max) per row pair of a dense membership matrix V.
+    The matrix is exactly symmetric: (p, q) and (q, p) add the same terms
+    in the same order.
+
+    Kept as the entry point for memberships given densely, as tests and
+    references give them."""
+    rows, members = np.nonzero(v)
+    return _jaccard(rows, members, v[rows, members], v.sum(axis=1), v.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import DegenerateStructureError
-from .numerics import ROW_BLOCK, cdist, l2_normalize_rows
-from .pseudolabel import (jaccard_from_membership, k_reciprocal_neighbors,
-                          membership_matrix, nearest, pairwise_euclidean)
+from .numerics import cdist, l2_normalize_rows
+from .pseudolabel import jaccard_rows, k_reciprocal_neighbors, pairwise_euclidean
 
 
 @dataclass
@@ -96,19 +95,8 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     if lam == 1.0:
         return cross.copy()
 
-    sets = k_reciprocal_neighbors(euclid, k1)
-    v = membership_matrix(euclid, sets)
-    if k2 > 1:
-        local = nearest(euclid.values, k2)  # the k2 nearest of each row, self included
-        expanded = v[local[:, 0]]
-        # by row blocks, so that no (n, n) gather is made beside v and expanded
-        for start in range(0, n_total, ROW_BLOCK):
-            block = expanded[start:start + ROW_BLOCK]
-            for rank in range(1, k2):
-                block += v[local[start:start + ROW_BLOCK, rank]]
-        expanded /= k2
-        v = expanded
-    jac = jaccard_from_membership(v, num_rows=n_q)  # only the query rows are read
+    # only the query rows of the Jaccard matrix are read
+    jac = jaccard_rows(euclid, k_reciprocal_neighbors(euclid, k1), k2, num_rows=n_q)
     return lam * cross + (1.0 - lam) * jac[:, n_q:]
 
 

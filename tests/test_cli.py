@@ -5,16 +5,20 @@ and exactly one JSON object on stdout; human-readable notes go to stderr.
 """
 import io
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import uda_reid
 from uda_reid.cli import run
-from uda_reid.datamodel import load_features
+from uda_reid.datamodel import load_features, save_features
 from uda_reid.encoder import init_params, save_params
 
 TINY_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "8",
@@ -222,6 +226,62 @@ def test_evaluate_top_truncates_cmc(arts):
     payload = ok(["evaluate", "--query", arts["target"], "--gallery",
                   arts["target"], "--params", arts["pre"], "--top", "10"])
     assert len(payload["cmc"]) == 10
+
+
+def test_single_camera_evaluation_exits_2(arts, tmp_path):
+    # with one camera every relevant gallery row shares the query's
+    # (identity, camera) pair and is dropped, so no query can be scored
+    ds = load_features(arts["target"])
+    ds.cameras[:] = 0
+    one_cam = tmp_path / "one_cam.bin"
+    save_features(one_cam, ds)
+    base = ["evaluate", "--query", one_cam, "--gallery", one_cam, "--params", arts["pre"]]
+    for extra in ([], ["--rerank"], ["--rerank", "--cam-weight"]):
+        code, out, err = go(base + extra)
+        assert code == 2 and out == "", (extra, err)
+        assert "no query has a relevant gallery entry" in err, (extra, err)
+        assert "Traceback" not in err, (extra, err)
+
+
+def cli_subprocess(argv):
+    """Run the CLI in a fresh interpreter, so ``--threads`` takes effect
+    before numpy loads; returns (exit code, stdout)."""
+    src = os.path.dirname(os.path.dirname(uda_reid.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "uda_reid.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    return proc.returncode, proc.stdout
+
+
+def test_outputs_do_not_depend_on_thread_count(tmp_path):
+    ok(["synth", "--out", tmp_path / "data", "--num-ids-source", "2",
+        "--num-ids-target", "100", "--samples-per-id", "10", "--raw-dim", "16"])
+    target = load_features(tmp_path / "data" / "target.bin")
+    assert target.n >= 1000
+    rows = np.arange(target.n)
+    save_features(tmp_path / "query.bin", target.subset(rows[::5]))
+    save_features(tmp_path / "gallery.bin", target.subset(rows[rows % 5 != 0]))
+    save_params(tmp_path / "enc.params", init_params(16, 8, 1, seed=0))
+    retrieval = ["--query", tmp_path / "query.bin", "--gallery", tmp_path / "gallery.bin",
+                 "--params", tmp_path / "enc.params"]
+    results = {}
+    for threads in (1, 2):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        code, _ = cli_subprocess(["--threads", threads, "rerank", *retrieval,
+                                  "--out", run_dir / "rerank.npy"])
+        assert code == 0
+        code, evaluated = cli_subprocess(["--threads", threads, "evaluate", *retrieval,
+                                          "--rerank"])
+        assert code == 0
+        code, _ = cli_subprocess(["--threads", threads, "cluster", "--params",
+                                  tmp_path / "enc.params", "--data", tmp_path / "data" / "target.bin",
+                                  "--out", run_dir / "relabeled.bin"])
+        assert code == 0
+        results[threads] = ((run_dir / "rerank.npy").read_bytes(), evaluated,
+                            (run_dir / "relabeled.bin").read_bytes())
+    assert results[1] == results[2]
 
 
 def test_ensemble_concatenates_encodings(arts, tmp_path):

@@ -14,7 +14,7 @@ from uda_reid.numerics import ROW_BLOCK, cdist, l2_normalize_rows
 from uda_reid.pseudolabel import (SYMMETRY_BLOCK, SYMMETRY_TOL,
                                   DistanceMatrix, Metric, PseudoLabeling,
                                   dbscan, jaccard_distance,
-                                  jaccard_from_membership,
+                                  jaccard_from_membership, jaccard_rows,
                                   k_reciprocal_neighbors, membership_matrix,
                                   nearest, pairwise_euclidean, relabel_epoch)
 
@@ -255,30 +255,66 @@ def test_jaccard_from_entries_across_row_blocks_with_empty_rows():
     assert np.all(got[5, np.arange(dm.n) != 5] == 1.0)
 
 
+@pytest.mark.parametrize("seed,k,k2", [(seed, k, k2) for seed in (0, "lattice", "duplicates")
+                                       for k, k2 in ((3, 2), (5, 5), (7, 3))]
+                         + [("duplicates", 3, 13), ("clustered", 20, 6)])
+def test_jaccard_rows_expansion_equals_dense_average_bitwise(seed, k, k2):
+    dm = oracle_distances(seed)
+    sets = k_reciprocal_neighbors(dm, k)
+    v = membership_matrix(dm, sets)
+    local = np.argsort(dm.values, axis=1, kind="stable")[:, :k2]
+    expanded = v[local[:, 0]]
+    for rank in range(1, k2):
+        expanded += v[local[:, rank]]
+    expanded /= k2
+    assert np.array_equal(jaccard_rows(dm, sets, k2), oracles.jaccard_loop_ref(expanded))
+
+
+def test_jaccard_rows_k2_errors():
+    dm = random_distances(0, n=5)
+    sets = k_reciprocal_neighbors(dm, 2)
+    for k2 in (0, 6):
+        with pytest.raises(ValueError, match="k2 must"):
+            jaccard_rows(dm, sets, k2)
+
+
+def random_sets(rng, n, density, empty=()):
+    """Sorted random member sets per row; the rows in ``empty`` hold none."""
+    sets = [np.flatnonzero(rng.random(n) < density) for _ in range(n)]
+    for p in empty:
+        sets[p] = sets[p][:0]
+    return sets
+
+
 def test_jaccard_query_rows_are_the_full_matrix_first_rows():
     rng = np.random.default_rng(2)
     n = ROW_BLOCK + 30
-    v = rng.random((n, n)) * (rng.random((n, n)) < 0.04)
-    v[[0, 7, n - 1]] = 0.0  # empty memberships among the query rows and after them
-    full = jaccard_from_membership(v)
-    for rows in (1, 8, ROW_BLOCK, ROW_BLOCK + 1, n):
-        part = jaccard_from_membership(v, num_rows=rows)
-        assert part.shape == (rows, n)
-        assert np.array_equal(part, full[:rows])
+    dm = random_distances(2, n)
+    # empty memberships among the query rows and after them
+    sets = random_sets(rng, n, 0.04, empty=(0, 7, n - 1))
+    for k2 in (1, 3):  # k2 = 3 fills the empty rows from their neighbors
+        full = jaccard_rows(dm, sets, k2)
+        for rows in (1, 8, ROW_BLOCK, ROW_BLOCK + 1, n):
+            part = jaccard_rows(dm, sets, k2, num_rows=rows)
+            assert part.shape == (rows, n)
+            assert np.array_equal(part, full[:rows])
 
 
 def test_jaccard_term_budget_splits_blocks_without_changing_bits(monkeypatch):
     rng = np.random.default_rng(4)
     n = 90
-    v = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
-    v[:, 7] = rng.random(n) + 0.1  # a member every row holds
-    v[3] = 0.0
+    dm = random_distances(4, n)
+    sets = random_sets(rng, n, 0.3, empty=(3,))
+    for p in range(n):
+        if p != 3:  # a member every other row holds
+            sets[p] = np.union1d(sets[p], [7])
+    v = membership_matrix(dm, sets)
     full = jaccard_from_membership(v)
     # rows whose terms alone exceed the budget, and blocks of several rows
     for budget in (50, 3000):
         monkeypatch.setattr(pseudolabel, "JACCARD_TERMS", budget)
         assert np.array_equal(jaccard_from_membership(v), full)
-        assert np.array_equal(jaccard_from_membership(v, num_rows=11), full[:11])
+        assert np.array_equal(jaccard_rows(dm, sets, num_rows=11), full[:11])
     assert np.array_equal(full, oracles.jaccard_loop_ref(v))
 
 

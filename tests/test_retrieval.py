@@ -1,4 +1,6 @@
 """Re-ranking, camera adjustment, ensembling, and the ranking protocol."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,23 @@ def test_rerank_bitwise_equals_full_sort_and_dense_loop(seed, k1, k2):
     q, g = oracle_points(seed)
     assert np.array_equal(rerank(q, g, k1=k1, k2=k2, lam=0.3),
                           rerank_full_sort(q, g, k1, k2, 0.3))
+
+
+def test_rerank_holds_no_dense_membership():
+    rng = np.random.default_rng(5)
+    n, n_q = 2000, 250  # 100 identities x 20 rows, pooled
+    x = l2_normalize_rows(np.repeat(rng.normal(size=(100, 32)), 20, axis=0)
+                          + 0.5 * rng.normal(size=(n, 32)))
+    euclid_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        rerank(x[:n_q], x[n_q:], k1=30, k2=6, lam=0.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the pooled Euclidean matrix plus sparse entries and row-block
+    # temporaries; a dense membership and its k2 average beside it peak at 3.1x
+    assert peak < 2.0 * euclid_bytes, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_rerank_prefers_exact_duplicate():
