@@ -8,10 +8,10 @@ object; progress and diagnostics go to standard error.  Exit codes: 0 on
 success, 1 on usage errors, 2 on data or format errors, 3 on numerical
 failures (training divergence, gradient-check tolerance breach).
 
-``--threads N`` caps BLAS/OpenMP parallelism.  The cap must be in place
-before numpy first loads, so this module imports only the standard library
-at module scope and scans argv for the flag before touching the rest of
-the package.
+``--threads N`` caps BLAS/OpenMP parallelism; N below 1 exits 2 before any
+work starts.  The cap must be in place before numpy first loads, so this
+module imports only the standard library at module scope and scans argv for
+the flag before touching the rest of the package.
 """
 from __future__ import annotations
 
@@ -55,7 +55,9 @@ def _apply_thread_cap(argv) -> None:
         n = int(threads)
     except ValueError:
         return  # argparse reports the malformed value later
-    if n >= 1 and "numpy" not in sys.modules:
+    if n < 1:
+        raise ValueError(f"--threads must be >= 1, got {n}")
+    if "numpy" not in sys.modules:
         for var in _THREAD_VARS:
             os.environ[var] = str(n)
 
@@ -469,8 +471,8 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
     try:
+        _apply_thread_cap(argv)
         parser = _build_parser()
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import struct
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -221,8 +221,6 @@ class SynthConfig:
     seed: int = 0
     shift_strength: float = 1.0         # rotation/scale intensity; 0 -> identity map
     shift_offset: float = 1.0           # offset magnitude; 0 -> zero offset
-    shift_matrix: np.ndarray | None = field(default=None, repr=False)
-    shift_bias: np.ndarray | None = field(default=None, repr=False)
 
     def validate(self):
         for fname in ("num_ids_source", "num_ids_target", "samples_per_id", "raw_dim", "cameras"):
@@ -235,16 +233,6 @@ class SynthConfig:
             raise ConfigError("cluster_spread", f"must be >= 0, got {self.cluster_spread}")
         if self.shift_strength < 0:
             raise ConfigError("shift_strength", f"must be >= 0, got {self.shift_strength}")
-        if self.shift_matrix is not None:
-            a = np.asarray(self.shift_matrix, dtype=np.float64)
-            if a.shape != (self.raw_dim, self.raw_dim):
-                raise ConfigError("domain_shift", f"matrix must be {self.raw_dim}x{self.raw_dim}, got {a.shape}")
-            if not np.all(np.isfinite(a)) or np.linalg.cond(a) > 1e12:
-                raise ConfigError("domain_shift", "matrix is singular or non-finite")
-        if self.shift_bias is not None:
-            b = np.asarray(self.shift_bias, dtype=np.float64)
-            if b.shape != (self.raw_dim,):
-                raise ConfigError("domain_shift", f"offset must have length {self.raw_dim}, got {b.shape}")
         return self
 
 
@@ -266,7 +254,7 @@ def _block_rotation(rng, d: int, lo: float, hi: float, rounds: int = 2) -> np.nd
     return rot
 
 
-def _default_shift(cfg: SynthConfig, rng):
+def _domain_shift(cfg: SynthConfig, rng):
     """Invertible affine map built from plane rotations, per-axis scaling, and an offset.
 
     Rotations act within the signal block and within the nuisance block
@@ -300,12 +288,7 @@ def generate_synthetic(cfg: SynthConfig):
     rng_target = np.random.default_rng([cfg.seed, 3])
     rng_cams = np.random.default_rng([cfg.seed, 4])
 
-    if cfg.shift_matrix is not None:
-        a = np.asarray(cfg.shift_matrix, dtype=np.float64)
-        b = (np.zeros(d) if cfg.shift_bias is None
-             else np.asarray(cfg.shift_bias, dtype=np.float64))
-    else:
-        a, b = _default_shift(cfg, rng_shift)
+    a, b = _domain_shift(cfg, rng_shift)
 
     def centers(num_ids):
         c = np.zeros((num_ids, d))

@@ -215,12 +215,6 @@ class FeatureQueue:
         if self.buffer is None:
             self.buffer = np.zeros((0, self.dim))
 
-    def __len__(self) -> int:
-        return self.buffer.shape[0]
-
-    def contents(self) -> np.ndarray:
-        return self.buffer
-
 
 def queue_push(queue: FeatureQueue, feats) -> FeatureQueue:
     """Normalize rows, enqueue, evict oldest beyond capacity."""

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import MiningError
 from .numerics import cdist, l2_normalize_rows, log_softmax, sigmoid, softmax, softplus
 
-BCE_EPS = 1e-7
 ARC_ANGLE_MARGIN = 1e-4  # target angle clamped to <= pi - this
 
 
@@ -29,7 +28,6 @@ class MarginMode(enum.Enum):
 class LossOut:
     value: float
     grads: dict[str, np.ndarray] = field(default_factory=dict)
-    diagnostics: dict[str, float] = field(default_factory=dict)
 
 
 def _as_float64(x, name):
@@ -89,14 +87,9 @@ def hardest_triplets(feats, labels):
     return dist[rows, pos_idx], dist[rows, neg_idx], pos_idx, neg_idx
 
 
-def triplet_T_values(feats, labels):
-    """Hardest-mined T statistic per anchor, in (0, 1)."""
-    d_p, d_n, _, _ = hardest_triplets(feats, labels)
-    return sigmoid(d_n - d_p)
-
-
 def softmax_triplet_loss(feats, labels) -> LossOut:
-    """Mean over anchors of -log T under hardest in-batch mining.
+    """Mean over anchors of -log T, T = sigmoid(d_n - d_p) in (0, 1), under
+    hardest in-batch mining.
 
     Gradients touch only each anchor and its mined positive/negative rows;
     the mining itself is treated as locally constant.
@@ -120,36 +113,6 @@ def softmax_triplet_loss(feats, labels) -> LossOut:
     np.add.at(grad, pos_idx, -coeff[:, None] * unit_p)
     np.add.at(grad, neg_idx, coeff[:, None] * unit_n)
     return LossOut(value=value, grads={"batch": grad})
-
-
-# ---------------------------------------------------------------------------
-# Relation consistency (soft binary cross-entropy between T statistics)
-# ---------------------------------------------------------------------------
-
-def relation_consistency(t_translated, t_source) -> LossOut:
-    """Soft BCE of predicted T values against constant target T values.
-
-    Inputs outside (eps, 1-eps) are clamped and the event is counted in
-    ``diagnostics['clamped']``; gradients flow only to ``t_translated``.
-    """
-    p_raw = np.atleast_1d(_as_float64(t_translated, "t_translated"))
-    q_raw = np.atleast_1d(_as_float64(t_source, "t_source"))
-    if p_raw.shape != q_raw.shape:
-        raise ValueError(f"length mismatch: {p_raw.shape} vs {q_raw.shape}")
-    if p_raw.size == 0:
-        raise ValueError("empty inputs")
-    lo, hi = BCE_EPS, 1.0 - BCE_EPS
-    clamped = int(np.sum((p_raw < lo) | (p_raw > hi)) + np.sum((q_raw < lo) | (q_raw > hi)))
-    p = np.clip(p_raw, lo, hi)
-    q = np.clip(q_raw, lo, hi)
-    n = p.size
-    value = float(-np.mean(q * np.log(p) + (1.0 - q) * np.log1p(-p)))
-    grad = (p - q) / (p * (1.0 - p)) / n
-    grad[(p_raw < lo) | (p_raw > hi)] = 0.0  # clamp region is flat
-    out = LossOut(value=value, grads={"t_translated": grad})
-    if clamped:
-        out.diagnostics["clamped"] = float(clamped)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Three-stage training orchestration on the synthetic benchmark.
 
-Stage I is realized by the generator's translation transform (plus the
-relation-consistency diagnostic), stage II pretrains on labeled data, and
-stage III runs mutual mean-teacher self-training with joint-domain batches,
-a momentum queue per network, and per-epoch pseudo-label refresh.  All
-training stages share one epoch driver and differ only in their step.
+Stage I is realized by the generator's translation transform, stage II
+pretrains on labeled data, and stage III runs mutual mean-teacher
+self-training with joint-domain batches, a momentum queue per network, and
+per-epoch pseudo-label refresh.  All training stages share one epoch driver
+and differ only in their step.
 """
 from __future__ import annotations
 
@@ -238,7 +238,7 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
     The record averages each part over all part dicts of the epoch; a
     missing total is recorded as the sum of the part sums over that count.
 
-    Self-training stages pass ``relabel(epoch) -> PseudoLabeling``, run at
+    Self-training stages pass ``relabel() -> PseudoLabeling``, run at
     each epoch start: an epoch without clusters is recorded as skipped and
     not trained, otherwise ``rebuild(num_clusters)`` re-seeds the
     classifiers and every optimizer drops its classifier moments.
@@ -251,7 +251,7 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
         sums, count, it = {}, 0, None  # it stays None through relabel and rebuild
         try:
             with np.errstate(over="raise", invalid="raise"):
-                labeling = None if relabel is None else relabel(epoch)
+                labeling = None if relabel is None else relabel()
                 if labeling is not None:
                     rec.num_clusters = labeling.num_clusters
                     rec.num_outliers = labeling.num_outliers
@@ -355,8 +355,7 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
         params.classifier = _cluster_centroids(params, target, num_clusters)
 
     _run_epochs(cfg, log, (adam,), step, params, val_split,
-                relabel=lambda epoch: relabel_epoch(target, params, cfg.k, cfg.eps,
-                                                    cfg.min_pts, epoch),
+                relabel=lambda: relabel_epoch(target, params, cfg.k, cfg.eps, cfg.min_pts),
                 rebuild=rebuild)
     return params, log
 
@@ -454,7 +453,7 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
             soft = losses.soft_ce_batch(classifier_logits(student, feats),
                                         classifier_logits(teachers[1 - i], peer_feats))
             hard_val, d_feats_hard, d_cls_hard = _hard_loss(student, feats, labels, cfg)
-            moco = losses.moco_batch(feats, own_feats, queues[i].contents(), cfg.tau)
+            moco = losses.moco_batch(feats, own_feats, queues[i].buffer, cfg.tau)
             total = losses.mmt_plus_total(soft.value, hard_val, moco.value,
                                           cfg.lambda_soft, cfg.lambda_moco)
             d_cls_soft, d_feats_soft = classifier_backward(
@@ -479,40 +478,9 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     # relabel with the current student encoder: at desk-scale step counts
     # the EMA teacher lags too far behind to provide fresh labels
     _run_epochs(cfg, log, adams, step, teachers[0], val_split,
-                relabel=lambda epoch: relabel_epoch(target, s1, cfg.k, cfg.eps,
-                                                    cfg.min_pts, epoch),
+                relabel=lambda: relabel_epoch(target, s1, cfg.k, cfg.eps, cfg.min_pts),
                 rebuild=rebuild)
     return TeacherState(students=students, teachers=teachers), log
-
-
-# ---------------------------------------------------------------------------
-# Translation-quality diagnostic
-# ---------------------------------------------------------------------------
-
-def relation_consistency_check(source: Dataset, translated: Dataset,
-                               enc_s: EncoderParams, enc_t: EncoderParams,
-                               batches: int = 10, p_classes: int = 16,
-                               k_per: int = 4, seed: int = 0) -> float:
-    """Mean soft-BCE between hardest-mined T statistics of translated rows
-    (under the target encoder) and source rows (under the source encoder)."""
-    if source.n != translated.n or not np.array_equal(source.identities,
-                                                      translated.identities):
-        raise ValueError("source/translated datasets are not row-aligned")
-    dense, p_s = _dense_labels(source.identities)
-    rng = np.random.default_rng([seed, 29])
-    p_eff = min(p_classes, p_s)
-    total = 0.0
-    for _ in range(batches):
-        idx = pk_sample(dense, p_eff, k_per, rng)
-        labels = dense[idx]
-        f_s = forward(enc_s, source.features[idx].astype(np.float64),
-                      source.domains[idx], training=False)
-        f_tr = forward(enc_t, translated.features[idx].astype(np.float64),
-                       translated.domains[idx], training=False)
-        t_s = losses.triplet_T_values(f_s, labels)
-        t_tr = losses.triplet_T_values(f_tr, labels)
-        total += losses.relation_consistency(t_tr, t_s).value
-    return total / batches
 
 
 # ---------------------------------------------------------------------------

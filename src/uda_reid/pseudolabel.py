@@ -70,7 +70,6 @@ class PseudoLabeling:
     """Cluster assignment per sample; OUTLIER rows carry the sentinel."""
     assignment: np.ndarray  # int32, cluster id in [0, num_clusters) or PSEUDO_OUTLIER
     num_clusters: int
-    epoch: int = 0
 
     @property
     def num_outliers(self) -> int:
@@ -158,7 +157,8 @@ def k_reciprocal_neighbors(dist: DistanceMatrix, k: int) -> list[np.ndarray]:
         shared = in_base & (halves >= 0)
         grow = (q >= 0) & (shared.sum(axis=1) >= (2.0 / 3.0) * half_sizes[q])
         keys.append((rows * n + halves)[grow[:, None] & (halves >= 0) & ~in_base])
-    keys = np.unique(np.concatenate(keys))
+    keys = np.sort(np.concatenate(keys))
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.unique's result
     return np.split(keys % n, np.cumsum(np.bincount(keys // n, minlength=n))[:-1])
 
 
@@ -323,7 +323,7 @@ def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
 # Density clustering on a precomputed matrix
 # ---------------------------------------------------------------------------
 
-def dbscan(dist: DistanceMatrix, eps: float, min_pts: int, epoch: int = 0) -> PseudoLabeling:
+def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
     """Connected components of core points under <= eps; border points join
     their lowest-index reachable core's cluster; the rest are OUTLIER."""
     if eps <= 0:
@@ -357,7 +357,7 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int, epoch: int = 0) -> Ps
         reachable = np.flatnonzero(within[i] & core)
         if reachable.size:
             labels[i] = labels[reachable[0]]  # lowest-index reachable core
-    out = PseudoLabeling(assignment=labels, num_clusters=cluster, epoch=epoch)
+    out = PseudoLabeling(assignment=labels, num_clusters=cluster)
     out.validate()
     return out
 
@@ -367,7 +367,7 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int, epoch: int = 0) -> Ps
 # ---------------------------------------------------------------------------
 
 def relabel_epoch(target: Dataset, params: EncoderParams, k: int = 20,
-                  eps: float = 0.6, min_pts: int = 4, epoch: int = 0,
+                  eps: float = 0.6, min_pts: int = 4,
                   blend: float | None = None) -> PseudoLabeling:
     """Encode, build Jaccard distances, cluster, and write the assignment
     into the dataset's pseudo column.
@@ -389,6 +389,6 @@ def relabel_epoch(target: Dataset, params: EncoderParams, k: int = 20,
             raise ValueError(f"blend must be in [0, 1], got {blend}")
         mixed = blend * euclid.values + (1.0 - blend) * jac.values
         cluster_input = DistanceMatrix(values=mixed, metric=Metric.RERANKED)
-    labeling = dbscan(cluster_input, eps, min_pts, epoch=epoch)
+    labeling = dbscan(cluster_input, eps, min_pts)
     target.pseudo[:] = labeling.assignment
     return labeling

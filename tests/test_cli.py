@@ -303,8 +303,17 @@ def test_gradcheck_payload(arts):
     payload = ok(["gradcheck", "--trials", "2"])
     assert payload["passed"] is True
     assert payload["worst"] < 1e-4
-    assert len(payload["kernels"]) >= 8
+    assert set(payload["kernels"]) == {
+        "cross_entropy_batch", "softmax_triplet_loss", "soft_ce_batch", "moco_batch",
+        "margin_arcface", "margin_cosface", "classifier_backward", "affine_backward"}
     assert all(v >= 0 for v in payload["kernels"].values())
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_gradcheck_without_trials_exits_2(trials):
+    code, out, err = go(["gradcheck", "--trials", trials])
+    assert code == 2 and out == "", err
+    assert f"trials must be >= 1, got {trials}" in err and "Traceback" not in err
 
 
 def test_gradcheck_tolerance_breach_exits_3():
@@ -468,3 +477,14 @@ def test_version_flag():
 def test_threads_flag_accepted_anywhere():
     assert go(["--threads", "2", "gradcheck", "--trials", "1"])[0] == 0
     assert go(["gradcheck", "--trials", "1", "--threads", "2"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--threads", "0", "gradcheck"],
+                                  ["gradcheck", "--threads=-4"],
+                                  ["synth", "--out", "never", "--threads", "0"]])
+def test_threads_below_one_exits_2_before_any_work(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = go(argv)
+    assert code == 2 and out == "", err
+    assert "--threads must be >= 1" in err
+    assert not (tmp_path / "never").exists()

@@ -288,9 +288,9 @@ def test_queue_fifo_eviction():
     q = FeatureQueue(capacity=4, dim=2)
     rows = np.array([[float(i + 1), 0.0] for i in range(6)])
     queue_push(q, rows)
-    assert len(q) == 4
+    assert q.buffer.shape == (4, 2)
     # all rows normalize to the same unit vector; eviction kept the last four
-    assert np.allclose(q.contents(), [[1.0, 0.0]] * 4)
+    assert np.allclose(q.buffer, [[1.0, 0.0]] * 4)
 
 
 def test_queue_ordering_across_batches():
@@ -299,8 +299,8 @@ def test_queue_ordering_across_batches():
     queue_push(q, [[3.0, 0.0], [0.0, 5.0], [2.0, 2.0]])
     expected = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
                          [np.sqrt(0.5), np.sqrt(0.5)]])
-    assert np.allclose(q.contents(), expected, atol=1e-12)
-    assert np.allclose(np.linalg.norm(q.contents(), axis=1), 1.0, atol=1e-12)
+    assert np.allclose(q.buffer, expected, atol=1e-12)
+    assert np.allclose(np.linalg.norm(q.buffer, axis=1), 1.0, atol=1e-12)
 
 
 def test_queue_errors():

@@ -84,7 +84,7 @@ def frozen_step(monkeypatch, run_stage):
                    relabel=None, rebuild=None):
         labeling = None
         if relabel is not None:
-            labeling = relabel(0)
+            labeling = relabel()
             assert labeling.num_clusters > 1
             rebuild(labeling.num_clusters)
         for _ in range(3):

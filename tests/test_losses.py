@@ -12,12 +12,11 @@ import oracles
 from uda_reid.errors import MiningError, NormalizationError
 from uda_reid.losses import (MarginMode, cross_entropy_batch,
                              hardest_triplets, margin_classification_batch,
-                             mmt_plus_total, moco_batch, relation_consistency,
-                             soft_ce_batch, softmax_triplet_loss,
-                             triplet_T_values)
+                             mmt_plus_total, moco_batch, soft_ce_batch,
+                             softmax_triplet_loss)
+from uda_reid.numerics import sigmoid
 
 SIGMOID_1 = 0.7310585786300049
-ENTROPY_SIGMOID_1 = 0.5822031088882179
 
 finite_floats = st.floats(-20.0, 20.0, allow_nan=False)
 
@@ -86,11 +85,18 @@ def test_ce_batch_label_range():
 # softmax-triplet statistic
 # ---------------------------------------------------------------------------
 
+def triplet_T(feats, labels):
+    """T = sigmoid(d_n - d_p) per anchor under hardest mining, the statistic
+    whose -log the softmax-triplet loss averages."""
+    d_p, d_n, _, _ = hardest_triplets(feats, labels)
+    return sigmoid(d_n - d_p)
+
+
 def anchor_T(d_p, d_n):
     """T of anchor 0 in a 1-d batch whose hardest positive lies at distance
     d_p and hardest negative at distance d_n."""
     feats = np.array([[0.0], [d_p], [-d_n], [-d_n - 10.0]])
-    return triplet_T_values(feats, [0, 0, 1, 1])[0]
+    return triplet_T(feats, [0, 0, 1, 1])[0]
 
 
 def test_t_statistic_midpoint_and_complement():
@@ -159,8 +165,9 @@ def test_triplet_loss_matches_exhaustive_reference():
         out = softmax_triplet_loss(feats, labels)
         assert out.value == pytest.approx(
             oracles.triplet_value_ref(feats, labels), abs=1e-10)
-        t = triplet_T_values(feats, labels)
+        t = triplet_T(feats, labels)
         assert np.all((t > 0) & (t < 1))
+        assert out.value == pytest.approx(np.mean(-np.log(t)), abs=1e-12)
         assert out.grads["batch"].shape == feats.shape
         assert np.all(np.isfinite(out.grads["batch"]))
 
@@ -171,52 +178,6 @@ def test_triplet_grad_pushes_anchor_toward_positive():
     step = feats - 1e-4 * out.grads["batch"]
     stepped = softmax_triplet_loss(step, [0, 0, 1, 1])
     assert stepped.value < out.value
-
-
-# ---------------------------------------------------------------------------
-# relation consistency
-# ---------------------------------------------------------------------------
-
-def test_relation_consistency_uniform_pair():
-    out = relation_consistency([0.5], [0.5])
-    assert out.value == pytest.approx(math.log(2.0), abs=1e-12)
-    assert out.grads["t_translated"][0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_relation_consistency_entropy_example():
-    out = relation_consistency([SIGMOID_1], [SIGMOID_1])
-    assert out.value == pytest.approx(ENTROPY_SIGMOID_1, abs=1e-9)
-
-
-def test_relation_consistency_minimized_at_match():
-    q = 0.63
-    base = relation_consistency([q], [q]).value
-    assert relation_consistency([q + 0.05], [q]).value > base
-    assert relation_consistency([q - 0.05], [q]).value > base
-
-
-def test_relation_consistency_clamps_and_flattens():
-    out = relation_consistency([0.0, 0.5], [0.4, 0.4])
-    assert out.diagnostics["clamped"] == 1.0
-    assert out.grads["t_translated"][0] == 0.0
-    assert out.grads["t_translated"][1] != 0.0
-    assert np.isfinite(out.value)
-    clean = relation_consistency([0.5, 0.5], [0.4, 0.4])
-    assert "clamped" not in clean.diagnostics
-
-
-def test_relation_consistency_grad_formula():
-    p, q = 0.3, 0.7
-    out = relation_consistency([p], [q])
-    assert out.grads["t_translated"][0] == pytest.approx(
-        (p - q) / (p * (1 - p)), abs=1e-12)
-
-
-def test_relation_consistency_errors():
-    with pytest.raises(ValueError, match="mismatch"):
-        relation_consistency([0.5, 0.5], [0.5])
-    with pytest.raises(ValueError, match="empty"):
-        relation_consistency([], [])
 
 
 # ---------------------------------------------------------------------------

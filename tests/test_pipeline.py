@@ -1,5 +1,5 @@
-"""Stage orchestration: configs, run logs, the three training stages, the
-translation diagnostic, and the bundled benchmark."""
+"""Stage orchestration: configs, run logs, the three training stages, and
+the bundled benchmark."""
 import json
 import math
 
@@ -8,16 +8,14 @@ import pytest
 
 import make_stage_logs_fixture as stage_logs
 from uda_reid import pipeline
-from uda_reid.datamodel import (PSEUDO_OUTLIER, Dataset, SynthConfig,
-                                generate_synthetic)
-from uda_reid.encoder import EPS_VAR, EncoderParams, init_params
+from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
+from uda_reid.encoder import EncoderParams, init_params
 from uda_reid.errors import ConfigError, DivergenceError
 from uda_reid.losses import LossOut
 from uda_reid.datamodel import config_from_kv, load_config
 from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
                                StageConfig, TeacherState, default_benchmark,
-                               eval_encoder, relation_consistency_check,
-                               run_full_pipeline, stage_baseline,
+                               eval_encoder, run_full_pipeline, stage_baseline,
                                stage_mmt_plus, stage_pretrain)
 
 TINY_BENCH = dict(train_per_id=6, val_per_id=4, num_ids_source=8,
@@ -375,80 +373,6 @@ def test_teacher_state_export(bench, pretrained):
     assert state.export("teacher2") is state.teachers[1]
     with pytest.raises(ValueError, match="export"):
         state.export("student1")
-
-
-# ---------------------------------------------------------------------------
-# translation-quality diagnostic
-# ---------------------------------------------------------------------------
-
-def oracle_encoders(d, shift_matrix, shift_bias):
-    """Encoders that recover raw signal coordinates in each domain.
-
-    Eval-mode standardization with neutral stats scales rows by
-    1/sqrt(1 + EPS_VAR), which the weights undo.
-    """
-    signal = d // 2
-    scale = np.sqrt(1.0 + EPS_VAR)
-    proj = np.zeros((signal, d))
-    proj[:, :signal] = np.eye(signal)
-
-    enc_t = init_params(d, signal, 1, seed=0)
-    enc_t.weight = proj * scale
-    enc_t.bias = np.zeros(signal)
-
-    enc_s = init_params(d, signal, 1, seed=0)
-    inv = np.linalg.inv(shift_matrix)
-    enc_s.weight = proj @ inv * scale
-    enc_s.bias = -proj @ inv @ shift_bias
-    return enc_s, enc_t
-
-
-def shifted_pair(gamma, seed=0, d=16):
-    rng = np.random.default_rng(99)
-    a = np.eye(d) + 0.3 * rng.normal(size=(d, d))
-    b = rng.normal(size=d)
-    cfg = SynthConfig(num_ids_source=8, num_ids_target=8, samples_per_id=10,
-                      raw_dim=d, seed=seed, translation_fidelity=gamma,
-                      shift_matrix=a, shift_bias=b)
-    source, _, translated = generate_synthetic(cfg)
-    return source, translated, a, b
-
-
-def test_relation_check_requires_aligned_rows(bench, pretrained):
-    shuffled = bench.source.subset(np.arange(bench.source.n)[::-1])
-    with pytest.raises(ValueError, match="aligned"):
-        relation_consistency_check(bench.source, shuffled, pretrained, pretrained)
-
-
-def test_relation_check_matched_inputs_hit_entropy_floor():
-    source, _, a, b = shifted_pair(gamma=0.0)
-    enc_s, _ = oracle_encoders(source.d, a, b)
-    value = relation_consistency_check(source, source, enc_s, enc_s,
-                                       batches=6, p_classes=4, k_per=2)
-    # identical rows and encoders give p = q, so the score collapses to the
-    # mean binary entropy of the T statistics, capped by ln 2
-    assert 0.0 < value <= math.log(2.0) + 1e-9
-
-
-def test_relation_check_prefers_faithful_translation():
-    s0, tr0, a, b = shifted_pair(gamma=0.0)
-    s1, tr1, _, _ = shifted_pair(gamma=1.0)
-    enc_s, enc_t = oracle_encoders(s0.d, a, b)
-    v0 = relation_consistency_check(s0, tr0, enc_s, enc_t, batches=6,
-                                    p_classes=4, k_per=2)
-    v1 = relation_consistency_check(s1, tr1, enc_s, enc_t, batches=6,
-                                    p_classes=4, k_per=2)
-    # a full-fidelity translation reproduces the raw-space relations that the
-    # target-side encoder measures, so its inconsistency is strictly lower
-    assert v1 < v0
-
-
-def test_relation_check_is_deterministic():
-    s0, tr0, a, b = shifted_pair(gamma=0.5)
-    enc_s, enc_t = oracle_encoders(s0.d, a, b)
-    kwargs = dict(batches=4, p_classes=4, k_per=2, seed=3)
-    assert relation_consistency_check(s0, tr0, enc_s, enc_t, **kwargs) == \
-        relation_consistency_check(s0, tr0, enc_s, enc_t, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -477,8 +477,7 @@ def clustered_dataset(seed=0, ids=4, per_id=8, d=8, spread=0.05):
 def test_relabel_recovers_separated_identities():
     ds = clustered_dataset()
     params = identity_encoder(ds.d)
-    labeling = relabel_epoch(ds, params, k=10, eps=0.6, min_pts=4, epoch=3)
-    assert labeling.epoch == 3
+    labeling = relabel_epoch(ds, params, k=10, eps=0.6, min_pts=4)
     assert labeling.num_clusters == 4
     assert labeling.num_outliers == 0
     # assignment was written back into the dataset
