@@ -1,6 +1,12 @@
 """Trainable feature encoder: affine projection with per-domain input
 standardization, a linear classifier head, PK batch sampling, mean-teacher
 EMA updates, FIFO feature queues, and a decoupled-weight-decay Adam step.
+
+Every array of :class:`EncoderParams` may carry a leading network axis
+(:func:`stack_params`), and the forward, backward, classifier, EMA, queue and
+Adam functions then serve every network of the stack in one call.  Each
+network's slice of the result is bitwise what the unstacked call on that
+network gives.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DivergenceError, FormatError, MiningError
-from .numerics import l2_normalize_rows
+from .numerics import l2_normalize_rows, mT
 
 EPS_VAR = 1e-5
 STATS_MOMENTUM = 0.9  # retained fraction of the running stats per update
@@ -26,7 +32,8 @@ class EncoderParams:
     """Affine map f = W x_hat + b over standardized inputs, plus classifier.
 
     ``running_mean``/``running_var`` hold one row of input statistics per
-    domain tag; variances never drop below EPS_VAR.
+    domain tag; variances never drop below EPS_VAR.  A stack of networks has
+    one more leading axis on every array.
     """
     weight: np.ndarray        # (d_out, d_in)
     bias: np.ndarray          # (d_out,)
@@ -36,15 +43,15 @@ class EncoderParams:
 
     @property
     def d_in(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def d_out(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.classifier.shape[0]
+        return self.classifier.shape[-2]
 
     def trainable(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias, "classifier": self.classifier}
@@ -78,6 +85,19 @@ class EncoderParams:
 _PARAMS_NAMES = tuple(f.name for f in fields(EncoderParams))
 
 
+def stack_params(nets) -> EncoderParams:
+    """A copy of ``nets`` (equal shapes) as one stack on a leading axis."""
+    return EncoderParams(*(np.stack([getattr(net, name) for net in nets])
+                           for name in _PARAMS_NAMES))
+
+
+def unstack_params(stack: EncoderParams) -> tuple:
+    """Per-network views into a stack; in-place updates of the stack show
+    through, a replaced stack array does not."""
+    return tuple(EncoderParams(*(getattr(stack, name)[i] for name in _PARAMS_NAMES))
+                 for i in range(stack.weight.shape[0]))
+
+
 def init_params(d_in: int, d_out: int, num_classes: int, seed: int) -> EncoderParams:
     """Gaussian fan-in init; stats start at the standard normal."""
     rng = np.random.default_rng([seed, 97])
@@ -96,7 +116,10 @@ def init_params(d_in: int, d_out: int, num_classes: int, seed: int) -> EncoderPa
 def _standardize(params: EncoderParams, raws: np.ndarray, domains: np.ndarray,
                  training: bool) -> np.ndarray:
     """Per-domain (x - mean)/sqrt(var + EPS_VAR); training mode uses the
-    batch's own per-domain statistics and folds them into the running stats."""
+    batch's own per-domain statistics and folds them into the running stats.
+
+    Training mode gives one (n, d_in) x_hat that every network of a stack
+    shares; eval mode uses each network's own statistics, one x_hat each."""
     raws = np.asarray(raws, dtype=np.float64)
     domains = np.asarray(domains)
     if raws.ndim != 2 or raws.shape[1] != params.d_in:
@@ -107,37 +130,43 @@ def _standardize(params: EncoderParams, raws: np.ndarray, domains: np.ndarray,
     if bad.any():
         raise ValueError(f"unknown domain tag {int(domains[bad][0])}")
 
-    x_hat = np.empty_like(raws)
+    networks = () if training else params.running_mean.shape[:-2]
+    x_hat = np.empty(networks + raws.shape)
     for dom in range(NUM_DOMAINS):
         mask = domains == dom
         if not mask.any():
             continue
+        rows = raws[mask]
         if training:
-            mean = raws[mask].mean(axis=0)
-            var = raws[mask].var(axis=0)
-            params.running_mean[dom] = (STATS_MOMENTUM * params.running_mean[dom]
-                                        + (1.0 - STATS_MOMENTUM) * mean)
-            params.running_var[dom] = np.maximum(
-                STATS_MOMENTUM * params.running_var[dom]
+            mean = rows.mean(axis=0)
+            var = rows.var(axis=0)
+            params.running_mean[..., dom, :] = (STATS_MOMENTUM * params.running_mean[..., dom, :]
+                                                + (1.0 - STATS_MOMENTUM) * mean)
+            params.running_var[..., dom, :] = np.maximum(
+                STATS_MOMENTUM * params.running_var[..., dom, :]
                 + (1.0 - STATS_MOMENTUM) * var, EPS_VAR)
         else:
-            mean = params.running_mean[dom]
-            var = params.running_var[dom]
-        x_hat[mask] = (raws[mask] - mean) / np.sqrt(var + EPS_VAR)
+            mean = params.running_mean[..., dom, None, :]
+            var = params.running_var[..., dom, None, :]
+        x_hat[..., mask, :] = (rows - mean) / np.sqrt(var + EPS_VAR)
     return x_hat
 
 
 def forward(params: EncoderParams, raws, domains, training: bool = False) -> np.ndarray:
-    """Encoded features (n, d_out).  Eval mode is pure; training mode
-    standardizes by batch statistics and updates the running stats."""
-    x_hat = _standardize(params, raws, domains, training)
-    return x_hat @ params.weight.T + params.bias
+    """Encoded features (n, d_out), one such matrix per network of a stack.
+    Eval mode is pure; training mode standardizes by batch statistics and
+    updates the running stats."""
+    return _affine(params, _standardize(params, raws, domains, training))
 
 
 def forward_cached(params: EncoderParams, raws, domains, training: bool = True):
     """(features, x_hat) for use with :func:`backward`."""
     x_hat = _standardize(params, raws, domains, training)
-    return x_hat @ params.weight.T + params.bias, x_hat
+    return _affine(params, x_hat), x_hat
+
+
+def _affine(params: EncoderParams, x_hat: np.ndarray) -> np.ndarray:
+    return x_hat @ mT(params.weight) + params.bias[..., None, :]
 
 
 def backward(params: EncoderParams, x_hat: np.ndarray, d_feats: np.ndarray) -> dict[str, np.ndarray]:
@@ -146,37 +175,55 @@ def backward(params: EncoderParams, x_hat: np.ndarray, d_feats: np.ndarray) -> d
     Standardization statistics are treated as constants of the batch, so the
     chain stops at the affine layer's inputs.
     """
-    return {"weight": d_feats.T @ x_hat, "bias": d_feats.sum(axis=0)}
+    return {"weight": mT(d_feats) @ x_hat, "bias": d_feats.sum(axis=-2)}
 
 
 def classifier_logits(params: EncoderParams, feats: np.ndarray) -> np.ndarray:
-    return feats @ params.classifier.T
+    return feats @ mT(params.classifier)
 
 
 def classifier_backward(params: EncoderParams, feats: np.ndarray,
                         d_logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d classifier, d feats) for logits = feats @ classifier.T."""
-    return d_logits.T @ feats, d_logits @ params.classifier
+    return mT(d_logits) @ feats, d_logits @ params.classifier
 
 
 # ---------------------------------------------------------------------------
 # PK batch sampling
 # ---------------------------------------------------------------------------
 
-def pk_sample(labels, p_classes: int, k_per: int, rng: np.random.Generator) -> np.ndarray:
+@dataclass(frozen=True)
+class ClassIndex:
+    """The usable (non-negative) labels of one labelling, ascending, and the
+    ascending row indices of each."""
+    classes: np.ndarray
+    rows: tuple
+
+
+def class_index(labels) -> ClassIndex:
+    """Index ``labels`` for :func:`pk_sample`; build it once per labelling."""
+    labels = np.asarray(labels, dtype=np.int64)
+    usable = np.flatnonzero(labels >= 0)
+    order = usable[np.argsort(labels[usable], kind="stable")]
+    classes, starts = np.unique(labels[order], return_index=True)
+    return ClassIndex(classes, tuple(np.split(order, starts[1:])))
+
+
+def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
+              rng: np.random.Generator) -> np.ndarray:
     """Indices of p_classes distinct labels with k_per rows each.
 
     Negative labels (unlabeled / outlier rows) are excluded.  Classes with
     fewer than k_per rows are sampled with replacement.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    usable = np.unique(labels[labels >= 0])
+    usable = index.classes
     if usable.size < p_classes:
         raise MiningError(usable, f"need {p_classes} usable labels, have {usable.size}")
-    chosen = rng.choice(usable, size=p_classes, replace=False)
+    # drawing positions makes the same draws as drawing the labels themselves
+    chosen = rng.choice(usable.size, size=p_classes, replace=False)
     out = np.empty(p_classes * k_per, dtype=np.int64)
-    for i, lab in enumerate(chosen):
-        rows = np.flatnonzero(labels == lab)
+    for i, pos in enumerate(chosen):
+        rows = index.rows[pos]
         picked = rng.choice(rows, size=k_per, replace=rows.size < k_per)
         out[i * k_per:(i + 1) * k_per] = picked
     return out
@@ -204,7 +251,8 @@ def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> 
 
 @dataclass
 class FeatureQueue:
-    """FIFO store of L2-normalized feature rows, oldest first."""
+    """FIFO store of L2-normalized feature rows, oldest first.  A buffer of
+    shape (networks, 0, dim) makes one queue per network of a stack."""
     capacity: int
     dim: int
     buffer: np.ndarray = field(default=None)
@@ -219,11 +267,11 @@ class FeatureQueue:
 def queue_push(queue: FeatureQueue, feats) -> FeatureQueue:
     """Normalize rows, enqueue, evict oldest beyond capacity."""
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != queue.dim:
+    if feats.ndim != queue.buffer.ndim or feats.shape[-1] != queue.dim:
         raise ValueError(f"expected (n, {queue.dim}) rows, got {feats.shape}")
     normed = l2_normalize_rows(feats, "queue feature")
-    joined = np.concatenate([queue.buffer, normed], axis=0)
-    queue.buffer = joined[-queue.capacity:]
+    joined = np.concatenate([queue.buffer, normed], axis=-2)
+    queue.buffer = joined[..., -queue.capacity:, :]
     return queue
 
 

@@ -5,6 +5,11 @@ map names each differentiable input to a gradient of matching shape.
 Values and gradients are computed in float64.  Kernels take whole batches
 and reduce with the arithmetic mean over anchors/rows; constant
 (non-differentiated) inputs carry no gradient entry.
+
+The batch kernels also take a stack of batches on a leading network axis,
+(networks, n, ...) instead of (n, ...), with the per-row labels shared; their
+``value`` is then one float64 per network, and each network's slice of the
+result is bitwise the unstacked call on that slice.
 """
 from __future__ import annotations
 
@@ -14,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MiningError
-from .numerics import cdist, l2_normalize_rows, log_softmax, sigmoid, softmax, softplus
+from .numerics import (cdist, l2_normalize_rows, log_softmax, mT, sigmoid, softmax,
+                       softplus)
 
 ARC_ANGLE_MARGIN = 1e-4  # target angle clamped to <= pi - this
 
@@ -26,7 +32,7 @@ class MarginMode(enum.Enum):
 
 @dataclass
 class LossOut:
-    value: float
+    value: float | np.ndarray  # an array of one value per network of a stack
     grads: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -37,6 +43,15 @@ def _as_float64(x, name):
     return arr
 
 
+def _row_mean(terms) -> float | np.ndarray:
+    """Mean over the last axis: a float for one batch, an array for a stack.
+
+    Terms picked by fancy indexing from a stack are laid out network-minor;
+    the contiguous copy makes each network's sum run in the unstacked order."""
+    mean = np.mean(np.ascontiguousarray(terms), axis=-1)
+    return float(mean) if mean.ndim == 0 else mean
+
+
 # ---------------------------------------------------------------------------
 # Classification cross-entropy
 # ---------------------------------------------------------------------------
@@ -45,13 +60,14 @@ def cross_entropy_batch(logits, labels) -> LossOut:
     """Mean cross-entropy over rows; gradient w.r.t. the full logit matrix."""
     logits = _as_float64(logits, "logits")
     labels = np.asarray(labels, dtype=np.int64)
-    n, p = logits.shape
+    n, p = logits.shape[-2:]
     if np.any(labels < 0) or np.any(labels >= p):
         raise ValueError("label out of range")
-    logp = log_softmax(logits, axis=1)
-    value = float(-np.mean(logp[np.arange(n), labels]))
-    grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    logp = log_softmax(logits, axis=-1)
+    value = -_row_mean(logp[..., rows, labels])
+    grad = np.exp(logp, out=logp)
+    grad[..., rows, labels] -= 1.0
     return LossOut(value=value, grads={"logits": grad / n})
 
 
@@ -126,13 +142,15 @@ def soft_ce_batch(student_logits, teacher_logits) -> LossOut:
     t = _as_float64(teacher_logits, "teacher_logits")
     if s.shape != t.shape:
         raise ValueError(f"length mismatch: {s.shape} vs {t.shape}")
-    if s.shape[1] < 1:
+    if s.shape[-1] < 1:
         raise ValueError("at least one class required")
-    n = s.shape[0]
-    t_prob = softmax(t, axis=1)
-    s_logp = log_softmax(s, axis=1)
-    value = float(-np.mean(np.sum(t_prob * s_logp, axis=1)))
-    grad = (np.exp(s_logp) - t_prob) / n
+    n = s.shape[-2]
+    t_prob = softmax(t, axis=-1)
+    s_logp = log_softmax(s, axis=-1)
+    value = -_row_mean(np.sum(t_prob * s_logp, axis=-1))
+    grad = np.exp(s_logp, out=s_logp)
+    grad -= t_prob
+    grad /= n
     return LossOut(value=value, grads={"student_logits": grad})
 
 
@@ -152,31 +170,34 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
     keys_pos = _as_float64(keys_pos, "keys_pos")
     if queries.shape != keys_pos.shape:
         raise ValueError("queries and positive keys must align")
-    n, d = queries.shape
-    queue = np.zeros((0, d)) if queue is None or len(queue) == 0 else _as_float64(queue, "queue")
-    k = queue.shape[0]
+    n, d = queries.shape[-2:]
+    if queue is None or np.size(queue) == 0:
+        queue = np.zeros(queries.shape[:-2] + (0, d))
+    queue = _as_float64(queue, "queue")
+    k = queue.shape[-2]
 
-    q_norms = np.linalg.norm(queries, axis=1)
+    q_norms = np.linalg.norm(queries, axis=-1)
     q_hat = l2_normalize_rows(queries, "query")
     k_hat = l2_normalize_rows(keys_pos, "key_pos")
     neg_hat = l2_normalize_rows(queue, "queue") if k else queue
 
-    logits = np.empty((n, 1 + k))
-    logits[:, 0] = np.sum(q_hat * k_hat, axis=1) / tau
+    logits = np.empty(queries.shape[:-1] + (1 + k,))
+    logits[..., 0] = np.sum(q_hat * k_hat, axis=-1) / tau
     if k:
-        logits[:, 1:] = (q_hat @ neg_hat.T) / tau
-    logp = log_softmax(logits, axis=1)
-    value = float(-np.mean(logp[:, 0]))
+        np.matmul(q_hat, mT(neg_hat), out=logits[..., 1:])
+        logits[..., 1:] /= tau
+    logp = log_softmax(logits, axis=-1)
+    value = -_row_mean(logp[..., 0])
 
-    dlogits = np.exp(logp)
-    dlogits[:, 0] -= 1.0
+    dlogits = np.exp(logp, out=logp)
+    dlogits[..., 0] -= 1.0
     dlogits /= n
-    dq_hat = dlogits[:, :1] * k_hat / tau
+    dq_hat = dlogits[..., :1] * k_hat / tau
     if k:
-        dq_hat = dq_hat + (dlogits[:, 1:] @ neg_hat) / tau
+        dq_hat = dq_hat + (dlogits[..., 1:] @ neg_hat) / tau
     # back through row normalization: project out the radial component
-    radial = np.sum(dq_hat * q_hat, axis=1, keepdims=True)
-    dq = (dq_hat - radial * q_hat) / q_norms[:, None]
+    radial = np.sum(dq_hat * q_hat, axis=-1, keepdims=True)
+    dq = (dq_hat - radial * q_hat) / q_norms[..., None]
     return LossOut(value=value, grads={"queries": dq})
 
 
@@ -200,21 +221,21 @@ def margin_classification_batch(features, class_weights, labels,
     feats = _as_float64(features, "features")
     weights = _as_float64(class_weights, "class_weights")
     labels = np.asarray(labels, dtype=np.int64)
-    n, d = feats.shape
-    p = weights.shape[0]
-    if weights.shape[1] != d:
+    n, d = feats.shape[-2:]
+    p = weights.shape[-2]
+    if weights.shape[-1] != d:
         raise ValueError("feature/weight dimension mismatch")
     if np.any(labels < 0) or np.any(labels >= p):
         raise ValueError("label out of range")
 
-    f_norms = np.linalg.norm(feats, axis=1)
-    w_norms = np.linalg.norm(weights, axis=1)
+    f_norms = np.linalg.norm(feats, axis=-1)
+    w_norms = np.linalg.norm(weights, axis=-1)
     f_hat = l2_normalize_rows(feats, "feature")
     w_hat = l2_normalize_rows(weights, "class_weights")
-    cos = np.clip(f_hat @ w_hat.T, -1.0, 1.0)
+    cos = np.clip(f_hat @ mT(w_hat), -1.0, 1.0)
 
     rows = np.arange(n)
-    cos_y = cos[rows, labels]
+    cos_y = cos[..., rows, labels]
     if mode is MarginMode.COSFACE:
         psi = cos_y - margin
         dpsi = np.ones(n)
@@ -230,20 +251,20 @@ def margin_classification_batch(features, class_weights, labels,
         raise ValueError(f"unknown margin mode {mode!r}")
 
     logits = scale * cos
-    logits[rows, labels] = scale * psi
-    logp = log_softmax(logits, axis=1)
-    value = float(-np.mean(logp[rows, labels]))
+    logits[..., rows, labels] = scale * psi
+    logp = log_softmax(logits, axis=-1)
+    value = -_row_mean(logp[..., rows, labels])
 
-    dlogits = np.exp(logp)
-    dlogits[rows, labels] -= 1.0
+    dlogits = np.exp(logp, out=logp)
+    dlogits[..., rows, labels] -= 1.0
     dlogits /= n
     dcos = scale * dlogits
-    dcos[rows, labels] *= dpsi
+    dcos[..., rows, labels] *= dpsi
 
     df_hat = dcos @ w_hat
-    dw_hat = dcos.T @ f_hat
-    df = (df_hat - np.sum(df_hat * f_hat, axis=1, keepdims=True) * f_hat) / f_norms[:, None]
-    dw = (dw_hat - np.sum(dw_hat * w_hat, axis=1, keepdims=True) * w_hat) / w_norms[:, None]
+    dw_hat = mT(dcos) @ f_hat
+    df = (df_hat - np.sum(df_hat * f_hat, axis=-1, keepdims=True) * f_hat) / f_norms[..., None]
+    dw = (dw_hat - np.sum(dw_hat * w_hat, axis=-1, keepdims=True) * w_hat) / w_norms[..., None]
     return LossOut(value=value, grads={"features": df, "class_weights": dw})
 
 
@@ -251,12 +272,13 @@ def margin_classification_batch(features, class_weights, labels,
 # Weighted stage-III total
 # ---------------------------------------------------------------------------
 
-def mmt_plus_total(soft: float, hard: float, moco: float,
-                   lambda_soft: float = 0.5, lambda_moco: float = 0.1) -> float:
-    """lambda_soft*soft + (1-lambda_soft)*hard + lambda_moco*moco."""
+def mmt_plus_total(soft, hard, moco, lambda_soft: float = 0.5,
+                   lambda_moco: float = 0.1):
+    """lambda_soft*soft + (1-lambda_soft)*hard + lambda_moco*moco, per
+    network when the parts are per-network arrays."""
     parts = {"soft": soft, "hard": hard, "moco": moco}
     for name, val in parts.items():
-        if not np.isfinite(val):
+        if not np.all(np.isfinite(val)):
             raise ValueError(f"non-finite {name} part: {val}")
     if not 0.0 <= lambda_soft <= 1.0:
         raise ValueError(f"lambda_soft must be in [0, 1], got {lambda_soft}")

@@ -32,22 +32,31 @@ def softplus(x):
 def log_softmax(logits, axis=-1):
     z = np.asarray(logits, dtype=np.float64)
     z = z - np.max(z, axis=axis, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+    z -= np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+    return z
 
 
 def softmax(logits, axis=-1):
-    return np.exp(log_softmax(logits, axis=axis))
+    logp = log_softmax(logits, axis=axis)
+    return np.exp(logp, out=logp)
+
+
+def mT(a):
+    """Transpose of the last two axes: ``a.T`` of a matrix, per matrix of a
+    stack (numpy 2's ``ndarray.mT``)."""
+    return np.swapaxes(a, -1, -2)
 
 
 def l2_normalize_rows(x, name="input"):
-    """Return rows scaled to unit L2 norm; zero-norm rows are an error."""
+    """Return rows (last-axis vectors) scaled to unit L2 norm; zero-norm rows
+    are an error, reported by their index within their matrix."""
     x = np.asarray(x, dtype=np.float64)
     arr = x[None, :] if x.ndim == 1 else x
-    norms = np.linalg.norm(arr, axis=1)
-    if arr.shape[0] and (not np.all(np.isfinite(norms)) or np.min(norms) <= EPS_NORM):
-        bad = int(np.argmin(norms))
+    norms = np.linalg.norm(arr, axis=-1)
+    if norms.size and (not np.all(np.isfinite(norms)) or np.min(norms) <= EPS_NORM):
+        bad = int(np.unravel_index(np.argmin(norms), norms.shape)[-1])
         raise NormalizationError(f"{name} row {bad} has zero or non-finite norm")
-    out = arr / norms[:, None]
+    out = arr / norms[..., None]
     return out[0] if x.ndim == 1 else out
 
 

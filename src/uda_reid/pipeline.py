@@ -18,9 +18,10 @@ import numpy as np
 from . import losses
 from .datamodel import Dataset, SynthConfig, generate_synthetic
 from .encoder import (AdamState, EncoderParams, FeatureQueue, adam_step,
-                      backward, classifier_backward, classifier_logits,
-                      ema_update, encode_dataset, forward, forward_cached,
-                      init_params, pk_sample, queue_push)
+                      backward, class_index, classifier_backward,
+                      classifier_logits, ema_update, encode_dataset, forward,
+                      forward_cached, init_params, pk_sample, queue_push,
+                      stack_params, unstack_params)
 from .errors import ConfigError, DivergenceError
 from .numerics import cdist, l2_normalize_rows
 from .pseudolabel import relabel_epoch
@@ -181,14 +182,14 @@ def _hard_loss(params: EncoderParams, feats: np.ndarray, labels: np.ndarray,
 
 def _centroid_classifier(feats: np.ndarray, labels: np.ndarray,
                          num_classes: int) -> np.ndarray:
-    """Row-normalized per-class mean features, classes indexed 0..num-1."""
-    d = feats.shape[1]
-    cents = np.zeros((num_classes, d))
+    """Row-normalized per-class mean features, classes indexed 0..num-1;
+    one classifier per network for a stack of features."""
+    cents = np.zeros(feats.shape[:-2] + (num_classes, feats.shape[-1]))
     for c in range(num_classes):
         members = labels == c
         if not members.any():
             raise ValueError(f"class {c} has no members")
-        cents[c] = feats[members].mean(axis=0)
+        cents[..., c, :] = feats[..., members, :].mean(axis=-2)
     return l2_normalize_rows(cents, "class centroid")
 
 
@@ -196,7 +197,7 @@ def _cluster_centroids(params: EncoderParams, target: Dataset,
                        num_clusters: int) -> np.ndarray:
     """Centroid classifier over the target's current pseudo-label clusters."""
     keep = target.pseudo >= 0
-    return _centroid_classifier(encode_dataset(params, target)[keep],
+    return _centroid_classifier(encode_dataset(params, target)[..., keep, :],
                                 target.pseudo[keep], num_clusters)
 
 
@@ -224,29 +225,29 @@ def _maybe_eval(params, val_split, rec):
 # The epoch driver shared by every stage
 # ---------------------------------------------------------------------------
 
-def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
+def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
                 eval_params: EncoderParams, val_split: QueryGallerySplit | None,
                 relabel=None, rebuild=None) -> None:
     """Train ``cfg.epochs`` epochs of ``cfg.iters_per_epoch`` steps each.
 
-    ``step(labeling)`` draws one batch and returns ``(parts, update)``: one
-    dict of loss parts per network it trains, and a callable that applies
-    the updates.  A part dict without a ``"total"`` trains on the sum of its
-    parts; the guard checks every total for finiteness before ``update``
-    runs.  An overflow or invalid operation in ``relabel``, ``rebuild``,
-    ``step`` or ``update`` is a divergence at that epoch, like a non-finite total.
-    The record averages each part over all part dicts of the epoch; a
+    ``step(labeling)`` draws one batch and returns ``(parts, update)``: a
+    dict of loss parts, each a float or, for a stack of networks, an array
+    of one value per network, and a callable that applies the updates.
+    Without a ``"total"`` part each network trains on the sum of its parts;
+    the guard checks every total for finiteness before ``update`` runs.  An
+    overflow or invalid operation in ``relabel``, ``rebuild``, ``step`` or
+    ``update`` is a divergence at that epoch, like a non-finite total.  The
+    record averages each part over every network and step of the epoch; a
     missing total is recorded as the sum of the part sums over that count.
 
     Self-training stages pass ``relabel() -> PseudoLabeling``, run at
     each epoch start: an epoch without clusters is recorded as skipped and
     not trained, otherwise ``rebuild(num_clusters)`` re-seeds the
-    classifiers and every optimizer drops its classifier moments.
+    classifiers and the optimizer drops its classifier moments.
     """
     started = time.perf_counter()
     for epoch in range(cfg.epochs):
-        for adam in adams:
-            adam.lr = cfg.lr_at(epoch)
+        adam.lr = cfg.lr_at(epoch)
         rec = EpochRecord(epoch=epoch)
         sums, count, it = {}, 0, None  # it stays None through relabel and rebuild
         try:
@@ -258,19 +259,20 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
                     rec.skipped = labeling.num_clusters == 0
                     if not rec.skipped:
                         rebuild(labeling.num_clusters)
-                        for adam in adams:
-                            adam.reset("classifier")
+                        adam.reset("classifier")
                 for it in range(0 if rec.skipped else cfg.iters_per_epoch):
                     parts, update = step(labeling)
-                    for part in parts:
-                        total = part.get("total", sum(part.values()))
-                        if not np.isfinite(total):
-                            raise DivergenceError(epoch, it, f"non-finite loss {total}")
+                    totals = np.atleast_1d(parts.get("total", sum(parts.values())))
+                    bad = ~np.isfinite(totals)
+                    if bad.any():
+                        raise DivergenceError(epoch, it, f"non-finite loss {totals[bad][0]}")
                     update()
-                    for part in parts:
-                        for name, value in part.items():
-                            sums[name] = sums.get(name, 0.0) + value
-                    count += len(parts)
+                    # network 0's parts, then network 1's, step by step: a
+                    # fixed summation order keeps the epoch means bitwise stable
+                    for net in range(totals.size):
+                        for name, value in parts.items():
+                            sums[name] = sums.get(name, 0.0) + float(np.atleast_1d(value)[net])
+                    count += totals.size
         except FloatingPointError as exc:
             raise DivergenceError(epoch, it, f"floating-point {exc}") from exc
         if rec.skipped:
@@ -280,7 +282,7 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adams: tuple, step,
                 setattr(rec, name, value / count)
             if "total" not in sums:
                 rec.total = sum(sums.values()) / count
-            rec.lr = adams[0].lr
+            rec.lr = adam.lr
         _maybe_eval(eval_params, val_split, rec)
         log.add(rec)
     log.wall_time_s = time.perf_counter() - started
@@ -290,15 +292,23 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
                      raws: np.ndarray, domains: np.ndarray, labels: np.ndarray,
                      rng: np.random.Generator):
     """Step of a single network trained on hard labels: classification plus
-    hardest-mined triplet loss on a PK batch.
+    hardest-mined triplet loss on a PK batch.  Returns ``(step, reindex)``.
 
+    Batches are drawn from a class index of ``labels``, built here and again
+    by ``reindex()``, which self-training calls after each relabel.
     Pretraining (no labeling) samples ``cfg.p_classes`` identities.  Self-
     training samples at most one class per cluster and drops the triplet
     term when a single cluster is left.
     """
+    index = class_index(labels)
+
+    def reindex():
+        nonlocal index
+        index = class_index(labels)
+
     def step(labeling):
         p = cfg.p_classes if labeling is None else min(cfg.p_classes, labeling.num_clusters)
-        idx = pk_sample(labels, p, cfg.k_per, rng)
+        idx = pk_sample(index, p, cfg.k_per, rng)
         batch_labels = labels[idx].astype(np.int64)
         feats, x_hat = forward_cached(params, raws[idx], domains[idx], training=True)
         cls_val, d_feats, d_cls = _hard_loss(params, feats, batch_labels, cfg)
@@ -308,9 +318,9 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
             tri_val, d_tri = tri.value, tri.grads["batch"]
         grads = backward(params, x_hat, d_feats + d_tri)
         grads["classifier"] = d_cls
-        return ([{"cls": cls_val, "tri": tri_val}],
+        return ({"cls": cls_val, "tri": tri_val},
                 lambda: adam_step(params.trainable(), grads, adam))
-    return step
+    return step, reindex
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +338,9 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
     params = init_params(train.d, cfg.encoder_dim, p_s, cfg.seed)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="pretrain", seed=cfg.seed)
-    step = _hard_label_step(params, adam, cfg, train.features.astype(np.float64),
-                            train.domains, dense, np.random.default_rng([cfg.seed, 11]))
-    _run_epochs(cfg, log, (adam,), step, params, val_split)
+    step, _ = _hard_label_step(params, adam, cfg, train.features.astype(np.float64),
+                               train.domains, dense, np.random.default_rng([cfg.seed, 11]))
+    _run_epochs(cfg, log, adam, step, params, val_split)
     return params, log
 
 
@@ -347,14 +357,15 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
     params = pretrained.copy()
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="baseline", seed=cfg.seed)
-    step = _hard_label_step(params, adam, cfg, target.features.astype(np.float64),
-                            target.domains, target.pseudo,
-                            np.random.default_rng([cfg.seed, 13]))
+    step, reindex = _hard_label_step(params, adam, cfg, target.features.astype(np.float64),
+                                     target.domains, target.pseudo,
+                                     np.random.default_rng([cfg.seed, 13]))
 
     def rebuild(num_clusters):
+        reindex()
         params.classifier = _cluster_centroids(params, target, num_clusters)
 
-    _run_epochs(cfg, log, (adam,), step, params, val_split,
+    _run_epochs(cfg, log, adam, step, params, val_split,
                 relabel=lambda: relabel_epoch(target, params, cfg.k, cfg.eps, cfg.min_pts),
                 rebuild=rebuild)
     return params, log
@@ -392,95 +403,105 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
                    pretrained2: EncoderParams | None = None) -> tuple[TeacherState, RunLog]:
     """Two students, two mean teachers, two queues, joint label space.
 
-    Per epoch: pseudo-labels refreshed with student 1, classifiers rebuilt
-    from class centroids over the joint source+target label space.  Per
-    iteration: one PK batch per domain, soft cross-entropy against the peer
-    teacher, hard loss on joint labels, momentum-contrast loss against the
-    own-teacher queue; Adam on each student, EMA onto each teacher, teacher
-    features pushed to the queues.
+    The two students are one stack of networks (:func:`stack_params`), and
+    so are the two teachers and the two queues, so every call below serves
+    both networks at once.  Per epoch: pseudo-labels refreshed with student
+    1, the target class index rebuilt, classifiers rebuilt from class
+    centroids over the joint source+target label space.  Per iteration: one
+    PK batch per domain; one teacher forward and one student forward on the
+    students' shared training-mode ``x_hat``; soft cross-entropy against the
+    peer teacher, hard loss on joint labels, momentum-contrast loss against
+    the own-teacher queue; then one Adam step on the students, one EMA onto
+    the teachers and one push of the teacher features to the queues.
     """
     cfg.validate()
     if source.n == 0 or target.n == 0:
         raise ValueError("both datasets must be non-empty")
     if pretrained.d_in != source.d or source.d != target.d:
         raise ValueError("encoder/source/target dimensions incompatible")
+    if pretrained.d_out != cfg.encoder_dim:
+        raise ValueError(f"encoder_dim is {cfg.encoder_dim}, but the pretrained "
+                         f"encoder has {pretrained.d_out} outputs")
+    if pretrained2 is None:
+        pretrained2 = _decorrelated_copy(pretrained, cfg.seed)
+    for name, arr in pretrained.all_arrays().items():
+        other = getattr(pretrained2, name)
+        if other.shape != arr.shape:
+            raise ValueError(f"params2 {name} has shape {other.shape}, "
+                             f"the first encoder's has {arr.shape}")
 
-    s1 = pretrained.copy()
-    s2 = pretrained2.copy() if pretrained2 is not None else _decorrelated_copy(pretrained, cfg.seed)
-    students, teachers = (s1, s2), (s1.copy(), s2.copy())
-    queues = (FeatureQueue(cfg.queue_capacity, cfg.encoder_dim),
-              FeatureQueue(cfg.queue_capacity, cfg.encoder_dim))
-    adams = (AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay),
-             AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay))
+    students = stack_params((pretrained, pretrained2))
+    teachers = students.copy()
+    queues = FeatureQueue(cfg.queue_capacity, cfg.encoder_dim,
+                          np.zeros((2, 0, cfg.encoder_dim)))
+    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, 17])
     log = RunLog(stage="mmt_plus", seed=cfg.seed)
 
     dense_src, p_s = _dense_labels(source.identities)
+    index_s, index_t = class_index(dense_src), None
     raws_s = source.features.astype(np.float64)
     raws_t = target.features.astype(np.float64)
 
     def rebuild(num_clusters):
-        for student, teacher in zip(students, teachers):
-            cents = _cluster_centroids(student, target, num_clusters)
-            if cfg.joint_source:
-                cents = np.concatenate([_centroid_classifier(
-                    encode_dataset(student, source), dense_src, p_s), cents], axis=0)
-            student.classifier = cents
-            teacher.classifier = cents.copy()
+        nonlocal index_t
+        index_t = class_index(target.pseudo)
+        cents = _cluster_centroids(students, target, num_clusters)
+        if cfg.joint_source:
+            cents = np.concatenate([_centroid_classifier(
+                encode_dataset(students, source), dense_src, p_s), cents], axis=-2)
+        students.classifier = cents
+        teachers.classifier = cents.copy()
 
     def step(labeling):
         p_eff = min(cfg.p_classes, labeling.num_clusters)
         if cfg.joint_source:
-            idx_s = pk_sample(dense_src, cfg.p_classes, cfg.k_per, rng)
-            idx_t = pk_sample(target.pseudo, p_eff, cfg.k_per, rng)
+            idx_s = pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
+            idx_t = pk_sample(index_t, p_eff, cfg.k_per, rng)
             rows = np.concatenate([raws_s[idx_s], raws_t[idx_t]], axis=0)
             doms = np.concatenate([source.domains[idx_s], target.domains[idx_t]])
             labels = np.concatenate([dense_src[idx_s],
                                      p_s + target.pseudo[idx_t].astype(np.int64)])
         else:
-            idx_t = pk_sample(target.pseudo, p_eff, cfg.k_per, rng)
+            idx_t = pk_sample(index_t, p_eff, cfg.k_per, rng)
             rows = raws_t[idx_t]
             doms = target.domains[idx_t]
             labels = target.pseudo[idx_t].astype(np.int64)
 
-        # teachers only move by EMA after both students step, so one forward
-        # each serves as student 1's own/peer teacher and student 2's peer/own
-        teacher_feats = [forward(t, rows, doms, training=False) for t in teachers]
-        parts, grads = [], []
-        for i, student in enumerate(students):
-            own_feats, peer_feats = teacher_feats[i], teacher_feats[1 - i]
-            feats, x_hat = forward_cached(student, rows, doms, training=True)
-            soft = losses.soft_ce_batch(classifier_logits(student, feats),
-                                        classifier_logits(teachers[1 - i], peer_feats))
-            hard_val, d_feats_hard, d_cls_hard = _hard_loss(student, feats, labels, cfg)
-            moco = losses.moco_batch(feats, own_feats, queues[i].buffer, cfg.tau)
-            total = losses.mmt_plus_total(soft.value, hard_val, moco.value,
-                                          cfg.lambda_soft, cfg.lambda_moco)
-            d_cls_soft, d_feats_soft = classifier_backward(
-                student, feats, cfg.lambda_soft * soft.grads["student_logits"])
-            g = backward(student, x_hat, d_feats_soft
+        # teachers only move by EMA after the students step, so one forward
+        # serves as each student's own teacher and, reversed, as its peer
+        own_feats = forward(teachers, rows, doms, training=False)
+        peer_logits = classifier_logits(teachers, own_feats)[::-1]
+        feats, x_hat = forward_cached(students, rows, doms, training=True)
+        soft = losses.soft_ce_batch(classifier_logits(students, feats), peer_logits)
+        hard, d_feats_hard, d_cls_hard = _hard_loss(students, feats, labels, cfg)
+        moco = losses.moco_batch(feats, own_feats, queues.buffer, cfg.tau)
+        total = losses.mmt_plus_total(soft.value, hard, moco.value,
+                                      cfg.lambda_soft, cfg.lambda_moco)
+        d_cls_soft, d_feats_soft = classifier_backward(
+            students, feats, cfg.lambda_soft * soft.grads["student_logits"])
+        grads = backward(students, x_hat, d_feats_soft
                          + (1.0 - cfg.lambda_soft) * d_feats_hard
                          + cfg.lambda_moco * moco.grads["queries"])
-            g["classifier"] = d_cls_soft + (1.0 - cfg.lambda_soft) * d_cls_hard
-            grads.append(g)
-            parts.append({"soft": soft.value, "hard": hard_val, "moco": moco.value,
-                          "total": total})
+        grads["classifier"] = d_cls_soft + (1.0 - cfg.lambda_soft) * d_cls_hard
 
-        # neither student sees the other's new weights within an iteration
         def update():
-            for student, teacher, queue, adam, g, own_feats in zip(
-                    students, teachers, queues, adams, grads, teacher_feats):
-                adam_step(student.trainable(), g, adam)
-                ema_update(teacher, student, cfg.alpha)
-                queue_push(queue, own_feats)
-        return parts, update
+            adam_step(students.trainable(), grads, adam)
+            ema_update(teachers, students, cfg.alpha)
+            queue_push(queues, own_feats)
+        return {"soft": soft.value, "hard": hard, "moco": moco.value,
+                "total": total}, update
 
     # relabel with the current student encoder: at desk-scale step counts
-    # the EMA teacher lags too far behind to provide fresh labels
-    _run_epochs(cfg, log, adams, step, teachers[0], val_split,
-                relabel=lambda: relabel_epoch(target, s1, cfg.k, cfg.eps, cfg.min_pts),
+    # the EMA teacher lags too far behind to provide fresh labels.  The
+    # views see every in-place update; neither relabel nor evaluation reads
+    # the classifier, which rebuild replaces.
+    student1, teacher1 = unstack_params(students)[0], unstack_params(teachers)[0]
+    _run_epochs(cfg, log, adam, step, teacher1, val_split,
+                relabel=lambda: relabel_epoch(target, student1, cfg.k, cfg.eps, cfg.min_pts),
                 rebuild=rebuild)
-    return TeacherState(students=students, teachers=teachers), log
+    return TeacherState(students=unstack_params(students),
+                        teachers=unstack_params(teachers)), log
 
 
 # ---------------------------------------------------------------------------

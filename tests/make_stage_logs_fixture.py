@@ -11,10 +11,16 @@ The cases cover every stage with and without a validation split, plain
 cross-entropy and the margin heads, joint-source batches on and off, the
 step learning-rate schedule, and epochs skipped for lack of clusters.
 
-Usage: PYTHONPATH=src python tests/make_stage_logs_fixture.py
+``--check`` regenerates every case in memory and compares the result byte
+for byte with the committed fixture instead of writing it.  It exits 1 and
+names the first case that differs on a mismatch, so a change meant to keep
+training output bitwise identical can show that it did.
+
+Usage: PYTHONPATH=src python tests/make_stage_logs_fixture.py [--check]
 """
 import json
 import pathlib
+import sys
 
 import numpy as np
 
@@ -67,12 +73,40 @@ def run_case(name: str) -> list[dict]:
             for line in log.to_jsonl().splitlines()]
 
 
-def main():
+def render_case(name: str) -> str:
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in run_case(name))
+
+
+def check() -> int:
+    """0 if every case regenerates to the committed bytes, else 1."""
+    committed = OUT.read_text()
+    cases = {name: render_case(name) for name in CASES}
+    if "".join(cases.values()) == committed:
+        print(f"{OUT} matches ({len(CASES)} cases)")
+        return 0
+    for name, text in cases.items():
+        want = "".join(line for line in committed.splitlines(keepends=True)
+                       if json.loads(line)["case"] == name)
+        if text != want:
+            print(f"case {name!r} differs from {OUT}:\n"
+                  f"  committed:   {want!r}\n  regenerated: {text!r}")
+            return 1
+    print(f"{OUT} differs in case order or holds extra records")
+    return 1
+
+
+def main(argv) -> int:
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print("usage: make_stage_logs_fixture.py [--check]", file=sys.stderr)
+        return 2
     OUT.parent.mkdir(exist_ok=True)
-    records = [rec for name in CASES for rec in run_case(name)]
-    OUT.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
-    print(f"wrote {OUT} ({len(records)} records, {len(CASES)} cases)")
+    text = "".join(render_case(name) for name in CASES)
+    OUT.write_text(text)
+    print(f"wrote {OUT} ({text.count(chr(10))} records, {len(CASES)} cases)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

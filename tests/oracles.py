@@ -13,6 +13,23 @@ OUTLIER = -2  # sentinel shared with the on-disk format
 
 
 # ---------------------------------------------------------------------------
+# PK sampling
+# ---------------------------------------------------------------------------
+
+def pk_sample_ref(labels, p_classes, k_per, rng):
+    """PK batch drawn by scanning the labels on every call: p distinct
+    non-negative labels, then k rows of each (with replacement below k)."""
+    labels = np.asarray(labels)
+    usable = np.unique(labels[labels >= 0])
+    chosen = rng.choice(usable, size=p_classes, replace=False)
+    out = []
+    for lab in chosen:
+        rows = np.flatnonzero(labels == lab)
+        out.extend(rng.choice(rows, size=k_per, replace=rows.size < k_per))
+    return np.array(out, dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
 # softmax family
 # ---------------------------------------------------------------------------
 

@@ -284,6 +284,52 @@ def test_outputs_do_not_depend_on_thread_count(tmp_path):
     assert results[1] == results[2]
 
 
+def test_training_does_not_depend_on_thread_count(tmp_path):
+    # batches of up to 128 rows into a 32-wide encoder: stacked matrix
+    # products large enough for a BLAS library to split across threads
+    ok(["synth", "--out", tmp_path / "data", "--num-ids-source", "16",
+        "--num-ids-target", "16", "--samples-per-id", "10", "--raw-dim", "64"])
+    data = tmp_path / "data"
+    train = ["--epochs", "2", "--iters-per-epoch", "3", "--k", "10",
+             "--queue-capacity", "128"]
+    results = {}
+    for threads in (1, 2):
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        commands = [
+            ["pretrain", "--data", data / "translated.bin", "--out", run_dir / "pre.params"],
+            ["baseline", "--params", run_dir / "pre.params", "--data", data / "target.bin",
+             "--out", run_dir / "base.params"],
+            ["mmtplus", "--params", run_dir / "pre.params", "--source", data / "source.bin",
+             "--target", data / "target.bin", "--out", run_dir / "mmt.params"],
+        ]
+        outputs = []
+        for argv in commands:
+            log = run_dir / f"{argv[0]}.jsonl"
+            code, stdout = cli_subprocess(["--threads", threads, *argv, "--log", log,
+                                           "--val", data / "target.bin", *train])
+            assert code == 0, argv[0]
+            outputs += [stdout.replace(str(run_dir), "RUN"), log.read_bytes(),
+                        argv[argv.index("--out") + 1].read_bytes()]
+        results[threads] = outputs
+    assert results[1] == results[2]
+
+
+def test_mmtplus_width_mismatches_exit_2(arts, tmp_path):
+    mmt = ["mmtplus", "--params", arts["pre"], "--source", arts["source"],
+           "--target", arts["target"], "--out", tmp_path / "t.params"]
+    # the 8-wide pretrained encoder under the default --encoder-dim 32
+    at = TINY_TRAIN.index("--encoder-dim")
+    default_width = TINY_TRAIN[:at] + TINY_TRAIN[at + 2:]
+    code, out, err = go(mmt + default_width)
+    assert code == 2 and out == "" and "encoder_dim" in err, err
+    narrow = tmp_path / "narrow.params"
+    save_params(narrow, init_params(16, 4, 8, seed=1))
+    code, out, err = go(mmt + ["--params2", narrow] + TINY_TRAIN)
+    assert code == 2 and out == "" and "params2" in err, err
+    assert not (tmp_path / "t.params").exists()
+
+
 def test_ensemble_concatenates_encodings(arts, tmp_path):
     out = tmp_path / "ens.bin"
     payload = ok(["ensemble", "--data", arts["target"], "--params", arts["pre"],

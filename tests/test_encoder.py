@@ -7,13 +7,15 @@ import pytest
 
 from uda_reid.datamodel import Dataset
 from uda_reid.encoder import (EPS_VAR, AdamState, EncoderParams, FeatureQueue,
-                              adam_step, backward, classifier_backward,
+                              adam_step, backward, class_index, classifier_backward,
                               classifier_logits, ema_update, encode_dataset,
                               forward, forward_cached, init_params,
                               load_params, pk_sample, queue_push, save_params)
 from uda_reid.errors import (DivergenceError, FormatError, MiningError,
                              NormalizationError)
 from uda_reid.gradcheck import central_difference, relative_error
+
+from oracles import pk_sample_ref
 
 
 def small_params(seed=0, d_in=4, d_out=3, num_classes=5):
@@ -194,7 +196,7 @@ def test_classifier_backward_matches_central_difference():
 def test_pk_sample_histogram():
     labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, -1, -2])
     rng = np.random.default_rng(0)
-    idx = pk_sample(labels, p_classes=2, k_per=3, rng=rng)
+    idx = pk_sample(class_index(labels), p_classes=2, k_per=3, rng=rng)
     assert idx.shape == (6,)
     picked = labels[idx]
     assert np.all(picked >= 0)
@@ -207,7 +209,7 @@ def test_pk_sample_histogram():
 def test_pk_sample_replacement_for_thin_classes():
     labels = np.array([0, 0, 0, 1])
     rng = np.random.default_rng(1)
-    idx = pk_sample(labels, p_classes=2, k_per=2, rng=rng)
+    idx = pk_sample(class_index(labels), p_classes=2, k_per=2, rng=rng)
     picked = labels[idx]
     assert sorted(np.unique(picked)) == [0, 1]
     # label 1 has a single row, so both its slots repeat row 3
@@ -216,8 +218,30 @@ def test_pk_sample_replacement_for_thin_classes():
 
 def test_pk_sample_requires_enough_classes():
     with pytest.raises(MiningError, match="usable"):
-        pk_sample(np.array([0, 0, -1]), p_classes=2, k_per=1,
+        pk_sample(class_index(np.array([0, 0, -1])), p_classes=2, k_per=1,
                   rng=np.random.default_rng(0))
+
+
+def test_class_index_lists_each_usable_label_with_its_rows():
+    labels = np.array([3, -1, 0, 3, -2, 7, 0, 3])
+    index = class_index(labels)
+    assert index.classes.tolist() == [0, 3, 7]
+    assert [rows.tolist() for rows in index.rows] == [[2, 6], [0, 3, 7], [5]]
+    assert class_index(np.array([-1, -2])).classes.size == 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pk_sample_makes_the_draws_of_a_per_call_label_scan(seed):
+    # one index serves many batches and draws exactly what scanning the
+    # labels on every call draws, thin classes and outliers included
+    rng = np.random.default_rng([seed, 5])
+    labels = rng.integers(-2, 12, size=int(rng.integers(30, 90)))
+    index = class_index(labels)
+    p = min(4, index.classes.size)
+    k = int(rng.integers(1, 7))
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert np.array_equal(pk_sample(index, p, k, ours), pk_sample_ref(labels, p, k, ref))
 
 
 # ---------------------------------------------------------------------------

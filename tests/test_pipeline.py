@@ -288,6 +288,65 @@ def test_mmt_input_errors(bench, pretrained):
         stage_mmt_plus(narrow, bench.source, fresh_target(bench), tiny_cfg())
 
 
+def test_mmt_width_mismatches_fail_before_any_relabel(bench, pretrained, monkeypatch):
+    def no_relabel(*args, **kwargs):
+        raise AssertionError("relabelled before the inputs were checked")
+
+    monkeypatch.setattr(pipeline, "relabel_epoch", no_relabel)
+    with pytest.raises(ValueError, match="encoder_dim"):
+        stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                       tiny_cfg(encoder_dim=32))
+    wider = init_params(pretrained.d_in, 2 * pretrained.d_out, pretrained.num_classes, seed=1)
+    fewer_classes = init_params(pretrained.d_in, pretrained.d_out, 3, seed=1)
+    for other in (wider, fewer_classes):
+        with pytest.raises(ValueError, match="params2"):
+            stage_mmt_plus(pretrained, bench.source, fresh_target(bench), tiny_cfg(),
+                           pretrained2=other)
+
+
+def test_mmt_skips_epochs_without_clusters(bench, pretrained, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    for name in ("pk_sample", "adam_step", "ema_update", "queue_push"):
+        monkeypatch.setattr(pipeline, name, never)
+    cfg = tiny_cfg(eps=1e-6)  # nothing within reach: every epoch skips
+    state, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench), cfg,
+                                val_split=bench.val_split)
+    assert log.skipped_epochs == cfg.epochs
+    assert all(r.skipped and r.num_clusters == 0 for r in log.records)
+    second = pipeline._decorrelated_copy(pretrained, cfg.seed)
+    for nets in (state.students, state.teachers):
+        assert all_equal(nets[0], pretrained) and all_equal(nets[1], second)
+
+
+@pytest.mark.parametrize("stage", ["baseline", "mmt_plus"])
+def test_pk_batches_follow_the_current_labelling(bench, pretrained, monkeypatch, stage):
+    # every batch is drawn from an index of the labels the last relabel wrote
+    target = fresh_target(bench)
+    labellings = set()
+    real_pk_sample = pipeline.pk_sample
+
+    def checked(index, p, k, rng):
+        idx = real_pk_sample(index, p, k, rng)
+        labels = target.pseudo.copy()
+        classes = np.unique(labels[labels >= 0])
+        assert np.array_equal(index.classes, classes)
+        assert [rows.tolist() for rows in index.rows] == \
+            [np.flatnonzero(labels == c).tolist() for c in classes]
+        assert np.all(labels[idx] >= 0)
+        labellings.add(labels.tobytes())
+        return idx
+
+    monkeypatch.setattr(pipeline, "pk_sample", checked)
+    cfg = tiny_cfg(epochs=3, joint_source=False)
+    if stage == "baseline":
+        stage_baseline(pretrained, target, cfg)
+    else:
+        stage_mmt_plus(pretrained, bench.source, target, cfg)
+    assert len(labellings) > 1  # a relabel changed the labels mid-run
+
+
 def test_mmt_joint_label_space_sizes_classifier(bench, pretrained):
     state, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
                                 tiny_cfg())
@@ -329,18 +388,25 @@ def test_mmt_symmetric_students_stay_identical(bench, pretrained):
 
 def test_mmt_forwards_each_teacher_once_per_iteration(bench, pretrained,
                                                      monkeypatch):
+    # one stacked call per iteration serves both teachers: its parameters
+    # are the stack the returned per-teacher views look into
     calls = []
     real_forward = pipeline.forward
 
     def counting(params, *args, **kwargs):
-        calls.append(params)
-        return real_forward(params, *args, **kwargs)
+        out = real_forward(params, *args, **kwargs)
+        calls.append((params, out.shape))
+        return out
 
     monkeypatch.setattr(pipeline, "forward", counting)
-    state, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
-                              tiny_cfg(epochs=1, iters_per_epoch=1))
-    assert len(calls) == 2
-    assert {id(p) for p in calls} == {id(t) for t in state.teachers}
+    cfg = tiny_cfg(epochs=1, iters_per_epoch=3)
+    state, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench), cfg)
+    assert len(calls) == 3
+    rows = 2 * cfg.p_classes * cfg.k_per  # joint source + target batch
+    for params, shape in calls:
+        assert shape == (2, rows, cfg.encoder_dim)
+        for i, teacher in enumerate(state.teachers):
+            assert np.shares_memory(params.weight[i], teacher.weight)
 
 
 def test_mmt_records_stage_losses(bench, pretrained):
