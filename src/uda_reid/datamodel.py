@@ -233,6 +233,8 @@ class SynthConfig:
             raise ConfigError("cluster_spread", f"must be >= 0, got {self.cluster_spread}")
         if self.shift_strength < 0:
             raise ConfigError("shift_strength", f"must be >= 0, got {self.shift_strength}")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         return self
 
 

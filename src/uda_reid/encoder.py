@@ -2,6 +2,12 @@
 standardization, a linear classifier head, PK batch sampling, mean-teacher
 EMA updates, FIFO feature queues, and a decoupled-weight-decay Adam step.
 
+:func:`forward` is the eval-mode pass: it standardizes by each network's
+running statistics and changes nothing.  :func:`forward_cached` is the
+training-mode pass: it standardizes by the batch's own statistics, folds them
+into the running statistics, and also returns the ``x_hat`` that
+:func:`backward` takes.
+
 Every array of :class:`EncoderParams` may carry a leading network axis
 (:func:`stack_params`), and the forward, backward, classifier, EMA, queue and
 Adam functions then serve every network of the stack in one call.  Each
@@ -22,6 +28,10 @@ from .numerics import l2_normalize_rows, mT
 EPS_VAR = 1e-5
 STATS_MOMENTUM = 0.9  # retained fraction of the running stats per update
 NUM_DOMAINS = 2
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 PARAMS_MAGIC = b"URDP"
 PARAMS_VERSION = 1
@@ -48,10 +58,6 @@ class EncoderParams:
     @property
     def d_out(self) -> int:
         return self.weight.shape[-2]
-
-    @property
-    def num_classes(self) -> int:
-        return self.classifier.shape[-2]
 
     def trainable(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias, "classifier": self.classifier}
@@ -152,16 +158,16 @@ def _standardize(params: EncoderParams, raws: np.ndarray, domains: np.ndarray,
     return x_hat
 
 
-def forward(params: EncoderParams, raws, domains, training: bool = False) -> np.ndarray:
-    """Encoded features (n, d_out), one such matrix per network of a stack.
-    Eval mode is pure; training mode standardizes by batch statistics and
-    updates the running stats."""
-    return _affine(params, _standardize(params, raws, domains, training))
+def forward(params: EncoderParams, raws, domains) -> np.ndarray:
+    """Eval-mode features (n, d_out), one such matrix per network of a stack;
+    pure."""
+    return _affine(params, _standardize(params, raws, domains, training=False))
 
 
-def forward_cached(params: EncoderParams, raws, domains, training: bool = True):
-    """(features, x_hat) for use with :func:`backward`."""
-    x_hat = _standardize(params, raws, domains, training)
+def forward_cached(params: EncoderParams, raws, domains):
+    """Training-mode ``(features, x_hat)`` for use with :func:`backward`;
+    standardizes by batch statistics and updates the running stats."""
+    x_hat = _standardize(params, raws, domains, training=True)
     return _affine(params, x_hat), x_hat
 
 
@@ -251,24 +257,23 @@ def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> 
 
 @dataclass
 class FeatureQueue:
-    """FIFO store of L2-normalized feature rows, oldest first.  A buffer of
-    shape (networks, 0, dim) makes one queue per network of a stack."""
+    """FIFO store of L2-normalized feature rows, oldest first.  Start it with
+    an empty buffer of shape (0, dim), or (networks, 0, dim) for one queue per
+    network of a stack."""
     capacity: int
-    dim: int
-    buffer: np.ndarray = field(default=None)
+    buffer: np.ndarray
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("queue capacity must be >= 1")
-        if self.buffer is None:
-            self.buffer = np.zeros((0, self.dim))
 
 
 def queue_push(queue: FeatureQueue, feats) -> FeatureQueue:
     """Normalize rows, enqueue, evict oldest beyond capacity."""
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != queue.buffer.ndim or feats.shape[-1] != queue.dim:
-        raise ValueError(f"expected (n, {queue.dim}) rows, got {feats.shape}")
+    dim = queue.buffer.shape[-1]
+    if feats.ndim != queue.buffer.ndim or feats.shape[-1] != dim:
+        raise ValueError(f"expected (n, {dim}) rows, got {feats.shape}")
     normed = l2_normalize_rows(feats, "queue feature")
     joined = np.concatenate([queue.buffer, normed], axis=-2)
     queue.buffer = joined[..., -queue.capacity:, :]
@@ -283,9 +288,6 @@ def queue_push(queue: FeatureQueue, feats) -> FeatureQueue:
 class AdamState:
     lr: float = 0.00035
     weight_decay: float = 0.0005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # per-parameter slots: name -> [m, v, t]; re-initialized parameters can
     # drop their slot to restart the bias correction cleanly
     slots: dict = field(default_factory=dict)
@@ -317,13 +319,13 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         t += 1
         if state.weight_decay:
             p -= state.lr * state.weight_decay * p
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(grad)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(grad)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         state.slots[name][2] = t
     return params, state
 
@@ -334,8 +336,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 def encode_dataset(params: EncoderParams, dataset) -> np.ndarray:
     """Eval-mode features for every row of a Dataset, float64."""
-    return forward(params, dataset.features.astype(np.float64), dataset.domains,
-                   training=False)
+    return forward(params, dataset.features.astype(np.float64), dataset.domains)
 
 
 _PARAMS_HEADER = struct.Struct("<4sHI")

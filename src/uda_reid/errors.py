@@ -6,7 +6,6 @@ class ConfigError(ValueError):
 
     def __init__(self, field, message):
         super().__init__(f"config field '{field}': {message}")
-        self.field = field
 
 
 class FormatError(ValueError):

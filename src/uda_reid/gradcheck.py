@@ -1,10 +1,13 @@
 """Central-difference verification of the analytic gradients the trainer uses.
 
 Each check draws a small random batch and differentiates the function that
-``pipeline`` calls on that batch: the batch loss kernels and the two encoder
-backward pieces.  ``run_gradcheck`` draws ``trials`` independent batches per
-check and reports the worst relative error between the analytic gradient and
-a float64 central difference.
+``pipeline`` calls on that batch: the batch loss kernels (the margin kernel
+once per margin head of ``losses.LossMode``) in every input their ``grads``
+name, and the two encoder backward pieces, the affine one through the
+training-mode ``forward_cached``.  ``run_gradcheck`` draws ``trials``
+independent batches per check from a non-negative seed and reports the
+worst relative error between the analytic gradient and a float64 central
+difference.
 """
 from __future__ import annotations
 
@@ -50,35 +53,30 @@ def worst_error(value_fn, inputs: dict, grads: dict) -> float:
     return worst
 
 
-def _loss_error(kernel, inputs: dict, wrt: dict) -> float:
-    """``worst_error`` of a loss kernel; ``wrt`` maps each differentiated
-    input to its key in the kernel's ``grads``."""
-    grads = kernel(**inputs).grads
-    return worst_error(lambda **kw: kernel(**kw).value, inputs,
-                       {name: grads[key] for name, key in wrt.items()})
+def _loss_error(kernel, inputs: dict) -> float:
+    """``worst_error`` of a loss kernel in every input it differentiates."""
+    return worst_error(lambda **kw: kernel(**kw).value, inputs, kernel(**inputs).grads)
 
 
 def _check_cross_entropy(rng):
     n, p = int(rng.integers(1, 6)), int(rng.integers(2, 9))
     return _loss_error(losses.cross_entropy_batch,
                        {"logits": rng.normal(0.0, 2.0, size=(n, p)),
-                        "labels": rng.integers(0, p, size=n)},
-                       {"logits": "logits"})
+                        "labels": rng.integers(0, p, size=n)})
 
 
 def _check_triplet_loss(rng):
     labels = rng.permutation(np.repeat(np.arange(rng.integers(2, 4)), rng.integers(2, 4)))
     feats = rng.normal(0.0, 1.0, size=(labels.size, int(rng.integers(3, 7))))
     return _loss_error(losses.softmax_triplet_loss,
-                       {"feats": feats, "labels": labels}, {"feats": "batch"})
+                       {"feats": feats, "labels": labels})
 
 
 def _check_soft_ce(rng):
     shape = (int(rng.integers(1, 6)), int(rng.integers(2, 9)))
     return _loss_error(losses.soft_ce_batch,
                        {"student_logits": rng.normal(0.0, 2.0, size=shape),
-                        "teacher_logits": rng.normal(0.0, 2.0, size=shape)},
-                       {"student_logits": "student_logits"})
+                        "teacher_logits": rng.normal(0.0, 2.0, size=shape)})
 
 
 def _check_moco(rng):
@@ -87,8 +85,7 @@ def _check_moco(rng):
                        {"queries": rng.normal(0.0, 1.0, size=(n, d)),
                         "keys_pos": rng.normal(0.0, 1.0, size=(n, d)),
                         "queue": rng.normal(0.0, 1.0, size=(int(rng.integers(0, 7)), d)),
-                        "tau": float(rng.uniform(0.4, 1.2))},
-                       {"queries": "queries"})
+                        "tau": float(rng.uniform(0.4, 1.2))})
 
 
 def _check_margin(rng, mode):
@@ -98,8 +95,7 @@ def _check_margin(rng, mode):
                         "class_weights": rng.normal(0.0, 1.0, size=(p, d)),
                         "labels": rng.integers(0, p, size=n), "mode": mode,
                         "margin": float(rng.uniform(0.1, 0.4)),
-                        "scale": float(rng.uniform(4.0, 16.0))},
-                       {"features": "features", "class_weights": "class_weights"})
+                        "scale": float(rng.uniform(4.0, 16.0))})
 
 
 # The encoder pieces map an upstream gradient to parameter gradients; a
@@ -127,12 +123,12 @@ def _check_affine_backward(rng):
     domains = rng.integers(0, encoder.NUM_DOMAINS, size=n)
     sense = rng.normal(0.0, 1.0, size=(n, d_out))
     # training mode standardizes by batch statistics, as every step does
-    _, x_hat = encoder.forward_cached(params.copy(), raws, domains, training=True)
+    _, x_hat = encoder.forward_cached(params.copy(), raws, domains)
 
     def value(weight, bias):
         probe = params.copy()
         probe.weight, probe.bias = weight, bias
-        return float(np.sum(encoder.forward(probe, raws, domains, training=True) * sense))
+        return float(np.sum(encoder.forward_cached(probe, raws, domains)[0] * sense))
     return worst_error(value, {"weight": params.weight, "bias": params.bias},
                        encoder.backward(params, x_hat, sense))
 
@@ -142,8 +138,8 @@ KERNEL_CHECKS = {
     "softmax_triplet_loss": _check_triplet_loss,
     "soft_ce_batch": _check_soft_ce,
     "moco_batch": _check_moco,
-    "margin_arcface": lambda rng: _check_margin(rng, losses.MarginMode.ARCFACE),
-    "margin_cosface": lambda rng: _check_margin(rng, losses.MarginMode.COSFACE),
+    "margin_arcface": lambda rng: _check_margin(rng, losses.LossMode.ARCFACE),
+    "margin_cosface": lambda rng: _check_margin(rng, losses.LossMode.COSFACE),
     "classifier_backward": _check_classifier_backward,
     "affine_backward": _check_affine_backward,
 }
@@ -153,6 +149,8 @@ def run_gradcheck(trials: int = 100, seed: int = 0) -> dict[str, float]:
     """Worst relative error per kernel over ``trials`` random draws."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results = {}
     for idx, (name, check) in enumerate(KERNEL_CHECKS.items()):
         rng = np.random.default_rng([seed, idx])

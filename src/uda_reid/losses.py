@@ -1,9 +1,10 @@
-"""Loss kernels with analytic gradients.
+"""Loss kernels with analytic gradients, and :class:`LossMode`, the one
+choice of hard loss that the config, the trainer and the margin kernel share.
 
 Every kernel is a pure function returning a :class:`LossOut` whose ``grads``
-map names each differentiable input to a gradient of matching shape.
-Values and gradients are computed in float64.  Kernels take whole batches
-and reduce with the arithmetic mean over anchors/rows; constant
+map keys each differentiated input by its parameter name, with a gradient of
+matching shape.  Values and gradients are computed in float64.  Kernels take
+whole batches and reduce with the arithmetic mean over anchors/rows; constant
 (non-differentiated) inputs carry no gradient entry.
 
 The batch kernels also take a stack of batches on a leading network axis,
@@ -25,7 +26,10 @@ from .numerics import (cdist, l2_normalize_rows, log_softmax, mT, sigmoid, softm
 ARC_ANGLE_MARGIN = 1e-4  # target angle clamped to <= pi - this
 
 
-class MarginMode(enum.Enum):
+class LossMode(enum.Enum):
+    """Hard loss on identity labels: cross-entropy over the classifier's
+    logits, or a margin head of :func:`margin_classification_batch`."""
+    PLAIN_CE = "plain_ce"
     ARCFACE = "arcface"
     COSFACE = "cosface"
 
@@ -128,7 +132,7 @@ def softmax_triplet_loss(feats, labels) -> LossOut:
     grad[rows] += coeff[:, None] * (unit_p - unit_n)
     np.add.at(grad, pos_idx, -coeff[:, None] * unit_p)
     np.add.at(grad, neg_idx, coeff[:, None] * unit_n)
-    return LossOut(value=value, grads={"batch": grad})
+    return LossOut(value=value, grads={"feats": grad})
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +174,7 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
     keys_pos = _as_float64(keys_pos, "keys_pos")
     if queries.shape != keys_pos.shape:
         raise ValueError("queries and positive keys must align")
-    n, d = queries.shape[-2:]
-    if queue is None or np.size(queue) == 0:
-        queue = np.zeros(queries.shape[:-2] + (0, d))
+    n = queries.shape[-2]
     queue = _as_float64(queue, "queue")
     k = queue.shape[-2]
 
@@ -206,7 +208,7 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
 # ---------------------------------------------------------------------------
 
 def margin_classification_batch(features, class_weights, labels,
-                                mode: MarginMode = MarginMode.COSFACE,
+                                mode: LossMode = LossMode.COSFACE,
                                 margin: float = 0.25, scale: float = 16.0) -> LossOut:
     """Cross-entropy over scaled cosine logits with the target logit shifted.
 
@@ -236,10 +238,10 @@ def margin_classification_batch(features, class_weights, labels,
 
     rows = np.arange(n)
     cos_y = cos[..., rows, labels]
-    if mode is MarginMode.COSFACE:
+    if mode is LossMode.COSFACE:
         psi = cos_y - margin
         dpsi = np.ones(n)
-    elif mode is MarginMode.ARCFACE:
+    elif mode is LossMode.ARCFACE:
         theta = np.arccos(cos_y)
         theta_m = theta + margin
         clamped = theta_m > np.pi - ARC_ANGLE_MARGIN

@@ -51,13 +51,11 @@ def l2_normalize_rows(x, name="input"):
     """Return rows (last-axis vectors) scaled to unit L2 norm; zero-norm rows
     are an error, reported by their index within their matrix."""
     x = np.asarray(x, dtype=np.float64)
-    arr = x[None, :] if x.ndim == 1 else x
-    norms = np.linalg.norm(arr, axis=-1)
+    norms = np.linalg.norm(x, axis=-1)
     if norms.size and (not np.all(np.isfinite(norms)) or np.min(norms) <= EPS_NORM):
         bad = int(np.unravel_index(np.argmin(norms), norms.shape)[-1])
         raise NormalizationError(f"{name} row {bad} has zero or non-finite norm")
-    out = arr / norms[..., None]
-    return out[0] if x.ndim == 1 else out
+    return x / norms[..., None]
 
 
 def cdist(a, b):

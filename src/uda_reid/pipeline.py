@@ -8,9 +8,7 @@ and differ only in their step.
 """
 from __future__ import annotations
 
-import enum
 import json
-import time
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
@@ -23,24 +21,11 @@ from .encoder import (AdamState, EncoderParams, FeatureQueue, adam_step,
                       forward_cached, init_params, pk_sample, queue_push,
                       stack_params, unstack_params)
 from .errors import ConfigError, DivergenceError
+from .losses import LossMode
 from .numerics import cdist, l2_normalize_rows
 from .pseudolabel import relabel_epoch
 from .retrieval import (EvalReport, QueryGallerySplit, evaluate_split,
                         rerank, split_query_gallery)
-
-
-class LossMode(enum.Enum):
-    PLAIN_CE = "plain_ce"
-    ARCFACE = "arcface"
-    COSFACE = "cosface"
-
-    @property
-    def margin_mode(self):
-        if self is LossMode.ARCFACE:
-            return losses.MarginMode.ARCFACE
-        if self is LossMode.COSFACE:
-            return losses.MarginMode.COSFACE
-        return None
 
 
 @dataclass
@@ -78,6 +63,8 @@ class StageConfig:
                 raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ConfigError("epochs", "must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if not 0.0 <= self.lambda_soft <= 1.0:
             raise ConfigError("lambda_soft", f"must be in [0, 1], got {self.lambda_soft}")
         if self.lambda_moco < 0:
@@ -133,7 +120,6 @@ class RunLog:
     seed: int
     records: list = field(default_factory=list)
     skipped_epochs: int = 0
-    wall_time_s: float = 0.0  # informational only, never serialized
 
     def add(self, record: EpochRecord) -> None:
         if self.records and record.epoch <= self.records[-1].epoch:
@@ -141,8 +127,7 @@ class RunLog:
         self.records.append(record)
 
     def to_jsonl(self) -> str:
-        """One JSON object per epoch; excludes wall time so that fixed-seed
-        runs serialize byte-identically."""
+        """One JSON object per epoch."""
         lines = []
         for rec in self.records:
             payload = {"stage": self.stage, "seed": self.seed}
@@ -170,13 +155,12 @@ def _dense_labels(values: np.ndarray) -> tuple[np.ndarray, int]:
 def _hard_loss(params: EncoderParams, feats: np.ndarray, labels: np.ndarray,
                cfg: StageConfig):
     """(value, d_feats, d_classifier) for the configured hard loss."""
-    mode = cfg.loss_mode.margin_mode
-    if mode is None:
+    if cfg.loss_mode is LossMode.PLAIN_CE:
         out = losses.cross_entropy_batch(classifier_logits(params, feats), labels)
         d_cls, d_feats = classifier_backward(params, feats, out.grads["logits"])
         return out.value, d_feats, d_cls
     out = losses.margin_classification_batch(feats, params.classifier, labels,
-                                             mode, cfg.margin, cfg.scale)
+                                             cfg.loss_mode, cfg.margin, cfg.scale)
     return out.value, out.grads["features"], out.grads["class_weights"]
 
 
@@ -203,7 +187,7 @@ def _cluster_centroids(params: EncoderParams, target: Dataset,
 
 def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
                  use_rerank: bool = False, k1: int = 30, k2: int = 6,
-                 lam: float = 0.3, top_limit: int = 100) -> EvalReport:
+                 lam: float = 0.3) -> EvalReport:
     """Protocol metrics for a trained encoder on a query/gallery split.
 
     Retrieval operates on L2-normalized encoder outputs.
@@ -211,7 +195,7 @@ def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
     q = l2_normalize_rows(encode_dataset(params, split.query), "query feature")
     g = l2_normalize_rows(encode_dataset(params, split.gallery), "gallery feature")
     dist = rerank(q, g, k1, k2, lam) if use_rerank else cdist(q, g)
-    return evaluate_split(split, dist=dist, top_limit=top_limit)
+    return evaluate_split(split, dist)
 
 
 def _maybe_eval(params, val_split, rec):
@@ -245,7 +229,6 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
     not trained, otherwise ``rebuild(num_clusters)`` re-seeds the
     classifiers and the optimizer drops its classifier moments.
     """
-    started = time.perf_counter()
     for epoch in range(cfg.epochs):
         adam.lr = cfg.lr_at(epoch)
         rec = EpochRecord(epoch=epoch)
@@ -285,7 +268,6 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
             rec.lr = adam.lr
         _maybe_eval(eval_params, val_split, rec)
         log.add(rec)
-    log.wall_time_s = time.perf_counter() - started
 
 
 def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
@@ -310,12 +292,12 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
         p = cfg.p_classes if labeling is None else min(cfg.p_classes, labeling.num_clusters)
         idx = pk_sample(index, p, cfg.k_per, rng)
         batch_labels = labels[idx].astype(np.int64)
-        feats, x_hat = forward_cached(params, raws[idx], domains[idx], training=True)
+        feats, x_hat = forward_cached(params, raws[idx], domains[idx])
         cls_val, d_feats, d_cls = _hard_loss(params, feats, batch_labels, cfg)
         tri_val, d_tri = 0.0, 0.0
         if labeling is None or p > 1:
             tri = losses.softmax_triplet_loss(feats, batch_labels)
-            tri_val, d_tri = tri.value, tri.grads["batch"]
+            tri_val, d_tri = tri.value, tri.grads["feats"]
         grads = backward(params, x_hat, d_feats + d_tri)
         grads["classifier"] = d_cls
         return ({"cls": cls_val, "tri": tri_val},
@@ -432,8 +414,7 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
 
     students = stack_params((pretrained, pretrained2))
     teachers = students.copy()
-    queues = FeatureQueue(cfg.queue_capacity, cfg.encoder_dim,
-                          np.zeros((2, 0, cfg.encoder_dim)))
+    queues = FeatureQueue(cfg.queue_capacity, np.zeros((2, 0, cfg.encoder_dim)))
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, 17])
     log = RunLog(stage="mmt_plus", seed=cfg.seed)
@@ -470,9 +451,9 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
 
         # teachers only move by EMA after the students step, so one forward
         # serves as each student's own teacher and, reversed, as its peer
-        own_feats = forward(teachers, rows, doms, training=False)
+        own_feats = forward(teachers, rows, doms)
         peer_logits = classifier_logits(teachers, own_feats)[::-1]
-        feats, x_hat = forward_cached(students, rows, doms, training=True)
+        feats, x_hat = forward_cached(students, rows, doms)
         soft = losses.soft_ce_batch(classifier_logits(students, feats), peer_logits)
         hard, d_feats_hard, d_cls_hard = _hard_loss(students, feats, labels, cfg)
         moco = losses.moco_batch(feats, own_feats, queues.buffer, cfg.tau)
@@ -515,7 +496,6 @@ class Benchmark:
     target_train: Dataset
     target_val: Dataset
     val_split: QueryGallerySplit
-    synth: SynthConfig
 
 
 def default_benchmark(seed: int = 0, train_per_id: int = 20,
@@ -535,23 +515,21 @@ def default_benchmark(seed: int = 0, train_per_id: int = 20,
     target_val = target.subset(val_rows)
     return Benchmark(source=source, translated=translated,
                      target_train=target_train, target_val=target_val,
-                     val_split=split_query_gallery(target_val, per_id=2),
-                     synth=synth)
+                     val_split=split_query_gallery(target_val, per_id=2))
 
 
 def run_full_pipeline(seed: int = 0, cfg: StageConfig | None = None,
-                      bench: Benchmark | None = None,
-                      use_rerank: bool = True) -> dict:
+                      bench: Benchmark | None = None) -> dict:
     """Pretrain on translated data, run the full stage-III training, and
-    evaluate teacher 1 on the validation split."""
+    evaluate teacher 1 on the validation split with re-ranking."""
     cfg = cfg or StageConfig(seed=seed)
     bench = bench or default_benchmark(seed=seed)
     pre, pre_log = stage_pretrain(bench.translated, cfg, val_split=bench.val_split)
     state, mmt_log = stage_mmt_plus(pre, bench.source, bench.target_train, cfg,
                                     val_split=bench.val_split)
     final = state.export("teacher1")
-    report = eval_encoder(final, bench.val_split, use_rerank=use_rerank)
-    return {"params": final, "state": state, "report": report,
+    report = eval_encoder(final, bench.val_split, use_rerank=True)
+    return {"params": final, "report": report,
             "logs": {"pretrain": pre_log, "mmt_plus": mmt_log}}
 
 

@@ -379,14 +379,14 @@ def relabel_epoch(target: Dataset, params: EncoderParams, k: int = 20,
     """
     if target.n == 0:
         raise ValueError("target dataset is empty")
+    if blend is not None and not 0.0 <= blend <= 1.0:
+        raise ValueError(f"blend must be in [0, 1], got {blend}")
     feats = l2_normalize_rows(encode_dataset(params, target), "encoded feature")
     euclid = pairwise_euclidean(feats)
     jac = jaccard_distance(euclid, k)
     if blend is None:
         cluster_input = jac
     else:
-        if not 0.0 <= blend <= 1.0:
-            raise ValueError(f"blend must be in [0, 1], got {blend}")
         mixed = blend * euclid.values + (1.0 - blend) * jac.values
         cluster_input = DistanceMatrix(values=mixed, metric=Metric.RERANKED)
     labeling = dbscan(cluster_input, eps, min_pts)

@@ -187,12 +187,9 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
                       num_valid_queries=len(aps))
 
 
-def evaluate_split(split: QueryGallerySplit, dist=None, top_limit: int = 100) -> EvalReport:
-    """Protocol evaluation with plain Euclidean distances unless given."""
+def evaluate_split(split: QueryGallerySplit, dist) -> EvalReport:
+    """Protocol evaluation of the split's query x gallery distances."""
     split.validate()
-    if dist is None:
-        dist = cdist(np.asarray(split.query.features, dtype=np.float64),
-                     np.asarray(split.gallery.features, dtype=np.float64))
     return evaluate(dist, split.query.identities, split.query.cameras,
-                    split.gallery.identities, split.gallery.cameras, top_limit)
+                    split.gallery.identities, split.gallery.cameras)
 

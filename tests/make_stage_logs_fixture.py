@@ -16,11 +16,21 @@ for byte with the committed fixture instead of writing it.  It exits 1 and
 names the first case that differs on a mismatch, so a change meant to keep
 training output bitwise identical can show that it did.
 
+Run as a script, it pins BLAS and OpenMP to one thread before numpy loads,
+the condition under which the byte-identity claims are made; importing it
+changes no environment variable.
+
 Usage: PYTHONPATH=src python tests/make_stage_logs_fixture.py [--check]
 """
 import json
+import os
 import pathlib
 import sys
+
+if __name__ == "__main__":
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np
 

@@ -170,6 +170,20 @@ def test_cluster_out_flag_leaves_input_untouched(arts, tmp_path):
         payload["num_clusters"]
 
 
+def test_cluster_blend_out_of_range_exits_2_before_any_work(arts, tmp_path):
+    before = arts["target"].read_bytes()
+    code, out, err = go(["cluster", "--params", arts["pre"], "--data", arts["target"],
+                         "--k", "10", "--blend", "1.5"])
+    assert code == 2 and out == "", err
+    assert "blend must be in [0, 1]" in err and "Traceback" not in err
+    assert arts["target"].read_bytes() == before
+    payload = ok(["cluster", "--params", arts["pre"], "--data", arts["target"],
+                  "--out", tmp_path / "blended.bin", "--k", "10", "--blend", "0.5"])
+    assert arts["target"].read_bytes() == before
+    blended = load_features(tmp_path / "blended.bin")
+    assert np.unique(blended.pseudo[blended.pseudo >= 0]).size == payload["num_clusters"]
+
+
 def test_cluster_in_place_rewrites_data(arts, tmp_path):
     work = tmp_path / "work.bin"
     shutil.copyfile(arts["target"], work)
@@ -262,6 +276,11 @@ def test_outputs_do_not_depend_on_thread_count(tmp_path):
     rows = np.arange(target.n)
     save_features(tmp_path / "query.bin", target.subset(rows[::5]))
     save_features(tmp_path / "gallery.bin", target.subset(rows[rows % 5 != 0]))
+    # relabel at 4,000 rows as well: 200 target identities x 20 rows
+    ok(["synth", "--out", tmp_path / "large", "--num-ids-source", "2",
+        "--num-ids-target", "200", "--samples-per-id", "20", "--raw-dim", "16"])
+    large = tmp_path / "large" / "target.bin"
+    assert load_features(large).n == 4000
     save_params(tmp_path / "enc.params", init_params(16, 8, 1, seed=0))
     retrieval = ["--query", tmp_path / "query.bin", "--gallery", tmp_path / "gallery.bin",
                  "--params", tmp_path / "enc.params"]
@@ -279,8 +298,13 @@ def test_outputs_do_not_depend_on_thread_count(tmp_path):
                                   tmp_path / "enc.params", "--data", tmp_path / "data" / "target.bin",
                                   "--out", run_dir / "relabeled.bin"])
         assert code == 0
+        code, _ = cli_subprocess(["--threads", threads, "cluster", "--params",
+                                  tmp_path / "enc.params", "--data", large,
+                                  "--out", run_dir / "relabeled_4k.bin"])
+        assert code == 0
         results[threads] = ((run_dir / "rerank.npy").read_bytes(), evaluated,
-                            (run_dir / "relabeled.bin").read_bytes())
+                            (run_dir / "relabeled.bin").read_bytes(),
+                            (run_dir / "relabeled_4k.bin").read_bytes())
     assert results[1] == results[2]
 
 
@@ -360,6 +384,22 @@ def test_gradcheck_without_trials_exits_2(trials):
     code, out, err = go(["gradcheck", "--trials", trials])
     assert code == 2 and out == "", err
     assert f"trials must be >= 1, got {trials}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "never", "--seed", "-1"],
+    ["synth", "--out", "never", "--config", "seed.cfg"],
+    ["pretrain", "--data", "TRANSLATED", "--out", "never", "--seed", "-2"],
+    ["pretrain", "--data", "TRANSLATED", "--out", "never", "--config", "seed.cfg"],
+    ["gradcheck", "--seed", "-1"],
+])
+def test_negative_seed_exits_2_naming_the_field(argv, arts, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.cfg").write_text("seed = -3\n")
+    code, out, err = go([arts["translated"] if a == "TRANSLATED" else a for a in argv])
+    assert code == 2 and out == "", err
+    assert "seed" in err and "must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "never").exists()
 
 
 def test_gradcheck_tolerance_breach_exits_3():

@@ -284,6 +284,8 @@ def test_synth_config_validation():
         SynthConfig(samples_per_id=0).validate()
     with pytest.raises(ConfigError, match="cluster_spread"):
         SynthConfig(cluster_spread=-0.1).validate()
+    with pytest.raises(ConfigError, match="'seed': must be >= 0, got -1"):
+        SynthConfig(seed=-1).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from uda_reid.datamodel import Dataset
-from uda_reid.encoder import (EPS_VAR, AdamState, EncoderParams, FeatureQueue,
+from uda_reid.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_VAR, AdamState,
+                              EncoderParams, FeatureQueue,
                               adam_step, backward, class_index, classifier_backward,
                               classifier_logits, ema_update, encode_dataset,
                               forward, forward_cached, init_params,
@@ -40,7 +41,7 @@ def test_init_shapes_and_neutral_stats():
     assert p.weight.shape == (3, 6) and p.bias.shape == (3,)
     assert p.classifier.shape == (7, 3)
     assert np.all(p.running_mean == 0.0) and np.all(p.running_var == 1.0)
-    assert (p.d_in, p.d_out, p.num_classes) == (6, 3, 7)
+    assert (p.d_in, p.d_out) == (6, 3)
     p.validate()
 
 
@@ -85,7 +86,7 @@ def test_eval_forward_is_pure_and_uses_running_stats():
 
     raws = np.array([[3.0, 1.0, 1.0, 1.0], [2.0, 2.0, 2.0, 2.0]])
     domains = np.array([0, 1])
-    feats = forward(p, raws, domains, training=False)
+    feats = forward(p, raws, domains)
 
     x0 = (raws[0] - 1.0) / np.sqrt(4.0 + EPS_VAR)
     x1 = (raws[1] - 2.0) / np.sqrt(9.0 + EPS_VAR)
@@ -93,7 +94,7 @@ def test_eval_forward_is_pure_and_uses_running_stats():
     assert np.allclose(feats, expected, atol=1e-12)
     for name, arr in p.all_arrays().items():
         assert np.array_equal(arr, before[name]), name
-    assert np.array_equal(feats, forward(p, raws, domains, training=False))
+    assert np.array_equal(feats, forward(p, raws, domains))
 
 
 def test_training_forward_folds_batch_stats():
@@ -105,7 +106,7 @@ def test_training_forward_folds_batch_stats():
     old_mean = p.running_mean[0].copy()
     old_var = p.running_var[0].copy()
 
-    feats, x_hat = forward_cached(p, raws, domains, training=True)
+    feats, x_hat = forward_cached(p, raws, domains)
 
     batch_mean = raws.mean(axis=0)
     batch_var = raws.var(axis=0)
@@ -122,22 +123,23 @@ def test_training_forward_folds_batch_stats():
 def test_constant_batch_variance_hits_floor():
     p = small_params()
     raws = np.ones((3, 4)) * 5.0
-    forward(p, raws, np.zeros(3, dtype=int), training=True)
+    forward_cached(p, raws, np.zeros(3, dtype=int))
     # 0.9*1.0 + 0.1*0.0 = 0.9 stays above the floor; repeated constant
     # batches decay toward it but never below
     for _ in range(200):
-        forward(p, raws, np.zeros(3, dtype=int), training=True)
+        forward_cached(p, raws, np.zeros(3, dtype=int))
     assert np.all(p.running_var[0] >= EPS_VAR)
 
 
 def test_forward_input_errors():
     p = small_params()
-    with pytest.raises(ValueError, match="expected"):
-        forward(p, np.zeros((2, 5)), np.zeros(2, dtype=int))
-    with pytest.raises(ValueError, match="domain tag per row"):
-        forward(p, np.zeros((2, 4)), np.zeros(3, dtype=int))
-    with pytest.raises(ValueError, match="unknown domain"):
-        forward(p, np.zeros((2, 4)), np.array([0, 2]))
+    for fwd in (forward, forward_cached):
+        with pytest.raises(ValueError, match="expected"):
+            fwd(p, np.zeros((2, 5)), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError, match="domain tag per row"):
+            fwd(p, np.zeros((2, 4)), np.zeros(3, dtype=int))
+        with pytest.raises(ValueError, match="unknown domain"):
+            fwd(p, np.zeros((2, 4)), np.array([0, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +153,13 @@ def test_affine_backward_matches_central_difference():
     domains = np.zeros(4, dtype=int)
     sense = rng.normal(size=(4, 2))
 
-    _, x_hat = forward_cached(p, raws, domains, training=False)
+    _, x_hat = forward_cached(p.copy(), raws, domains)
     grads = backward(p, x_hat, sense)
 
     def loss_of_weight(w):
         q = p.copy()
         q.weight = w
-        return float(np.sum(forward(q, raws, domains) * sense))
+        return float(np.sum(forward_cached(q, raws, domains)[0] * sense))
 
     num_w = central_difference(loss_of_weight, p.weight)
     assert relative_error(grads["weight"], num_w) < 1e-7
@@ -165,7 +167,7 @@ def test_affine_backward_matches_central_difference():
     def loss_of_bias(b):
         q = p.copy()
         q.bias = b
-        return float(np.sum(forward(q, raws, domains) * sense))
+        return float(np.sum(forward_cached(q, raws, domains)[0] * sense))
 
     num_b = central_difference(loss_of_bias, p.bias)
     assert relative_error(grads["bias"], num_b) < 1e-7
@@ -309,7 +311,7 @@ def test_ema_errors():
 # ---------------------------------------------------------------------------
 
 def test_queue_fifo_eviction():
-    q = FeatureQueue(capacity=4, dim=2)
+    q = FeatureQueue(capacity=4, buffer=np.zeros((0, 2)))
     rows = np.array([[float(i + 1), 0.0] for i in range(6)])
     queue_push(q, rows)
     assert q.buffer.shape == (4, 2)
@@ -318,7 +320,7 @@ def test_queue_fifo_eviction():
 
 
 def test_queue_ordering_across_batches():
-    q = FeatureQueue(capacity=4, dim=2)
+    q = FeatureQueue(capacity=4, buffer=np.zeros((0, 2)))
     queue_push(q, [[1.0, 0.0], [0.0, 1.0]])
     queue_push(q, [[3.0, 0.0], [0.0, 5.0], [2.0, 2.0]])
     expected = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
@@ -329,8 +331,8 @@ def test_queue_ordering_across_batches():
 
 def test_queue_errors():
     with pytest.raises(ValueError, match="capacity"):
-        FeatureQueue(capacity=0, dim=2)
-    q = FeatureQueue(capacity=2, dim=3)
+        FeatureQueue(capacity=0, buffer=np.zeros((0, 2)))
+    q = FeatureQueue(capacity=2, buffer=np.zeros((0, 3)))
     with pytest.raises(ValueError, match="expected"):
         queue_push(q, np.ones((1, 2)))
     with pytest.raises(NormalizationError):
@@ -367,10 +369,12 @@ def test_adam_matches_reference_two_steps():
     p0 = rng.normal(size=(2, 3))
     g1 = rng.normal(size=(2, 3))
     g2 = rng.normal(size=(2, 3))
-    lr, wd, b1, b2, eps = 0.002, 0.01, 0.9, 0.999, 1e-8
+    lr, wd = 0.002, 0.01
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    assert (b1, b2, eps) == (0.9, 0.999, 1e-8)
 
     params = {"w": p0.copy()}
-    state = AdamState(lr=lr, weight_decay=wd, beta1=b1, beta2=b2, eps=eps)
+    state = AdamState(lr=lr, weight_decay=wd)
     adam_step(params, {"w": g1}, state)
     adam_step(params, {"w": g2}, state)
 
@@ -439,7 +443,7 @@ def test_encode_dataset_is_eval_forward():
     p = small_params()
     ds = make_dataset()
     feats = encode_dataset(p, ds)
-    direct = forward(p, ds.features.astype(np.float64), ds.domains, training=False)
+    direct = forward(p, ds.features.astype(np.float64), ds.domains)
     assert np.array_equal(feats, direct)
 
 

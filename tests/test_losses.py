@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from uda_reid.errors import MiningError, NormalizationError
-from uda_reid.losses import (MarginMode, cross_entropy_batch,
+from uda_reid.losses import (LossMode, cross_entropy_batch,
                              hardest_triplets, margin_classification_batch,
                              mmt_plus_total, moco_batch, soft_ce_batch,
                              softmax_triplet_loss)
@@ -168,14 +168,14 @@ def test_triplet_loss_matches_exhaustive_reference():
         t = triplet_T(feats, labels)
         assert np.all((t > 0) & (t < 1))
         assert out.value == pytest.approx(np.mean(-np.log(t)), abs=1e-12)
-        assert out.grads["batch"].shape == feats.shape
-        assert np.all(np.isfinite(out.grads["batch"]))
+        assert out.grads["feats"].shape == feats.shape
+        assert np.all(np.isfinite(out.grads["feats"]))
 
 
 def test_triplet_grad_pushes_anchor_toward_positive():
     feats = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
     out = softmax_triplet_loss(feats, [0, 0, 1, 1])
-    step = feats - 1e-4 * out.grads["batch"]
+    step = feats - 1e-4 * out.grads["feats"]
     stepped = softmax_triplet_loss(step, [0, 0, 1, 1])
     assert stepped.value < out.value
 
@@ -239,7 +239,7 @@ def test_soft_ce_batch_reduces_with_mean():
 # ---------------------------------------------------------------------------
 
 def test_moco_empty_queue_is_zero():
-    out = moco_batch([[1.0, 0.0]], [[1.0, 0.0]], None)
+    out = moco_batch([[1.0, 0.0]], [[1.0, 0.0]], np.zeros((0, 2)))
     assert out.value == 0.0
     out = moco_batch([[1.0, 0.0]], [[0.0, 1.0]], np.zeros((0, 2)))
     assert out.value == 0.0
@@ -292,7 +292,7 @@ def test_margin_zero_reduces_to_plain_ce():
     f_hat = feature / np.linalg.norm(feature)
     w_hat = weights / np.linalg.norm(weights, axis=1, keepdims=True)
     cos_logits = 16.0 * (w_hat @ f_hat)
-    for mode in (MarginMode.COSFACE, MarginMode.ARCFACE):
+    for mode in (LossMode.COSFACE, LossMode.ARCFACE):
         out = margin_classification_batch(feature[None], weights, [1], mode, margin=0.0)
         assert out.value == pytest.approx(
             cross_entropy_batch(cos_logits[None], [1]).value, abs=1e-9)
@@ -301,7 +301,7 @@ def test_margin_zero_reduces_to_plain_ce():
 def test_cosface_colinear_example():
     feature = np.array([[2.0, 0.0]])
     weights = np.array([[1.0, 0.0], [0.0, 3.0]])
-    out = margin_classification_batch(feature, weights, [0], MarginMode.COSFACE,
+    out = margin_classification_batch(feature, weights, [0], LossMode.COSFACE,
                                       margin=0.25, scale=16.0)
     assert out.value == pytest.approx(6.144193477732806e-06, rel=1e-9)
 
@@ -310,7 +310,7 @@ def test_arcface_handles_angle_clamp():
     # feature opposite its class weight: theta = pi, margin pushes past it
     feature = np.array([[-1.0, 0.0]])
     weights = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = margin_classification_batch(feature, weights, [0], MarginMode.ARCFACE)
+    out = margin_classification_batch(feature, weights, [0], LossMode.ARCFACE)
     assert np.isfinite(out.value)
     assert np.all(np.isfinite(out.grads["features"]))
     assert np.all(np.isfinite(out.grads["class_weights"]))
@@ -342,6 +342,8 @@ def test_margin_errors():
         margin_classification_batch(feats, weights, [0, 2])
     with pytest.raises(NormalizationError):
         margin_classification_batch(np.zeros((1, 3)), weights, [0])
+    with pytest.raises(ValueError, match="unknown margin mode"):
+        margin_classification_batch(feats, weights, [0, 1], LossMode.PLAIN_CE)
 
 
 # ---------------------------------------------------------------------------

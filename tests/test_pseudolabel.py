@@ -531,3 +531,15 @@ def test_relabel_errors():
     empty = ds.subset(np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
         relabel_epoch(empty, params)
+
+
+def test_relabel_rejects_blend_before_encoding(monkeypatch):
+    ds = clustered_dataset()
+
+    def no_encoding(*args, **kwargs):
+        raise AssertionError("encoded before blend was checked")
+
+    monkeypatch.setattr(pseudolabel, "encode_dataset", no_encoding)
+    for blend in (-0.5, 1.5):
+        with pytest.raises(ValueError, match=r"blend must be in \[0, 1\]"):
+            relabel_epoch(ds, identity_encoder(ds.d), blend=blend)

@@ -334,16 +334,16 @@ def test_evaluate_errors():
         evaluate(np.zeros((1, 2)), [1], [0], [1, 2], [0, 1])
 
 
-def test_evaluate_split_defaults_to_euclidean():
+def test_evaluate_split_scores_the_split_labels():
     ds = labeled_dataset([0, 0, 1, 1, 2, 2], cameras=[0, 1, 0, 1, 0, 1], d=4)
     split = split_query_gallery(ds, per_id=1)
-    auto = evaluate_split(split)
-    manual = evaluate(cdist(split.query.features.astype(np.float64),
-                            split.gallery.features.astype(np.float64)),
-                      split.query.identities, split.query.cameras,
+    dist = cdist(split.query.features.astype(np.float64),
+                 split.gallery.features.astype(np.float64))
+    auto = evaluate_split(split, dist)
+    manual = evaluate(dist, split.query.identities, split.query.cameras,
                       split.gallery.identities, split.gallery.cameras)
-    assert auto.mAP == pytest.approx(manual.mAP, abs=1e-12)
-    assert np.allclose(auto.cmc, manual.cmc, atol=1e-12)
+    assert auto.mAP == manual.mAP
+    assert np.array_equal(auto.cmc, manual.cmc)
 
 
 def test_report_to_dict_rounds():

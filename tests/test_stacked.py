@@ -8,7 +8,7 @@ from uda_reid.encoder import (AdamState, FeatureQueue, adam_step, backward,
                               forward, forward_cached, init_params, queue_push,
                               stack_params, unstack_params)
 from uda_reid.errors import NormalizationError
-from uda_reid.losses import (MarginMode, cross_entropy_batch, margin_classification_batch,
+from uda_reid.losses import (LossMode, cross_entropy_batch, margin_classification_batch,
                              moco_batch, soft_ce_batch)
 from uda_reid.numerics import l2_normalize_rows, log_softmax
 
@@ -62,7 +62,9 @@ def test_moco(n, d, queue_rows):
               [moco_batch(queries[i], keys[i], queue[i], tau=0.7) for i in range(2)])
 
 
-@pytest.mark.parametrize("mode", list(MarginMode))
+# the case ids name the margin heads as they were named before LossMode held them
+@pytest.mark.parametrize("mode", [LossMode.ARCFACE, LossMode.COSFACE],
+                         ids=lambda mode: f"MarginMode.{mode.name}")
 @pytest.mark.parametrize("n,p", SHAPES)
 def test_margin_classification(n, p, mode):
     rng = np.random.default_rng([n, p, len(mode.value)])
@@ -109,35 +111,35 @@ def test_forward_eval_mode():
     nets = two_networks()
     raws, domains = batch()
     stack = stack_params(nets)
-    feats, x_hat = forward_cached(stack, raws, domains, training=False)
+    feats = forward(stack, raws, domains)
+    assert feats.shape == (2, raws.shape[0], 8)
     assert same(feats, [forward(net, raws, domains) for net in nets])
-    assert same(forward(stack, raws, domains), feats)
-    assert same(x_hat, [forward_cached(net, raws, domains, training=False)[1]
-                        for net in nets])
+    same_params(stack, nets)  # eval mode leaves the running statistics alone
 
 
 def test_forward_training_mode_shares_x_hat_and_updates_each_network():
     nets = two_networks()
     raws, domains = batch()
     stack = stack_params(nets)
-    feats, x_hat = forward_cached(stack, raws, domains, training=True)
-    singles = [forward_cached(net, raws, domains, training=True) for net in nets]
+    feats, x_hat = forward_cached(stack, raws, domains)
+    singles = [forward_cached(net, raws, domains) for net in nets]
     assert same(feats, [f for f, _ in singles])
     assert x_hat.shape == raws.shape
     for _, single_x_hat in singles:
         assert same(x_hat, single_x_hat)
     same_params(stack, nets)  # running statistics folded in per network
-    assert same(forward(stack, raws, domains, training=True),
-                [forward(net, raws, domains, training=True) for net in nets])
+    assert same(forward_cached(stack, raws, domains)[0],
+                [forward_cached(net, raws, domains)[0] for net in nets])
 
 
 def test_backward_and_classifier_kernels():
     nets = two_networks()
     stack = stack_params(nets)
     rng = np.random.default_rng(5)
-    raws, domains = batch()
-    x_hat = forward_cached(stack, raws, domains, training=False)[1]
-    d_feats = rng.normal(size=(2, raws.shape[0], 8))
+    # one x_hat per network, as well as the (n, d_in) one that every
+    # network of a training-mode forward shares
+    x_hat = rng.normal(size=(2, 24, 16))
+    d_feats = rng.normal(size=(2, 24, 8))
     shared = backward(stack, x_hat[0], d_feats)
     own = backward(stack, x_hat, d_feats)
     for i, net in enumerate(nets):
@@ -177,8 +179,8 @@ def test_adam_step_and_ema_update():
 
 def test_queue_push_keeps_one_fifo_per_network():
     rng = np.random.default_rng(7)
-    stacked = FeatureQueue(5, 3, np.zeros((2, 0, 3)))
-    singles = [FeatureQueue(5, 3) for _ in range(2)]
+    stacked = FeatureQueue(5, np.zeros((2, 0, 3)))
+    singles = [FeatureQueue(5, np.zeros((0, 3))) for _ in range(2)]
     for rows in (2, 2, 3, 1):
         feats = rng.normal(size=(2, rows, 3))
         queue_push(stacked, feats)
