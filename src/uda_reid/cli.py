@@ -346,6 +346,8 @@ def _cmd_ensemble(args) -> dict:
 def _cmd_gradcheck(args) -> dict:
     from .gradcheck import run_gradcheck
 
+    if not 0.0 < args.tol < float("inf"):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     results = run_gradcheck(trials=args.trials, seed=args.seed)
     worst = max(results.values())
     for name in sorted(results):

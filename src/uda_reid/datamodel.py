@@ -26,6 +26,7 @@ positions, standing in for learned source-to-target translation.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 import typing
 from dataclasses import dataclass, fields
@@ -223,16 +224,16 @@ class SynthConfig:
     shift_offset: float = 1.0           # offset magnitude; 0 -> zero offset
 
     def validate(self):
+        check_finite_floats(self)
         for fname in ("num_ids_source", "num_ids_target", "samples_per_id", "raw_dim", "cameras"):
             v = getattr(self, fname)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ConfigError(fname, f"must be a positive integer, got {v!r}")
         if not 0.0 <= self.translation_fidelity <= 1.0:
             raise ConfigError("translation_fidelity", f"must be in [0, 1], got {self.translation_fidelity}")
-        if self.cluster_spread < 0:
-            raise ConfigError("cluster_spread", f"must be >= 0, got {self.cluster_spread}")
-        if self.shift_strength < 0:
-            raise ConfigError("shift_strength", f"must be >= 0, got {self.shift_strength}")
+        for fname in ("cluster_spread", "shift_strength"):
+            if getattr(self, fname) < 0:
+                raise ConfigError(fname, f"must be >= 0, got {getattr(self, fname)}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         return self
@@ -325,12 +326,7 @@ def generate_synthetic(cfg: SynthConfig):
 
     src_obs = src_raw @ a.T + b
     gamma = cfg.translation_fidelity
-    if gamma == 0.0:
-        translated_feats = src_obs
-    elif gamma == 1.0:
-        translated_feats = src_raw
-    else:
-        translated_feats = (1.0 - gamma) * src_obs + gamma * src_raw
+    translated_feats = (1.0 - gamma) * src_obs + gamma * src_raw
 
     def build(feats, idents, cams, domain, name):
         n = len(idents)
@@ -380,6 +376,14 @@ def config_fields(cls) -> dict:
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)
             if hints[f.name] in _TEXT_TYPES or isinstance(hints[f.name], enum.EnumMeta)}
+
+
+def check_finite_floats(cfg) -> None:
+    """ConfigError naming the first float field of config ``cfg`` that is
+    NaN or infinite."""
+    for name, typ in config_fields(type(cfg)).items():
+        if typ is float and not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(name, f"must be finite, got {getattr(cfg, name)}")
 
 
 def parse_field(name: str, typ, raw: str):

@@ -239,8 +239,8 @@ def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
 # Mean teacher and feature queue
 # ---------------------------------------------------------------------------
 
-def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> EncoderParams:
-    """teacher <- alpha*teacher + (1-alpha)*student, every array blended."""
+def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> None:
+    """In place, teacher <- alpha*teacher + (1-alpha)*student on every array."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     t_arrays = teacher.all_arrays()
@@ -252,7 +252,6 @@ def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> 
         t_arr *= alpha
         t_arr += (1.0 - alpha) * s_arr
     np.maximum(teacher.running_var, EPS_VAR, out=teacher.running_var)
-    return teacher
 
 
 @dataclass
@@ -268,8 +267,8 @@ class FeatureQueue:
             raise ValueError("queue capacity must be >= 1")
 
 
-def queue_push(queue: FeatureQueue, feats) -> FeatureQueue:
-    """Normalize rows, enqueue, evict oldest beyond capacity."""
+def queue_push(queue: FeatureQueue, feats) -> None:
+    """In place: normalize rows, enqueue, evict oldest beyond capacity."""
     feats = np.asarray(feats, dtype=np.float64)
     dim = queue.buffer.shape[-1]
     if feats.ndim != queue.buffer.ndim or feats.shape[-1] != dim:
@@ -277,7 +276,6 @@ def queue_push(queue: FeatureQueue, feats) -> FeatureQueue:
     normed = l2_normalize_rows(feats, "queue feature")
     joined = np.concatenate([queue.buffer, normed], axis=-2)
     queue.buffer = joined[..., -queue.capacity:, :]
-    return queue
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +301,7 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> tuple[dict[str, np.ndarray], AdamState]:
+              state: AdamState) -> None:
     """In-place decoupled-decay Adam: p -= lr*wd*p, then the bias-corrected
     moment update.  A non-finite gradient rejects the whole step."""
     for name, grad in grads.items():
@@ -327,7 +325,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v_hat = v / (1.0 - ADAM_BETA2 ** t)
         p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         state.slots[name][2] = t
-    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Every kernel is a pure function returning a :class:`LossOut` whose ``grads``
 map keys each differentiated input by its parameter name, with a gradient of
 matching shape.  Values and gradients are computed in float64.  Kernels take
 whole batches and reduce with the arithmetic mean over anchors/rows; constant
-(non-differentiated) inputs carry no gradient entry.
+(non-differentiated) inputs carry no gradient entry.  The queue and margin
+losses are :func:`cross_entropy_batch` on logits they build from normalized
+rows, its logit gradient chained back through ``l2_normalize_rows_backward``.
 
 The batch kernels also take a stack of batches on a leading network axis,
 (networks, n, ...) instead of (n, ...), with the per-row labels shared; their
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MiningError
-from .numerics import (cdist, l2_normalize_rows, log_softmax, mT, sigmoid, softmax,
-                       softplus)
+from .numerics import (cdist, l2_normalize_rows, l2_normalize_rows_backward,
+                       log_softmax, mT, sigmoid, softmax, softplus)
 
 ARC_ANGLE_MARGIN = 1e-4  # target angle clamped to <= pi - this
 
@@ -72,7 +74,8 @@ def cross_entropy_batch(logits, labels) -> LossOut:
     value = -_row_mean(logp[..., rows, labels])
     grad = np.exp(logp, out=logp)
     grad[..., rows, labels] -= 1.0
-    return LossOut(value=value, grads={"logits": grad / n})
+    grad /= n
+    return LossOut(value=value, grads={"logits": grad})
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,8 @@ def soft_ce_batch(student_logits, teacher_logits) -> LossOut:
 # ---------------------------------------------------------------------------
 
 def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
-    """Mean InfoNCE over [positive key, queue negatives]; all rows re-normalized.
+    """Mean InfoNCE: :func:`cross_entropy_batch` with class 0 over logits
+    [positive key, queue negatives] / tau; all rows re-normalized.
 
     Gradient flows to the raw (pre-normalization) queries only; the positive
     keys and queue entries are constants.  An empty queue gives zero loss.
@@ -178,7 +182,6 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
     queue = _as_float64(queue, "queue")
     k = queue.shape[-2]
 
-    q_norms = np.linalg.norm(queries, axis=-1)
     q_hat = l2_normalize_rows(queries, "query")
     k_hat = l2_normalize_rows(keys_pos, "key_pos")
     neg_hat = l2_normalize_rows(queue, "queue") if k else queue
@@ -188,19 +191,14 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
     if k:
         np.matmul(q_hat, mT(neg_hat), out=logits[..., 1:])
         logits[..., 1:] /= tau
-    logp = log_softmax(logits, axis=-1)
-    value = -_row_mean(logp[..., 0])
+    ce = cross_entropy_batch(logits, np.zeros(n, dtype=np.int64))
 
-    dlogits = np.exp(logp, out=logp)
-    dlogits[..., 0] -= 1.0
-    dlogits /= n
+    dlogits = ce.grads["logits"]
     dq_hat = dlogits[..., :1] * k_hat / tau
     if k:
         dq_hat = dq_hat + (dlogits[..., 1:] @ neg_hat) / tau
-    # back through row normalization: project out the radial component
-    radial = np.sum(dq_hat * q_hat, axis=-1, keepdims=True)
-    dq = (dq_hat - radial * q_hat) / q_norms[..., None]
-    return LossOut(value=value, grads={"queries": dq})
+    return LossOut(value=ce.value,
+                   grads={"queries": l2_normalize_rows_backward(dq_hat, queries, q_hat)})
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +208,8 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
 def margin_classification_batch(features, class_weights, labels,
                                 mode: LossMode = LossMode.COSFACE,
                                 margin: float = 0.25, scale: float = 16.0) -> LossOut:
-    """Cross-entropy over scaled cosine logits with the target logit shifted.
+    """:func:`cross_entropy_batch` over scaled cosine logits with the target
+    logit shifted.
 
     ARCFACE replaces cos(theta_y) by cos(theta_y + m) with the summed angle
     clamped below pi; COSFACE uses cos(theta_y) - m.  Gradients flow to the
@@ -230,8 +229,6 @@ def margin_classification_batch(features, class_weights, labels,
     if np.any(labels < 0) or np.any(labels >= p):
         raise ValueError("label out of range")
 
-    f_norms = np.linalg.norm(feats, axis=-1)
-    w_norms = np.linalg.norm(weights, axis=-1)
     f_hat = l2_normalize_rows(feats, "feature")
     w_hat = l2_normalize_rows(weights, "class_weights")
     cos = np.clip(f_hat @ mT(w_hat), -1.0, 1.0)
@@ -254,20 +251,13 @@ def margin_classification_batch(features, class_weights, labels,
 
     logits = scale * cos
     logits[..., rows, labels] = scale * psi
-    logp = log_softmax(logits, axis=-1)
-    value = -_row_mean(logp[..., rows, labels])
+    ce = cross_entropy_batch(logits, labels)
 
-    dlogits = np.exp(logp, out=logp)
-    dlogits[..., rows, labels] -= 1.0
-    dlogits /= n
-    dcos = scale * dlogits
+    dcos = scale * ce.grads["logits"]
     dcos[..., rows, labels] *= dpsi
-
-    df_hat = dcos @ w_hat
-    dw_hat = mT(dcos) @ f_hat
-    df = (df_hat - np.sum(df_hat * f_hat, axis=-1, keepdims=True) * f_hat) / f_norms[..., None]
-    dw = (dw_hat - np.sum(dw_hat * w_hat, axis=-1, keepdims=True) * w_hat) / w_norms[..., None]
-    return LossOut(value=value, grads={"features": df, "class_weights": dw})
+    df = l2_normalize_rows_backward(dcos @ w_hat, feats, f_hat)
+    dw = l2_normalize_rows_backward(mT(dcos) @ f_hat, weights, w_hat)
+    return LossOut(value=ce.value, grads={"features": df, "class_weights": dw})
 
 
 # ---------------------------------------------------------------------------

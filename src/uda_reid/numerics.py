@@ -58,6 +58,13 @@ def l2_normalize_rows(x, name="input"):
     return x / norms[..., None]
 
 
+def l2_normalize_rows_backward(d_hat, x, x_hat):
+    """Gradient w.r.t. rows ``x`` from ``d_hat``, the gradient w.r.t. ``x_hat =
+    l2_normalize_rows(x)``: each row's radial part removed, divided by its norm."""
+    radial = np.sum(d_hat * x_hat, axis=-1, keepdims=True)
+    return (d_hat - radial * x_hat) / np.linalg.norm(x, axis=-1)[..., None]
+
+
 def cdist(a, b):
     """Euclidean distances between rows of ``a`` (n x d) and ``b`` (m x d).
 

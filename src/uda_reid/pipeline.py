@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from . import losses
-from .datamodel import Dataset, SynthConfig, generate_synthetic
+from .datamodel import Dataset, SynthConfig, check_finite_floats, generate_synthetic
 from .encoder import (AdamState, EncoderParams, FeatureQueue, adam_step,
                       backward, class_index, classifier_backward,
                       classifier_logits, ema_update, encode_dataset, forward,
@@ -55,6 +55,7 @@ class StageConfig:
     lr_gamma: float = 0.1
 
     def validate(self) -> None:
+        check_finite_floats(self)
         positives = ["iters_per_epoch", "p_classes", "k_per", "lr", "tau",
                      "queue_capacity", "k", "eps", "min_pts", "encoder_dim",
                      "scale", "lr_gamma"]
@@ -67,14 +68,11 @@ class StageConfig:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if not 0.0 <= self.lambda_soft <= 1.0:
             raise ConfigError("lambda_soft", f"must be in [0, 1], got {self.lambda_soft}")
-        if self.lambda_moco < 0:
-            raise ConfigError("lambda_moco", "must be >= 0")
+        for name in ("lambda_moco", "weight_decay", "margin"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, f"must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha", f"must be in [0, 1], got {self.alpha}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay", "must be >= 0")
-        if self.margin < 0:
-            raise ConfigError("margin", "must be >= 0")
         if self.lr_schedule not in ("constant", "step"):
             raise ConfigError("lr_schedule", f"unknown schedule {self.lr_schedule!r}")
 

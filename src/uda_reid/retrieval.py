@@ -106,8 +106,8 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
 
 def camera_adjust(dist, cam_feats_q, cam_feats_g, weight: float = 0.1) -> np.ndarray:
     """D'[q][g] = D[q][g] - weight * ||c_q - c_g||; may go negative."""
-    if weight < 0:
-        raise ValueError(f"weight must be >= 0, got {weight}")
+    if not 0.0 <= weight < np.inf:
+        raise ValueError(f"weight must be finite and >= 0, got {weight}")
     dist = np.asarray(dist, dtype=np.float64)
     cq = np.asarray(cam_feats_q, dtype=np.float64)
     cg = np.asarray(cam_feats_g, dtype=np.float64)

@@ -236,6 +236,14 @@ def test_evaluate_cam_weight_zero_is_identity(arts):
     assert 0.0 <= bare["mAP"] <= 1.0
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+def test_evaluate_cam_weight_out_of_range_exits_2(arts, weight):
+    code, out, err = go(["evaluate", "--query", arts["target"], "--gallery", arts["target"],
+                         "--params", arts["pre"], "--cam-weight", weight])
+    assert code == 2 and out == "", err
+    assert "weight must be finite and >= 0" in err and "Traceback" not in err
+
+
 def test_evaluate_top_truncates_cmc(arts):
     payload = ok(["evaluate", "--query", arts["target"], "--gallery",
                   arts["target"], "--params", arts["pre"], "--top", "10"])
@@ -399,6 +407,35 @@ def test_negative_seed_exits_2_naming_the_field(argv, arts, tmp_path, monkeypatc
     code, out, err = go([arts["translated"] if a == "TRANSLATED" else a for a in argv])
     assert code == 2 and out == "", err
     assert "seed" in err and "must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_gradcheck_tolerance_out_of_range_exits_2_before_any_check(tol, monkeypatch):
+    def no_checks(**kwargs):
+        raise AssertionError("checks ran")
+    monkeypatch.setattr("uda_reid.gradcheck.run_gradcheck", no_checks)
+    code, out, err = go(["gradcheck", "--trials", "1", "--tol", tol])
+    assert code == 2 and out == "", err
+    assert "--tol must be finite and > 0, got" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,argv", [
+    ("shift_strength", ["synth", "--out", "never", "--shift-strength", "nan"]),
+    ("shift_strength", ["synth", "--out", "never", "--config", "nan.cfg"]),
+    ("eps", ["baseline", "--params", "PRE", "--data", "TARGET", "--out", "never",
+             "--eps", "nan"]),
+    ("lr", ["pretrain", "--data", "TRANSLATED", "--out", "never", "--lr", "inf"]),
+    ("lr", ["pretrain", "--data", "TRANSLATED", "--out", "never", "--config", "nan.cfg"]),
+])
+def test_non_finite_config_float_exits_2_naming_the_field(field, argv, arts, tmp_path,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.cfg").write_text(f"{field} = nan\n")
+    subs = {"PRE": arts["pre"], "TARGET": arts["target"], "TRANSLATED": arts["translated"]}
+    code, out, err = go([subs.get(a, a) for a in argv])
+    assert code == 2 and out == "", err
+    assert f"'{field}': must be finite" in err and "Traceback" not in err
     assert not (tmp_path / "never").exists()
 
 

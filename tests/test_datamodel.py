@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uda_reid.datamodel import (Dataset, Domain, IDENTITY_NONE, PSEUDO_OUTLIER,
-                                SynthConfig, concat_datasets, config_from_kv,
-                                generate_synthetic, load_features, parse_kv,
-                                save_features)
+                                SynthConfig, concat_datasets, config_fields,
+                                config_from_kv, generate_synthetic, load_features,
+                                parse_kv, save_features)
 from uda_reid.errors import ConfigError, FormatError
+from uda_reid.pipeline import StageConfig
 
 
 def random_dataset(seed, n=12, d=6, unlabeled_target=False):
@@ -286,6 +287,28 @@ def test_synth_config_validation():
         SynthConfig(cluster_spread=-0.1).validate()
     with pytest.raises(ConfigError, match="'seed': must be >= 0, got -1"):
         SynthConfig(seed=-1).validate()
+
+
+FLOAT_FIELDS = [(cls, name) for cls in (SynthConfig, StageConfig)
+                for name, typ in config_fields(cls).items() if typ is float]
+
+
+def test_float_fields_of_both_configs():
+    assert len(FLOAT_FIELDS) == 14
+    assert (SynthConfig, "shift_offset") in FLOAT_FIELDS
+    assert (StageConfig, "lr_gamma") in FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls,name", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in FLOAT_FIELDS])
+def test_non_finite_float_field_is_a_config_error(cls, name, raw):
+    """Every float field of both configs must be finite, whether set in
+    code or from ``key = value`` text (flags and --config lines)."""
+    with pytest.raises(ConfigError, match=f"'{name}': must be finite, got {raw}$"):
+        cls(**{name: float(raw)}).validate()
+    with pytest.raises(ConfigError, match=f"'{name}': must be finite, got {raw}$"):
+        config_from_kv(cls, {name: raw})
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ def test_ema_endpoints_are_exact():
     student = small_params(seed=2)
     snapshot = teacher.copy()
 
-    ema_update(teacher, student, alpha=1.0)
+    assert ema_update(teacher, student, alpha=1.0) is None  # in place
     for name, arr in teacher.all_arrays().items():
         assert np.array_equal(arr, snapshot.all_arrays()[name]), name
 
@@ -313,7 +313,7 @@ def test_ema_errors():
 def test_queue_fifo_eviction():
     q = FeatureQueue(capacity=4, buffer=np.zeros((0, 2)))
     rows = np.array([[float(i + 1), 0.0] for i in range(6)])
-    queue_push(q, rows)
+    assert queue_push(q, rows) is None  # in place
     assert q.buffer.shape == (4, 2)
     # all rows normalize to the same unit vector; eviction kept the last four
     assert np.allclose(q.buffer, [[1.0, 0.0]] * 4)
@@ -346,7 +346,7 @@ def test_queue_errors():
 def test_adam_first_step_magnitude():
     params = {"p": np.array([0.0])}
     state = AdamState(lr=0.00035, weight_decay=0.0)
-    adam_step(params, {"p": np.array([1.0])}, state)
+    assert adam_step(params, {"p": np.array([1.0])}, state) is None  # in place
     assert params["p"][0] == pytest.approx(-0.00035, rel=1e-6)
 
 

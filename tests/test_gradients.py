@@ -7,6 +7,7 @@ from uda_reid import pipeline
 from uda_reid.encoder import pk_sample
 from uda_reid.gradcheck import (KERNEL_CHECKS, central_difference,
                                 relative_error, run_gradcheck, worst_error)
+from uda_reid.numerics import l2_normalize_rows, l2_normalize_rows_backward
 from uda_reid.pipeline import (LossMode, StageConfig, default_benchmark,
                                stage_baseline, stage_mmt_plus, stage_pretrain)
 
@@ -35,6 +36,16 @@ def test_relative_error_scales():
     assert relative_error([1.0, 0.0], [1.0, 0.0]) == 0.0
     assert relative_error([0.0], [0.0]) == 0.0
     assert relative_error([2.0], [1.0]) == pytest.approx(0.5)
+
+
+def test_l2_normalize_rows_backward_matches_numeric_gradient():
+    # a stack of two (3, 4) matrices, as the stacked queue and margin losses pass
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 3, 4))
+    sense = rng.normal(size=x.shape)
+    analytic = l2_normalize_rows_backward(sense, x, l2_normalize_rows(x))
+    numeric = central_difference(lambda v: float(np.sum(l2_normalize_rows(v) * sense)), x)
+    assert relative_error(analytic, numeric) < 1e-8
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CHECKS))

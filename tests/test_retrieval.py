@@ -190,8 +190,9 @@ def test_camera_adjust_arithmetic_and_sign():
 
 def test_camera_adjust_errors():
     dist = np.zeros((1, 2))
-    with pytest.raises(ValueError, match="weight"):
-        camera_adjust(dist, np.zeros((1, 2)), np.zeros((2, 2)), weight=-0.1)
+    for weight in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="weight must be finite and >= 0"):
+            camera_adjust(dist, np.zeros((1, 2)), np.zeros((2, 2)), weight=weight)
     with pytest.raises(ValueError, match="dimensions"):
         camera_adjust(dist, np.zeros((1, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="shape"):
