@@ -301,8 +301,6 @@ def _cmd_rerank(args) -> dict:
 
 
 def _cmd_evaluate(args) -> dict:
-    import numpy as np
-
     from .numerics import cdist
     from .retrieval import camera_adjust, evaluate, rerank
 
@@ -312,11 +310,8 @@ def _cmd_evaluate(args) -> dict:
     else:
         dist = cdist(q, g)
     if args.cam_weight is not None:
-        cams = max(int(split.query.cameras.max()),
-                   int(split.gallery.cameras.max())) + 1
-        eye = np.eye(cams)
-        dist = camera_adjust(dist, eye[split.query.cameras],
-                             eye[split.gallery.cameras], weight=args.cam_weight)
+        dist = camera_adjust(dist, split.query.cameras, split.gallery.cameras,
+                             weight=args.cam_weight)
     report = evaluate(dist, split.query.identities, split.query.cameras,
                       split.gallery.identities, split.gallery.cameras,
                       top_limit=args.top)
@@ -334,9 +329,7 @@ def _cmd_ensemble(args) -> dict:
     ds = _load_dataset(args.data)
     parts = [encode_dataset(load_params(p), ds) for p in args.params]
     combined = ensemble_features(parts)
-    out_ds = ds.subset(range(ds.n))
-    out_ds.features = combined.astype("float32")
-    save_features(args.out, out_ds)
+    save_features(args.out, replace(ds, features=combined))
     _note(f"ensembled {len(parts)} encoders -> {args.out} "
           f"({combined.shape[0]}x{combined.shape[1]})")
     return {"command": "ensemble", "out": str(args.out),
@@ -487,7 +480,7 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         _note(f"error: {exc}")
         return 2
     except ValueError as exc:  # format, config, mining, degenerate structure

@@ -38,9 +38,16 @@ from .errors import ConfigError, FormatError
 IDENTITY_NONE = -1
 PSEUDO_OUTLIER = -2
 
+# Binary feature format, all little-endian: magic "URDE", u16 version,
+# u32 n, u32 d, then one section of n values per metadata column below, in
+# this order and on-disk dtype (n i32 identities, n i32 cameras, n u8 domain
+# tags, n i32 pseudo labels), then the n*d f32 feature table.  A Dataset
+# holds each column in the same dtype.
 MAGIC = b"URDE"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHII")
+COLUMNS = {"identities": np.dtype("<i4"), "cameras": np.dtype("<i4"),
+           "domains": np.dtype("<u1"), "pseudo": np.dtype("<i4")}
 
 # Nuisance model of the synthetic generator, relative to cluster_spread.
 SIGNAL_NOISE = 0.25
@@ -67,10 +74,8 @@ class Dataset:
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d array")
-        self.identities = np.asarray(self.identities, dtype=np.int32)
-        self.cameras = np.asarray(self.cameras, dtype=np.int32)
-        self.domains = np.asarray(self.domains, dtype=np.uint8)
-        self.pseudo = np.asarray(self.pseudo, dtype=np.int32)
+        for col, dtype in COLUMNS.items():
+            setattr(self, col, np.asarray(getattr(self, col), dtype=dtype))
 
     @property
     def n(self) -> int:
@@ -86,10 +91,10 @@ class Dataset:
             raise ValueError("feature dimension must be >= 1")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
-        for col_name in ("identities", "cameras", "domains", "pseudo"):
-            col = getattr(self, col_name)
-            if col.shape != (n,):
-                raise ValueError(f"{col_name} has shape {col.shape}, expected ({n},)")
+        for col in COLUMNS:
+            shape = getattr(self, col).shape
+            if shape != (n,):
+                raise ValueError(f"{col} has shape {shape}, expected ({n},)")
         if np.any(self.identities < IDENTITY_NONE):
             raise ValueError("identity labels below the NONE sentinel")
         if np.any(self.cameras < 0):
@@ -105,34 +110,22 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(
-            features=self.features[idx],
-            identities=self.identities[idx],
-            cameras=self.cameras[idx],
-            domains=self.domains[idx],
-            pseudo=self.pseudo[idx],
-            name=self.name,
-        )
+        return Dataset(features=self.features[idx], name=self.name,
+                       **{col: getattr(self, col)[idx] for col in COLUMNS})
 
 
 def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
     """Rows of ``a`` followed by rows of ``b``; metadata carried through untouched."""
     if a.d != b.d:
         raise ValueError(f"feature dimension mismatch: {a.d} vs {b.d}")
-    return Dataset(
-        features=np.concatenate([a.features, b.features], axis=0),
-        identities=np.concatenate([a.identities, b.identities]),
-        cameras=np.concatenate([a.cameras, b.cameras]),
-        domains=np.concatenate([a.domains, b.domains]),
-        pseudo=np.concatenate([a.pseudo, b.pseudo]),
-        name=f"{a.name}+{b.name}" if a.name or b.name else "",
-    )
+    return Dataset(features=np.concatenate([a.features, b.features], axis=0),
+                   name=f"{a.name}+{b.name}" if a.name or b.name else "",
+                   **{col: np.concatenate([getattr(a, col), getattr(b, col)])
+                      for col in COLUMNS})
 
 
 # ---------------------------------------------------------------------------
-# Binary feature format: magic "URDE", u16 version, u32 n, u32 d, then
-# n i32 identities, n i32 cameras, n u8 domain tags, n i32 pseudo labels,
-# n*d f32 features.  All little-endian.
+# Binary feature format; the layout comment sits above ``COLUMNS``
 # ---------------------------------------------------------------------------
 
 def save_features(path, ds: Dataset) -> None:
@@ -140,10 +133,8 @@ def save_features(path, ds: Dataset) -> None:
     n, d = ds.features.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n, d))
-        fh.write(ds.identities.astype("<i4").tobytes())
-        fh.write(ds.cameras.astype("<i4").tobytes())
-        fh.write(ds.domains.astype("<u1").tobytes())
-        fh.write(ds.pseudo.astype("<i4").tobytes())
+        for col, dtype in COLUMNS.items():
+            fh.write(getattr(ds, col).astype(dtype).tobytes())
         fh.write(np.ascontiguousarray(ds.features, dtype="<f4").tobytes())
 
 
@@ -160,50 +151,26 @@ def load_features(path) -> Dataset:
     if d < 1:
         raise FormatError(10, "feature dimension must be >= 1")
 
-    offsets = _section_offsets(n, d)
-    expected = offsets["end"]
+    row_bytes = sum(dtype.itemsize for dtype in COLUMNS.values()) + 4 * d
+    expected = _HEADER.size + n * row_bytes
     if len(blob) < expected:
         raise FormatError(len(blob), f"truncated payload; expected {expected} bytes")
     if len(blob) > expected:
         raise FormatError(expected, "trailing data after payload")
 
-    def section(key, dtype, count):
-        start = offsets[key]
-        return np.frombuffer(blob, dtype=dtype, count=count, offset=start)
-
-    identities = section("identities", "<i4", n)
-    cameras = section("cameras", "<i4", n)
-    domains = section("domains", "<u1", n)
-    pseudo = section("pseudo", "<i4", n)
-    feats = section("features", "<f4", n * d)
-
-    bad_dom = np.flatnonzero(~np.isin(domains, (0, 1)))
-    if bad_dom.size:
-        raise FormatError(offsets["domains"] + int(bad_dom[0]), f"invalid domain tag {domains[bad_dom[0]]}")
+    columns, pos = {}, _HEADER.size
+    for col, dtype in COLUMNS.items():
+        columns[col] = np.frombuffer(blob, dtype=dtype, count=n, offset=pos).copy()
+        if col == "domains":
+            bad = np.flatnonzero(~np.isin(columns[col], (0, 1)))
+            if bad.size:
+                raise FormatError(pos + int(bad[0]), f"invalid domain tag {columns[col][bad[0]]}")
+        pos += dtype.itemsize * n
+    feats = np.frombuffer(blob, dtype="<f4", count=n * d, offset=pos)
     bad = np.flatnonzero(~np.isfinite(feats))
     if bad.size:
-        raise FormatError(offsets["features"] + 4 * int(bad[0]), "non-finite feature value")
-
-    ds = Dataset(
-        features=feats.reshape(n, d).copy(),
-        identities=identities.copy(),
-        cameras=cameras.copy(),
-        domains=domains.copy(),
-        pseudo=pseudo.copy(),
-        name="",
-    )
-    return ds
-
-
-def _section_offsets(n, d):
-    off = {}
-    pos = _HEADER.size
-    for key, width in (("identities", 4), ("cameras", 4), ("domains", 1), ("pseudo", 4)):
-        off[key] = pos
-        pos += width * n
-    off["features"] = pos
-    off["end"] = pos + 4 * n * d
-    return off
+        raise FormatError(pos + 4 * int(bad[0]), "non-finite feature value")
+    return Dataset(features=feats.reshape(n, d).copy(), **columns)
 
 
 # ---------------------------------------------------------------------------

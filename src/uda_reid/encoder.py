@@ -284,8 +284,8 @@ def queue_push(queue: FeatureQueue, feats) -> None:
 
 @dataclass
 class AdamState:
-    lr: float = 0.00035
-    weight_decay: float = 0.0005
+    lr: float
+    weight_decay: float
     # per-parameter slots: name -> [m, v, t]; re-initialized parameters can
     # drop their slot to restart the bias correction cleanly
     slots: dict = field(default_factory=dict)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .datamodel import Dataset
 from .errors import DegenerateStructureError
-from .numerics import cdist, l2_normalize_rows
+from .numerics import l2_normalize_rows
 from .pseudolabel import jaccard_rows, k_reciprocal_neighbors, pairwise_euclidean
 
 
@@ -104,20 +104,17 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
 # Camera-aware adjustment and ensembling
 # ---------------------------------------------------------------------------
 
-def camera_adjust(dist, cam_feats_q, cam_feats_g, weight: float = 0.1) -> np.ndarray:
-    """D'[q][g] = D[q][g] - weight * ||c_q - c_g||; may go negative."""
+def camera_adjust(dist, cams_q, cams_g, weight: float = 0.1) -> np.ndarray:
+    """D'[q][g] = D[q][g] - weight * ||c_q - c_g|| for one-hot camera codes
+    c: sqrt(2) where the camera ids differ, 0 where they match.  May go
+    negative."""
     if not 0.0 <= weight < np.inf:
         raise ValueError(f"weight must be finite and >= 0, got {weight}")
     dist = np.asarray(dist, dtype=np.float64)
-    cq = np.asarray(cam_feats_q, dtype=np.float64)
-    cg = np.asarray(cam_feats_g, dtype=np.float64)
-    if cq.shape[1] != cg.shape[1]:
-        raise ValueError("camera feature dimensions differ")
-    if dist.shape != (cq.shape[0], cg.shape[0]):
-        raise ValueError("distance matrix shape does not match camera features")
-    if weight == 0.0:
-        return dist.copy()
-    return dist - weight * cdist(cq, cg)
+    cams_q, cams_g = np.asarray(cams_q), np.asarray(cams_g)
+    if dist.shape != (cams_q.shape[0], cams_g.shape[0]):
+        raise ValueError("distance matrix shape does not match camera ids")
+    return dist - weight * np.where(cams_q[:, None] != cams_g[None, :], np.sqrt(2.0), 0.0)
 
 
 def ensemble_features(parts: list) -> np.ndarray:

@@ -265,6 +265,17 @@ def test_single_camera_evaluation_exits_2(arts, tmp_path):
         assert "Traceback" not in err, (extra, err)
 
 
+def test_evaluate_cam_weight_takes_any_camera_id(arts, tmp_path):
+    # the adjustment compares camera ids; it builds no array sized by them
+    ds = load_features(arts["target"])
+    ds.cameras[0] = 2 ** 24
+    far = tmp_path / "far_camera.bin"
+    save_features(far, ds)
+    payload = ok(["evaluate", "--query", far, "--gallery", far, "--params", arts["pre"],
+                  "--cam-weight"])
+    assert 0.0 <= payload["mAP"] <= 1.0
+
+
 def cli_subprocess(argv):
     """Run the CLI in a fresh interpreter, so ``--threads`` takes effect
     before numpy loads; returns (exit code, stdout)."""
@@ -477,6 +488,24 @@ def test_data_errors_exit_2(arts, tmp_path):
                        "--iters-per-epoch", "2", "--encoder-dim", "8",
                        "--p-classes", "64"])
     assert code == 2 and "usable" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "FILE"],
+    ["synth", "--out", "FILE/sub"],
+    ["cluster", "--params", "FILE/x", "--data", "TARGET", "--out", "relab.bin"],
+    ["pretrain", "--data", "TRANSLATED", "--out", "FILE/x.params"] + TINY_TRAIN,
+    ["pretrain", "--data", "TRANSLATED", "--out", "p.params", "--log", "FILE/log"]
+    + TINY_TRAIN,
+])
+def test_path_os_errors_exit_2(argv, arts, tmp_path, monkeypatch):
+    # a path that names a file where a directory is needed, or one below a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "FILE").write_bytes(b"")
+    subs = {"TARGET": arts["target"], "TRANSLATED": arts["translated"]}
+    code, out, err = go([subs.get(a, a) for a in argv])
+    assert code == 2 and out == "", err
+    assert "error: [Errno" in err and "Traceback" not in err
 
 
 SMALL_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "3",

@@ -1,4 +1,6 @@
 """Dataset container, binary round trips, and the synthetic generator."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,24 @@ def test_concat_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # binary format
 # ---------------------------------------------------------------------------
+
+def test_saved_bytes_follow_the_documented_layout(tmp_path):
+    # every column holds values the others do not, so a swap of sections shows
+    ds = Dataset(features=np.array([[0.5, -1.25], [3.0, 1e-3], [-7.0, 2.5]], dtype=np.float32),
+                 identities=np.array([10, 11, IDENTITY_NONE]),
+                 cameras=np.array([20, 21, 22]),
+                 domains=np.array([0, 0, 1]),
+                 pseudo=np.array([30, PSEUDO_OUTLIER, 31]))
+    path = tmp_path / "ds.bin"
+    save_features(path, ds)
+    want = (struct.pack("<4sHII", b"URDE", 1, 3, 2)
+            + struct.pack("<3i", 10, 11, -1)
+            + struct.pack("<3i", 20, 21, 22)
+            + struct.pack("<3B", 0, 0, 1)
+            + struct.pack("<3i", 30, -2, 31)
+            + struct.pack("<6f", 0.5, -1.25, 3.0, np.float32(1e-3), -7.0, 2.5))
+    assert path.read_bytes() == want
+
 
 def test_round_trip_bit_exact(tmp_path):
     ds = random_dataset(9, n=5, d=4)

@@ -392,7 +392,7 @@ def test_adam_matches_reference_two_steps():
 
 def test_adam_rejects_nonfinite_gradient():
     params = {"p": np.array([1.0])}
-    state = AdamState()
+    state = AdamState(lr=0.01, weight_decay=0.0)
     before = params["p"].copy()
     with pytest.raises(DivergenceError, match="p"):
         adam_step(params, {"p": np.array([np.nan])}, state)
@@ -402,7 +402,7 @@ def test_adam_rejects_nonfinite_gradient():
 def test_adam_shape_mismatch():
     params = {"p": np.ones((2, 2))}
     with pytest.raises(ValueError, match="shape"):
-        adam_step(params, {"p": np.ones(3)}, AdamState())
+        adam_step(params, {"p": np.ones(3)}, AdamState(lr=0.01, weight_decay=0.0))
 
 
 def test_adam_reset_restarts_bias_correction():
@@ -419,9 +419,9 @@ def test_adam_reset_restarts_bias_correction():
 
 def test_adam_config_validation():
     with pytest.raises(ValueError, match="lr"):
-        AdamState(lr=0.0)
+        AdamState(lr=0.0, weight_decay=0.0)
     with pytest.raises(ValueError, match="weight_decay"):
-        AdamState(weight_decay=-1.0)
+        AdamState(lr=0.01, weight_decay=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,16 @@ def test_stage_logs_match_fixture(case):
                 assert got_rec[key] == value, key
 
 
+def test_fixture_script_check_passes():
+    # the byte-for-byte form of the test above, under one BLAS thread
+    script = os.path.abspath(stage_logs.__file__)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, script, "--check"], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # imports the script, which must leave the environment alone, then runs it as
 # __main__ with a bad argument: it pins the thread variables and exits 2
 _PIN_PROBE = """
