@@ -1,7 +1,9 @@
 """Run the ablation grid on the synthetic benchmark and print a summary table.
 
 The arms are those of ``uda_reid.pipeline.ablation_arms``, all at shared
-defaults unless overridden.
+defaults unless overridden.  Each seed's row goes to stderr as it finishes;
+the JSON on stdout holds the per-arm medians and, under ``per_seed``, every
+arm's mAP per seed at full precision.
 
 Usage: python scripts/run_ablation.py [--seeds 0,1,2,3,4] [--fidelity 0.55]
 """
@@ -15,12 +17,12 @@ import numpy as np
 from uda_reid.pipeline import ablation_arms
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", default="0,1,2,3,4")
     ap.add_argument("--fidelity", type=float, default=None,
                     help="override the benchmark's translation fidelity")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
 
     overrides = {} if args.fidelity is None else {"translation_fidelity": args.fidelity}
@@ -43,6 +45,7 @@ def main() -> int:
                 medians["baseline"] - medians["translated"], 4),
             "full_minus_ablated": round(medians["full"] - medians["ablated"], 4),
         },
+        "per_seed": per_seed,
         "wall_time_s": round(time.time() - started, 1),
     }
     print(json.dumps(summary, indent=2, sort_keys=True))

@@ -16,6 +16,7 @@ the flag before touching the rest of the package.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import enum
 import json
 import os
@@ -24,6 +25,7 @@ from dataclasses import replace
 
 __all__ = ["main", "run"]
 
+_EXPORTS = ("teacher1", "teacher2")  # stage_mmt_plus returns the teachers in this order
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
@@ -156,10 +158,31 @@ def _val_split(args):
     return split_query_gallery(_load_dataset(args.val))
 
 
-def _write_log(args, log) -> None:
-    if args.log is not None:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(log.to_jsonl())
+def _train(args, stage):
+    """Run ``stage() -> (params, log)``, then write the params to ``--out``
+    and the log to ``--log``.  Both paths are opened before the stage runs,
+    so one that cannot be written fails first.  If anything fails, the files
+    opened here that did not exist before are removed; appending nothing
+    leaves an existing file unchanged."""
+    from .encoder import save_params
+
+    created = []
+    try:
+        for path in filter(None, (args.out, args.log)):
+            if not os.path.exists(path):
+                created.append(path)
+            open(path, "ab").close()
+        params, log = stage()
+        save_params(args.out, params)
+        if args.log is not None:
+            with open(args.log, "w", encoding="utf-8") as fh:
+                fh.write(log.to_jsonl())
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return log
 
 
 def _train_summary(log, out_path) -> dict:
@@ -195,35 +218,32 @@ def _cmd_synth(args) -> dict:
 
 
 def _cmd_pretrain(args) -> dict:
-    from .encoder import save_params
     from .pipeline import StageConfig, stage_pretrain
 
     cfg = _config(StageConfig, args)
     train = _load_dataset(args.data)
-    params, log = stage_pretrain(train, cfg, val_split=_val_split(args))
-    save_params(args.out, params)
-    _write_log(args, log)
+    val_split = _val_split(args)
+    log = _train(args, lambda: stage_pretrain(train, cfg, val_split=val_split))
     _note(f"pretrained {cfg.epochs} epochs on {args.data} -> {args.out}")
     return {"command": "pretrain", **_train_summary(log, args.out)}
 
 
 def _cmd_baseline(args) -> dict:
-    from .encoder import load_params, save_params
+    from .encoder import load_params
     from .pipeline import StageConfig, stage_baseline
 
     cfg = _config(StageConfig, args)
     pretrained = load_params(args.params)
     target = _load_dataset(args.data)
-    params, log = stage_baseline(pretrained, target, cfg,
-                                 val_split=_val_split(args))
-    save_params(args.out, params)
-    _write_log(args, log)
+    val_split = _val_split(args)
+    log = _train(args, lambda: stage_baseline(pretrained, target, cfg,
+                                              val_split=val_split))
     _note(f"self-trained {cfg.epochs} epochs on {args.data} -> {args.out}")
     return {"command": "baseline", **_train_summary(log, args.out)}
 
 
 def _cmd_mmtplus(args) -> dict:
-    from .encoder import load_params, save_params
+    from .encoder import load_params
     from .pipeline import StageConfig, stage_mmt_plus
 
     cfg = _config(StageConfig, args)
@@ -231,11 +251,14 @@ def _cmd_mmtplus(args) -> dict:
     pretrained2 = load_params(args.params2) if args.params2 else None
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
-    state, log = stage_mmt_plus(pretrained, source, target, cfg,
-                                val_split=_val_split(args),
-                                pretrained2=pretrained2)
-    save_params(args.out, state.export(args.export))
-    _write_log(args, log)
+    val_split = _val_split(args)
+
+    def train():
+        teachers, log = stage_mmt_plus(pretrained, source, target, cfg,
+                                       val_split=val_split, pretrained2=pretrained2)
+        return teachers[_EXPORTS.index(args.export)], log
+
+    log = _train(args, train)
     _note(f"mean-teacher training done; exported {args.export} -> {args.out}")
     return {"command": "mmtplus", "export": args.export,
             **_train_summary(log, args.out)}
@@ -400,8 +423,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--source", required=True, metavar="FILE")
     p.add_argument("--target", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--export", choices=["teacher1", "teacher2"],
-                   default="teacher1")
+    p.add_argument("--export", choices=_EXPORTS, default=_EXPORTS[0])
     _add_train_flags(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_mmtplus)

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import losses
 from .datamodel import Dataset, SynthConfig, check_finite_floats, generate_synthetic
-from .encoder import (AdamState, EncoderParams, FeatureQueue, adam_step,
-                      backward, class_index, classifier_backward,
+from .encoder import (AdamState, ClassIndex, EncoderParams, FeatureQueue,
+                      adam_step, backward, class_index, classifier_backward,
                       classifier_logits, ema_update, encode_dataset, forward,
                       forward_cached, init_params, pk_sample, queue_push,
                       stack_params, unstack_params)
@@ -162,25 +162,11 @@ def _hard_loss(params: EncoderParams, feats: np.ndarray, labels: np.ndarray,
     return out.value, out.grads["features"], out.grads["class_weights"]
 
 
-def _centroid_classifier(feats: np.ndarray, labels: np.ndarray,
-                         num_classes: int) -> np.ndarray:
-    """Row-normalized per-class mean features, classes indexed 0..num-1;
-    one classifier per network for a stack of features."""
-    cents = np.zeros(feats.shape[:-2] + (num_classes, feats.shape[-1]))
-    for c in range(num_classes):
-        members = labels == c
-        if not members.any():
-            raise ValueError(f"class {c} has no members")
-        cents[..., c, :] = feats[..., members, :].mean(axis=-2)
+def _centroid_classifier(feats: np.ndarray, index: ClassIndex) -> np.ndarray:
+    """Row-normalized mean features of each class of ``index``, in its class
+    order; one classifier per network for a stack of features."""
+    cents = np.stack([feats[..., rows, :].mean(axis=-2) for rows in index.rows], axis=-2)
     return l2_normalize_rows(cents, "class centroid")
-
-
-def _cluster_centroids(params: EncoderParams, target: Dataset,
-                       num_clusters: int) -> np.ndarray:
-    """Centroid classifier over the target's current pseudo-label clusters."""
-    keep = target.pseudo >= 0
-    return _centroid_classifier(encode_dataset(params, target)[..., keep, :],
-                                target.pseudo[keep], num_clusters)
 
 
 def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
@@ -209,23 +195,26 @@ def _maybe_eval(params, val_split, rec):
 
 def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
                 eval_params: EncoderParams, val_split: QueryGallerySplit | None,
-                relabel=None, rebuild=None) -> None:
+                index: ClassIndex | None = None, relabel=None, rebuild=None) -> None:
     """Train ``cfg.epochs`` epochs of ``cfg.iters_per_epoch`` steps each.
 
-    ``step(labeling)`` draws one batch and returns ``(parts, update)``: a
-    dict of loss parts, each a float or, for a stack of networks, an array
-    of one value per network, and a callable that applies the updates.
-    Without a ``"total"`` part each network trains on the sum of its parts;
-    the guard checks every total for finiteness before ``update`` runs.  An
-    overflow or invalid operation in ``relabel``, ``rebuild``, ``step`` or
-    ``update`` is a divergence at that epoch, like a non-finite total.  The
-    record averages each part over every network and step of the epoch; a
-    missing total is recorded as the sum of the part sums over that count.
+    ``step(labeling, index)`` draws one batch from the class ``index`` of
+    the current labelling and returns ``(parts, update)``: a dict of loss
+    parts, each a float or, for a stack of networks, an array of one value
+    per network, and a callable that applies the updates.  Without a
+    ``"total"`` part each network trains on the sum of its parts; the guard
+    checks every total for finiteness before ``update`` runs.  An overflow
+    or invalid operation in ``relabel``, ``rebuild``, ``step`` or ``update``
+    is a divergence at that epoch, like a non-finite total.  The record
+    averages each part over every network and step of the epoch; a missing
+    total is recorded as the sum of the part sums over that count.
 
-    Self-training stages pass ``relabel() -> PseudoLabeling``, run at
-    each epoch start: an epoch without clusters is recorded as skipped and
-    not trained, otherwise ``rebuild(num_clusters)`` re-seeds the
-    classifiers and the optimizer drops its classifier moments.
+    Supervised training passes the fixed ``index`` of its labels and no
+    labelling.  Self-training stages pass ``relabel() -> PseudoLabeling``,
+    run at each epoch start: an epoch without clusters is recorded as
+    skipped and not trained; otherwise the labelling's class index is built
+    here, once, ``rebuild(index)`` re-seeds the classifiers from it and the
+    optimizer drops its classifier moments.
     """
     for epoch in range(cfg.epochs):
         adam.lr = cfg.lr_at(epoch)
@@ -239,10 +228,11 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
                     rec.num_outliers = labeling.num_outliers
                     rec.skipped = labeling.num_clusters == 0
                     if not rec.skipped:
-                        rebuild(labeling.num_clusters)
+                        index = class_index(labeling.assignment)
+                        rebuild(index)
                         adam.reset("classifier")
                 for it in range(0 if rec.skipped else cfg.iters_per_epoch):
-                    parts, update = step(labeling)
+                    parts, update = step(labeling, index)
                     totals = np.atleast_1d(parts.get("total", sum(parts.values())))
                     bad = ~np.isfinite(totals)
                     if bad.any():
@@ -272,21 +262,14 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
                      raws: np.ndarray, domains: np.ndarray, labels: np.ndarray,
                      rng: np.random.Generator):
     """Step of a single network trained on hard labels: classification plus
-    hardest-mined triplet loss on a PK batch.  Returns ``(step, reindex)``.
+    hardest-mined triplet loss on a PK batch drawn from the driver's class
+    index of ``labels``.
 
-    Batches are drawn from a class index of ``labels``, built here and again
-    by ``reindex()``, which self-training calls after each relabel.
     Pretraining (no labeling) samples ``cfg.p_classes`` identities.  Self-
     training samples at most one class per cluster and drops the triplet
     term when a single cluster is left.
     """
-    index = class_index(labels)
-
-    def reindex():
-        nonlocal index
-        index = class_index(labels)
-
-    def step(labeling):
+    def step(labeling, index):
         p = cfg.p_classes if labeling is None else min(cfg.p_classes, labeling.num_clusters)
         idx = pk_sample(index, p, cfg.k_per, rng)
         batch_labels = labels[idx].astype(np.int64)
@@ -300,7 +283,7 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
         grads["classifier"] = d_cls
         return ({"cls": cls_val, "tri": tri_val},
                 lambda: adam_step(params.trainable(), grads, adam))
-    return step, reindex
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +301,9 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
     params = init_params(train.d, cfg.encoder_dim, p_s, cfg.seed)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="pretrain", seed=cfg.seed)
-    step, _ = _hard_label_step(params, adam, cfg, train.features.astype(np.float64),
-                               train.domains, dense, np.random.default_rng([cfg.seed, 11]))
-    _run_epochs(cfg, log, adam, step, params, val_split)
+    step = _hard_label_step(params, adam, cfg, train.features.astype(np.float64),
+                            train.domains, dense, np.random.default_rng([cfg.seed, 11]))
+    _run_epochs(cfg, log, adam, step, params, val_split, index=class_index(dense))
     return params, log
 
 
@@ -337,13 +320,12 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
     params = pretrained.copy()
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="baseline", seed=cfg.seed)
-    step, reindex = _hard_label_step(params, adam, cfg, target.features.astype(np.float64),
-                                     target.domains, target.pseudo,
-                                     np.random.default_rng([cfg.seed, 13]))
+    step = _hard_label_step(params, adam, cfg, target.features.astype(np.float64),
+                            target.domains, target.pseudo,
+                            np.random.default_rng([cfg.seed, 13]))
 
-    def rebuild(num_clusters):
-        reindex()
-        params.classifier = _cluster_centroids(params, target, num_clusters)
+    def rebuild(index):
+        params.classifier = _centroid_classifier(encode_dataset(params, target), index)
 
     _run_epochs(cfg, log, adam, step, params, val_split,
                 relabel=lambda: relabel_epoch(target, params, cfg.k, cfg.eps, cfg.min_pts),
@@ -354,19 +336,6 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
 # ---------------------------------------------------------------------------
 # Stage III: mutual mean-teacher training (joint domains, queues)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TeacherState:
-    students: tuple
-    teachers: tuple
-
-    def export(self, which: str = "teacher1") -> EncoderParams:
-        if which == "teacher1":
-            return self.teachers[0]
-        if which == "teacher2":
-            return self.teachers[1]
-        raise ValueError(f"unknown export target {which!r}")
-
 
 def _decorrelated_copy(params: EncoderParams, seed: int) -> EncoderParams:
     """Second student: same pretrained weights plus a small seeded jitter."""
@@ -380,19 +349,23 @@ def _decorrelated_copy(params: EncoderParams, seed: int) -> EncoderParams:
 
 def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
                    cfg: StageConfig, val_split: QueryGallerySplit | None = None,
-                   pretrained2: EncoderParams | None = None) -> tuple[TeacherState, RunLog]:
+                   pretrained2: EncoderParams | None = None
+                   ) -> tuple[tuple[EncoderParams, EncoderParams], RunLog]:
     """Two students, two mean teachers, two queues, joint label space.
+    Returns the two trained teachers and the log.
 
     The two students are one stack of networks (:func:`stack_params`), and
     so are the two teachers and the two queues, so every call below serves
     both networks at once.  Per epoch: pseudo-labels refreshed with student
-    1, the target class index rebuilt, classifiers rebuilt from class
-    centroids over the joint source+target label space.  Per iteration: one
-    PK batch per domain; one teacher forward and one student forward on the
-    students' shared training-mode ``x_hat``; soft cross-entropy against the
-    peer teacher, hard loss on joint labels, momentum-contrast loss against
-    the own-teacher queue; then one Adam step on the students, one EMA onto
-    the teachers and one push of the teacher features to the queues.
+    1, then the classifiers rebuilt from class centroids over the joint
+    source+target label space: the source identities' centroids first, then
+    those of each class of the driver's target index.  Per iteration: one
+    PK batch per domain, the target one from that index; one teacher
+    forward and one student forward on the students' shared training-mode
+    ``x_hat``; soft cross-entropy against the peer teacher, hard loss on
+    joint labels, momentum-contrast loss against the own-teacher queue;
+    then one Adam step on the students, one EMA onto the teachers and one
+    push of the teacher features to the queues.
     """
     cfg.validate()
     if source.n == 0 or target.n == 0:
@@ -418,21 +391,19 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     log = RunLog(stage="mmt_plus", seed=cfg.seed)
 
     dense_src, p_s = _dense_labels(source.identities)
-    index_s, index_t = class_index(dense_src), None
+    index_s = class_index(dense_src)
     raws_s = source.features.astype(np.float64)
     raws_t = target.features.astype(np.float64)
 
-    def rebuild(num_clusters):
-        nonlocal index_t
-        index_t = class_index(target.pseudo)
-        cents = _cluster_centroids(students, target, num_clusters)
+    def rebuild(index_t):
+        cents = _centroid_classifier(encode_dataset(students, target), index_t)
         if cfg.joint_source:
             cents = np.concatenate([_centroid_classifier(
-                encode_dataset(students, source), dense_src, p_s), cents], axis=-2)
+                encode_dataset(students, source), index_s), cents], axis=-2)
         students.classifier = cents
         teachers.classifier = cents.copy()
 
-    def step(labeling):
+    def step(labeling, index_t):
         p_eff = min(cfg.p_classes, labeling.num_clusters)
         if cfg.joint_source:
             idx_s = pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
@@ -479,8 +450,7 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     _run_epochs(cfg, log, adam, step, teacher1, val_split,
                 relabel=lambda: relabel_epoch(target, student1, cfg.k, cfg.eps, cfg.min_pts),
                 rebuild=rebuild)
-    return TeacherState(students=unstack_params(students),
-                        teachers=unstack_params(teachers)), log
+    return unstack_params(teachers), log
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +493,9 @@ def run_full_pipeline(seed: int = 0, cfg: StageConfig | None = None,
     cfg = cfg or StageConfig(seed=seed)
     bench = bench or default_benchmark(seed=seed)
     pre, pre_log = stage_pretrain(bench.translated, cfg, val_split=bench.val_split)
-    state, mmt_log = stage_mmt_plus(pre, bench.source, bench.target_train, cfg,
-                                    val_split=bench.val_split)
-    final = state.export("teacher1")
+    teachers, mmt_log = stage_mmt_plus(pre, bench.source, bench.target_train, cfg,
+                                       val_split=bench.val_split)
+    final = teachers[0]
     report = eval_encoder(final, bench.val_split, use_rerank=True)
     return {"params": final, "report": report,
             "logs": {"pretrain": pre_log, "mmt_plus": mmt_log}}
@@ -545,15 +515,14 @@ def ablation_arms(seed: int, **synth_overrides) -> dict:
     pre_raw, _ = stage_pretrain(bench.source, cfg)
     pre_tr, _ = stage_pretrain(bench.translated, cfg)
     base, _ = stage_baseline(pre_tr, bench.target_train, cfg)
-    full_state, _ = stage_mmt_plus(pre_tr, bench.source, bench.target_train, cfg)
+    full = stage_mmt_plus(pre_tr, bench.source, bench.target_train, cfg)[0][0]
     abl_cfg = StageConfig(seed=seed, lambda_moco=0.0, joint_source=False)
-    abl_state, _ = stage_mmt_plus(pre_tr, bench.source, bench.target_train, abl_cfg)
-    full = full_state.export("teacher1")
+    ablated = stage_mmt_plus(pre_tr, bench.source, bench.target_train, abl_cfg)[0][0]
     return {
         "raw": eval_encoder(pre_raw, bench.val_split).mAP,
         "translated": eval_encoder(pre_tr, bench.val_split).mAP,
         "baseline": eval_encoder(base, bench.val_split).mAP,
-        "ablated": eval_encoder(abl_state.export("teacher1"), bench.val_split).mAP,
+        "ablated": eval_encoder(ablated, bench.val_split).mAP,
         "full": eval_encoder(full, bench.val_split).mAP,
         "reranked": eval_encoder(full, bench.val_split, use_rerank=True).mAP,
     }

@@ -4,6 +4,7 @@ Each test prints ``[acceptance] criterion N (<name>): PASS/FAIL (<detail>)``
 directly to the terminal, then asserts.  Criterion five trains the full
 pipeline over five seeds and dominates the wall time (a minute or two).
 """
+import importlib.util
 import io
 import json
 import time
@@ -201,6 +202,23 @@ def test_criterion_5_directional_ablations(ablation, capsys):
              "baseline {baseline:.4f}; ablated {ablated:.4f} <= full "
              "{full:.4f}; reranked {reranked:.4f} >= 0.80; {t:.0f}s"
              .format(t=elapsed, **med))
+
+
+def test_run_ablation_reports_every_arm_per_seed(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_ablation", Path(__file__).parent.parent / "scripts" / "run_ablation.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    arms = ("raw", "translated", "baseline", "ablated", "full", "reranked")
+
+    def fake_arms(seed):  # values that 3 decimals would round together
+        return {arm: seed / 7 + i / 3 for i, arm in enumerate(arms)}
+
+    monkeypatch.setattr(script, "ablation_arms", fake_arms)
+    assert script.main(["--seeds", "3,0,11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["per_seed"] == {str(s): fake_arms(s) for s in (3, 0, 11)}
+    assert report["medians"]["full"] == round(3 / 7 + 4 / 3, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,9 @@ def test_usage_errors_exit_1(arts):
     assert go(["pretrain", "--data", arts["translated"]])[0] == 1  # no --out
     assert go(["pretrain", "--data", arts["translated"], "--out", "o",
                "--epochs", "abc"])[0] == 1
+    assert go(["mmtplus", "--params", arts["pre"], "--source", arts["source"],
+               "--target", arts["target"], "--out", "o",
+               "--export", "student1"])[0] == 1  # only the teachers export
 
 
 def test_data_errors_exit_2(arts, tmp_path):
@@ -497,15 +500,31 @@ def test_data_errors_exit_2(arts, tmp_path):
     ["pretrain", "--data", "TRANSLATED", "--out", "FILE/x.params"] + TINY_TRAIN,
     ["pretrain", "--data", "TRANSLATED", "--out", "p.params", "--log", "FILE/log"]
     + TINY_TRAIN,
+    ["baseline", "--params", "PRE", "--data", "TARGET", "--out", "FILE/x.params"]
+    + TINY_TRAIN,
+    ["baseline", "--params", "PRE", "--data", "TARGET", "--out", "p.params",
+     "--log", "FILE/log"] + TINY_TRAIN,
+    ["mmtplus", "--params", "PRE", "--source", "SOURCE", "--target", "TARGET",
+     "--out", "FILE/x.params"] + TINY_TRAIN,
+    ["mmtplus", "--params", "PRE", "--source", "SOURCE", "--target", "TARGET",
+     "--out", "p.params", "--log", "FILE/log"] + TINY_TRAIN,
 ])
 def test_path_os_errors_exit_2(argv, arts, tmp_path, monkeypatch):
-    # a path that names a file where a directory is needed, or one below a file
+    # a path that names a file where a directory is needed, or one below a
+    # file; a training command fails on its outputs before it trains
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output paths were opened")
+
+    for stage in ("stage_pretrain", "stage_baseline", "stage_mmt_plus"):
+        monkeypatch.setattr(f"uda_reid.pipeline.{stage}", no_training)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "FILE").write_bytes(b"")
-    subs = {"TARGET": arts["target"], "TRANSLATED": arts["translated"]}
+    subs = {"TARGET": arts["target"], "TRANSLATED": arts["translated"],
+            "SOURCE": arts["source"], "PRE": arts["pre"]}
     code, out, err = go([subs.get(a, a) for a in argv])
     assert code == 2 and out == "", err
     assert "error: [Errno" in err and "Traceback" not in err
+    assert not (tmp_path / "p.params").exists()  # the usable --out is not left
 
 
 SMALL_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "3",
@@ -525,11 +544,15 @@ def small(tmp_path_factory):
 
 
 def test_pretrain_divergence_exits_3(small, tmp_path):
+    # a failed run removes the output it created and leaves an existing one
+    (tmp_path / "old.jsonl").write_bytes(b"earlier run\n")
     code, out, err = go(["pretrain", "--data", small / "data" / "translated.bin",
-                         "--out", tmp_path / "p.params", "--lr", "1e10"] + SMALL_TRAIN)
+                         "--out", tmp_path / "p.params", "--log", tmp_path / "old.jsonl",
+                         "--lr", "1e10"] + SMALL_TRAIN)
     assert code == 3 and out == "", err
     assert "divergence at epoch 0, iteration" in err and "Warning" not in err
     assert not (tmp_path / "p.params").exists()
+    assert (tmp_path / "old.jsonl").read_bytes() == b"earlier run\n"
 
 
 def test_mmtplus_divergence_exits_3(small, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uda_reid import pipeline
-from uda_reid.encoder import pk_sample
+from uda_reid.encoder import class_index, pk_sample, unstack_params
 from uda_reid.gradcheck import (KERNEL_CHECKS, central_difference,
                                 relative_error, run_gradcheck, worst_error)
 from uda_reid.numerics import l2_normalize_rows, l2_normalize_rows_backward
@@ -82,8 +82,9 @@ def pretrained(bench):
 def frozen_step(monkeypatch, run_stage):
     """The step a stage trains with, frozen for finite differences.
 
-    ``run_stage`` runs with ``_run_epochs`` replaced: the replacement relabels
-    and rebuilds once and takes three real steps, which fills the queues.
+    ``run_stage`` runs with ``_run_epochs`` replaced: the replacement relabels,
+    indexes and rebuilds once, as the driver does at an epoch start, and takes
+    three real steps, which fills the queues.
     Afterwards every PK draw repeats one batch, ``adam_step`` records the
     grads instead of applying them, and the EMA and queue updates are off, so
     teachers and queues stay put.  Returns the trained networks, the step on
@@ -91,16 +92,17 @@ def frozen_step(monkeypatch, run_stage):
     """
     drive = {}
 
-    def run_epochs(cfg, log, adam, step, eval_params, val_split,
+    def run_epochs(cfg, log, adam, step, eval_params, val_split, index=None,
                    relabel=None, rebuild=None):
         labeling = None
         if relabel is not None:
             labeling = relabel()
             assert labeling.num_clusters > 1
-            rebuild(labeling.num_clusters)
+            index = class_index(labeling.assignment)
+            rebuild(index)
         for _ in range(3):
-            step(labeling)[1]()
-        drive["step"] = lambda: step(labeling)
+            step(labeling, index)[1]()
+        drive["step"] = lambda: step(labeling, index)
 
     monkeypatch.setattr(pipeline, "_run_epochs", run_epochs)
     nets = run_stage()
@@ -158,10 +160,14 @@ def test_hard_label_step_grads_match_objective(monkeypatch, bench, pretrained, s
 
 @pytest.mark.parametrize("joint_source", [True, False])
 @pytest.mark.parametrize("mode", list(LossMode))
-def test_mmt_step_grads_match_objective(monkeypatch, bench, pretrained, mode, joint_source):
+def test_mmt_step_grads_match_objective(monkeypatch, student_stacks, bench, pretrained,
+                                        mode, joint_source):
     cfg = StageConfig(**TINY_CFG, loss_mode=mode, joint_source=joint_source)
     target = bench.target_train.subset(np.arange(bench.target_train.n))
-    nets, step, recorded = frozen_step(monkeypatch, lambda: list(
-        stage_mmt_plus(pretrained, bench.source, target, cfg)[0].students))
+
+    def run():
+        stage_mmt_plus(pretrained, bench.source, target, cfg)
+        return list(unstack_params(student_stacks[0]))
+    nets, step, recorded = frozen_step(monkeypatch, run)
     assert np.all(step()[0]["moco"] > 0)  # the queues took rows
     assert objective_error(nets, step, recorded) < 1e-6

@@ -12,12 +12,12 @@ import pytest
 import make_stage_logs_fixture as stage_logs
 from uda_reid import pipeline
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
-from uda_reid.encoder import EncoderParams, init_params
+from uda_reid.encoder import EncoderParams, encode_dataset, init_params, unstack_params
 from uda_reid.errors import ConfigError, DivergenceError
 from uda_reid.losses import LossOut
 from uda_reid.datamodel import config_from_kv, load_config
 from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
-                               StageConfig, TeacherState, default_benchmark,
+                               StageConfig, default_benchmark,
                                eval_encoder, run_full_pipeline, stage_baseline,
                                stage_mmt_plus, stage_pretrain)
 
@@ -307,19 +307,20 @@ def test_mmt_width_mismatches_fail_before_any_relabel(bench, pretrained, monkeyp
                            pretrained2=other)
 
 
-def test_mmt_skips_epochs_without_clusters(bench, pretrained, monkeypatch):
+def test_mmt_skips_epochs_without_clusters(bench, pretrained, monkeypatch,
+                                          student_stacks):
     def never(*args, **kwargs):
         raise AssertionError("a training step ran")
 
     for name in ("pk_sample", "adam_step", "ema_update", "queue_push"):
         monkeypatch.setattr(pipeline, name, never)
     cfg = tiny_cfg(eps=1e-6)  # nothing within reach: every epoch skips
-    state, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench), cfg,
-                                val_split=bench.val_split)
+    teachers, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench), cfg,
+                                   val_split=bench.val_split)
     assert log.skipped_epochs == cfg.epochs
     assert all(r.skipped and r.num_clusters == 0 for r in log.records)
     second = pipeline._decorrelated_copy(pretrained, cfg.seed)
-    for nets in (state.students, state.teachers):
+    for nets in (unstack_params(student_stacks[0]), teachers):
         assert all_equal(nets[0], pretrained) and all_equal(nets[1], second)
 
 
@@ -350,24 +351,72 @@ def test_pk_batches_follow_the_current_labelling(bench, pretrained, monkeypatch,
     assert len(labellings) > 1  # a relabel changed the labels mid-run
 
 
-def test_mmt_joint_label_space_sizes_classifier(bench, pretrained):
-    state, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
-                                tiny_cfg())
+def test_mmt_joint_label_space_sizes_classifier(bench, pretrained, student_stacks):
+    teachers, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                                   tiny_cfg())
     p_t = log.records[-1].num_clusters
-    assert state.students[0].classifier.shape[0] == 8 + p_t  # 8 source ids
-    assert state.teachers[0].classifier.shape[0] == 8 + p_t
+    assert student_stacks[0].classifier.shape[1] == 8 + p_t  # 8 source ids
+    assert teachers[0].classifier.shape[0] == 8 + p_t
 
-    solo_state, solo_log = stage_mmt_plus(pretrained, bench.source,
-                                          fresh_target(bench),
-                                          tiny_cfg(joint_source=False))
-    assert solo_state.students[0].classifier.shape[0] == \
-        solo_log.records[-1].num_clusters
+    _, solo_log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                                 tiny_cfg(joint_source=False))
+    assert student_stacks[1].classifier.shape[1] == solo_log.records[-1].num_clusters
 
 
-def test_mmt_alpha_one_freezes_teacher_weights(bench, pretrained):
-    state, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
-                              tiny_cfg(alpha=1.0))
-    t1, s1 = state.teachers[0], state.students[0]
+def longhand_centroids(net, parts):
+    """The L2-normalised mean encoding of each class, computed row by row:
+    the classes of each (dataset, labels) part in ascending order, negative
+    labels skipped, parts in the order given."""
+    rows = []
+    for ds, labels in parts:
+        feats = encode_dataset(net, ds)
+        for c in sorted(set(labels.tolist()) - {PSEUDO_OUTLIER}):
+            mean = feats[labels == c].mean(axis=0)
+            rows.append(mean / math.sqrt(float(mean @ mean)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("stage,joint_source", [("baseline", False),
+                                                ("mmt_plus", True),
+                                                ("mmt_plus", False)])
+def test_rebuilt_classifier_is_the_normalised_class_means(
+        bench, pretrained, monkeypatch, student_stacks, stage, joint_source):
+    # every rebuild seeds each network's classifier with its own centroids,
+    # the source identities' first when stage III trains on joint batches
+    target = fresh_target(bench)
+    rebuilt = []
+    real_run_epochs = pipeline._run_epochs
+
+    def run_epochs(cfg, log, adam, step, eval_params, val_split, index=None,
+                   relabel=None, rebuild=None):
+        def checked(index):
+            rebuild(index)
+            nets = ([eval_params] if stage == "baseline"
+                    else unstack_params(student_stacks[-1]))
+            parts = [(target, target.pseudo)]
+            if joint_source:
+                parts.insert(0, (bench.source, bench.source.identities))
+            for net in nets:
+                want = longhand_centroids(net, parts)
+                assert net.classifier.shape == want.shape
+                assert np.max(np.abs(net.classifier - want)) < 1e-12
+            rebuilt.append(len(nets))
+        real_run_epochs(cfg, log, adam, step, eval_params, val_split, index,
+                        relabel, checked)
+
+    monkeypatch.setattr(pipeline, "_run_epochs", run_epochs)
+    cfg = tiny_cfg(epochs=3, joint_source=joint_source)
+    if stage == "baseline":
+        stage_baseline(pretrained, target, cfg)
+    else:
+        stage_mmt_plus(pretrained, bench.source, target, cfg)
+    assert rebuilt == [1 if stage == "baseline" else 2] * cfg.epochs
+
+
+def test_mmt_alpha_one_freezes_teacher_weights(bench, pretrained, student_stacks):
+    teachers, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                                 tiny_cfg(alpha=1.0))
+    t1, s1 = teachers[0], unstack_params(student_stacks[0])[0]
     # the EMA fixed point pins every blended array; the classifier is exempt
     # because it is rebuilt from centroids at each epoch start
     assert np.array_equal(t1.weight, pretrained.weight)
@@ -377,14 +426,14 @@ def test_mmt_alpha_one_freezes_teacher_weights(bench, pretrained):
     assert not np.array_equal(s1.weight, pretrained.weight)
 
 
-def test_mmt_symmetric_students_stay_identical(bench, pretrained):
+def test_mmt_symmetric_students_stay_identical(bench, pretrained, student_stacks):
     # seeding both students identically makes the two branches exact mirrors;
     # staged updates keep them in lockstep only if neither branch reads the
     # other's refreshed weights mid-iteration
-    state, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
-                              tiny_cfg(), pretrained2=pretrained.copy())
-    s1, s2 = state.students
-    t1, t2 = state.teachers
+    teachers, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                                 tiny_cfg(), pretrained2=pretrained.copy())
+    s1, s2 = unstack_params(student_stacks[0])
+    t1, t2 = teachers
     assert all_equal(s1, s2)
     assert all_equal(t1, t2)
 
@@ -403,18 +452,18 @@ def test_mmt_forwards_each_teacher_once_per_iteration(bench, pretrained,
 
     monkeypatch.setattr(pipeline, "forward", counting)
     cfg = tiny_cfg(epochs=1, iters_per_epoch=3)
-    state, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench), cfg)
+    teachers, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench), cfg)
     assert len(calls) == 3
     rows = 2 * cfg.p_classes * cfg.k_per  # joint source + target batch
     for params, shape in calls:
         assert shape == (2, rows, cfg.encoder_dim)
-        for i, teacher in enumerate(state.teachers):
+        for i, teacher in enumerate(teachers):
             assert np.shares_memory(params.weight[i], teacher.weight)
 
 
 def test_mmt_records_stage_losses(bench, pretrained):
-    state, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
-                                tiny_cfg(epochs=1), val_split=bench.val_split)
+    teachers, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                                   tiny_cfg(epochs=1), val_split=bench.val_split)
     rec = log.records[0]
     for name in ("soft", "hard", "moco", "total"):
         assert np.isfinite(getattr(rec, name))
@@ -422,26 +471,18 @@ def test_mmt_records_stage_losses(bench, pretrained):
         0.5 * rec.soft + 0.5 * rec.hard + 0.1 * rec.moco, abs=1e-9)
     assert rec.num_clusters >= 1 and rec.num_outliers >= 0
     assert 0.0 <= rec.val_map <= 1.0
-    assert isinstance(state, TeacherState)
+    assert len(teachers) == 2 and all(isinstance(t, EncoderParams) for t in teachers)
 
 
-def test_mmt_is_bitwise_deterministic(bench, pretrained):
+def test_mmt_is_bitwise_deterministic(bench, pretrained, student_stacks):
     a, log_a = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
                               tiny_cfg())
     b, log_b = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
                               tiny_cfg())
-    assert all_equal(a.export("teacher1"), b.export("teacher1"))
-    assert all_equal(a.students[1], b.students[1])
+    assert all_equal(a[0], b[0]) and all_equal(a[1], b[1])
+    students_a, students_b = (unstack_params(s) for s in student_stacks)
+    assert all_equal(students_a[1], students_b[1])
     assert log_a.to_jsonl() == log_b.to_jsonl()
-
-
-def test_teacher_state_export(bench, pretrained):
-    state, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
-                              tiny_cfg(epochs=1))
-    assert state.export("teacher1") is state.teachers[0]
-    assert state.export("teacher2") is state.teachers[1]
-    with pytest.raises(ValueError, match="export"):
-        state.export("student1")
 
 
 # ---------------------------------------------------------------------------
