@@ -474,6 +474,20 @@ def test_mmt_records_stage_losses(bench, pretrained):
     assert len(teachers) == 2 and all(isinstance(t, EncoderParams) for t in teachers)
 
 
+def test_teacher_state_export(bench, pretrained):
+    # the CLI's --export names index the teachers in the order stage_mmt_plus
+    # returns them; only the teachers export
+    from uda_reid.cli import _EXPORTS
+    teachers, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                                 tiny_cfg(epochs=1))
+    assert _EXPORTS == ("teacher1", "teacher2")
+    assert len(teachers) == len(_EXPORTS)
+    t1, t2 = (teachers[_EXPORTS.index(name)] for name in ("teacher1", "teacher2"))
+    assert t1 is teachers[0] and t2 is teachers[1]
+    assert not all_equal(t1, t2)  # two decorrelated networks, not one twice
+    assert "student1" not in _EXPORTS
+
+
 def test_mmt_is_bitwise_deterministic(bench, pretrained, student_stacks):
     a, log_a = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
                               tiny_cfg())
