@@ -139,9 +139,14 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_rerank_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k1", type=int, default=30)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lam", type=float, default=0.3)
+    """One flag per keyword default of ``rerank``, typed by its default."""
+    from inspect import signature
+
+    from .retrieval import rerank
+
+    for name, param in signature(rerank).parameters.items():
+        if param.default is not param.empty:
+            p.add_argument("--" + name, type=type(param.default), default=param.default)
 
 
 def _load_dataset(path):
@@ -150,29 +155,26 @@ def _load_dataset(path):
     return load_features(path).validate()
 
 
-def _val_split(args):
-    if args.val is None:
-        return None
+def _train(args, stage) -> dict:
+    """Run ``stage(val_split) -> (params, log)``, write the params to
+    ``--out`` and the log to ``--log``, and return the command's summary.
+    ``--val`` is loaded and both paths are opened before the stage runs, so
+    a bad file, or a path that cannot be written or that both flags name,
+    fails first.  If anything fails, the files opened here that did not
+    exist before are removed; appending nothing leaves a file unchanged."""
+    from .encoder import save_params
     from .retrieval import split_query_gallery
 
-    return split_query_gallery(_load_dataset(args.val))
-
-
-def _train(args, stage):
-    """Run ``stage() -> (params, log)``, then write the params to ``--out``
-    and the log to ``--log``.  Both paths are opened before the stage runs,
-    so one that cannot be written fails first.  If anything fails, the files
-    opened here that did not exist before are removed; appending nothing
-    leaves an existing file unchanged."""
-    from .encoder import save_params
-
+    val_split = None if args.val is None else split_query_gallery(_load_dataset(args.val))
     created = []
     try:
         for path in filter(None, (args.out, args.log)):
             if not os.path.exists(path):
                 created.append(path)
             open(path, "ab").close()
-        params, log = stage()
+        if args.log is not None and os.path.samefile(args.out, args.log):
+            raise ValueError(f"--log and --out name the same file: {args.log}")
+        params, log = stage(val_split)
         save_params(args.out, params)
         if args.log is not None:
             with open(args.log, "w", encoding="utf-8") as fh:
@@ -182,20 +184,12 @@ def _train(args, stage):
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
-    return log
-
-
-def _train_summary(log, out_path) -> dict:
-    payload = {
-        "stage": log.stage,
-        "seed": log.seed,
-        "epochs": len(log.records),
-        "skipped_epochs": log.skipped_epochs,
-        "params": str(out_path),
-    }
+    summary = {"command": args.command, "stage": log.stage, "seed": log.seed,
+               "epochs": len(log.records), "skipped_epochs": log.skipped_epochs,
+               "params": str(args.out)}
     if log.final_val_map is not None:
-        payload["final_val_map"] = round(log.final_val_map, 6)
-    return payload
+        summary["final_val_map"] = round(log.final_val_map, 6)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +216,9 @@ def _cmd_pretrain(args) -> dict:
 
     cfg = _config(StageConfig, args)
     train = _load_dataset(args.data)
-    val_split = _val_split(args)
-    log = _train(args, lambda: stage_pretrain(train, cfg, val_split=val_split))
+    summary = _train(args, lambda val_split: stage_pretrain(train, cfg, val_split=val_split))
     _note(f"pretrained {cfg.epochs} epochs on {args.data} -> {args.out}")
-    return {"command": "pretrain", **_train_summary(log, args.out)}
+    return summary
 
 
 def _cmd_baseline(args) -> dict:
@@ -235,11 +228,10 @@ def _cmd_baseline(args) -> dict:
     cfg = _config(StageConfig, args)
     pretrained = load_params(args.params)
     target = _load_dataset(args.data)
-    val_split = _val_split(args)
-    log = _train(args, lambda: stage_baseline(pretrained, target, cfg,
-                                              val_split=val_split))
+    summary = _train(args, lambda val_split: stage_baseline(pretrained, target, cfg,
+                                                            val_split=val_split))
     _note(f"self-trained {cfg.epochs} epochs on {args.data} -> {args.out}")
-    return {"command": "baseline", **_train_summary(log, args.out)}
+    return summary
 
 
 def _cmd_mmtplus(args) -> dict:
@@ -251,17 +243,15 @@ def _cmd_mmtplus(args) -> dict:
     pretrained2 = load_params(args.params2) if args.params2 else None
     source = _load_dataset(args.source)
     target = _load_dataset(args.target)
-    val_split = _val_split(args)
 
-    def train():
+    def train(val_split):
         teachers, log = stage_mmt_plus(pretrained, source, target, cfg,
                                        val_split=val_split, pretrained2=pretrained2)
         return teachers[_EXPORTS.index(args.export)], log
 
-    log = _train(args, train)
+    summary = _train(args, train)
     _note(f"mean-teacher training done; exported {args.export} -> {args.out}")
-    return {"command": "mmtplus", "export": args.export,
-            **_train_summary(log, args.out)}
+    return {**summary, "export": args.export}
 
 
 def _cmd_cluster(args) -> dict:
@@ -286,27 +276,22 @@ def _cmd_cluster(args) -> dict:
 
 
 def _encoded_split(args):
-    """Query/gallery features for retrieval: encoder outputs when --params
-    is given (L2-normalized), stored features otherwise."""
+    """The query/gallery split and its features for retrieval: encoder
+    outputs when --params is given (L2-normalized), stored features otherwise."""
     import numpy as np
 
     from .retrieval import QueryGallerySplit
 
-    query = _load_dataset(args.query)
-    gallery = _load_dataset(args.gallery)
-    split = QueryGallerySplit(query=query, gallery=gallery)
+    split = QueryGallerySplit(query=_load_dataset(args.query),
+                              gallery=_load_dataset(args.gallery))
     split.validate()
     if args.params:
-        from .encoder import encode_dataset, load_params
-        from .numerics import l2_normalize_rows
+        from .encoder import load_params
+        from .pipeline import encode_split
 
-        params = load_params(args.params)
-        q = l2_normalize_rows(encode_dataset(params, query), "query feature")
-        g = l2_normalize_rows(encode_dataset(params, gallery), "gallery feature")
-    else:
-        q = np.asarray(query.features, dtype=np.float64)
-        g = np.asarray(gallery.features, dtype=np.float64)
-    return split, q, g
+        return (split, *encode_split(load_params(args.params), split))
+    return (split, np.asarray(split.query.features, dtype=np.float64),
+            np.asarray(split.gallery.features, dtype=np.float64))
 
 
 def _cmd_rerank(args) -> dict:
@@ -328,10 +313,7 @@ def _cmd_evaluate(args) -> dict:
     from .retrieval import camera_adjust, evaluate, rerank
 
     split, q, g = _encoded_split(args)
-    if args.rerank:
-        dist = rerank(q, g, k1=args.k1, k2=args.k2, lam=args.lam)
-    else:
-        dist = cdist(q, g)
+    dist = rerank(q, g, k1=args.k1, k2=args.k2, lam=args.lam) if args.rerank else cdist(q, g)
     if args.cam_weight is not None:
         dist = camera_adjust(dist, split.query.cameras, split.gallery.cameras,
                              weight=args.cam_weight)
@@ -368,11 +350,8 @@ def _cmd_gradcheck(args) -> dict:
     worst = max(results.values())
     for name in sorted(results):
         _note(f"{name}: max relative error {results[name]:.3e}")
-    payload = {"command": "gradcheck", "trials": args.trials,
-               "tolerance": args.tol, "worst": worst,
-               "kernels": {k: v for k, v in sorted(results.items())},
-               "passed": bool(worst < args.tol)}
-    return payload
+    return {"command": "gradcheck", "trials": args.trials, "tolerance": args.tol,
+            "worst": worst, "kernels": results, "passed": bool(worst < args.tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +481,15 @@ def run(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help/--version
         return int(exc.code or 0)
-    except OSError as exc:  # a missing, unreadable or unwritable path
-        _note(f"error: {exc}")
-        return 2
-    except ValueError as exc:  # format, config, mining, degenerate structure
+    except (OSError, ValueError) as exc:  # a bad path; format, config, data
         _note(f"error: {exc}")
         return 2
     except RuntimeError as exc:  # divergence guard
         _note(f"error: {exc}")
         return 3
 
-    if payload.get("command") == "gradcheck" and not payload.get("passed"):
-        _emit(payload)
-        return 3
     _emit(payload)
-    return 0
+    return 3 if payload.get("passed") is False else 0
 
 
 def main() -> None:

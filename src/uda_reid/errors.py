@@ -9,11 +9,10 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """A serialized file is malformed; ``offset`` is the failing byte position."""
+    """A serialized file is malformed; the message names the failing byte."""
 
     def __init__(self, offset, message):
         super().__init__(f"format error at byte {offset}: {message}")
-        self.offset = offset
 
 
 class MiningError(ValueError):
@@ -21,7 +20,6 @@ class MiningError(ValueError):
 
     def __init__(self, labels, message):
         super().__init__(f"{message} (labels: {sorted(set(int(l) for l in labels))})")
-        self.labels = list(labels)
 
 
 class NormalizationError(ValueError):
@@ -33,11 +31,9 @@ class DegenerateStructureError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss; carries the epoch/iteration position."""
+    """Training produced a non-finite loss; the message names its position."""
 
     def __init__(self, epoch=None, iteration=None, message=""):
         where = "" if epoch is None else f" at epoch {epoch}"
         where += "" if iteration is None else f", iteration {iteration}"
         super().__init__(f"divergence{where}: {message}")
-        self.epoch = epoch
-        self.iteration = iteration

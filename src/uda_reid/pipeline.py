@@ -169,16 +169,20 @@ def _centroid_classifier(feats: np.ndarray, index: ClassIndex) -> np.ndarray:
     return l2_normalize_rows(cents, "class centroid")
 
 
-def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
-                 use_rerank: bool = False, k1: int = 30, k2: int = 6,
-                 lam: float = 0.3) -> EvalReport:
-    """Protocol metrics for a trained encoder on a query/gallery split.
+def encode_split(params: EncoderParams,
+                 split: QueryGallerySplit) -> tuple[np.ndarray, np.ndarray]:
+    """The L2-normalized encodings of the split's query and gallery rows,
+    the features retrieval operates on."""
+    return (l2_normalize_rows(encode_dataset(params, split.query), "query feature"),
+            l2_normalize_rows(encode_dataset(params, split.gallery), "gallery feature"))
 
-    Retrieval operates on L2-normalized encoder outputs.
-    """
-    q = l2_normalize_rows(encode_dataset(params, split.query), "query feature")
-    g = l2_normalize_rows(encode_dataset(params, split.gallery), "gallery feature")
-    dist = rerank(q, g, k1, k2, lam) if use_rerank else cdist(q, g)
+
+def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
+                 use_rerank: bool = False, **rerank_args) -> EvalReport:
+    """Protocol metrics for a trained encoder on a query/gallery split;
+    ``rerank_args`` (``k1``, ``k2``, ``lam``) go to ``rerank``."""
+    q, g = encode_split(params, split)
+    dist = rerank(q, g, **rerank_args) if use_rerank else cdist(q, g)
     return evaluate_split(split, dist)
 
 

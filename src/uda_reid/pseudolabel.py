@@ -366,9 +366,8 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
 # Full per-epoch relabeling
 # ---------------------------------------------------------------------------
 
-def relabel_epoch(target: Dataset, params: EncoderParams, k: int = 20,
-                  eps: float = 0.6, min_pts: int = 4,
-                  blend: float | None = None) -> PseudoLabeling:
+def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
+                  min_pts: int, blend: float | None = None) -> PseudoLabeling:
     """Encode, build Jaccard distances, cluster, and write the assignment
     into the dataset's pseudo column.
 

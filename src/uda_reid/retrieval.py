@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datamodel import Dataset
+from .datamodel import IDENTITY_NONE, Dataset
 from .errors import DegenerateStructureError
 from .numerics import l2_normalize_rows
 from .pseudolabel import jaccard_rows, k_reciprocal_neighbors, pairwise_euclidean
@@ -39,6 +39,13 @@ class EvalReport:
                 "num_valid_queries": self.num_valid_queries}
 
 
+def _require_identities(identities, side: str) -> None:
+    """The protocol scores identities: an IDENTITY_NONE row cannot be scored."""
+    unlabelled = np.flatnonzero(identities == IDENTITY_NONE)
+    if unlabelled.size:
+        raise ValueError(f"{side} row {unlabelled[0]} has no identity ({IDENTITY_NONE})")
+
+
 def split_query_gallery(ds: Dataset, per_id: int = 2) -> QueryGallerySplit:
     """First rows of each identity become queries, the rest gallery.
 
@@ -47,6 +54,7 @@ def split_query_gallery(ds: Dataset, per_id: int = 2) -> QueryGallerySplit:
     """
     if ds.n == 0:
         raise ValueError("dataset is empty")
+    _require_identities(ds.identities, "dataset")
     query_rows = []
     gallery_rows = []
     seen: dict[int, int] = {}
@@ -92,9 +100,6 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
 
     euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
     cross = euclid.values[:n_q, n_q:]
-    if lam == 1.0:
-        return cross.copy()
-
     # only the query rows of the Jaccard matrix are read
     jac = jaccard_rows(euclid, k_reciprocal_neighbors(euclid, k1), k2, num_rows=n_q)
     return lam * cross + (1.0 - lam) * jac[:, n_q:]
@@ -104,7 +109,7 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
 # Camera-aware adjustment and ensembling
 # ---------------------------------------------------------------------------
 
-def camera_adjust(dist, cams_q, cams_g, weight: float = 0.1) -> np.ndarray:
+def camera_adjust(dist, cams_q, cams_g, weight: float) -> np.ndarray:
     """D'[q][g] = D[q][g] - weight * ||c_q - c_g|| for one-hot camera codes
     c: sqrt(2) where the camera ids differ, 0 where they match.  May go
     negative."""
@@ -154,6 +159,8 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
         raise ValueError("gallery is empty")
     if top_limit < 1:
         raise ValueError("top_limit must be >= 1")
+    _require_identities(ids_q, "query")
+    _require_identities(ids_g, "gallery")
 
     max_rank = min(top_limit, n_g)
     cmc_counts = np.zeros(max_rank)

@@ -493,6 +493,24 @@ def test_data_errors_exit_2(arts, tmp_path):
     assert code == 2 and "usable" in err
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any training stage starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a training stage ran")
+
+    for stage in ("stage_pretrain", "stage_baseline", "stage_mmt_plus"):
+        monkeypatch.setattr(f"uda_reid.pipeline.{stage}", fail)
+
+
+def train_inputs(command, arts):
+    """The input flags of a training command, on the module's artifacts."""
+    return {"pretrain": ["--data", arts["translated"]],
+            "baseline": ["--params", arts["pre"], "--data", arts["target"]],
+            "mmtplus": ["--params", arts["pre"], "--source", arts["source"],
+                        "--target", arts["target"]]}[command]
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "--out", "FILE"],
     ["synth", "--out", "FILE/sub"],
@@ -509,14 +527,9 @@ def test_data_errors_exit_2(arts, tmp_path):
     ["mmtplus", "--params", "PRE", "--source", "SOURCE", "--target", "TARGET",
      "--out", "p.params", "--log", "FILE/log"] + TINY_TRAIN,
 ])
-def test_path_os_errors_exit_2(argv, arts, tmp_path, monkeypatch):
+def test_path_os_errors_exit_2(argv, arts, tmp_path, monkeypatch, no_training):
     # a path that names a file where a directory is needed, or one below a
     # file; a training command fails on its outputs before it trains
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained before the output paths were opened")
-
-    for stage in ("stage_pretrain", "stage_baseline", "stage_mmt_plus"):
-        monkeypatch.setattr(f"uda_reid.pipeline.{stage}", no_training)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "FILE").write_bytes(b"")
     subs = {"TARGET": arts["target"], "TRANSLATED": arts["translated"],
@@ -525,6 +538,82 @@ def test_path_os_errors_exit_2(argv, arts, tmp_path, monkeypatch):
     assert code == 2 and out == "", err
     assert "error: [Errno" in err and "Traceback" not in err
     assert not (tmp_path / "p.params").exists()  # the usable --out is not left
+
+
+@pytest.mark.parametrize("command", ["pretrain", "baseline", "mmtplus"])
+@pytest.mark.parametrize("out,log,existing", [("x", "x", False), ("./x", "x", False),
+                                              ("x", "./x", True)])
+def test_log_and_out_naming_one_file_exits_2_before_training(command, out, log, existing,
+                                                            arts, tmp_path, monkeypatch,
+                                                            no_training):
+    # the log would overwrite the params written to the same file
+    monkeypatch.chdir(tmp_path)
+    if existing:
+        (tmp_path / "x").write_bytes(b"kept")
+    code, out_text, err = go([command] + train_inputs(command, arts)
+                             + ["--out", out, "--log", log] + TINY_TRAIN)
+    assert code == 2 and out_text == "", err
+    assert "--log and --out name the same file" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == (["x"] if existing else [])
+    if existing:
+        assert (tmp_path / "x").read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("command,argv", [
+    ("pretrain", ["--data", "missing.bin"]),
+    ("baseline", ["--params", "missing.params", "--data", "missing.bin"]),
+    ("mmtplus", ["--params", "missing.params", "--source", "missing.bin",
+                 "--target", "missing.bin"]),
+])
+def test_config_error_reported_before_any_input_is_read(command, argv, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = go([command] + argv + ["--out", "o.params", "--lr", "-1"])
+    assert code == 2 and out == "", err
+    assert "config field 'lr': must be > 0" in err and "missing" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def unlabelled_copy(path, rows, dest):
+    """A copy of the dataset at ``path`` whose ``rows`` carry no identity."""
+    ds = load_features(path)
+    ds.identities[rows] = -1  # IDENTITY_NONE, allowed on target rows
+    save_features(dest, ds)
+    return dest
+
+
+@pytest.mark.parametrize("extra", [["--params", "PRE"], ["--params", "PRE", "--rerank"],
+                                   ["--params", "PRE", "--rerank", "--cam-weight"], []])
+def test_evaluate_unlabelled_row_exits_2_naming_side_and_row(extra, arts, tmp_path):
+    # an unlabelled row would be scored as one identity shared by every
+    # other unlabelled row
+    unlabelled = unlabelled_copy(arts["target"], 5, tmp_path / "unl.bin")
+    extra = [arts["pre"] if a == "PRE" else a for a in extra]
+    for side, query, gallery in (("query", unlabelled, arts["target"]),
+                                 ("gallery", arts["target"], unlabelled)):
+        code, out, err = go(["evaluate", "--query", query, "--gallery", gallery] + extra)
+        assert code == 2 and out == "", (side, err)
+        assert f"error: {side} row 5 has no identity (-1)" in err, (side, err)
+        assert "Traceback" not in err
+
+
+def test_rerank_accepts_unlabelled_rows(arts, tmp_path):
+    # re-ranking reads no identities
+    path = unlabelled_copy(arts["target"], slice(None), tmp_path / "unl.bin")
+    payload = ok(["rerank", "--query", path, "--gallery", path, "--params", arts["pre"],
+                  "--out", tmp_path / "dist.npy"])
+    assert payload["shape"] == [48, 48]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "baseline", "mmtplus"])
+def test_val_unlabelled_row_exits_2_before_training(command, arts, tmp_path, no_training):
+    val = unlabelled_copy(arts["target"], 7, tmp_path / "val.bin")
+    code, out, err = go([command] + train_inputs(command, arts)
+                        + ["--out", tmp_path / "o.params", "--val", val,
+                           "--log", tmp_path / "o.log"] + TINY_TRAIN)
+    assert code == 2 and out == "", err
+    assert "dataset row 7 has no identity (-1)" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["val.bin"]
 
 
 SMALL_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "3",

@@ -171,14 +171,12 @@ def test_load_rejects_corruption(tmp_path):
 
     bad = tmp_path / "magic.bin"
     bad.write_bytes(b"XXXX" + bytes(blob[4:]))
-    with pytest.raises(FormatError, match="magic") as err:
+    with pytest.raises(FormatError, match="at byte 0: bad magic"):
         load_features(bad)
-    assert err.value.offset == 0
 
     bad.write_bytes(bytes(blob[:4]) + b"\x63\x00" + bytes(blob[6:]))
-    with pytest.raises(FormatError, match="version") as err:
+    with pytest.raises(FormatError, match="at byte 4: unsupported version"):
         load_features(bad)
-    assert err.value.offset == 4
 
     bad.write_bytes(bytes(blob[:-3]))
     with pytest.raises(FormatError, match="truncated"):

@@ -230,10 +230,8 @@ def test_pretrain_divergence_guard_reports_position(bench, monkeypatch):
                        grads={"logits": np.zeros_like(np.asarray(logits))})
 
     monkeypatch.setattr("uda_reid.losses.cross_entropy_batch", poisoned)
-    with pytest.raises(DivergenceError) as err:
+    with pytest.raises(DivergenceError, match="at epoch 0, iteration 0: non-finite loss"):
         stage_pretrain(bench.translated, tiny_cfg())
-    assert err.value.epoch == 0
-    assert err.value.iteration == 0
 
 
 # ---------------------------------------------------------------------------

@@ -527,10 +527,10 @@ def test_relabel_errors():
     ds = clustered_dataset()
     params = identity_encoder(ds.d)
     with pytest.raises(ValueError, match="blend"):
-        relabel_epoch(ds, params, blend=1.5)
+        relabel_epoch(ds, params, k=10, eps=0.6, min_pts=4, blend=1.5)
     empty = ds.subset(np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
-        relabel_epoch(empty, params)
+        relabel_epoch(empty, params, k=10, eps=0.6, min_pts=4)
 
 
 def test_relabel_rejects_blend_before_encoding(monkeypatch):
@@ -542,4 +542,4 @@ def test_relabel_rejects_blend_before_encoding(monkeypatch):
     monkeypatch.setattr(pseudolabel, "encode_dataset", no_encoding)
     for blend in (-0.5, 1.5):
         with pytest.raises(ValueError, match=r"blend must be in \[0, 1\]"):
-            relabel_epoch(ds, identity_encoder(ds.d), blend=blend)
+            relabel_epoch(ds, identity_encoder(ds.d), k=10, eps=0.6, min_pts=4, blend=blend)

@@ -54,6 +54,9 @@ def test_split_errors():
     # singleton identities produce no queries at all
     with pytest.raises(ValueError, match="non-empty"):
         split_query_gallery(labeled_dataset([0, 1, 2]))
+    # unlabelled rows would be split as one shared identity
+    with pytest.raises(ValueError, match=r"dataset row 2 has no identity \(-1\)"):
+        split_query_gallery(labeled_dataset([0, 0, -1, 1, 1, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +198,7 @@ def test_camera_adjust_errors():
         with pytest.raises(ValueError, match="weight must be finite and >= 0"):
             camera_adjust(dist, np.zeros(1), np.zeros(2), weight=weight)
     with pytest.raises(ValueError, match="shape"):
-        camera_adjust(np.zeros((2, 2)), np.zeros(1), np.zeros(2))
+        camera_adjust(np.zeros((2, 2)), np.zeros(1), np.zeros(2), weight=0.1)
 
 
 def test_ensemble_single_part_is_row_normalization():
@@ -332,6 +335,11 @@ def test_evaluate_errors():
     with pytest.raises(DegenerateStructureError):
         # the only same-identity row shares the query camera: nothing valid
         evaluate(np.zeros((1, 2)), [1], [0], [1, 2], [0, 1])
+    # IDENTITY_NONE rows would all score as one identity
+    with pytest.raises(ValueError, match=r"query row 1 has no identity \(-1\)"):
+        evaluate(np.zeros((2, 2)), [0, -1], [0, 0], [0, 1], [1, 1])
+    with pytest.raises(ValueError, match=r"gallery row 0 has no identity \(-1\)"):
+        evaluate(np.zeros((1, 2)), [0], [0], [-1, 0], [1, 1])
 
 
 def test_evaluate_split_scores_the_split_labels():
