@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from inspect import signature
 
 __all__ = ["main", "run"]
 
@@ -113,17 +114,17 @@ def _add_config_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
 
 
 def _config(cls, args):
-    """The ``--config`` file's values (defaults without one), overridden by
-    every config flag given, validated."""
-    from .datamodel import config_fields, load_config
+    """The ``cls`` config of the defaults, overridden by the ``--config``
+    file's lines, then by every config flag given; validated once."""
+    from .datamodel import config_fields, config_from_kv, parse_kv
 
-    config = getattr(args, "config", None)
-    cfg = load_config(cls, config) if config else cls()
-    updates = {name: getattr(args, name) for name in config_fields(cls)
-               if getattr(args, name, None) is not None}
-    cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
+    pairs = {}
+    if getattr(args, "config", None):
+        with open(args.config, "r", encoding="utf-8") as fh:
+            pairs = parse_kv(fh.read())
+    flags = {name: getattr(args, name) for name in config_fields(cls)
+             if getattr(args, name, None) is not None}
+    return config_from_kv(cls, pairs, **flags)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -140,8 +141,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_rerank_flags(p: argparse.ArgumentParser) -> None:
     """One flag per keyword default of ``rerank``, typed by its default."""
-    from inspect import signature
-
     from .retrieval import rerank
 
     for name, param in signature(rerank).parameters.items():
@@ -260,9 +259,9 @@ def _cmd_cluster(args) -> dict:
     from .pipeline import StageConfig
     from .pseudolabel import relabel_epoch
 
+    cfg = _config(StageConfig, args)
     params = load_params(args.params)
     ds = _load_dataset(args.data)
-    cfg = _config(StageConfig, args)
     labeling = relabel_epoch(ds, params, k=cfg.k, eps=cfg.eps,
                              min_pts=cfg.min_pts, blend=args.blend)
     out = args.out if args.out else args.data
@@ -275,16 +274,20 @@ def _cmd_cluster(args) -> dict:
             "num_outliers": labeling.num_outliers}
 
 
-def _encoded_split(args):
+def _encoded_split(args, labelled):
     """The query/gallery split and its features for retrieval: encoder
-    outputs when --params is given (L2-normalized), stored features otherwise."""
+    outputs when --params is given (L2-normalized), stored features otherwise.
+    When ``labelled``, a row with no identity fails before anything is encoded."""
     import numpy as np
 
-    from .retrieval import QueryGallerySplit
+    from .retrieval import QueryGallerySplit, require_identities
 
     split = QueryGallerySplit(query=_load_dataset(args.query),
                               gallery=_load_dataset(args.gallery))
     split.validate()
+    if labelled:
+        require_identities(split.query.identities, "query")
+        require_identities(split.gallery.identities, "gallery")
     if args.params:
         from .encoder import load_params
         from .pipeline import encode_split
@@ -299,7 +302,7 @@ def _cmd_rerank(args) -> dict:
 
     from .retrieval import rerank
 
-    _, q, g = _encoded_split(args)
+    _, q, g = _encoded_split(args, labelled=False)
     dist = rerank(q, g, k1=args.k1, k2=args.k2, lam=args.lam)
     np.save(args.out, dist)
     _note(f"wrote {dist.shape[0]}x{dist.shape[1]} distance matrix to {args.out}")
@@ -312,7 +315,7 @@ def _cmd_evaluate(args) -> dict:
     from .numerics import cdist
     from .retrieval import camera_adjust, evaluate, rerank
 
-    split, q, g = _encoded_split(args)
+    split, q, g = _encoded_split(args, labelled=True)
     dist = rerank(q, g, k1=args.k1, k2=args.k2, lam=args.lam) if args.rerank else cdist(q, g)
     if args.cam_weight is not None:
         dist = camera_adjust(dist, split.query.cameras, split.gallery.cameras,
@@ -364,6 +367,7 @@ def _build_parser() -> _Parser:
     from . import __version__
     from .datamodel import SynthConfig
     from .pipeline import StageConfig
+    from .retrieval import evaluate
 
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -440,7 +444,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--cam-weight", type=float, nargs="?", const=0.1,
                    default=None, metavar="W",
                    help="subtract W * camera-feature distance (default W .1)")
-    p.add_argument("--top", type=int, default=100)
+    p.add_argument("--top", type=int,
+                   default=signature(evaluate).parameters["top_limit"].default)
     _add_common(p)
     p.set_defaults(handler=_cmd_evaluate)
 

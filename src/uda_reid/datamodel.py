@@ -99,7 +99,7 @@ class Dataset:
             raise ValueError("identity labels below the NONE sentinel")
         if np.any(self.cameras < 0):
             raise ValueError("camera ids must be >= 0")
-        if not np.all(np.isin(self.domains, (int(Domain.SOURCE), int(Domain.TARGET)))):
+        if not np.all(np.isin(self.domains, list(Domain))):
             raise ValueError("domain tags must be 0 (source) or 1 (target)")
         if np.any(self.pseudo < PSEUDO_OUTLIER):
             raise ValueError("pseudo labels below the OUTLIER sentinel")
@@ -162,7 +162,7 @@ def load_features(path) -> Dataset:
     for col, dtype in COLUMNS.items():
         columns[col] = np.frombuffer(blob, dtype=dtype, count=n, offset=pos).copy()
         if col == "domains":
-            bad = np.flatnonzero(~np.isin(columns[col], (0, 1)))
+            bad = np.flatnonzero(~np.isin(columns[col], list(Domain)))
             if bad.size:
                 raise FormatError(pos + int(bad[0]), f"invalid domain tag {columns[col][bad[0]]}")
         pos += dtype.itemsize * n
@@ -373,20 +373,15 @@ def parse_field(name: str, typ, raw: str):
         raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from None
 
 
-def config_from_kv(cls, pairs: dict):
-    """A validated ``cls`` config with the given fields parsed from text."""
+def config_from_kv(cls, pairs: dict, **overrides):
+    """The ``cls`` config of its defaults, then ``pairs`` parsed from text,
+    then the typed ``overrides``; validated once, with every value in place."""
     types = config_fields(cls)
     kwargs = {}
     for key, raw in pairs.items():
         if key not in types:
             raise ConfigError(key, "unknown configuration key")
         kwargs[key] = parse_field(key, types[key], raw)
-    cfg = cls(**kwargs)
+    cfg = cls(**{**kwargs, **overrides})
     cfg.validate()
     return cfg
-
-
-def load_config(cls, path):
-    """A validated ``cls`` config read from a ``key = value`` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_kv(cls, parse_kv(fh.read()))

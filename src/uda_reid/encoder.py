@@ -22,12 +22,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .datamodel import Domain
 from .errors import DivergenceError, FormatError, MiningError
 from .numerics import l2_normalize_rows, mT
 
 EPS_VAR = 1e-5
 STATS_MOMENTUM = 0.9  # retained fraction of the running stats per update
-NUM_DOMAINS = 2
+NUM_DOMAINS = len(Domain)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

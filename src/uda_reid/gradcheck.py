@@ -145,7 +145,7 @@ KERNEL_CHECKS = {
 }
 
 
-def run_gradcheck(trials: int = 100, seed: int = 0) -> dict[str, float]:
+def run_gradcheck(trials: int, seed: int) -> dict[str, float]:
     """Worst relative error per kernel over ``trials`` random draws."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

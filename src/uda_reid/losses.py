@@ -165,7 +165,7 @@ def soft_ce_batch(student_logits, teacher_logits) -> LossOut:
 # Momentum-contrast loss against a feature queue
 # ---------------------------------------------------------------------------
 
-def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
+def moco_batch(queries, keys_pos, queue, tau: float) -> LossOut:
     """Mean InfoNCE: :func:`cross_entropy_batch` with class 0 over logits
     [positive key, queue negatives] / tau; all rows re-normalized.
 
@@ -205,9 +205,8 @@ def moco_batch(queries, keys_pos, queue, tau: float = 0.7) -> LossOut:
 # Margin-based classification (cosine logits with additive margins)
 # ---------------------------------------------------------------------------
 
-def margin_classification_batch(features, class_weights, labels,
-                                mode: LossMode = LossMode.COSFACE,
-                                margin: float = 0.25, scale: float = 16.0) -> LossOut:
+def margin_classification_batch(features, class_weights, labels, mode: LossMode,
+                                margin: float, scale: float) -> LossOut:
     """:func:`cross_entropy_batch` over scaled cosine logits with the target
     logit shifted.
 
@@ -264,8 +263,7 @@ def margin_classification_batch(features, class_weights, labels,
 # Weighted stage-III total
 # ---------------------------------------------------------------------------
 
-def mmt_plus_total(soft, hard, moco, lambda_soft: float = 0.5,
-                   lambda_moco: float = 0.1):
+def mmt_plus_total(soft, hard, moco, lambda_soft: float, lambda_moco: float):
     """lambda_soft*soft + (1-lambda_soft)*hard + lambda_moco*moco, per
     network when the parts are per-network arrays."""
     parts = {"soft": soft, "hard": hard, "moco": moco}

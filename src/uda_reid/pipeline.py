@@ -477,7 +477,6 @@ def default_benchmark(seed: int = 0, train_per_id: int = 20,
     synth = SynthConfig(seed=seed,
                         samples_per_id=train_per_id + val_per_id,
                         **synth_overrides)
-    synth.validate()
     source, target, translated = generate_synthetic(synth)
     per_id = synth.samples_per_id
     within = np.arange(target.n) % per_id
@@ -487,7 +486,7 @@ def default_benchmark(seed: int = 0, train_per_id: int = 20,
     target_val = target.subset(val_rows)
     return Benchmark(source=source, translated=translated,
                      target_train=target_train, target_val=target_val,
-                     val_split=split_query_gallery(target_val, per_id=2))
+                     val_split=split_query_gallery(target_val))
 
 
 def run_full_pipeline(seed: int = 0, cfg: StageConfig | None = None,

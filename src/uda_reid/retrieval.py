@@ -39,7 +39,7 @@ class EvalReport:
                 "num_valid_queries": self.num_valid_queries}
 
 
-def _require_identities(identities, side: str) -> None:
+def require_identities(identities, side: str) -> None:
     """The protocol scores identities: an IDENTITY_NONE row cannot be scored."""
     unlabelled = np.flatnonzero(identities == IDENTITY_NONE)
     if unlabelled.size:
@@ -54,7 +54,7 @@ def split_query_gallery(ds: Dataset, per_id: int = 2) -> QueryGallerySplit:
     """
     if ds.n == 0:
         raise ValueError("dataset is empty")
-    _require_identities(ds.identities, "dataset")
+    require_identities(ds.identities, "dataset")
     query_rows = []
     gallery_rows = []
     seen: dict[int, int] = {}
@@ -159,8 +159,8 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
         raise ValueError("gallery is empty")
     if top_limit < 1:
         raise ValueError("top_limit must be >= 1")
-    _require_identities(ids_q, "query")
-    _require_identities(ids_g, "gallery")
+    require_identities(ids_q, "query")
+    require_identities(ids_g, "gallery")
 
     max_rank = min(top_limit, n_g)
     cmc_counts = np.zeros(max_rank)

@@ -20,7 +20,7 @@ from uda_reid.encoder import init_params, ema_update
 from uda_reid.gradcheck import run_gradcheck
 from uda_reid.losses import mmt_plus_total
 from uda_reid.numerics import cdist
-from uda_reid.pipeline import ablation_arms
+from uda_reid.pipeline import StageConfig, ablation_arms
 from uda_reid.pseudolabel import (dbscan, jaccard_distance,
                                   k_reciprocal_neighbors, pairwise_euclidean)
 from uda_reid.retrieval import camera_adjust, evaluate, rerank
@@ -136,7 +136,9 @@ def test_criterion_3_endpoint_identities(capsys):
     adopt = all(np.array_equal(arr, student.all_arrays()[name])
                 for name, arr in teacher.all_arrays().items())
 
-    combined = (mmt_plus_total(soft=4.0, hard=2.0, moco=1.0) == 3.1
+    cfg = StageConfig()
+    combined = (mmt_plus_total(soft=4.0, hard=2.0, moco=1.0, lambda_soft=cfg.lambda_soft,
+                               lambda_moco=cfg.lambda_moco) == 3.1
                 and mmt_plus_total(4.0, 2.0, 9.0, lambda_soft=1.0,
                                    lambda_moco=0.0) == 4.0
                 and mmt_plus_total(4.0, 2.0, 9.0, lambda_soft=0.0,

@@ -3,6 +3,7 @@
 Commands run in process through ``run(argv)``.  Success means exit code 0
 and exactly one JSON object on stdout; human-readable notes go to stderr.
 """
+import functools
 import io
 import json
 import os
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import uda_reid
+from uda_reid import pipeline, retrieval
 from uda_reid.cli import run
 from uda_reid.datamodel import load_features, save_features
 from uda_reid.encoder import init_params, save_params
@@ -560,18 +562,74 @@ def test_log_and_out_naming_one_file_exits_2_before_training(command, out, log, 
 
 
 @pytest.mark.parametrize("command,argv", [
-    ("pretrain", ["--data", "missing.bin"]),
-    ("baseline", ["--params", "missing.params", "--data", "missing.bin"]),
+    ("pretrain", ["--data", "missing.bin", "--lr", "-1"]),
+    ("baseline", ["--params", "missing.params", "--data", "missing.bin", "--lr", "-1"]),
     ("mmtplus", ["--params", "missing.params", "--source", "missing.bin",
-                 "--target", "missing.bin"]),
+                 "--target", "missing.bin", "--lr", "-1"]),
+    ("cluster", ["--params", "missing.params", "--data", "missing.bin", "--k", "0"]),
+    ("cluster", ["--params", "missing.params", "--data", "missing.bin", "--eps", "-1"]),
+    ("cluster", ["--params", "missing.params", "--data", "missing.bin",
+                 "--min-pts", "0"]),
 ])
 def test_config_error_reported_before_any_input_is_read(command, argv, tmp_path,
                                                         monkeypatch):
+    # the last flag of ``argv`` sets a config field out of range
     monkeypatch.chdir(tmp_path)
-    code, out, err = go([command] + argv + ["--out", "o.params", "--lr", "-1"])
+    field = argv[-2][2:].replace("-", "_")
+    code, out, err = go([command] + argv + ["--out", "o.params"])
     assert code == 2 and out == "", err
-    assert "config field 'lr': must be > 0" in err and "missing" not in err
+    assert f"config field '{field}': must be > 0" in err and "missing" not in err
     assert os.listdir(tmp_path) == []
+
+
+# per command: its argv, a config field, a value out of the field's range,
+# one in it, the range error, and the files a successful run writes
+MERGE_CASES = {
+    "synth": (["synth", "--out", "d"] + TINY_SYNTH[:-2], "seed", "-1", "1",
+              "must be >= 0", ["d/source.bin", "d/target.bin", "d/translated.bin"]),
+    "pretrain": (["pretrain", "--data", "TRANSLATED", "--out", "p.params"] + TINY_TRAIN,
+                 "lr", "-1", "0.002", "must be > 0", ["p.params"]),
+}
+
+
+def merge_run(command, file_value, flag_value, arts, tmp_path, monkeypatch):
+    """Run ``command`` with its MERGE_CASES field set to ``file_value`` in a
+    --config file and, unless ``flag_value`` is None, by its flag too."""
+    argv, field = MERGE_CASES[command][:2]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.cfg").write_text(f"{field} = {file_value}\n")
+    argv = [arts["translated"] if a == "TRANSLATED" else a for a in argv]
+    flag = [] if flag_value is None else ["--" + field, flag_value]
+    return go(argv + ["--config", "f.cfg"] + flag)
+
+
+@pytest.mark.parametrize("command", sorted(MERGE_CASES))
+def test_flag_overrides_an_out_of_range_config_value(command, arts, tmp_path, monkeypatch):
+    # only the merged config is validated: the file's value never takes effect
+    _, _, bad, good, _, outputs = MERGE_CASES[command]
+    code, out, err = merge_run(command, bad, good, arts, tmp_path, monkeypatch)
+    assert code == 0, err
+    assert json.loads(out)["command"] == command
+    assert all((tmp_path / path).is_file() for path in outputs)
+
+
+@pytest.mark.parametrize("command", sorted(MERGE_CASES))
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_out_of_range_merged_value_exits_2_naming_the_field(command, where, arts,
+                                                           tmp_path, monkeypatch):
+    # out of range in the file with no flag, or in a flag over a valid file
+    _, field, bad, good, message, _ = MERGE_CASES[command]
+    values = (bad, None) if where == "file" else (good, bad)
+    code, out, err = merge_run(command, *values, arts, tmp_path, monkeypatch)
+    assert code == 2 and out == "", err
+    assert f"config field '{field}': {message}" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["f.cfg"]
+
+
+def test_unparsable_config_value_exits_2_even_under_its_flag(arts, tmp_path, monkeypatch):
+    code, out, err = merge_run("pretrain", "fast", "0.002", arts, tmp_path, monkeypatch)
+    assert code == 2 and out == "", err
+    assert "config field 'lr': cannot parse 'fast'" in err and "Traceback" not in err
 
 
 def unlabelled_copy(path, rows, dest):
@@ -584,9 +642,15 @@ def unlabelled_copy(path, rows, dest):
 
 @pytest.mark.parametrize("extra", [["--params", "PRE"], ["--params", "PRE", "--rerank"],
                                    ["--params", "PRE", "--rerank", "--cam-weight"], []])
-def test_evaluate_unlabelled_row_exits_2_naming_side_and_row(extra, arts, tmp_path):
+def test_evaluate_unlabelled_row_exits_2_naming_side_and_row(extra, arts, tmp_path,
+                                                             monkeypatch):
     # an unlabelled row would be scored as one identity shared by every
-    # other unlabelled row
+    # other unlabelled row; it is rejected before anything is encoded
+    for module, name in ((retrieval, "rerank"), (pipeline, "encode_split")):
+        @functools.wraps(getattr(module, name))  # keeps the signature the flags read
+        def fail(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran")
+        monkeypatch.setattr(module, name, fail)
     unlabelled = unlabelled_copy(arts["target"], 5, tmp_path / "unl.bin")
     extra = [arts["pre"] if a == "PRE" else a for a in extra]
     for side, query, gallery in (("query", unlabelled, arts["target"]),

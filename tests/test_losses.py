@@ -237,9 +237,9 @@ def test_soft_ce_batch_reduces_with_mean():
 # ---------------------------------------------------------------------------
 
 def test_moco_empty_queue_is_zero():
-    out = moco_batch([[1.0, 0.0]], [[1.0, 0.0]], np.zeros((0, 2)))
+    out = moco_batch([[1.0, 0.0]], [[1.0, 0.0]], np.zeros((0, 2)), tau=0.7)
     assert out.value == 0.0
-    out = moco_batch([[1.0, 0.0]], [[0.0, 1.0]], np.zeros((0, 2)))
+    out = moco_batch([[1.0, 0.0]], [[0.0, 1.0]], np.zeros((0, 2)), tau=0.7)
     assert out.value == 0.0
 
 
@@ -253,8 +253,8 @@ def test_moco_scale_invariance_of_value():
     q = rng.normal(size=5)
     k = rng.normal(size=5)
     queue = rng.normal(size=(4, 5))
-    a = moco_batch(q[None], k[None], queue)
-    b = moco_batch(10.0 * q[None], k[None], queue)
+    a = moco_batch(q[None], k[None], queue, tau=0.7)
+    b = moco_batch(10.0 * q[None], k[None], queue, tau=0.7)
     assert b.value == pytest.approx(a.value, abs=1e-12)
     # the gradient through normalization is tangent to the query direction
     q_hat = q / np.linalg.norm(q)
@@ -266,17 +266,17 @@ def test_moco_batch_mean_and_errors():
     qs = rng.normal(size=(3, 4))
     ks = rng.normal(size=(3, 4))
     queue = rng.normal(size=(5, 4))
-    out = moco_batch(qs, ks, queue)
-    singles = [moco_batch(qs[i:i + 1], ks[i:i + 1], queue).value for i in range(3)]
+    out = moco_batch(qs, ks, queue, tau=0.7)
+    singles = [moco_batch(qs[i:i + 1], ks[i:i + 1], queue, tau=0.7).value for i in range(3)]
     assert out.value == pytest.approx(np.mean(singles), abs=1e-12)
     assert out.grads["queries"].shape == qs.shape
 
     with pytest.raises(ValueError, match="tau"):
         moco_batch(qs, ks, queue, tau=0.0)
     with pytest.raises(ValueError, match="align"):
-        moco_batch(qs, ks[:2], queue)
+        moco_batch(qs, ks[:2], queue, tau=0.7)
     with pytest.raises(NormalizationError):
-        moco_batch([[0.0, 0.0]], [[1.0, 0.0]], queue[:, :2])
+        moco_batch([[0.0, 0.0]], [[1.0, 0.0]], queue[:, :2], tau=0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +291,8 @@ def test_margin_zero_reduces_to_plain_ce():
     w_hat = weights / np.linalg.norm(weights, axis=1, keepdims=True)
     cos_logits = 16.0 * (w_hat @ f_hat)
     for mode in (LossMode.COSFACE, LossMode.ARCFACE):
-        out = margin_classification_batch(feature[None], weights, [1], mode, margin=0.0)
+        out = margin_classification_batch(feature[None], weights, [1], mode,
+                                          margin=0.0, scale=16.0)
         assert out.value == pytest.approx(
             cross_entropy_batch(cos_logits[None], [1]).value, abs=1e-9)
 
@@ -308,7 +309,8 @@ def test_arcface_handles_angle_clamp():
     # feature opposite its class weight: theta = pi, margin pushes past it
     feature = np.array([[-1.0, 0.0]])
     weights = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = margin_classification_batch(feature, weights, [0], LossMode.ARCFACE)
+    out = margin_classification_batch(feature, weights, [0], LossMode.ARCFACE,
+                                      margin=0.25, scale=16.0)
     assert np.isfinite(out.value)
     assert np.all(np.isfinite(out.grads["features"]))
     assert np.all(np.isfinite(out.grads["class_weights"]))
@@ -319,8 +321,9 @@ def test_margin_batch_reduces_with_mean():
     feats = rng.normal(size=(3, 5))
     weights = rng.normal(size=(4, 5))
     labels = [0, 2, 3]
-    out = margin_classification_batch(feats, weights, labels)
-    singles = [margin_classification_batch(feats[i:i + 1], weights, labels[i:i + 1]).value
+    out = margin_classification_batch(feats, weights, labels, LossMode.COSFACE, 0.25, 16.0)
+    singles = [margin_classification_batch(feats[i:i + 1], weights, labels[i:i + 1],
+                                           LossMode.COSFACE, 0.25, 16.0).value
                for i in range(3)]
     assert out.value == pytest.approx(np.mean(singles), abs=1e-12)
     assert out.grads["features"].shape == feats.shape
@@ -330,18 +333,19 @@ def test_margin_batch_reduces_with_mean():
 def test_margin_errors():
     feats = np.ones((2, 3))
     weights = np.ones((2, 3))
+    cosface = LossMode.COSFACE
     with pytest.raises(ValueError, match="margin"):
-        margin_classification_batch(feats, weights, [0, 1], margin=-0.1)
+        margin_classification_batch(feats, weights, [0, 1], cosface, -0.1, 16.0)
     with pytest.raises(ValueError, match="scale"):
-        margin_classification_batch(feats, weights, [0, 1], scale=0.0)
+        margin_classification_batch(feats, weights, [0, 1], cosface, 0.25, 0.0)
     with pytest.raises(ValueError, match="dimension"):
-        margin_classification_batch(feats, np.ones((2, 4)), [0, 1])
+        margin_classification_batch(feats, np.ones((2, 4)), [0, 1], cosface, 0.25, 16.0)
     with pytest.raises(ValueError, match="label"):
-        margin_classification_batch(feats, weights, [0, 2])
+        margin_classification_batch(feats, weights, [0, 2], cosface, 0.25, 16.0)
     with pytest.raises(NormalizationError):
-        margin_classification_batch(np.zeros((1, 3)), weights, [0])
+        margin_classification_batch(np.zeros((1, 3)), weights, [0], cosface, 0.25, 16.0)
     with pytest.raises(ValueError, match="unknown margin mode"):
-        margin_classification_batch(feats, weights, [0, 1], LossMode.PLAIN_CE)
+        margin_classification_batch(feats, weights, [0, 1], LossMode.PLAIN_CE, 0.25, 16.0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,25 +353,25 @@ def test_margin_errors():
 # ---------------------------------------------------------------------------
 
 def test_total_worked_example_and_selectors():
-    assert mmt_plus_total(4.0, 2.0, 1.0) == pytest.approx(3.1, abs=1e-12)
+    assert mmt_plus_total(4.0, 2.0, 1.0, 0.5, 0.1) == pytest.approx(3.1, abs=1e-12)
     assert mmt_plus_total(4.0, 2.0, 1.0, lambda_soft=1.0, lambda_moco=0.0) == 4.0
     assert mmt_plus_total(4.0, 2.0, 1.0, lambda_soft=0.0, lambda_moco=0.0) == 2.0
-    assert mmt_plus_total(0.0, 0.0, 3.0, lambda_moco=0.2) == pytest.approx(0.6)
+    assert mmt_plus_total(0.0, 0.0, 3.0, 0.5, 0.2) == pytest.approx(0.6)
 
 
 def test_total_linear_in_each_part():
-    base = mmt_plus_total(1.0, 1.0, 1.0)
-    bumped = mmt_plus_total(1.0, 1.0, 2.0)
+    base = mmt_plus_total(1.0, 1.0, 1.0, 0.5, 0.1)
+    bumped = mmt_plus_total(1.0, 1.0, 2.0, 0.5, 0.1)
     assert bumped - base == pytest.approx(0.1, abs=1e-12)
 
 
 def test_total_errors():
     with pytest.raises(ValueError, match="lambda_soft"):
-        mmt_plus_total(1.0, 1.0, 1.0, lambda_soft=1.5)
+        mmt_plus_total(1.0, 1.0, 1.0, lambda_soft=1.5, lambda_moco=0.1)
     with pytest.raises(ValueError, match="lambda_moco"):
-        mmt_plus_total(1.0, 1.0, 1.0, lambda_moco=-0.1)
+        mmt_plus_total(1.0, 1.0, 1.0, lambda_soft=0.5, lambda_moco=-0.1)
     with pytest.raises(ValueError, match="non-finite"):
-        mmt_plus_total(np.nan, 1.0, 1.0)
+        mmt_plus_total(np.nan, 1.0, 1.0, 0.5, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.encoder import EncoderParams, encode_dataset, init_params, unstack_params
 from uda_reid.errors import ConfigError, DivergenceError
 from uda_reid.losses import LossOut
-from uda_reid.datamodel import config_from_kv, load_config
+from uda_reid.datamodel import config_from_kv, parse_kv
 from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
                                StageConfig, default_benchmark,
                                eval_encoder, run_full_pipeline, stage_baseline,
@@ -118,7 +118,7 @@ def test_config_from_kv_errors():
 def test_load_stage_config(tmp_path):
     path = tmp_path / "stage.conf"
     path.write_text("# training\nepochs = 4\nlr = 0.005  # small\n")
-    cfg = load_config(StageConfig, path)
+    cfg = config_from_kv(StageConfig, parse_kv(path.read_text()))
     assert cfg.epochs == 4 and cfg.lr == 0.005
 
 
