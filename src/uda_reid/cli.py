@@ -262,8 +262,7 @@ def _cmd_cluster(args) -> dict:
     cfg = _config(StageConfig, args)
     params = load_params(args.params)
     ds = _load_dataset(args.data)
-    labeling = relabel_epoch(ds, params, k=cfg.k, eps=cfg.eps,
-                             min_pts=cfg.min_pts, blend=args.blend)
+    labeling = relabel_epoch(ds, params, k=cfg.k, eps=cfg.eps, min_pts=cfg.min_pts)
     out = args.out if args.out else args.data
     save_features(out, ds)
     verb = "copied to" if args.out else "rewrote pseudo labels in"
@@ -300,8 +299,9 @@ def _encoded_split(args, labelled):
 def _cmd_rerank(args) -> dict:
     import numpy as np
 
-    from .retrieval import rerank
+    from .retrieval import check_rerank_args, rerank
 
+    check_rerank_args(args.k1, args.k2, args.lam)
     _, q, g = _encoded_split(args, labelled=False)
     dist = rerank(q, g, k1=args.k1, k2=args.k2, lam=args.lam)
     np.save(args.out, dist)
@@ -313,8 +313,15 @@ def _cmd_rerank(args) -> dict:
 
 def _cmd_evaluate(args) -> dict:
     from .numerics import cdist
-    from .retrieval import camera_adjust, evaluate, rerank
+    from .retrieval import (camera_adjust, check_cam_weight, check_rerank_args,
+                            check_top_limit, evaluate, rerank)
 
+    # the flags are checked before any input is read
+    if args.rerank:
+        check_rerank_args(args.k1, args.k2, args.lam)
+    if args.cam_weight is not None:
+        check_cam_weight(args.cam_weight)
+    check_top_limit(args.top)
     split, q, g = _encoded_split(args, labelled=True)
     dist = rerank(q, g, k1=args.k1, k2=args.k2, lam=args.lam) if args.rerank else cdist(q, g)
     if args.cam_weight is not None:
@@ -419,8 +426,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", metavar="FILE",
                    help="write the relabeled copy here and leave --data untouched")
     _add_config_flags(p, StageConfig, names=("k", "eps", "min_pts"))
-    p.add_argument("--blend", type=float, default=None,
-                   help="cluster on blend*euclidean + (1-blend)*jaccard")
     _add_common(p)
     p.set_defaults(handler=_cmd_cluster)
 

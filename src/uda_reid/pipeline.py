@@ -186,13 +186,6 @@ def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
     return evaluate_split(split, dist)
 
 
-def _maybe_eval(params, val_split, rec):
-    if val_split is not None:
-        report = eval_encoder(params, val_split)
-        rec.val_map = report.mAP
-        rec.val_cmc1 = float(report.cmc[0])
-
-
 # ---------------------------------------------------------------------------
 # The epoch driver shared by every stage
 # ---------------------------------------------------------------------------
@@ -258,7 +251,9 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
             if "total" not in sums:
                 rec.total = sum(sums.values()) / count
             rec.lr = adam.lr
-        _maybe_eval(eval_params, val_split, rec)
+        if val_split is not None:
+            report = eval_encoder(eval_params, val_split)
+            rec.val_map, rec.val_cmc1 = report.mAP, float(report.cmc[0])
         log.add(rec)
 
 
@@ -364,7 +359,8 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     1, then the classifiers rebuilt from class centroids over the joint
     source+target label space: the source identities' centroids first, then
     those of each class of the driver's target index.  Per iteration: one
-    PK batch per domain, the target one from that index; one teacher
+    PK batch per domain, the target one from that index and the source one
+    empty without ``joint_source``, joined into one batch; one teacher
     forward and one student forward on the students' shared training-mode
     ``x_hat``; soft cross-entropy against the peer teacher, hard loss on
     joint labels, momentum-contrast loss against the own-teacher queue;
@@ -398,6 +394,7 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     index_s = class_index(dense_src)
     raws_s = source.features.astype(np.float64)
     raws_t = target.features.astype(np.float64)
+    offset_t = p_s if cfg.joint_source else 0  # target labels follow the source's
 
     def rebuild(index_t):
         cents = _centroid_classifier(encode_dataset(students, target), index_t)
@@ -408,19 +405,14 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
         teachers.classifier = cents.copy()
 
     def step(labeling, index_t):
-        p_eff = min(cfg.p_classes, labeling.num_clusters)
-        if cfg.joint_source:
-            idx_s = pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
-            idx_t = pk_sample(index_t, p_eff, cfg.k_per, rng)
-            rows = np.concatenate([raws_s[idx_s], raws_t[idx_t]], axis=0)
-            doms = np.concatenate([source.domains[idx_s], target.domains[idx_t]])
-            labels = np.concatenate([dense_src[idx_s],
-                                     p_s + target.pseudo[idx_t].astype(np.int64)])
-        else:
-            idx_t = pk_sample(index_t, p_eff, cfg.k_per, rng)
-            rows = raws_t[idx_t]
-            doms = target.domains[idx_t]
-            labels = target.pseudo[idx_t].astype(np.int64)
+        # a target-only batch is the joint batch with an empty source block
+        idx_s = (pk_sample(index_s, cfg.p_classes, cfg.k_per, rng) if cfg.joint_source
+                 else np.zeros(0, dtype=np.int64))
+        idx_t = pk_sample(index_t, min(cfg.p_classes, labeling.num_clusters), cfg.k_per, rng)
+        rows = np.concatenate([raws_s[idx_s], raws_t[idx_t]], axis=0)
+        doms = np.concatenate([source.domains[idx_s], target.domains[idx_t]])
+        labels = np.concatenate([dense_src[idx_s],
+                                 offset_t + target.pseudo[idx_t].astype(np.int64)])
 
         # teachers only move by EMA after the students step, so one forward
         # serves as each student's own teacher and, reversed, as its peer
@@ -470,7 +462,7 @@ class Benchmark:
     val_split: QueryGallerySplit
 
 
-def default_benchmark(seed: int = 0, train_per_id: int = 20,
+def default_benchmark(seed: int, train_per_id: int = 20,
                       val_per_id: int = 6, **synth_overrides) -> Benchmark:
     """Generate the benchmark and carve a per-identity validation split off
     the target set (first rows train, remaining rows validate)."""
@@ -489,12 +481,12 @@ def default_benchmark(seed: int = 0, train_per_id: int = 20,
                      val_split=split_query_gallery(target_val))
 
 
-def run_full_pipeline(seed: int = 0, cfg: StageConfig | None = None,
-                      bench: Benchmark | None = None) -> dict:
+def run_full_pipeline(cfg: StageConfig | None = None, bench: Benchmark | None = None) -> dict:
     """Pretrain on translated data, run the full stage-III training, and
-    evaluate teacher 1 on the validation split with re-ranking."""
-    cfg = cfg or StageConfig(seed=seed)
-    bench = bench or default_benchmark(seed=seed)
+    evaluate teacher 1 on the validation split with re-ranking.  The seed is
+    ``cfg``'s (default ``StageConfig()``); so is the default benchmark's."""
+    cfg = cfg or StageConfig()
+    bench = bench or default_benchmark(seed=cfg.seed)
     pre, pre_log = stage_pretrain(bench.translated, cfg, val_split=bench.val_split)
     teachers, mmt_log = stage_mmt_plus(pre, bench.source, bench.target_train, cfg,
                                        val_split=bench.val_split)

@@ -33,7 +33,6 @@ JACCARD_TERMS = 1 << 16  # min terms per block of the Jaccard kernel
 class Metric(enum.Enum):
     EUCLIDEAN = "euclidean"
     JACCARD = "jaccard"
-    RERANKED = "reranked"
 
 
 @dataclass
@@ -367,27 +366,16 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
 # ---------------------------------------------------------------------------
 
 def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
-                  min_pts: int, blend: float | None = None) -> PseudoLabeling:
+                  min_pts: int) -> PseudoLabeling:
     """Encode, build Jaccard distances, cluster, and write the assignment
     into the dataset's pseudo column.
 
     Encoded rows are L2-normalized first so that the exp(-d) fuzzy weights
     and the eps threshold operate on a fixed [0, 2] distance range.
-    ``blend`` switches the clustering input to
-    blend*euclidean + (1-blend)*jaccard (off by default).
     """
     if target.n == 0:
         raise ValueError("target dataset is empty")
-    if blend is not None and not 0.0 <= blend <= 1.0:
-        raise ValueError(f"blend must be in [0, 1], got {blend}")
     feats = l2_normalize_rows(encode_dataset(params, target), "encoded feature")
-    euclid = pairwise_euclidean(feats)
-    jac = jaccard_distance(euclid, k)
-    if blend is None:
-        cluster_input = jac
-    else:
-        mixed = blend * euclid.values + (1.0 - blend) * jac.values
-        cluster_input = DistanceMatrix(values=mixed, metric=Metric.RERANKED)
-    labeling = dbscan(cluster_input, eps, min_pts)
+    labeling = dbscan(jaccard_distance(pairwise_euclidean(feats), k), eps, min_pts)
     target.pseudo[:] = labeling.assignment
     return labeling

@@ -78,6 +78,15 @@ def split_query_gallery(ds: Dataset, per_id: int = 2) -> QueryGallerySplit:
 # Re-ranking
 # ---------------------------------------------------------------------------
 
+def check_rerank_args(k1: int, k2: int, lam: float, n: int | None = None) -> None:
+    """``rerank``'s checks on ``n`` pooled rows; with ``n`` unknown, all but k1 < n."""
+    if not 1 <= k2 <= k1 or n is not None and k1 >= n:
+        got = f"k1={k1}, k2={k2}" + ("" if n is None else f", n={n}")
+        raise ValueError(f"need 1 <= k2 <= k1 < n, got {got}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+
+
 def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
            lam: float = 0.3) -> np.ndarray:
     """Blend of Euclidean and joint-set reciprocal-neighbor Jaccard distance.
@@ -92,11 +101,7 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise ValueError("query/gallery feature shapes incompatible")
     n_q = q.shape[0]
-    n_total = n_q + g.shape[0]
-    if not 1 <= k2 <= k1 < n_total:
-        raise ValueError(f"need 1 <= k2 <= k1 < n, got k1={k1}, k2={k2}, n={n_total}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    check_rerank_args(k1, k2, lam, n_q + g.shape[0])
 
     euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
     cross = euclid.values[:n_q, n_q:]
@@ -109,12 +114,16 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
 # Camera-aware adjustment and ensembling
 # ---------------------------------------------------------------------------
 
+def check_cam_weight(weight: float) -> None:
+    if not 0.0 <= weight < np.inf:
+        raise ValueError(f"weight must be finite and >= 0, got {weight}")
+
+
 def camera_adjust(dist, cams_q, cams_g, weight: float) -> np.ndarray:
     """D'[q][g] = D[q][g] - weight * ||c_q - c_g|| for one-hot camera codes
     c: sqrt(2) where the camera ids differ, 0 where they match.  May go
     negative."""
-    if not 0.0 <= weight < np.inf:
-        raise ValueError(f"weight must be finite and >= 0, got {weight}")
+    check_cam_weight(weight)
     dist = np.asarray(dist, dtype=np.float64)
     cams_q, cams_g = np.asarray(cams_q), np.asarray(cams_g)
     if dist.shape != (cams_q.shape[0], cams_g.shape[0]):
@@ -140,6 +149,11 @@ def ensemble_features(parts: list) -> np.ndarray:
 # Evaluation protocol
 # ---------------------------------------------------------------------------
 
+def check_top_limit(top_limit: int) -> None:
+    if top_limit < 1:
+        raise ValueError("top_limit must be >= 1")
+
+
 def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalReport:
     """mAP and CMC under the standard protocol.
 
@@ -157,8 +171,7 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
     n_q, n_g = dist.shape
     if n_g == 0:
         raise ValueError("gallery is empty")
-    if top_limit < 1:
-        raise ValueError("top_limit must be >= 1")
+    check_top_limit(top_limit)
     require_identities(ids_q, "query")
     require_identities(ids_g, "gallery")
 

@@ -172,18 +172,21 @@ def test_cluster_out_flag_leaves_input_untouched(arts, tmp_path):
         payload["num_clusters"]
 
 
-def test_cluster_blend_out_of_range_exits_2_before_any_work(arts, tmp_path):
+def test_cluster_config_error_exits_2_leaving_data_untouched(arts):
     before = arts["target"].read_bytes()
     code, out, err = go(["cluster", "--params", arts["pre"], "--data", arts["target"],
-                         "--k", "10", "--blend", "1.5"])
+                         "--k", "10", "--eps", "-1"])
     assert code == 2 and out == "", err
-    assert "blend must be in [0, 1]" in err and "Traceback" not in err
+    assert "config field 'eps': must be > 0" in err and "Traceback" not in err
     assert arts["target"].read_bytes() == before
-    payload = ok(["cluster", "--params", arts["pre"], "--data", arts["target"],
-                  "--out", tmp_path / "blended.bin", "--k", "10", "--blend", "0.5"])
-    assert arts["target"].read_bytes() == before
-    blended = load_features(tmp_path / "blended.bin")
-    assert np.unique(blended.pseudo[blended.pseudo >= 0]).size == payload["num_clusters"]
+
+
+def test_cluster_blend_is_an_unknown_flag(arts, tmp_path):
+    code, out, err = go(["cluster", "--params", arts["pre"], "--data", arts["target"],
+                         "--out", tmp_path / "blended.bin", "--blend", "0.5"])
+    assert code == 1 and out == "", err
+    assert "unrecognized arguments: --blend 0.5" in err
+    assert not (tmp_path / "blended.bin").exists()
 
 
 def test_cluster_in_place_rewrites_data(arts, tmp_path):
@@ -582,6 +585,27 @@ def test_config_error_reported_before_any_input_is_read(command, argv, tmp_path,
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("evaluate", ["--cam-weight", "-1"], "weight must be finite and >= 0, got -1.0"),
+    ("evaluate", ["--top", "0"], "top_limit must be >= 1"),
+    ("evaluate", ["--rerank", "--k1", "0"], "need 1 <= k2 <= k1 < n, got k1=0, k2=6"),
+    ("evaluate", ["--rerank", "--lam", "-0.5"], "lambda must be in [0, 1], got -0.5"),
+    ("rerank", ["--k1", "0"], "need 1 <= k2 <= k1 < n, got k1=0, k2=6"),
+    ("rerank", ["--k2", "40"], "need 1 <= k2 <= k1 < n, got k1=30, k2=40"),
+    ("rerank", ["--lam", "1.5"], "lambda must be in [0, 1], got 1.5"),
+])
+def test_flag_error_reported_before_any_input_is_read(command, flags, message, tmp_path,
+                                                      monkeypatch):
+    # flags that need no input are checked by the kernel's own check first
+    monkeypatch.chdir(tmp_path)
+    out_flag = ["--out", "d.npy"] if command == "rerank" else []
+    code, out, err = go([command, "--query", "missing.bin", "--gallery", "missing.bin",
+                         "--params", "missing.params"] + out_flag + flags)
+    assert code == 2 and out == "", err
+    assert f"error: {message}" in err and "missing" not in err
+    assert os.listdir(tmp_path) == []
+
+
 # per command: its argv, a config field, a value out of the field's range,
 # one in it, the range error, and the files a successful run writes
 MERGE_CASES = {
@@ -773,8 +797,7 @@ TRAIN_FLAGS = {"--config", "--log", "--val", "--epochs", "--iters-per-epoch",
     ("baseline", {"--params", "--data", "--out"} | TRAIN_FLAGS),
     ("mmtplus", {"--params", "--params2", "--source", "--target", "--out",
                  "--export"} | TRAIN_FLAGS),
-    ("cluster", {"--params", "--data", "--out", "--k", "--eps", "--min-pts",
-                 "--blend"}),
+    ("cluster", {"--params", "--data", "--out", "--k", "--eps", "--min-pts"}),
 ])
 def test_subcommand_flags(command, flags):
     code, _, err = go([command, "--help"])

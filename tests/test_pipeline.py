@@ -529,7 +529,7 @@ def test_eval_encoder_matches_manual_protocol(bench, pretrained):
 
 
 def test_run_full_pipeline_smoke(bench):
-    result = run_full_pipeline(seed=0, cfg=tiny_cfg(), bench=bench)
+    result = run_full_pipeline(cfg=tiny_cfg(), bench=bench)
     assert set(result) == {"params", "report", "logs"}
     assert isinstance(result["params"], EncoderParams)
     assert 0.0 <= result["report"].mAP <= 1.0

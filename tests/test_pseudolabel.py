@@ -513,33 +513,9 @@ def test_relabel_is_deterministic():
     assert la.num_clusters == lb.num_clusters
 
 
-def test_relabel_blend_one_is_euclidean_clustering():
-    ds = clustered_dataset(seed=2)
-    params = identity_encoder(ds.d)
-    labeling = relabel_epoch(ds, params, k=10, eps=0.6, min_pts=4, blend=1.0)
-    from uda_reid.encoder import encode_dataset
-    feats = l2_normalize_rows(encode_dataset(params, ds), "row")
-    direct = dbscan(pairwise_euclidean(feats), eps=0.6, min_pts=4)
-    assert np.array_equal(labeling.assignment, direct.assignment)
-
-
 def test_relabel_errors():
     ds = clustered_dataset()
     params = identity_encoder(ds.d)
-    with pytest.raises(ValueError, match="blend"):
-        relabel_epoch(ds, params, k=10, eps=0.6, min_pts=4, blend=1.5)
     empty = ds.subset(np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
         relabel_epoch(empty, params, k=10, eps=0.6, min_pts=4)
-
-
-def test_relabel_rejects_blend_before_encoding(monkeypatch):
-    ds = clustered_dataset()
-
-    def no_encoding(*args, **kwargs):
-        raise AssertionError("encoded before blend was checked")
-
-    monkeypatch.setattr(pseudolabel, "encode_dataset", no_encoding)
-    for blend in (-0.5, 1.5):
-        with pytest.raises(ValueError, match=r"blend must be in \[0, 1\]"):
-            relabel_epoch(ds, identity_encoder(ds.d), k=10, eps=0.6, min_pts=4, blend=blend)
