@@ -334,12 +334,12 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-_TEXT_TYPES = (int, float, bool, str, tuple[int, ...])
+_TEXT_TYPES = (int, float, bool, tuple[int, ...])
 
 
 def config_fields(cls) -> dict:
     """Name -> type of each field of config dataclass ``cls`` that text can
-    set: int, float, bool, str, an enum, or a tuple of ints."""
+    set: int, float, bool, an enum, or a tuple of ints."""
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)
             if hints[f.name] in _TEXT_TYPES or isinstance(hints[f.name], enum.EnumMeta)}

@@ -50,8 +50,7 @@ class StageConfig:
     scale: float = 16.0
     encoder_dim: int = 32
     joint_source: bool = True
-    lr_schedule: str = "constant"           # or "step"
-    lr_milestones: tuple[int, ...] = (40, 70)
+    lr_milestones: tuple[int, ...] = ()     # epochs at which lr decays by lr_gamma
     lr_gamma: float = 0.1
 
     def validate(self) -> None:
@@ -73,12 +72,8 @@ class StageConfig:
                 raise ConfigError(name, f"must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha", f"must be in [0, 1], got {self.alpha}")
-        if self.lr_schedule not in ("constant", "step"):
-            raise ConfigError("lr_schedule", f"unknown schedule {self.lr_schedule!r}")
 
     def lr_at(self, epoch: int) -> float:
-        if self.lr_schedule == "constant":
-            return self.lr
         passed = sum(1 for m in self.lr_milestones if epoch >= m)
         return self.lr * (self.lr_gamma ** passed)
 
@@ -117,7 +112,10 @@ class RunLog:
     stage: str
     seed: int
     records: list = field(default_factory=list)
-    skipped_epochs: int = 0
+
+    @property
+    def skipped_epochs(self) -> int:
+        return sum(rec.skipped for rec in self.records)
 
     def add(self, record: EpochRecord) -> None:
         if self.records and record.epoch <= self.records[-1].epoch:
@@ -243,9 +241,7 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
                     count += totals.size
         except FloatingPointError as exc:
             raise DivergenceError(epoch, it, f"floating-point {exc}") from exc
-        if rec.skipped:
-            log.skipped_epochs += 1
-        else:
+        if not rec.skipped:
             for name, value in sums.items():
                 setattr(rec, name, value / count)
             if "total" not in sums:

@@ -5,8 +5,9 @@ k-reciprocal neighbor sets into fuzzy memberships, convert to Jaccard
 distances, and cluster with density-based scanning.  Outliers keep the
 OUTLIER sentinel and are skipped by batch sampling downstream.
 
-Neighbor sets are built as (n, k) index tables, -1 marking no member, from
-a tie-exact partial ranking: ties break by the lower index throughout.
+Each distance matrix is ranked once, by the function that owns it, into a
+tie-exact rank table (``nearest``: ties break by the lower index) that both
+``k_reciprocal_neighbors`` and ``jaccard_rows``' local expansion read.
 ``jaccard_rows`` serves relabeling and re-ranking alike: it keeps the
 memberships as sparse (row, member, weight) entries, read through an
 inverted index, and its sums add the same terms in the same order as the
@@ -130,19 +131,17 @@ def _reciprocal(knn: np.ndarray) -> np.ndarray:
     return np.where(mutual, knn, -1)
 
 
-def k_reciprocal_neighbors(dist: DistanceMatrix, k: int) -> list[np.ndarray]:
-    """Expanded reciprocal neighbor sets R*(p, k), sorted indices per row.
+def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
+    """Expanded reciprocal neighbor sets R*(p, k), sorted indices per row,
+    from the rank table ``top = nearest(values, k + 1)`` of an n x n matrix.
 
     R(p,k) keeps the k nearest neighbors of p that also list p among their
     own k nearest; R*(p,k) unions in R(q, ceil(k/2)) for every q in R(p,k)
     whose half-set overlaps R(p,k) in at least two thirds of its members.
     """
-    n = dist.n
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    n, k = top.shape[0], top.shape[1] - 1
     # k nearest without the row itself: drop it from the first k+1 ranks, or
     # drop rank k+1 when ties at distance zero rank the row lower
-    top = nearest(dist.values, k + 1)
     keep = top != np.arange(n)[:, None]
     keep[keep.all(axis=1), k] = False
     knn = top[keep].reshape(n, k)
@@ -176,8 +175,8 @@ def _membership_entries(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]):
 def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> np.ndarray:
     """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere.
 
-    Kept as the dense form of the memberships for tests and references;
-    the package itself reads them only as entries."""
+    The package itself reads the memberships only as entries; this dense
+    form stays because ``bench/spans.py`` names it in ``TRACED``."""
     rows, members, weights = _membership_entries(dist, neighbor_sets)
     v = np.zeros((dist.n, dist.n))
     v[rows, members] = weights
@@ -194,14 +193,14 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
-def _local_expansion(dist: DistanceMatrix, rows, members, weights, k2: int):
-    """Entries, in row-major order, of V averaged over each row's k2 nearest
-    rows (itself included).  For each rank in order, row p takes the entries
-    of its neighbor of that rank, and ``np.bincount`` sums each (p, g) in
+def _local_expansion(near: np.ndarray, rows, members, weights):
+    """Entries, in row-major order, of V averaged over the rows that each row
+    of the (n, k2) rank table ``near`` lists.  Row p takes, rank by rank, the
+    entries of its neighbor of that rank; ``np.bincount`` sums each (p, g) in
     rank order: bitwise the dense sum, which only adds exact zeros beyond."""
-    n = dist.n
+    n, k2 = near.shape
     offsets = _row_offsets(rows, n)
-    src = nearest(dist.values, k2).T.reshape(-1)  # rank-major: every row's rank 0 first
+    src = near.T.reshape(-1)  # rank-major: every row's rank 0 first
     counts = offsets[src + 1] - offsets[src]
     pick = _runs(offsets[src], counts)
     keys = np.repeat(np.tile(np.arange(n) * n, k2), counts) + members[pick]
@@ -285,25 +284,25 @@ def _jaccard(rows, members, weights, row_sums, num_rows: int) -> np.ndarray:
     return out
 
 
-def jaccard_rows(dist: DistanceMatrix, neighbor_sets: list[np.ndarray], k2: int = 1,
-                 num_rows: int | None = None) -> np.ndarray:
+def jaccard_rows(dist: DistanceMatrix, neighbor_sets: list[np.ndarray],
+                 near: np.ndarray | None = None, num_rows: int | None = None) -> np.ndarray:
     """Jaccard distances of rows [0, num_rows) (every row by default) to all
-    rows, over the R* memberships with weights exp(-D[p][g]).  With k2 > 1
-    each membership row is first averaged over the row's k2 nearest rows,
-    itself included (local query expansion).  Computed from entries: no
-    dense membership matrix is built."""
-    n = dist.n
-    if not 1 <= k2 <= n:
-        raise ValueError(f"k2 must satisfy 1 <= k2 <= n, got k2={k2}, n={n}")
+    rows, over the R* memberships with weights exp(-D[p][g]).  Given the
+    (n, k2) rank table ``near``, each membership row is first averaged over
+    the k2 rows that its row of the table lists (local query expansion).
+    Computed from entries: no dense membership matrix is built."""
     entries = _membership_entries(dist, neighbor_sets)
-    if k2 > 1:
-        entries = _local_expansion(dist, *entries, k2)
+    if near is not None:
+        entries = _local_expansion(near, *entries)
+    n = dist.n
     return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows)
 
 
 def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:
     """Jaccard distances over the R*(p, k) memberships."""
-    values = jaccard_rows(dist, k_reciprocal_neighbors(dist, k))
+    if not 1 <= k < dist.n:
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={dist.n}")
+    values = jaccard_rows(dist, k_reciprocal_neighbors(nearest(dist.values, k + 1)))
     return DistanceMatrix(values=values, metric=Metric.JACCARD)
 
 
@@ -312,8 +311,8 @@ def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
     The matrix is exactly symmetric: (p, q) and (q, p) add the same terms
     in the same order.
 
-    Kept as the entry point for memberships given densely, as tests and
-    references give them."""
+    The package itself passes memberships as entries; this dense entry
+    point stays because ``bench/spans.py`` names it in ``TRACED``."""
     rows, members = np.nonzero(v)
     return _jaccard(rows, members, v[rows, members], v.sum(axis=1), v.shape[0])
 

@@ -11,7 +11,7 @@ import numpy as np
 from .datamodel import IDENTITY_NONE, Dataset
 from .errors import DegenerateStructureError
 from .numerics import l2_normalize_rows
-from .pseudolabel import jaccard_rows, k_reciprocal_neighbors, pairwise_euclidean
+from .pseudolabel import jaccard_rows, k_reciprocal_neighbors, nearest, pairwise_euclidean
 
 
 @dataclass
@@ -105,8 +105,9 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
 
     euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
     cross = euclid.values[:n_q, n_q:]
-    # only the query rows of the Jaccard matrix are read
-    jac = jaccard_rows(euclid, k_reciprocal_neighbors(euclid, k1), k2, num_rows=n_q)
+    top = nearest(euclid.values, k1 + 1)  # its first k2 columns are nearest(values, k2)
+    near = top[:, :k2] if k2 > 1 else None
+    jac = jaccard_rows(euclid, k_reciprocal_neighbors(top), near, num_rows=n_q)  # query rows only
     return lam * cross + (1.0 - lam) * jac[:, n_q:]
 
 

@@ -8,8 +8,8 @@ right when a change is meant to move training output; say so where the
 change is recorded.
 
 The cases cover every stage with and without a validation split, plain
-cross-entropy and the margin heads, joint-source batches on and off, the
-step learning-rate schedule, and epochs skipped for lack of clusters.
+cross-entropy and the margin heads, joint-source batches on and off, a
+learning-rate schedule with milestones, and epochs skipped for lack of clusters.
 
 ``--check`` regenerates every case in memory and compares the result byte
 for byte with the committed fixture instead of writing it.  It exits 1 and
@@ -44,7 +44,7 @@ TINY_BENCH = dict(train_per_id=6, val_per_id=4, num_ids_source=8,
 TINY_CFG = dict(epochs=3, iters_per_epoch=4, p_classes=4, k_per=2,
                 encoder_dim=8, queue_capacity=32, k=10)
 ARCFACE = dict(loss_mode=LossMode.ARCFACE)
-STEP_LR = dict(lr_schedule="step", lr_milestones=(1, 2), lr_gamma=0.5)
+STEP_LR = dict(lr_milestones=(1, 2), lr_gamma=0.5)
 NO_CLUSTERS = dict(eps=1e-6)
 
 # name -> (stage, config overrides, evaluate on the validation split)

@@ -189,6 +189,21 @@ def test_cluster_blend_is_an_unknown_flag(arts, tmp_path):
     assert not (tmp_path / "blended.bin").exists()
 
 
+def test_lr_schedule_is_an_unknown_flag_and_key(arts, tmp_path):
+    out_path = tmp_path / "p.params"
+    code, out, err = go(["pretrain", "--data", arts["translated"], "--out", out_path,
+                         "--lr-schedule", "step"] + TINY_TRAIN)
+    assert code == 1 and out == "", err
+    assert "unrecognized arguments: --lr-schedule step" in err
+    conf = tmp_path / "step.cfg"
+    conf.write_text("lr_schedule = step\nlr_milestones = 1\n")
+    code, out, err = go(["pretrain", "--data", arts["translated"], "--out", out_path,
+                         "--config", conf] + TINY_TRAIN)
+    assert code == 2 and out == "", err
+    assert "config field 'lr_schedule': unknown configuration key" in err
+    assert not out_path.exists()
+
+
 def test_cluster_in_place_rewrites_data(arts, tmp_path):
     work = tmp_path / "work.bin"
     shutil.copyfile(arts["target"], work)
@@ -784,8 +799,7 @@ TRAIN_FLAGS = {"--config", "--log", "--val", "--epochs", "--iters-per-epoch",
                "--lambda-soft", "--lambda-moco", "--alpha", "--tau",
                "--queue-capacity", "--k", "--eps", "--min-pts", "--seed",
                "--loss-mode", "--margin", "--scale", "--encoder-dim",
-               "--joint-source", "--lr-schedule", "--lr-milestones",
-               "--lr-gamma"}
+               "--joint-source", "--lr-milestones", "--lr-gamma"}
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -809,7 +823,7 @@ def test_config_flag_values_parse_by_field_type(arts, tmp_path):
     payload = ok(["mmtplus", "--params", arts["pre"], "--source", arts["source"],
                   "--target", arts["target"], "--out", tmp_path / "t.params",
                   "--joint-source", "false", "--loss-mode", "cosface",
-                  "--lr-schedule", "step", "--lr-milestones", "1,2"]
+                  "--lr-milestones", "1,2"]
                  + TINY_TRAIN)
     assert payload["epochs"] == 2
     for flag, value in (("--joint-source", "maybe"), ("--loss-mode", "softmax"),

@@ -62,11 +62,12 @@ def test_default_config_validates():
 
 
 def test_lr_schedule():
-    cfg = StageConfig(lr=0.1, lr_schedule="constant")
+    cfg = StageConfig(lr=0.1)  # no milestones by default: lr throughout
+    assert cfg.lr_milestones == ()
     assert cfg.lr_at(0) == cfg.lr_at(99) == 0.1
-    cfg = StageConfig(lr=0.1, lr_schedule="step", lr_milestones=(2, 4), lr_gamma=0.1)
-    assert cfg.lr_at(0) == pytest.approx(0.1)
-    assert cfg.lr_at(1) == pytest.approx(0.1)
+    # milestones alone decay it: lr * lr_gamma ** (milestones passed)
+    cfg = StageConfig(lr=0.1, lr_milestones=(2, 4), lr_gamma=0.1)
+    assert cfg.lr_at(0) == cfg.lr_at(1) == 0.1  # bitwise before the first
     assert cfg.lr_at(2) == pytest.approx(0.01)
     assert cfg.lr_at(3) == pytest.approx(0.01)
     assert cfg.lr_at(4) == pytest.approx(0.001)
@@ -80,7 +81,6 @@ def test_lr_schedule():
     (dict(alpha=-0.1), "alpha"),
     (dict(weight_decay=-1.0), "weight_decay"),
     (dict(margin=-0.5), "margin"),
-    (dict(lr_schedule="linear"), "lr_schedule"),
     (dict(seed=-1), "seed"),
 ])
 def test_config_validation_errors(kwargs, field):
@@ -91,15 +91,13 @@ def test_config_validation_errors(kwargs, field):
 def test_config_from_kv_parses_every_type():
     cfg = config_from_kv(StageConfig, {
         "epochs": "3", "lr": "0.01", "loss_mode": "cosface",
-        "joint_source": "false", "lr_milestones": "3,5",
-        "lr_schedule": "step", "alpha": "0.9",
+        "joint_source": "false", "lr_milestones": "3,5", "alpha": "0.9",
     })
     assert cfg.epochs == 3
     assert cfg.lr == 0.01
     assert cfg.loss_mode is LossMode.COSFACE
     assert cfg.joint_source is False
     assert cfg.lr_milestones == (3, 5)
-    assert cfg.lr_schedule == "step"
     assert cfg.alpha == 0.9
     assert config_from_kv(StageConfig, {"joint_source": "1"}).joint_source is True
 
@@ -117,9 +115,10 @@ def test_config_from_kv_errors():
 
 def test_load_stage_config(tmp_path):
     path = tmp_path / "stage.conf"
-    path.write_text("# training\nepochs = 4\nlr = 0.005  # small\n")
+    path.write_text("# training\nepochs = 4\nlr = 0.005  # small\nlr_milestones = 2\n")
     cfg = config_from_kv(StageConfig, parse_kv(path.read_text()))
-    assert cfg.epochs == 4 and cfg.lr == 0.005
+    assert cfg.epochs == 4 and cfg.lr == 0.005 and cfg.lr_milestones == (2,)
+    assert cfg.lr_at(1) == 0.005 and cfg.lr_at(2) == 0.005 * cfg.lr_gamma
 
 
 # ---------------------------------------------------------------------------

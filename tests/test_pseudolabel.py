@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from uda_reid import pseudolabel
+from uda_reid import pseudolabel, retrieval
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.encoder import init_params
 from uda_reid.errors import DegenerateStructureError
@@ -43,6 +43,11 @@ def oracle_distances(seed):
         return pairwise_euclidean(np.repeat(centres, 10, axis=0)
                                   + 0.4 * rng.normal(size=(120, 8)))
     return random_distances(seed, n=12)
+
+
+def reciprocal_sets(dm, k):
+    """R*(p, k) of every row, from the matrix's (n, k + 1) rank table."""
+    return k_reciprocal_neighbors(nearest(dm.values, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +115,7 @@ def test_distance_matrix_validate():
 # ---------------------------------------------------------------------------
 
 def test_reciprocal_k1_requires_mutual_nearest():
-    sets = k_reciprocal_neighbors(line_distances([0.0, 1.0, 2.5]), k=1)
+    sets = reciprocal_sets(line_distances([0.0, 1.0, 2.5]), k=1)
     # 0 and 1 are each other's nearest; 2's nearest (1) does not reciprocate
     assert sets[0].tolist() == [1]
     assert sets[1].tolist() == [0]
@@ -119,7 +124,7 @@ def test_reciprocal_k1_requires_mutual_nearest():
 
 def test_expansion_unions_strongly_overlapping_halves():
     # tight triple: everyone reciprocates at k=2, halves are singletons
-    sets = k_reciprocal_neighbors(line_distances([0.0, 1.0, 2.0]), k=2)
+    sets = reciprocal_sets(line_distances([0.0, 1.0, 2.0]), k=2)
     # for p=0: R={1,2}? 2's 2-nn are {1,0}, includes 0, so R(0,2)={1,2};
     # half sets R(.,1): R(1,1) is empty (1's nearest is 0, 0's nearest is 1:
     # mutual), so expansion adds {0} via q=1 when 0 in base... spelled out
@@ -133,7 +138,7 @@ def test_expansion_unions_strongly_overlapping_halves():
                          + [(20, "clustered")])
 def test_expanded_sets_match_reference(seed, k):
     dm = oracle_distances(seed)
-    got = [s.tolist() for s in k_reciprocal_neighbors(dm, k)]
+    got = [s.tolist() for s in reciprocal_sets(dm, k)]
     assert got == oracles.expanded_ref(dm.values, k)
 
 
@@ -174,9 +179,28 @@ def test_nearest_ranks_nan_last():
 def test_neighbor_k_bounds():
     dm = random_distances(0, n=5)
     with pytest.raises(ValueError, match="k must"):
-        k_reciprocal_neighbors(dm, 0)
+        jaccard_distance(dm, 0)
     with pytest.raises(ValueError, match="k must"):
-        k_reciprocal_neighbors(dm, 5)
+        jaccard_distance(dm, 5)
+
+
+def test_each_distance_matrix_is_ranked_once(monkeypatch):
+    calls = []
+
+    def counted(values, m):
+        calls.append(m)
+        return nearest(values, m)
+
+    monkeypatch.setattr(pseudolabel, "nearest", counted)
+    monkeypatch.setattr(retrieval, "nearest", counted)
+    q, g = np.random.default_rng(0).normal(size=(2, 10, 4))
+    retrieval.rerank(q, g, k1=5, k2=3)
+    assert calls == [6]  # k2's expansion reads the first 3 columns
+    jaccard_distance(random_distances(0, n=12), 4)
+    assert calls == [6, 5]
+    ds = clustered_dataset()
+    relabel_epoch(ds, identity_encoder(ds.d), k=10, eps=0.6, min_pts=4)
+    assert calls == [6, 5, 11]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +259,7 @@ def test_jaccard_exactly_symmetric_across_blocks():
                                     for k in (1, 3, 7)] + [("clustered", 20)])
 def test_jaccard_equals_the_dense_row_loop_bitwise(seed, k):
     dm = oracle_distances(seed)
-    v = membership_matrix(dm, k_reciprocal_neighbors(dm, k))
+    v = membership_matrix(dm, reciprocal_sets(dm, k))
     loop = oracles.jaccard_loop_ref(v)
     assert np.array_equal(jaccard_distance(dm, k).values, loop)
     assert np.array_equal(jaccard_from_membership(v), loop)
@@ -247,7 +271,7 @@ def test_jaccard_from_entries_across_row_blocks_with_empty_rows():
     x = rng.normal(size=(ROW_BLOCK + 60, 3))
     x[5] = 50.0  # an isolated row: no reciprocal neighbor, empty membership
     dm = pairwise_euclidean(x)
-    sets = k_reciprocal_neighbors(dm, 5)
+    sets = reciprocal_sets(dm, 5)
     assert sets[5].size == 0
     v = membership_matrix(dm, sets)
     got = jaccard_distance(dm, 5).values
@@ -260,22 +284,15 @@ def test_jaccard_from_entries_across_row_blocks_with_empty_rows():
                          + [("duplicates", 3, 13), ("clustered", 20, 6)])
 def test_jaccard_rows_expansion_equals_dense_average_bitwise(seed, k, k2):
     dm = oracle_distances(seed)
-    sets = k_reciprocal_neighbors(dm, k)
+    sets = reciprocal_sets(dm, k)
     v = membership_matrix(dm, sets)
     local = np.argsort(dm.values, axis=1, kind="stable")[:, :k2]
     expanded = v[local[:, 0]]
     for rank in range(1, k2):
         expanded += v[local[:, rank]]
     expanded /= k2
-    assert np.array_equal(jaccard_rows(dm, sets, k2), oracles.jaccard_loop_ref(expanded))
-
-
-def test_jaccard_rows_k2_errors():
-    dm = random_distances(0, n=5)
-    sets = k_reciprocal_neighbors(dm, 2)
-    for k2 in (0, 6):
-        with pytest.raises(ValueError, match="k2 must"):
-            jaccard_rows(dm, sets, k2)
+    got = jaccard_rows(dm, sets, nearest(dm.values, k2))
+    assert np.array_equal(got, oracles.jaccard_loop_ref(expanded))
 
 
 def random_sets(rng, n, density, empty=()):
@@ -292,10 +309,11 @@ def test_jaccard_query_rows_are_the_full_matrix_first_rows():
     dm = random_distances(2, n)
     # empty memberships among the query rows and after them
     sets = random_sets(rng, n, 0.04, empty=(0, 7, n - 1))
-    for k2 in (1, 3):  # k2 = 3 fills the empty rows from their neighbors
-        full = jaccard_rows(dm, sets, k2)
+    # no expansion, then k2 = 3, which fills the empty rows from their neighbors
+    for near in (None, nearest(dm.values, 3)):
+        full = jaccard_rows(dm, sets, near)
         for rows in (1, 8, ROW_BLOCK, ROW_BLOCK + 1, n):
-            part = jaccard_rows(dm, sets, k2, num_rows=rows)
+            part = jaccard_rows(dm, sets, near, num_rows=rows)
             assert part.shape == (rows, n)
             assert np.array_equal(part, full[:rows])
 

@@ -8,7 +8,7 @@ import oracles
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.errors import DegenerateStructureError, NormalizationError
 from uda_reid.numerics import cdist, l2_normalize_rows
-from uda_reid.pseudolabel import (k_reciprocal_neighbors, membership_matrix,
+from uda_reid.pseudolabel import (k_reciprocal_neighbors, membership_matrix, nearest,
                                   pairwise_euclidean)
 from uda_reid.retrieval import (EvalReport, QueryGallerySplit, camera_adjust,
                                 ensemble_features, evaluate, evaluate_split,
@@ -111,7 +111,7 @@ def rerank_full_sort(q, g, k1, k2, lam):
     order, as the package."""
     n_q = q.shape[0]
     euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
-    v = membership_matrix(euclid, k_reciprocal_neighbors(euclid, k1))
+    v = membership_matrix(euclid, k_reciprocal_neighbors(nearest(euclid.values, k1 + 1)))
     if k2 > 1:
         local = np.argsort(euclid.values, axis=1, kind="stable")[:, :k2]
         expanded = v[local[:, 0]]
@@ -125,7 +125,8 @@ def rerank_full_sort(q, g, k1, k2, lam):
 
 @pytest.mark.parametrize("k1,k2,seed", [(k1, k2, seed) for k1, k2 in [(5, 1), (5, 3), (7, 7)]
                                         for seed in (0, "lattice", "duplicates")]
-                         + [(20, 1, "clustered"), (20, 6, "clustered"), (20, 20, "clustered")])
+                         + [(20, 1, "clustered"), (20, 6, "clustered"), (20, 20, "clustered")]
+                         + [(11, 11, "duplicates"), (11, 1, "lattice")])  # k1 = n - 1
 def test_rerank_bitwise_equals_full_sort_and_dense_loop(seed, k1, k2):
     q, g = oracle_points(seed)
     assert np.array_equal(rerank(q, g, k1=k1, k2=k2, lam=0.3),
@@ -168,6 +169,9 @@ def test_rerank_parameter_errors():
         rerank(q, g, k1=3, k2=1, lam=1.2)
     with pytest.raises(ValueError, match="incompatible"):
         rerank(q, np.ones((3, 4)))
+    for k2 in (0, 6):  # rerank owns the k2 bounds of jaccard_rows' expansion
+        with pytest.raises(ValueError, match=f"need 1 <= k2 <= k1 < n, got k1=4, k2={k2}, n=5"):
+            rerank(q, g, k1=4, k2=k2)
 
 
 # ---------------------------------------------------------------------------
