@@ -291,10 +291,13 @@ def jaccard_rows(dist: DistanceMatrix, neighbor_sets: list[np.ndarray],
     (n, k2) rank table ``near``, each membership row is first averaged over
     the k2 rows that its row of the table lists (local query expansion).
     Computed from entries: no dense membership matrix is built."""
+    n = dist.n
+    if near is not None and not (near.shape[0] == n and 1 <= near.shape[1] <= n):
+        raise ValueError(f"k2 must satisfy 1 <= k2 <= n for an (n, k2) table, "
+                         f"got shape {near.shape}, n={n}")
     entries = _membership_entries(dist, neighbor_sets)
     if near is not None:
         entries = _local_expansion(near, *entries)
-    n = dist.n
     return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows)
 
 

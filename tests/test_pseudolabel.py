@@ -279,6 +279,16 @@ def test_jaccard_from_entries_across_row_blocks_with_empty_rows():
     assert np.all(got[5, np.arange(dm.n) != 5] == 1.0)
 
 
+def test_jaccard_rows_k2_errors():
+    dm = random_distances(0, n=5)
+    sets = reciprocal_sets(dm, 2)
+    for k2 in (0, 6):
+        with pytest.raises(ValueError, match="k2 must"):
+            jaccard_rows(dm, sets, np.zeros((5, k2), dtype=np.intp))
+    with pytest.raises(ValueError, match="k2 must"):  # one table row per matrix row
+        jaccard_rows(dm, sets, nearest(dm.values, 2)[:4])
+
+
 @pytest.mark.parametrize("seed,k,k2", [(seed, k, k2) for seed in (0, "lattice", "duplicates")
                                        for k, k2 in ((3, 2), (5, 5), (7, 3))]
                          + [("duplicates", 3, 13), ("clustered", 20, 6)])
