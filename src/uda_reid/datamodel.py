@@ -206,10 +206,10 @@ class SynthConfig:
         return self
 
 
-def _block_rotation(rng, d: int, lo: float, hi: float, rounds: int = 2) -> np.ndarray:
-    """Product of plane rotations over random axis pairs within a block."""
+def _block_rotation(rng, d: int, lo: float, hi: float) -> np.ndarray:
+    """Product of two rounds of plane rotations over random axis pairs in a block."""
     rot = np.eye(d)
-    for _ in range(rounds):
+    for _ in range(2):
         perm = rng.permutation(d)
         angles = rng.uniform(lo, hi, size=d // 2)
         for k in range(d // 2):

@@ -241,9 +241,8 @@ def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
 # ---------------------------------------------------------------------------
 
 def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> None:
-    """In place, teacher <- alpha*teacher + (1-alpha)*student on every array."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    """In place, teacher <- alpha*teacher + (1-alpha)*student on every array.
+    ``alpha`` is unchecked: ``StageConfig.validate`` owns its range, [0, 1]."""
     t_arrays = teacher.all_arrays()
     s_arrays = student.all_arrays()
     for name, t_arr in t_arrays.items():
@@ -255,28 +254,16 @@ def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> 
     np.maximum(teacher.running_var, EPS_VAR, out=teacher.running_var)
 
 
-@dataclass
-class FeatureQueue:
-    """FIFO store of L2-normalized feature rows, oldest first.  Start it with
-    an empty buffer of shape (0, dim), or (networks, 0, dim) for one queue per
-    network of a stack."""
-    capacity: int
-    buffer: np.ndarray
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
-
-
-def queue_push(queue: FeatureQueue, feats) -> None:
-    """In place: normalize rows, enqueue, evict oldest beyond capacity."""
+def queue_push(queue: np.ndarray, feats, capacity: int) -> np.ndarray:
+    """A new FIFO queue: ``queue`` (rows, dim, oldest first; one per network of a
+    stack) with the L2-normalized ``feats`` appended, cut to its newest
+    ``capacity`` rows (unchecked: ``StageConfig.validate`` owns its range)."""
     feats = np.asarray(feats, dtype=np.float64)
-    dim = queue.buffer.shape[-1]
-    if feats.ndim != queue.buffer.ndim or feats.shape[-1] != dim:
+    dim = queue.shape[-1]
+    if feats.ndim != queue.ndim or feats.shape[-1] != dim:
         raise ValueError(f"expected (n, {dim}) rows, got {feats.shape}")
     normed = l2_normalize_rows(feats, "queue feature")
-    joined = np.concatenate([queue.buffer, normed], axis=-2)
-    queue.buffer = joined[..., -queue.capacity:, :]
+    return np.concatenate([queue, normed], axis=-2)[..., -capacity:, :]
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +272,12 @@ def queue_push(queue: FeatureQueue, feats) -> None:
 
 @dataclass
 class AdamState:
+    """Adam's moments; ``lr`` and ``weight_decay`` arrive validated by ``StageConfig``."""
     lr: float
     weight_decay: float
     # per-parameter slots: name -> [m, v, t]; re-initialized parameters can
     # drop their slot to restart the bias correction cleanly
     slots: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
 
     def reset(self, name: str) -> None:
         self.slots.pop(name, None)

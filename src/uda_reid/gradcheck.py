@@ -16,15 +16,15 @@ import numpy as np
 from . import encoder, losses
 
 
-def central_difference(fn, x, step: float = 1e-6):
-    """Elementwise (f(x+h) - f(x-h)) / 2h with h scaled by |x|."""
+def central_difference(fn, x):
+    """Elementwise (f(x+h) - f(x-h)) / 2h with h = 1e-6 * max(1, |x|)."""
     x = np.array(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = x.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        h = step * max(1.0, abs(orig))
+        h = 1e-6 * max(1.0, abs(orig))
         flat[i] = orig + h
         f_plus = fn(x)
         flat[i] = orig - h

@@ -70,7 +70,7 @@ def cross_entropy_batch(logits, labels) -> LossOut:
     if np.any(labels < 0) or np.any(labels >= p):
         raise ValueError("label out of range")
     rows = np.arange(n)
-    logp = log_softmax(logits, axis=-1)
+    logp = log_softmax(logits)
     value = -_row_mean(logp[..., rows, labels])
     grad = np.exp(logp, out=logp)
     grad[..., rows, labels] -= 1.0
@@ -152,8 +152,8 @@ def soft_ce_batch(student_logits, teacher_logits) -> LossOut:
     if s.shape[-1] < 1:
         raise ValueError("at least one class required")
     n = s.shape[-2]
-    t_prob = softmax(t, axis=-1)
-    s_logp = log_softmax(s, axis=-1)
+    t_prob = softmax(t)
+    s_logp = log_softmax(s)
     value = -_row_mean(np.sum(t_prob * s_logp, axis=-1))
     grad = np.exp(s_logp, out=s_logp)
     grad -= t_prob
@@ -171,9 +171,8 @@ def moco_batch(queries, keys_pos, queue, tau: float) -> LossOut:
 
     Gradient flows to the raw (pre-normalization) queries only; the positive
     keys and queue entries are constants.  An empty queue gives zero loss.
+    ``tau`` is unchecked: ``StageConfig.validate`` owns its range (> 0).
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
     queries = _as_float64(queries, "queries")
     keys_pos = _as_float64(keys_pos, "keys_pos")
     if queries.shape != keys_pos.shape:
@@ -212,12 +211,9 @@ def margin_classification_batch(features, class_weights, labels, mode: LossMode,
 
     ARCFACE replaces cos(theta_y) by cos(theta_y + m) with the summed angle
     clamped below pi; COSFACE uses cos(theta_y) - m.  Gradients flow to the
-    raw features and raw class weights through the normalizations.
+    raw features and raw class weights through the normalizations.  ``margin``
+    and ``scale`` are unchecked: ``StageConfig.validate`` owns their ranges.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
     feats = _as_float64(features, "features")
     weights = _as_float64(class_weights, "class_weights")
     labels = np.asarray(labels, dtype=np.int64)
@@ -265,13 +261,10 @@ def margin_classification_batch(features, class_weights, labels, mode: LossMode,
 
 def mmt_plus_total(soft, hard, moco, lambda_soft: float, lambda_moco: float):
     """lambda_soft*soft + (1-lambda_soft)*hard + lambda_moco*moco, per
-    network when the parts are per-network arrays."""
+    network when the parts are per-network arrays.  The weights are
+    unchecked: ``StageConfig.validate`` owns their ranges."""
     parts = {"soft": soft, "hard": hard, "moco": moco}
     for name, val in parts.items():
         if not np.all(np.isfinite(val)):
             raise ValueError(f"non-finite {name} part: {val}")
-    if not 0.0 <= lambda_soft <= 1.0:
-        raise ValueError(f"lambda_soft must be in [0, 1], got {lambda_soft}")
-    if lambda_moco < 0:
-        raise ValueError(f"lambda_moco must be >= 0, got {lambda_moco}")
     return lambda_soft * soft + (1.0 - lambda_soft) * hard + lambda_moco * moco

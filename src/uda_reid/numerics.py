@@ -1,4 +1,4 @@
-"""Small shared numeric helpers (stable softmax family, norms, pairwise distances).
+"""Small shared numeric helpers (last-axis softmax family, norms, pairwise distances).
 
 Everything computes in float64 regardless of input dtype; callers cast back
 where single precision is part of a storage contract.
@@ -29,15 +29,15 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def log_softmax(logits, axis=-1):
+def log_softmax(logits):
     z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z, axis=axis, keepdims=True)
-    z -= np.log(np.sum(np.exp(z), axis=axis, keepdims=True))
+    z = z - np.max(z, axis=-1, keepdims=True)
+    z -= np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
     return z
 
 
-def softmax(logits, axis=-1):
-    logp = log_softmax(logits, axis=axis)
+def softmax(logits):
+    logp = log_softmax(logits)
     return np.exp(logp, out=logp)
 
 

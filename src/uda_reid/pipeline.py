@@ -15,10 +15,9 @@ import numpy as np
 
 from . import losses
 from .datamodel import Dataset, SynthConfig, check_finite_floats, generate_synthetic
-from .encoder import (AdamState, ClassIndex, EncoderParams, FeatureQueue,
-                      adam_step, backward, class_index, classifier_backward,
-                      classifier_logits, ema_update, encode_dataset, forward,
-                      forward_cached, init_params, pk_sample, queue_push,
+from .encoder import (AdamState, ClassIndex, EncoderParams, adam_step, backward, class_index,
+                      classifier_backward, classifier_logits, ema_update, encode_dataset,
+                      forward, forward_cached, init_params, pk_sample, queue_push,
                       stack_params, unstack_params)
 from .errors import ConfigError, DivergenceError
 from .losses import LossMode
@@ -48,7 +47,7 @@ class StageConfig:
     loss_mode: LossMode = LossMode.PLAIN_CE
     margin: float = 0.25
     scale: float = 16.0
-    encoder_dim: int = 32
+    encoder_dim: int = 32  # stage II's width; stage III keeps the pretrained encoder's
     joint_source: bool = True
     lr_milestones: tuple[int, ...] = ()     # epochs at which lr decays by lr_gamma
     lr_gamma: float = 0.1
@@ -368,9 +367,6 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
         raise ValueError("both datasets must be non-empty")
     if pretrained.d_in != source.d or source.d != target.d:
         raise ValueError("encoder/source/target dimensions incompatible")
-    if pretrained.d_out != cfg.encoder_dim:
-        raise ValueError(f"encoder_dim is {cfg.encoder_dim}, but the pretrained "
-                         f"encoder has {pretrained.d_out} outputs")
     if pretrained2 is None:
         pretrained2 = _decorrelated_copy(pretrained, cfg.seed)
     for name, arr in pretrained.all_arrays().items():
@@ -381,7 +377,7 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
 
     students = stack_params((pretrained, pretrained2))
     teachers = students.copy()
-    queues = FeatureQueue(cfg.queue_capacity, np.zeros((2, 0, cfg.encoder_dim)))
+    queues = np.zeros((2, 0, pretrained.d_out))
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, 17])
     log = RunLog(stage="mmt_plus", seed=cfg.seed)
@@ -417,7 +413,7 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
         feats, x_hat = forward_cached(students, rows, doms)
         soft = losses.soft_ce_batch(classifier_logits(students, feats), peer_logits)
         hard, d_feats_hard, d_cls_hard = _hard_loss(students, feats, labels, cfg)
-        moco = losses.moco_batch(feats, own_feats, queues.buffer, cfg.tau)
+        moco = losses.moco_batch(feats, own_feats, queues, cfg.tau)
         total = losses.mmt_plus_total(soft.value, hard, moco.value,
                                       cfg.lambda_soft, cfg.lambda_moco)
         d_cls_soft, d_feats_soft = classifier_backward(
@@ -428,9 +424,10 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
         grads["classifier"] = d_cls_soft + (1.0 - cfg.lambda_soft) * d_cls_hard
 
         def update():
+            nonlocal queues
             adam_step(students.trainable(), grads, adam)
             ema_update(teachers, students, cfg.alpha)
-            queue_push(queues, own_feats)
+            queues = queue_push(queues, own_feats, cfg.queue_capacity)
         return {"soft": soft.value, "hard": hard, "moco": moco.value,
                 "total": total}, update
 

@@ -326,11 +326,8 @@ def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
 
 def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
     """Connected components of core points under <= eps; border points join
-    their lowest-index reachable core's cluster; the rest are OUTLIER."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+    their lowest-index reachable core's cluster; the rest are OUTLIER.
+    ``eps``/``min_pts`` are unchecked: ``StageConfig.validate`` owns them."""
     dist.validate()
     values = dist.values
     n = dist.n

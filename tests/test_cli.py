@@ -378,19 +378,30 @@ def test_training_does_not_depend_on_thread_count(tmp_path):
     assert results[1] == results[2]
 
 
+def test_mmtplus_width_comes_from_params(arts, tmp_path):
+    def mmt(name, train):
+        out = tmp_path / name
+        ok(["mmtplus", "--params", arts["pre"], "--source", arts["source"],
+            "--target", arts["target"], "--out", out] + train)
+        return out.read_bytes()
+
+    # the 8-wide pretrained encoder without --encoder-dim (default 32)
+    at = TINY_TRAIN.index("--encoder-dim")
+    default_width = TINY_TRAIN[:at] + TINY_TRAIN[at + 2:]
+    assert mmt("default.params", default_width) == mmt("eight.params", TINY_TRAIN)
+
+
 def test_mmtplus_width_mismatches_exit_2(arts, tmp_path):
     mmt = ["mmtplus", "--params", arts["pre"], "--source", arts["source"],
            "--target", arts["target"], "--out", tmp_path / "t.params"]
-    # the 8-wide pretrained encoder under the default --encoder-dim 32
-    at = TINY_TRAIN.index("--encoder-dim")
-    default_width = TINY_TRAIN[:at] + TINY_TRAIN[at + 2:]
-    code, out, err = go(mmt + default_width)
-    assert code == 2 and out == "" and "encoder_dim" in err, err
     narrow = tmp_path / "narrow.params"
     save_params(narrow, init_params(16, 4, 8, seed=1))
-    code, out, err = go(mmt + ["--params2", narrow] + TINY_TRAIN)
-    assert code == 2 and out == "" and "params2" in err, err
-    assert not (tmp_path / "t.params").exists()
+    fewer_classes = tmp_path / "fewer.params"
+    save_params(fewer_classes, init_params(16, 8, 3, seed=1))
+    for second in (narrow, fewer_classes):
+        code, out, err = go(mmt + ["--params2", second] + TINY_TRAIN)
+        assert code == 2 and out == "" and "params2" in err, err
+        assert not (tmp_path / "t.params").exists()
 
 
 def test_ensemble_concatenates_encodings(arts, tmp_path):

