@@ -27,8 +27,8 @@ from inspect import signature
 __all__ = ["main", "run"]
 
 _EXPORTS = ("teacher1", "teacher2")  # stage_mmt_plus returns the teachers in this order
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 class _UsageError(Exception):
@@ -61,7 +61,7 @@ def _apply_thread_cap(argv) -> None:
     if n < 1:
         raise ValueError(f"--threads must be >= 1, got {n}")
     if "numpy" not in sys.modules:
-        for var in _THREAD_VARS:
+        for var in THREAD_VARS:
             os.environ[var] = str(n)
 
 

@@ -217,8 +217,9 @@ def class_index(labels) -> ClassIndex:
 
 
 def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """Indices of p_classes distinct labels with k_per rows each.
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of p_classes distinct labels with k_per rows each, and the label
+    of each row.
 
     Negative labels (unlabeled / outlier rows) are excluded.  Classes with
     fewer than k_per rows are sampled with replacement.
@@ -233,7 +234,7 @@ def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
         rows = index.rows[pos]
         picked = rng.choice(rows, size=k_per, replace=rows.size < k_per)
         out[i * k_per:(i + 1) * k_per] = picked
-    return out
+    return out, np.repeat(usable[chosen], k_per)
 
 
 # ---------------------------------------------------------------------------

@@ -183,19 +183,16 @@ def moco_batch(queries, keys_pos, queue, tau: float) -> LossOut:
 
     q_hat = l2_normalize_rows(queries, "query")
     k_hat = l2_normalize_rows(keys_pos, "key_pos")
-    neg_hat = l2_normalize_rows(queue, "queue") if k else queue
+    neg_hat = l2_normalize_rows(queue, "queue")
 
     logits = np.empty(queries.shape[:-1] + (1 + k,))
     logits[..., 0] = np.sum(q_hat * k_hat, axis=-1) / tau
-    if k:
-        np.matmul(q_hat, mT(neg_hat), out=logits[..., 1:])
-        logits[..., 1:] /= tau
+    np.matmul(q_hat, mT(neg_hat), out=logits[..., 1:])
+    logits[..., 1:] /= tau
     ce = cross_entropy_batch(logits, np.zeros(n, dtype=np.int64))
 
     dlogits = ce.grads["logits"]
-    dq_hat = dlogits[..., :1] * k_hat / tau
-    if k:
-        dq_hat = dq_hat + (dlogits[..., 1:] @ neg_hat) / tau
+    dq_hat = dlogits[..., :1] * k_hat / tau + (dlogits[..., 1:] @ neg_hat) / tau
     return LossOut(value=ce.value,
                    grads={"queries": l2_normalize_rows_backward(dq_hat, queries, q_hat)})
 

@@ -19,7 +19,7 @@ from .encoder import (AdamState, ClassIndex, EncoderParams, adam_step, backward,
                       classifier_backward, classifier_logits, ema_update, encode_dataset,
                       forward, forward_cached, init_params, pk_sample, queue_push,
                       stack_params, unstack_params)
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, MiningError
 from .losses import LossMode
 from .numerics import cdist, l2_normalize_rows
 from .pseudolabel import relabel_epoch
@@ -192,10 +192,10 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
                 index: ClassIndex | None = None, relabel=None, rebuild=None) -> None:
     """Train ``cfg.epochs`` epochs of ``cfg.iters_per_epoch`` steps each.
 
-    ``step(labeling, index)`` draws one batch from the class ``index`` of
-    the current labelling and returns ``(parts, update)``: a dict of loss
-    parts, each a float or, for a stack of networks, an array of one value
-    per network, and a callable that applies the updates.  Without a
+    ``step(index)`` draws one batch, rows and labels, from the class
+    ``index`` of the current labels and returns ``(parts, update)``: a dict
+    of loss parts, each a float or, for a stack of networks, an array of one
+    value per network, and a callable that applies the updates.  Without a
     ``"total"`` part each network trains on the sum of its parts; the guard
     checks every total for finiteness before ``update`` runs.  An overflow
     or invalid operation in ``relabel``, ``rebuild``, ``step`` or ``update``
@@ -203,12 +203,13 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
     averages each part over every network and step of the epoch; a missing
     total is recorded as the sum of the part sums over that count.
 
-    Supervised training passes the fixed ``index`` of its labels and no
-    labelling.  Self-training stages pass ``relabel() -> PseudoLabeling``,
-    run at each epoch start: an epoch without clusters is recorded as
-    skipped and not trained; otherwise the labelling's class index is built
-    here, once, ``rebuild(index)`` re-seeds the classifiers from it and the
-    optimizer drops its classifier moments.
+    Supervised training passes the fixed ``index`` of its labels.
+    Self-training stages pass ``relabel() -> PseudoLabeling``, run at each
+    epoch start: an epoch without clusters is recorded as skipped and not
+    trained; otherwise the labelling's class index is built here, once,
+    ``rebuild(index)`` re-seeds the classifiers from it and the optimizer
+    drops its classifier moments.  The index is the steps' only source of
+    labels; a dataset's ``pseudo`` column is an output they never read.
     """
     for epoch in range(cfg.epochs):
         adam.lr = cfg.lr_at(epoch)
@@ -226,7 +227,7 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
                         rebuild(index)
                         adam.reset("classifier")
                 for it in range(0 if rec.skipped else cfg.iters_per_epoch):
-                    parts, update = step(labeling, index)
+                    parts, update = step(index)
                     totals = np.atleast_1d(parts.get("total", sum(parts.values())))
                     bad = ~np.isfinite(totals)
                     if bad.any():
@@ -253,24 +254,19 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
 
 
 def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
-                     raws: np.ndarray, domains: np.ndarray, labels: np.ndarray,
-                     rng: np.random.Generator):
+                     raws: np.ndarray, domains: np.ndarray, rng: np.random.Generator):
     """Step of a single network trained on hard labels: classification plus
     hardest-mined triplet loss on a PK batch drawn from the driver's class
-    index of ``labels``.
-
-    Pretraining (no labeling) samples ``cfg.p_classes`` identities.  Self-
-    training samples at most one class per cluster and drops the triplet
-    term when a single cluster is left.
+    index.  The batch draws ``cfg.p_classes`` classes, or every class when
+    the index has fewer, and drops the triplet term when it holds only one.
     """
-    def step(labeling, index):
-        p = cfg.p_classes if labeling is None else min(cfg.p_classes, labeling.num_clusters)
-        idx = pk_sample(index, p, cfg.k_per, rng)
-        batch_labels = labels[idx].astype(np.int64)
+    def step(index):
+        p = min(cfg.p_classes, index.classes.size)
+        idx, batch_labels = pk_sample(index, p, cfg.k_per, rng)
         feats, x_hat = forward_cached(params, raws[idx], domains[idx])
         cls_val, d_feats, d_cls = _hard_loss(params, feats, batch_labels, cfg)
         tri_val, d_tri = 0.0, 0.0
-        if labeling is None or p > 1:
+        if p > 1:
             tri = losses.softmax_triplet_loss(feats, batch_labels)
             tri_val, d_tri = tri.value, tri.grads["feats"]
         grads = backward(params, x_hat, d_feats + d_tri)
@@ -286,18 +282,24 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
 
 def stage_pretrain(train: Dataset, cfg: StageConfig,
                    val_split: QueryGallerySplit | None = None) -> tuple[EncoderParams, RunLog]:
-    """Classification + hardest-mined triplet training on labeled data."""
+    """Classification + hardest-mined triplet training on labeled data; raises
+    before training unless 1 < ``cfg.p_classes`` <= the number of identities."""
     cfg.validate()
     train.validate()
     if np.any(train.identities < 0):
         raise ValueError("pretraining requires identity labels on every row")
     dense, p_s = _dense_labels(train.identities)
+    index = class_index(dense)
+    if p_s < cfg.p_classes:
+        raise MiningError(index.classes, f"need {cfg.p_classes} usable labels, have {p_s}")
+    if cfg.p_classes == 1:
+        raise ConfigError("p_classes", "must be > 1 for pretraining's triplet negatives")
     params = init_params(train.d, cfg.encoder_dim, p_s, cfg.seed)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="pretrain", seed=cfg.seed)
     step = _hard_label_step(params, adam, cfg, train.features.astype(np.float64),
-                            train.domains, dense, np.random.default_rng([cfg.seed, 11]))
-    _run_epochs(cfg, log, adam, step, params, val_split, index=class_index(dense))
+                            train.domains, np.random.default_rng([cfg.seed, 11]))
+    _run_epochs(cfg, log, adam, step, params, val_split, index=index)
     return params, log
 
 
@@ -315,8 +317,7 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="baseline", seed=cfg.seed)
     step = _hard_label_step(params, adam, cfg, target.features.astype(np.float64),
-                            target.domains, target.pseudo,
-                            np.random.default_rng([cfg.seed, 13]))
+                            target.domains, np.random.default_rng([cfg.seed, 13]))
 
     def rebuild(index):
         params.classifier = _centroid_classifier(encode_dataset(params, target), index)
@@ -396,15 +397,15 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
         students.classifier = cents
         teachers.classifier = cents.copy()
 
-    def step(labeling, index_t):
+    def step(index_t):
         # a target-only batch is the joint batch with an empty source block
-        idx_s = (pk_sample(index_s, cfg.p_classes, cfg.k_per, rng) if cfg.joint_source
-                 else np.zeros(0, dtype=np.int64))
-        idx_t = pk_sample(index_t, min(cfg.p_classes, labeling.num_clusters), cfg.k_per, rng)
+        idx_s, labels_s = (pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
+                           if cfg.joint_source else (np.zeros(0, dtype=np.int64),) * 2)
+        idx_t, labels_t = pk_sample(index_t, min(cfg.p_classes, index_t.classes.size),
+                                    cfg.k_per, rng)
         rows = np.concatenate([raws_s[idx_s], raws_t[idx_t]], axis=0)
         doms = np.concatenate([source.domains[idx_s], target.domains[idx_t]])
-        labels = np.concatenate([dense_src[idx_s],
-                                 offset_t + target.pseudo[idx_t].astype(np.int64)])
+        labels = np.concatenate([labels_s, offset_t + labels_t])
 
         # teachers only move by EMA after the students step, so one forward
         # serves as each student's own teacher and, reversed, as its peer

@@ -28,8 +28,8 @@ import pathlib
 import sys
 
 if __name__ == "__main__":
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    from uda_reid.cli import THREAD_VARS  # cli loads no numpy at import
+    for _var in THREAD_VARS:
         os.environ[_var] = "1"
 
 import numpy as np

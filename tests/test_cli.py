@@ -524,6 +524,20 @@ def test_data_errors_exit_2(arts, tmp_path):
     assert code == 2 and "usable" in err
 
 
+@pytest.mark.parametrize("p_classes,message", [
+    ("64", "need 64 usable labels, have 8"),
+    ("1", "config field 'p_classes': must be > 1 for pretraining"),
+], ids=["more_than_identities", "one"])
+def test_pretrain_unusable_batch_size_exits_2_leaving_no_out(arts, tmp_path,
+                                                             p_classes, message):
+    out = tmp_path / "p.params"
+    code, stdout, err = go(["pretrain", "--data", arts["translated"], "--out", out,
+                            "--epochs", "1", "--iters-per-epoch", "2",
+                            "--encoder-dim", "8", "--p-classes", p_classes])
+    assert code == 2 and message in err and stdout == ""
+    assert not out.exists()
+
+
 @pytest.fixture
 def no_training(monkeypatch):
     """Fail the test if any training stage starts."""

@@ -198,9 +198,9 @@ def test_classifier_backward_matches_central_difference():
 def test_pk_sample_histogram():
     labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, -1, -2])
     rng = np.random.default_rng(0)
-    idx = pk_sample(class_index(labels), p_classes=2, k_per=3, rng=rng)
+    idx, picked = pk_sample(class_index(labels), p_classes=2, k_per=3, rng=rng)
     assert idx.shape == (6,)
-    picked = labels[idx]
+    assert np.array_equal(picked, labels[idx])  # each row's own class
     assert np.all(picked >= 0)
     values, counts = np.unique(picked, return_counts=True)
     assert len(values) == 2 and np.all(counts == 3)
@@ -211,8 +211,9 @@ def test_pk_sample_histogram():
 def test_pk_sample_replacement_for_thin_classes():
     labels = np.array([0, 0, 0, 1])
     rng = np.random.default_rng(1)
-    idx = pk_sample(class_index(labels), p_classes=2, k_per=2, rng=rng)
-    picked = labels[idx]
+    idx, picked = pk_sample(class_index(labels), p_classes=2, k_per=2, rng=rng)
+    assert np.array_equal(picked, labels[idx])
+    assert picked.dtype == np.int64
     assert sorted(np.unique(picked)) == [0, 1]
     # label 1 has a single row, so both its slots repeat row 3
     assert list(idx[picked == 1]) == [3, 3]
@@ -243,7 +244,9 @@ def test_pk_sample_makes_the_draws_of_a_per_call_label_scan(seed):
     k = int(rng.integers(1, 7))
     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(20):
-        assert np.array_equal(pk_sample(index, p, k, ours), pk_sample_ref(labels, p, k, ref))
+        rows, batch_labels = pk_sample(index, p, k, ours)
+        assert np.array_equal(rows, pk_sample_ref(labels, p, k, ref))
+        assert np.array_equal(batch_labels, labels[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -88,21 +88,20 @@ def frozen_step(monkeypatch, run_stage):
     Afterwards every PK draw repeats one batch, ``adam_step`` records the
     grads instead of applying them, and the EMA and queue updates are off, so
     teachers and queues stay put.  Returns the trained networks, the step on
-    the fixed labeling, and the list the grads are recorded into.
+    the fixed class index, and the list the grads are recorded into.
     """
     drive = {}
 
     def run_epochs(cfg, log, adam, step, eval_params, val_split, index=None,
                    relabel=None, rebuild=None):
-        labeling = None
         if relabel is not None:
             labeling = relabel()
             assert labeling.num_clusters > 1
             index = class_index(labeling.assignment)
             rebuild(index)
         for _ in range(3):
-            step(labeling, index)[1]()
-        drive["step"] = lambda: step(labeling, index)
+            step(index)[1]()
+        drive["step"] = lambda: step(index)
 
     monkeypatch.setattr(pipeline, "_run_epochs", run_epochs)
     nets = run_stage()

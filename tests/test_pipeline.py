@@ -335,21 +335,23 @@ def test_mmt_skips_epochs_without_clusters(bench, pretrained, monkeypatch,
 
 @pytest.mark.parametrize("stage", ["baseline", "mmt_plus"])
 def test_pk_batches_follow_the_current_labelling(bench, pretrained, monkeypatch, stage):
-    # every batch is drawn from an index of the labels the last relabel wrote
+    # every batch is drawn from an index of the labels the last relabel
+    # wrote, and carries each drawn row's label
     target = fresh_target(bench)
     labellings = set()
     real_pk_sample = pipeline.pk_sample
 
     def checked(index, p, k, rng):
-        idx = real_pk_sample(index, p, k, rng)
+        idx, batch_labels = real_pk_sample(index, p, k, rng)
         labels = target.pseudo.copy()
         classes = np.unique(labels[labels >= 0])
         assert np.array_equal(index.classes, classes)
         assert [rows.tolist() for rows in index.rows] == \
             [np.flatnonzero(labels == c).tolist() for c in classes]
         assert np.all(labels[idx] >= 0)
+        assert np.array_equal(batch_labels, labels[idx])
         labellings.add(labels.tobytes())
-        return idx
+        return idx, batch_labels
 
     monkeypatch.setattr(pipeline, "pk_sample", checked)
     cfg = tiny_cfg(epochs=3, joint_source=False)
@@ -358,6 +360,33 @@ def test_pk_batches_follow_the_current_labelling(bench, pretrained, monkeypatch,
     else:
         stage_mmt_plus(pretrained, bench.source, target, cfg)
     assert len(labellings) > 1  # a relabel changed the labels mid-run
+
+
+@pytest.mark.parametrize("stage", ["baseline", "mmt_plus"])
+def test_training_reads_no_pseudo_column(bench, pretrained, monkeypatch, stage):
+    # the labels reach the steps through the class index alone: wiping the
+    # pseudo column right after each relabel changes neither log nor params
+    def run():
+        target = fresh_target(bench)
+        cfg = tiny_cfg(epochs=3)
+        if stage == "baseline":
+            params, log = stage_baseline(pretrained, target, cfg)
+            return [params], log
+        teachers, log = stage_mmt_plus(pretrained, bench.source, target, cfg)
+        return list(teachers), log
+
+    want_nets, want_log = run()
+    real_relabel = pipeline.relabel_epoch
+
+    def relabel_then_wipe(target, *args):
+        labeling = real_relabel(target, *args)
+        target.pseudo[:] = PSEUDO_OUTLIER
+        return labeling
+
+    monkeypatch.setattr(pipeline, "relabel_epoch", relabel_then_wipe)
+    nets, log = run()
+    assert log.to_jsonl() == want_log.to_jsonl()
+    assert all(all_equal(a, b) for a, b in zip(nets, want_nets))
 
 
 def test_mmt_joint_label_space_sizes_classifier(bench, pretrained, student_stacks):
