@@ -216,6 +216,13 @@ def class_index(labels) -> ClassIndex:
     return ClassIndex(classes, tuple(np.split(order, starts[1:])))
 
 
+def check_classes(index: ClassIndex, p_classes: int) -> None:
+    """``pk_sample``'s check that the index holds p_classes classes."""
+    if index.classes.size < p_classes:
+        raise MiningError(index.classes,
+                          f"need {p_classes} usable labels, have {index.classes.size}")
+
+
 def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Rows of p_classes distinct labels with k_per rows each, and the label
@@ -224,9 +231,8 @@ def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
     Negative labels (unlabeled / outlier rows) are excluded.  Classes with
     fewer than k_per rows are sampled with replacement.
     """
+    check_classes(index, p_classes)
     usable = index.classes
-    if usable.size < p_classes:
-        raise MiningError(usable, f"need {p_classes} usable labels, have {usable.size}")
     # drawing positions makes the same draws as drawing the labels themselves
     chosen = rng.choice(usable.size, size=p_classes, replace=False)
     out = np.empty(p_classes * k_per, dtype=np.int64)

@@ -15,11 +15,11 @@ import numpy as np
 
 from . import losses
 from .datamodel import Dataset, SynthConfig, check_finite_floats, generate_synthetic
-from .encoder import (AdamState, ClassIndex, EncoderParams, adam_step, backward, class_index,
-                      classifier_backward, classifier_logits, ema_update, encode_dataset,
-                      forward, forward_cached, init_params, pk_sample, queue_push,
-                      stack_params, unstack_params)
-from .errors import ConfigError, DivergenceError, MiningError
+from .encoder import (AdamState, ClassIndex, EncoderParams, adam_step, backward, check_classes,
+                      class_index, classifier_backward, classifier_logits, ema_update,
+                      encode_dataset, forward, forward_cached, init_params, pk_sample,
+                      queue_push, stack_params, unstack_params)
+from .errors import ConfigError, DivergenceError
 from .losses import LossMode
 from .numerics import cdist, l2_normalize_rows
 from .pseudolabel import relabel_epoch
@@ -259,7 +259,12 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
     hardest-mined triplet loss on a PK batch drawn from the driver's class
     index.  The batch draws ``cfg.p_classes`` classes, or every class when
     the index has fewer, and drops the triplet term when it holds only one.
+    Raises before any step unless ``cfg.k_per`` > 1: a class drawn once has
+    no triplet positive.
     """
+    if cfg.k_per == 1:
+        raise ConfigError("k_per", "must be > 1 for the triplet term's in-batch positives")
+
     def step(index):
         p = min(cfg.p_classes, index.classes.size)
         idx, batch_labels = pk_sample(index, p, cfg.k_per, rng)
@@ -283,15 +288,15 @@ def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
 def stage_pretrain(train: Dataset, cfg: StageConfig,
                    val_split: QueryGallerySplit | None = None) -> tuple[EncoderParams, RunLog]:
     """Classification + hardest-mined triplet training on labeled data; raises
-    before training unless 1 < ``cfg.p_classes`` <= the number of identities."""
+    before training unless 1 < ``cfg.p_classes`` <= the number of identities
+    and ``cfg.k_per`` > 1."""
     cfg.validate()
     train.validate()
     if np.any(train.identities < 0):
         raise ValueError("pretraining requires identity labels on every row")
     dense, p_s = _dense_labels(train.identities)
     index = class_index(dense)
-    if p_s < cfg.p_classes:
-        raise MiningError(index.classes, f"need {cfg.p_classes} usable labels, have {p_s}")
+    check_classes(index, cfg.p_classes)
     if cfg.p_classes == 1:
         raise ConfigError("p_classes", "must be > 1 for pretraining's triplet negatives")
     params = init_params(train.d, cfg.encoder_dim, p_s, cfg.seed)
@@ -309,7 +314,8 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
 
 def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
                    val_split: QueryGallerySplit | None = None) -> tuple[EncoderParams, RunLog]:
-    """Alternates pseudo-label refresh and supervised training on them."""
+    """Alternates pseudo-label refresh and supervised training on them;
+    raises before the first relabel unless ``cfg.k_per`` > 1."""
     cfg.validate()
     if pretrained.d_in != target.d:
         raise ValueError("pretrained encoder dimension does not match data")
@@ -347,7 +353,9 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
                    pretrained2: EncoderParams | None = None
                    ) -> tuple[tuple[EncoderParams, EncoderParams], RunLog]:
     """Two students, two mean teachers, two queues, joint label space.
-    Returns the two trained teachers and the log.
+    Returns the two trained teachers and the log.  With ``joint_source``,
+    raises before the first relabel unless the source has ``cfg.p_classes``
+    identities.
 
     The two students are one stack of networks (:func:`stack_params`), and
     so are the two teachers and the two queues, so every call below serves
@@ -385,6 +393,8 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
 
     dense_src, p_s = _dense_labels(source.identities)
     index_s = class_index(dense_src)
+    if cfg.joint_source:  # before the first relabel, not at the first step
+        check_classes(index_s, cfg.p_classes)
     raws_s = source.features.astype(np.float64)
     raws_t = target.features.astype(np.float64)
     offset_t = p_s if cfg.joint_source else 0  # target labels follow the source's

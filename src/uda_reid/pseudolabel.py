@@ -12,6 +12,12 @@ tie-exact rank table (``nearest``: ties break by the lower index) that both
 memberships as sparse (row, member, weight) entries, read through an
 inverted index, and its sums add the same terms in the same order as the
 dense forms ``membership_matrix`` and ``jaccard_from_membership`` would.
+
+The Euclidean matrix lives only until its rank table and the membership
+entries exist: ``jaccard_rows`` reads the entries alone, so the function
+that owns the matrix (``relabel_epoch`` here, ``rerank`` in retrieval)
+releases it before the Jaccard output is allocated, and each O(n^2) path
+holds at most one n x n float64 array at a time.
 """
 from __future__ import annotations
 
@@ -164,9 +170,10 @@ def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
 # Jaccard distance over fuzzy neighborhood memberships
 # ---------------------------------------------------------------------------
 
-def _membership_entries(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]):
+def membership_entries(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]):
     """(row, member, weight) per member of each R*(p), in row-major order,
-    with weight exp(-D[p][g])."""
+    with weight exp(-D[p][g]): all that ``jaccard_rows`` reads of the
+    distance matrix."""
     rows = np.repeat(np.arange(len(neighbor_sets)), list(map(len, neighbor_sets)))
     members = np.concatenate(neighbor_sets)
     return rows, members, np.exp(-dist.values[rows, members])
@@ -177,7 +184,7 @@ def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> 
 
     The package itself reads the memberships only as entries; this dense
     form stays because ``bench/spans.py`` names it in ``TRACED``."""
-    rows, members, weights = _membership_entries(dist, neighbor_sets)
+    rows, members, weights = membership_entries(dist, neighbor_sets)
     v = np.zeros((dist.n, dist.n))
     v[rows, members] = weights
     return v
@@ -284,29 +291,33 @@ def _jaccard(rows, members, weights, row_sums, num_rows: int) -> np.ndarray:
     return out
 
 
-def jaccard_rows(dist: DistanceMatrix, neighbor_sets: list[np.ndarray],
-                 near: np.ndarray | None = None, num_rows: int | None = None) -> np.ndarray:
-    """Jaccard distances of rows [0, num_rows) (every row by default) to all
-    rows, over the R* memberships with weights exp(-D[p][g]).  Given the
-    (n, k2) rank table ``near``, each membership row is first averaged over
-    the k2 rows that its row of the table lists (local query expansion).
-    Computed from entries: no dense membership matrix is built."""
-    n = dist.n
+def jaccard_rows(entries, n: int, near: np.ndarray | None = None,
+                 num_rows: int | None = None) -> np.ndarray:
+    """Jaccard distances of rows [0, num_rows) (every row by default) of the
+    n-row membership matrix V whose ``membership_entries`` these are, to all
+    its rows.  Given the (n, k2) rank table ``near``, each membership row is
+    first averaged over the k2 rows that its row of the table lists (local
+    query expansion).  Computed from entries: no dense membership matrix is
+    built, and no distance matrix is read."""
     if near is not None and not (near.shape[0] == n and 1 <= near.shape[1] <= n):
         raise ValueError(f"k2 must satisfy 1 <= k2 <= n for an (n, k2) table, "
                          f"got shape {near.shape}, n={n}")
-    entries = _membership_entries(dist, neighbor_sets)
     if near is not None:
         entries = _local_expansion(near, *entries)
     return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows)
 
 
-def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:
-    """Jaccard distances over the R*(p, k) memberships."""
+def _reciprocal_entries(dist: DistanceMatrix, k: int):
+    """``membership_entries`` over the R*(p, k) sets of ``dist``."""
     if not 1 <= k < dist.n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={dist.n}")
-    values = jaccard_rows(dist, k_reciprocal_neighbors(nearest(dist.values, k + 1)))
-    return DistanceMatrix(values=values, metric=Metric.JACCARD)
+    return membership_entries(dist, k_reciprocal_neighbors(nearest(dist.values, k + 1)))
+
+
+def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:
+    """Jaccard distances over the R*(p, k) memberships."""
+    return DistanceMatrix(values=jaccard_rows(_reciprocal_entries(dist, k), dist.n),
+                          metric=Metric.JACCARD)
 
 
 def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
@@ -367,7 +378,8 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
 def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
                   min_pts: int) -> PseudoLabeling:
     """Encode, build Jaccard distances, cluster, and write the assignment
-    into the dataset's pseudo column.
+    into the dataset's pseudo column: ``jaccard_distance`` on the Euclidean
+    matrix, bit for bit, with the matrix released first.
 
     Encoded rows are L2-normalized first so that the exp(-d) fuzzy weights
     and the eps threshold operate on a fixed [0, 2] distance range.
@@ -375,6 +387,10 @@ def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
     if target.n == 0:
         raise ValueError("target dataset is empty")
     feats = l2_normalize_rows(encode_dataset(params, target), "encoded feature")
-    labeling = dbscan(jaccard_distance(pairwise_euclidean(feats), k), eps, min_pts)
+    euclid = pairwise_euclidean(feats)
+    entries = _reciprocal_entries(euclid, k)
+    del euclid  # freed before the Jaccard matrix is allocated
+    jaccard = DistanceMatrix(values=jaccard_rows(entries, target.n), metric=Metric.JACCARD)
+    labeling = dbscan(jaccard, eps, min_pts)
     target.pseudo[:] = labeling.assignment
     return labeling

@@ -11,7 +11,8 @@ import numpy as np
 from .datamodel import IDENTITY_NONE, Dataset
 from .errors import DegenerateStructureError
 from .numerics import l2_normalize_rows
-from .pseudolabel import jaccard_rows, k_reciprocal_neighbors, nearest, pairwise_euclidean
+from .pseudolabel import (jaccard_rows, k_reciprocal_neighbors, membership_entries, nearest,
+                          pairwise_euclidean)
 
 
 @dataclass
@@ -100,15 +101,17 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     g = np.asarray(gallery_feats, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise ValueError("query/gallery feature shapes incompatible")
-    n_q = q.shape[0]
-    check_rerank_args(k1, k2, lam, n_q + g.shape[0])
+    n_q, n = q.shape[0], q.shape[0] + g.shape[0]
+    check_rerank_args(k1, k2, lam, n)
 
     euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
-    cross = euclid.values[:n_q, n_q:]
+    blend = lam * euclid.values[:n_q, n_q:]
     top = nearest(euclid.values, k1 + 1)  # its first k2 columns are nearest(values, k2)
+    entries = membership_entries(euclid, k_reciprocal_neighbors(top))
+    del euclid  # freed before the Jaccard rows are allocated
     near = top[:, :k2] if k2 > 1 else None
-    jac = jaccard_rows(euclid, k_reciprocal_neighbors(top), near, num_rows=n_q)  # query rows only
-    return lam * cross + (1.0 - lam) * jac[:, n_q:]
+    jac = jaccard_rows(entries, n, near, num_rows=n_q)  # query rows only
+    return blend + (1.0 - lam) * jac[:, n_q:]
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,33 @@ def test_pretrain_unusable_batch_size_exits_2_leaving_no_out(arts, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("mmtplus", ["--p-classes", "64"], "need 64 usable labels, have 8"),
+    ("pretrain", ["--p-classes", "2", "--k-per", "1"],
+     "config field 'k_per': must be > 1 for the triplet term's in-batch positives"),
+    ("baseline", ["--p-classes", "4", "--k-per", "1"],
+     "config field 'k_per': must be > 1 for the triplet term's in-batch positives"),
+], ids=["mmtplus_p_classes", "pretrain_k_per", "baseline_k_per"])
+def test_unusable_batch_shape_exits_2_before_any_relabel_or_step(command, flags, message,
+                                                                 arts, tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("relabelled or trained before the batch shape was checked")
+
+    for name in ("relabel_epoch", "forward_cached"):
+        monkeypatch.setattr(pipeline, name, never)
+    out = tmp_path / "p.params"
+    code, stdout, err = go([command] + train_inputs(command, arts)
+                           + ["--out", out] + TINY_TRAIN + flags)
+    assert code == 2 and message in err and stdout == "", err
+    assert not out.exists()
+
+
+def test_mmtplus_trains_with_k_per_one(arts, tmp_path):
+    # stage III has no triplet term, so a batch without positives is fine
+    ok(["mmtplus"] + train_inputs("mmtplus", arts)
+       + ["--out", tmp_path / "o.params"] + TINY_TRAIN + ["--k-per", "1"])
+
+
 @pytest.fixture
 def no_training(monkeypatch):
     """Fail the test if any training stage starts."""

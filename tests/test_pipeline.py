@@ -316,6 +316,43 @@ def test_mmt_width_mismatches_fail_before_any_relabel(bench, pretrained, monkeyp
                            pretrained2=other)
 
 
+def test_mmt_joint_source_checks_p_classes_before_any_relabel(bench, pretrained,
+                                                             monkeypatch):
+    def no_relabel(*args, **kwargs):
+        raise AssertionError("relabelled before p_classes was checked")
+
+    monkeypatch.setattr(pipeline, "relabel_epoch", no_relabel)
+    with pytest.raises(ValueError, match="need 9 usable labels, have 8"):
+        stage_mmt_plus(pretrained, bench.source, fresh_target(bench), tiny_cfg(p_classes=9))
+    # target-only batches take min(p_classes, clusters), so there is nothing to check
+    with pytest.raises(AssertionError, match="relabelled"):
+        stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                       tiny_cfg(p_classes=9, joint_source=False))
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "baseline"])
+def test_triplet_stages_reject_k_per_one_before_training(bench, pretrained, monkeypatch,
+                                                         stage):
+    def never(*args, **kwargs):
+        raise AssertionError("relabelled or trained before k_per was checked")
+
+    for name in ("relabel_epoch", "pk_sample", "forward_cached"):
+        monkeypatch.setattr(pipeline, name, never)
+    cfg = tiny_cfg(k_per=1)
+    with pytest.raises(ConfigError, match="'k_per': must be > 1 for the triplet term"):
+        if stage == "pretrain":
+            stage_pretrain(bench.translated, cfg)
+        else:
+            stage_baseline(pretrained, fresh_target(bench), cfg)
+
+
+def test_mmt_plus_trains_with_k_per_one(bench, pretrained):
+    _, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                            tiny_cfg(k_per=1))
+    assert [r.skipped for r in log.records] == [False, False]
+    assert all(np.isfinite(r.total) for r in log.records)
+
+
 def test_mmt_skips_epochs_without_clusters(bench, pretrained, monkeypatch,
                                           student_stacks):
     def never(*args, **kwargs):

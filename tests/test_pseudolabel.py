@@ -8,15 +8,16 @@ import pytest
 import oracles
 from uda_reid import pseudolabel, retrieval
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
-from uda_reid.encoder import init_params
+from uda_reid.encoder import encode_dataset, init_params
 from uda_reid.errors import DegenerateStructureError
 from uda_reid.numerics import ROW_BLOCK, cdist, l2_normalize_rows
 from uda_reid.pseudolabel import (SYMMETRY_BLOCK, SYMMETRY_TOL,
                                   DistanceMatrix, Metric, PseudoLabeling,
                                   dbscan, jaccard_distance,
                                   jaccard_from_membership, jaccard_rows,
-                                  k_reciprocal_neighbors, membership_matrix,
-                                  nearest, pairwise_euclidean, relabel_epoch)
+                                  k_reciprocal_neighbors, membership_entries,
+                                  membership_matrix, nearest, pairwise_euclidean,
+                                  relabel_epoch)
 
 
 def line_distances(positions):
@@ -284,9 +285,9 @@ def test_jaccard_rows_k2_errors():
     sets = reciprocal_sets(dm, 2)
     for k2 in (0, 6):
         with pytest.raises(ValueError, match="k2 must"):
-            jaccard_rows(dm, sets, np.zeros((5, k2), dtype=np.intp))
+            jaccard_rows(membership_entries(dm, sets), dm.n, np.zeros((5, k2), dtype=np.intp))
     with pytest.raises(ValueError, match="k2 must"):  # one table row per matrix row
-        jaccard_rows(dm, sets, nearest(dm.values, 2)[:4])
+        jaccard_rows(membership_entries(dm, sets), dm.n, nearest(dm.values, 2)[:4])
 
 
 @pytest.mark.parametrize("seed,k,k2", [(seed, k, k2) for seed in (0, "lattice", "duplicates")
@@ -301,7 +302,7 @@ def test_jaccard_rows_expansion_equals_dense_average_bitwise(seed, k, k2):
     for rank in range(1, k2):
         expanded += v[local[:, rank]]
     expanded /= k2
-    got = jaccard_rows(dm, sets, nearest(dm.values, k2))
+    got = jaccard_rows(membership_entries(dm, sets), dm.n, nearest(dm.values, k2))
     assert np.array_equal(got, oracles.jaccard_loop_ref(expanded))
 
 
@@ -318,12 +319,12 @@ def test_jaccard_query_rows_are_the_full_matrix_first_rows():
     n = ROW_BLOCK + 30
     dm = random_distances(2, n)
     # empty memberships among the query rows and after them
-    sets = random_sets(rng, n, 0.04, empty=(0, 7, n - 1))
+    entries = membership_entries(dm, random_sets(rng, n, 0.04, empty=(0, 7, n - 1)))
     # no expansion, then k2 = 3, which fills the empty rows from their neighbors
     for near in (None, nearest(dm.values, 3)):
-        full = jaccard_rows(dm, sets, near)
+        full = jaccard_rows(entries, n, near)
         for rows in (1, 8, ROW_BLOCK, ROW_BLOCK + 1, n):
-            part = jaccard_rows(dm, sets, near, num_rows=rows)
+            part = jaccard_rows(entries, n, near, num_rows=rows)
             assert part.shape == (rows, n)
             assert np.array_equal(part, full[:rows])
 
@@ -342,7 +343,8 @@ def test_jaccard_term_budget_splits_blocks_without_changing_bits(monkeypatch):
     for budget in (50, 3000):
         monkeypatch.setattr(pseudolabel, "JACCARD_TERMS", budget)
         assert np.array_equal(jaccard_from_membership(v), full)
-        assert np.array_equal(jaccard_rows(dm, sets, num_rows=11), full[:11])
+        assert np.array_equal(jaccard_rows(membership_entries(dm, sets), n, num_rows=11),
+                              full[:11])
     assert np.array_equal(full, oracles.jaccard_loop_ref(v))
 
 
@@ -542,3 +544,59 @@ def test_relabel_errors():
     empty = ds.subset(np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match="empty"):
         relabel_epoch(empty, params, k=10, eps=0.6, min_pts=4)
+
+
+def composed_relabel(ds, params, k, eps, min_pts):
+    """The relabel that keeps the Euclidean matrix alive through the
+    Jaccard kernel: ``dbscan(jaccard_distance(pairwise_euclidean(feats), k))``,
+    the entry point ``bench/test_bench.py`` checks."""
+    feats = l2_normalize_rows(encode_dataset(params, ds), "encoded feature")
+    jac = jaccard_distance(pairwise_euclidean(feats), k)
+    return jac, dbscan(jac, eps, min_pts)
+
+
+@pytest.mark.parametrize("seed,spread,k,eps,min_pts,collapsed", [
+    (0, 0.05, 10, 0.6, 4, False),
+    (1, 4.0, 6, 0.5, 3, False),   # overlapping identities: outliers and borders
+    (2, 8.0, 10, 0.7, 2, False),
+    (3, 0.05, 10, 0.6, 4, True),  # every row encodes alike: all distances tie
+])
+def test_relabel_epoch_equals_composed_jaccard_distance_bitwise(monkeypatch, seed, spread, k,
+                                                                eps, min_pts, collapsed):
+    ds = clustered_dataset(seed=seed, ids=6, per_id=10, spread=spread)
+    params = identity_encoder(ds.d)
+    if collapsed:
+        params.weight = np.zeros((ds.d, ds.d))
+        params.bias = np.ones(ds.d)
+    jac, want = composed_relabel(ds, params, k, eps, min_pts)
+    seen = []
+    clustering = pseudolabel.dbscan
+
+    def keep_input(dist, *args):
+        seen.append(dist)
+        return clustering(dist, *args)
+
+    monkeypatch.setattr(pseudolabel, "dbscan", keep_input)
+    got = relabel_epoch(ds, params, k=k, eps=eps, min_pts=min_pts)
+    assert len(seen) == 1 and seen[0].metric is Metric.JACCARD
+    assert np.array_equal(seen[0].values, jac.values)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.num_clusters == want.num_clusters
+    assert np.array_equal(ds.pseudo, want.assignment)
+
+
+def test_relabel_epoch_holds_one_dense_matrix():
+    n, d = 1000, 32
+    ds = clustered_dataset(seed=3, ids=50, per_id=20, d=d, spread=5.0)
+    params = identity_encoder(d)
+    matrix_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        relabel_epoch(ds, params, k=20, eps=0.6, min_pts=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the Jaccard matrix, DBSCAN's n x n bool masks and the kernels'
+    # row-block and entry temporaries peak at 1.48x (numpy 2.4); the Euclidean
+    # matrix kept alive beside the Jaccard one would peak at 2.5x
+    assert peak < 1.75 * matrix_bytes, f"peak {peak / 1e6:.1f} MB"
