@@ -115,24 +115,33 @@ def _add_config_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
 
 def _config(cls, args):
     """The ``cls`` config of the defaults, overridden by the ``--config``
-    file's lines, then by every config flag given; validated once."""
+    file's lines, then by every config flag given; validated once.  A field
+    that the command has no flag for is an unknown key in the file too."""
     from .datamodel import config_fields, config_from_kv, parse_kv
+    from .errors import ConfigError
 
     pairs = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             pairs = parse_kv(fh.read())
+    for key in pairs:
+        if key in config_fields(cls) and not hasattr(args, key):
+            raise ConfigError(key, "unknown configuration key")
     flags = {name: getattr(args, name) for name in config_fields(cls)
              if getattr(args, name, None) is not None}
     return config_from_kv(cls, pairs, **flags)
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, pretrain: bool = False) -> None:
+    """The training commands' flags.  ``encoder_dim`` is pretraining's
+    alone: the later stages keep the width of the encoder they load."""
+    from .datamodel import config_fields
     from .pipeline import StageConfig
 
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file; flags override its values")
-    _add_config_flags(p, StageConfig)
+    _add_config_flags(p, StageConfig, [name for name in config_fields(StageConfig)
+                                       if pretrain or name != "encoder_dim"])
     p.add_argument("--log", metavar="FILE", default=None,
                    help="write per-epoch records as JSON lines")
     p.add_argument("--val", metavar="FILE", default=None,
@@ -391,7 +400,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="supervised training on labeled features")
     p.add_argument("--data", required=True, metavar="FILE")
     p.add_argument("--out", required=True, metavar="FILE")
-    _add_train_flags(p)
+    _add_train_flags(p, pretrain=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_pretrain)
 

@@ -47,7 +47,7 @@ class StageConfig:
     loss_mode: LossMode = LossMode.PLAIN_CE
     margin: float = 0.25
     scale: float = 16.0
-    encoder_dim: int = 32  # stage II's width; stage III keeps the pretrained encoder's
+    encoder_dim: int = 32  # stage II's width; baseline and stage III keep the pretrained one's
     joint_source: bool = True
     lr_milestones: tuple[int, ...] = ()     # epochs at which lr decays by lr_gamma
     lr_gamma: float = 0.1

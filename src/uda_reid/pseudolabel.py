@@ -144,6 +144,15 @@ def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
     R(p,k) keeps the k nearest neighbors of p that also list p among their
     own k nearest; R*(p,k) unions in R(q, ceil(k/2)) for every q in R(p,k)
     whose half-set overlaps R(p,k) in at least two thirds of its members.
+
+    Membership in R(p,k) is looked up, not searched: per block of at most
+    ROW_BLOCK rows, the members of each row's R(p,k) mark a (rows, n + 1)
+    boolean table, whose column n absorbs the -1 slots, and one gather reads
+    it at all k x ceil(k/2) half-set slots of the rows.  Each lookup is the
+    same boolean as comparing the slot against every member of R(p,k), so
+    every row grows by the members a comparison finds.  They are collected
+    block by block; the final sort and dedupe make the sets independent of
+    that order, and no array larger than a block's is held for it.
     """
     n, k = top.shape[0], top.shape[1] - 1
     # k nearest without the row itself: drop it from the first k+1 ranks, or
@@ -154,14 +163,22 @@ def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
     r_k, r_half = _reciprocal(knn), _reciprocal(knn[:, :(k + 1) // 2])
     half_sizes = (r_half >= 0).sum(axis=1)
     rows = np.arange(n)[:, None]
-    keys = [(rows * n + r_k)[r_k >= 0]]  # row * n + member: sorts by row, then member
-    for q in r_k.T:
-        halves = r_half[q]  # rows with q = -1 read row n-1 and are masked
-        in_base = np.column_stack([(r_k == g[:, None]).any(axis=1) for g in halves.T])
-        shared = in_base & (halves >= 0)
-        grow = (q >= 0) & (shared.sum(axis=1) >= (2.0 / 3.0) * half_sizes[q])
-        keys.append((rows * n + halves)[grow[:, None] & (halves >= 0) & ~in_base])
-    keys = np.sort(np.concatenate(keys))
+    keys = [(rows * n + r_k)[r_k >= 0]]  # row * n + member
+    # about n / k rows per block: the (rows, k, h) temporaries stay near n * h
+    block = min(ROW_BLOCK, -(-n // k))
+    for lo in range(0, n, block):
+        q = r_k[lo:lo + block]
+        table = np.arange(q.shape[0])[:, None] * (n + 1)  # row offsets in the flat table
+        in_r_k = np.zeros(q.shape[0] * (n + 1), dtype=bool)
+        in_r_k[table + np.where(q >= 0, q, n)] = True
+        halves = r_half[q]  # (rows, k, h); q = -1 reads row n-1 and is masked
+        real = halves >= 0
+        in_base = in_r_k[table[:, :, None] + np.where(real, halves, n)]
+        shared = (in_base & real).sum(axis=2)
+        grow = (q >= 0) & (shared >= (2.0 / 3.0) * half_sizes[q])
+        new = grow[:, :, None] & real & ~in_base
+        keys.append((rows[lo:lo + block, :, None] * n + halves)[new])
+    keys = np.sort(np.concatenate(keys))  # by row, then member
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # np.unique's result
     return np.split(keys % n, np.cumsum(np.bincount(keys // n, minlength=n))[:-1])
 

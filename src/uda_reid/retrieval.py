@@ -166,6 +166,14 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
     each hit inside the window and divides by min(top_limit, number of
     relevant retained entries).  Queries with no relevant retained entry are
     excluded from the means but counted.
+
+    The protocol reads only the first top_limit retained entries of each
+    ranking, and at most J of a query's entries are dropped, J the largest
+    count of (identity, camera) matches of any query.  So each row is ranked
+    by ``nearest`` to its m = min(n_g, top_limit + J) smallest entries: the
+    first m entries of a stable sort of the whole row (ties by the lower
+    index, NaN last), which hold every entry the window reads.  The count of
+    relevant entries comes from the identity and junk masks, with no sort.
     """
     dist = np.asarray(dist, dtype=np.float64)
     ids_q = np.asarray(ids_q, dtype=np.int64)
@@ -176,26 +184,33 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
     if n_g == 0:
         raise ValueError("gallery is empty")
     check_top_limit(top_limit)
+    for name, labels, n in (("query ids", ids_q, n_q), ("query cameras", cams_q, n_q),
+                            ("gallery ids", ids_g, n_g), ("gallery cameras", cams_g, n_g)):
+        if labels.shape != (n,):
+            raise ValueError(f"distance matrix shape {dist.shape} does not match "
+                             f"{name} of shape {labels.shape}")
     require_identities(ids_q, "query")
     require_identities(ids_g, "gallery")
 
+    same = ids_q[:, None] == ids_g[None, :]
+    junk = same & (cams_q[:, None] == cams_g[None, :])
+    num_junk = junk.sum(axis=1)
+    num_relevant = same.sum(axis=1) - num_junk
+    ranked = nearest(dist, min(n_g, top_limit + int(num_junk.max(initial=0))))
     max_rank = min(top_limit, n_g)
     cmc_counts = np.zeros(max_rank)
     per_query_ap: list[float] = []
     aps = []
     for qi in range(n_q):
-        order = np.argsort(dist[qi], kind="stable")
-        junk = (ids_g[order] == ids_q[qi]) & (cams_g[order] == cams_q[qi])
-        kept = order[~junk]
-        relevant = ids_g[kept] == ids_q[qi]
-        num_relevant = int(relevant.sum())
-        if num_relevant == 0:
+        if num_relevant[qi] == 0:
             per_query_ap.append(float("nan"))
             continue
-        window = relevant[:top_limit]
+        order = ranked[qi]
+        kept = order[~junk[qi, order]]
+        window = same[qi, kept[:top_limit]]
         hit_ranks = np.flatnonzero(window) + 1  # 1-based
         precision = np.arange(1, hit_ranks.size + 1) / hit_ranks
-        ap = float(precision.sum() / min(top_limit, num_relevant))
+        ap = float(precision.sum() / min(top_limit, int(num_relevant[qi])))
         per_query_ap.append(ap)
         aps.append(ap)
         if hit_ranks.size and hit_ranks[0] <= max_rank:

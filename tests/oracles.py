@@ -294,3 +294,39 @@ def evaluate_ref(dist, ids_q, cams_q, ids_g, cams_g, top_limit=100):
     if not aps:
         return None, None, 0
     return sum(aps) / len(aps), cmc_counts / len(aps), len(aps)
+
+
+def evaluate_full_sort_ref(dist, ids_q, cams_q, ids_g, cams_g, top_limit=100):
+    """(mAP, cmc, per-query AP, valid queries) from a full stable argsort of
+    every gallery row, then the junk filter and the window: the protocol
+    loop the package ran before it ranked only the prefix the window reads.
+    Same arithmetic in the same order, so results compare with ``==``;
+    None when no query is valid."""
+    dist = np.asarray(dist, dtype=np.float64)
+    ids_q, cams_q, ids_g, cams_g = (np.asarray(a, dtype=np.int64)
+                                    for a in (ids_q, cams_q, ids_g, cams_g))
+    n_q, n_g = dist.shape
+    max_rank = min(top_limit, n_g)
+    cmc_counts = np.zeros(max_rank)
+    per_query_ap = []
+    aps = []
+    for qi in range(n_q):
+        order = np.argsort(dist[qi], kind="stable")
+        junk = (ids_g[order] == ids_q[qi]) & (cams_g[order] == cams_q[qi])
+        kept = order[~junk]
+        relevant = ids_g[kept] == ids_q[qi]
+        num_relevant = int(relevant.sum())
+        if num_relevant == 0:
+            per_query_ap.append(float("nan"))
+            continue
+        window = relevant[:top_limit]
+        hit_ranks = np.flatnonzero(window) + 1  # 1-based
+        precision = np.arange(1, hit_ranks.size + 1) / hit_ranks
+        ap = float(precision.sum() / min(top_limit, num_relevant))
+        per_query_ap.append(ap)
+        aps.append(ap)
+        if hit_ranks.size and hit_ranks[0] <= max_rank:
+            cmc_counts[hit_ranks[0] - 1:] += 1
+    if not aps:
+        return None
+    return float(np.mean(aps)), cmc_counts / len(aps), per_query_ap, len(aps)

@@ -240,15 +240,14 @@ def test_criterion_6_cli_determinism(capsys, tmp_path):
     synth_flags = ["--num-ids-source", "8", "--num-ids-target", "8",
                    "--samples-per-id", "6", "--raw-dim", "16", "--seed", "0"]
     train_flags = ["--epochs", "2", "--iters-per-epoch", "4", "--p-classes",
-                   "4", "--k-per", "2", "--encoder-dim", "8",
-                   "--queue-capacity", "32", "--k", "10"]
+                   "4", "--k-per", "2", "--queue-capacity", "32", "--k", "10"]
     src, tgt, tr = (d / "data" / f"{n}.bin"
                     for n in ("source", "target", "translated"))
     commands = [
         ("synth", ["synth", "--out", d / "data"] + synth_flags,
          [src, tgt, tr]),
         ("pretrain", ["pretrain", "--data", tr, "--out", d / "pre.params",
-                      "--log", d / "pre.jsonl"] + train_flags,
+                      "--log", d / "pre.jsonl", "--encoder-dim", "8"] + train_flags,
          [d / "pre.params", d / "pre.jsonl"]),
         ("baseline", ["baseline", "--params", d / "pre.params", "--data", tgt,
                       "--out", d / "base.params"] + train_flags,

@@ -21,13 +21,13 @@ import uda_reid
 from uda_reid import pipeline, retrieval
 from uda_reid.cli import run
 from uda_reid.datamodel import load_features, save_features
-from uda_reid.encoder import init_params, save_params
+from uda_reid.encoder import init_params, load_params, save_params
 
 TINY_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "8",
               "--samples-per-id", "6", "--raw-dim", "16", "--seed", "0"]
 TINY_TRAIN = ["--epochs", "2", "--iters-per-epoch", "4", "--p-classes", "4",
-              "--k-per", "2", "--encoder-dim", "8", "--queue-capacity", "32",
-              "--k", "10"]
+              "--k-per", "2", "--queue-capacity", "32", "--k", "10"]
+TINY_PRETRAIN = TINY_TRAIN + ["--encoder-dim", "8"]  # the later stages keep this width
 
 
 def go(argv):
@@ -54,7 +54,7 @@ def arts(tmp_path_factory):
     paths["root"] = root
     paths["pre"] = root / "pre.params"
     ok(["pretrain", "--data", paths["translated"], "--out", paths["pre"]]
-       + TINY_TRAIN)
+       + TINY_PRETRAIN)
     return paths
 
 
@@ -96,7 +96,7 @@ def test_pretrain_with_log_and_validation(arts, tmp_path):
     log_path = tmp_path / "train.jsonl"
     payload = ok(["pretrain", "--data", arts["translated"],
                   "--out", tmp_path / "p.params", "--log", log_path,
-                  "--val", arts["target"]] + TINY_TRAIN)
+                  "--val", arts["target"]] + TINY_PRETRAIN)
     assert payload["stage"] == "pretrain"
     assert payload["epochs"] == 2 and payload["skipped_epochs"] == 0
     assert 0.0 <= payload["final_val_map"] <= 1.0
@@ -111,7 +111,7 @@ def test_pretrain_is_byte_deterministic(arts, tmp_path):
     for rep in ("a", "b"):
         ok(["pretrain", "--data", arts["translated"],
             "--out", tmp_path / f"{rep}.params",
-            "--log", tmp_path / f"{rep}.jsonl"] + TINY_TRAIN)
+            "--log", tmp_path / f"{rep}.jsonl"] + TINY_PRETRAIN)
     assert (tmp_path / "a.params").read_bytes() == (tmp_path / "b.params").read_bytes()
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
@@ -379,16 +379,27 @@ def test_training_does_not_depend_on_thread_count(tmp_path):
 
 
 def test_mmtplus_width_comes_from_params(arts, tmp_path):
-    def mmt(name, train):
-        out = tmp_path / name
-        ok(["mmtplus", "--params", arts["pre"], "--source", arts["source"],
-            "--target", arts["target"], "--out", out] + train)
-        return out.read_bytes()
+    # the pretrained encoder is 8 wide; StageConfig's encoder_dim defaults to 32
+    out = tmp_path / "t.params"
+    ok(["mmtplus", "--params", arts["pre"], "--source", arts["source"],
+        "--target", arts["target"], "--out", out] + TINY_TRAIN)
+    assert load_params(out).weight.shape[0] == load_params(arts["pre"]).weight.shape[0] == 8
 
-    # the 8-wide pretrained encoder without --encoder-dim (default 32)
-    at = TINY_TRAIN.index("--encoder-dim")
-    default_width = TINY_TRAIN[:at] + TINY_TRAIN[at + 2:]
-    assert mmt("default.params", default_width) == mmt("eight.params", TINY_TRAIN)
+
+@pytest.mark.parametrize("command", ["baseline", "mmtplus"])
+def test_encoder_dim_is_pretrain_only(command, arts, tmp_path, no_training):
+    out = tmp_path / "o.params"
+    code, stdout, err = go([command] + train_inputs(command, arts) + ["--out", out]
+                           + TINY_TRAIN + ["--encoder-dim", "32"])
+    assert code == 1 and stdout == "", err
+    assert "unrecognized arguments: --encoder-dim 32" in err
+    conf = tmp_path / "stage.cfg"
+    conf.write_text("epochs = 1\nencoder_dim = 32\n")
+    code, stdout, err = go([command] + train_inputs(command, arts) + ["--out", out,
+                                                                      "--config", conf])
+    assert code == 2 and stdout == "", err
+    assert "config field 'encoder_dim': unknown configuration key" in err
+    assert not out.exists()
 
 
 def test_mmtplus_width_mismatches_exit_2(arts, tmp_path):
@@ -678,7 +689,7 @@ def test_flag_error_reported_before_any_input_is_read(command, flags, message, t
 MERGE_CASES = {
     "synth": (["synth", "--out", "d"] + TINY_SYNTH[:-2], "seed", "-1", "1",
               "must be >= 0", ["d/source.bin", "d/target.bin", "d/translated.bin"]),
-    "pretrain": (["pretrain", "--data", "TRANSLATED", "--out", "p.params"] + TINY_TRAIN,
+    "pretrain": (["pretrain", "--data", "TRANSLATED", "--out", "p.params"] + TINY_PRETRAIN,
                  "lr", "-1", "0.002", "must be > 0", ["p.params"]),
 }
 
@@ -773,8 +784,8 @@ def test_val_unlabelled_row_exits_2_before_training(command, arts, tmp_path, no_
 
 SMALL_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "3",
                "--samples-per-id", "4", "--raw-dim", "8", "--seed", "0"]
-SMALL_TRAIN = ["--p-classes", "2", "--k-per", "2", "--encoder-dim", "4",
-               "--k", "4", "--min-pts", "2"]
+SMALL_TRAIN = ["--p-classes", "2", "--k-per", "2", "--k", "4", "--min-pts", "2"]
+SMALL_PRETRAIN = SMALL_TRAIN + ["--encoder-dim", "4"]
 
 
 @pytest.fixture(scope="module")
@@ -783,7 +794,7 @@ def small(tmp_path_factory):
     root = tmp_path_factory.mktemp("small")
     ok(["synth", "--out", root / "data"] + SMALL_SYNTH)
     ok(["pretrain", "--data", root / "data" / "translated.bin",
-        "--out", root / "pre.params", "--epochs", "1"] + SMALL_TRAIN)
+        "--out", root / "pre.params", "--epochs", "1"] + SMALL_PRETRAIN)
     return root
 
 
@@ -792,7 +803,7 @@ def test_pretrain_divergence_exits_3(small, tmp_path):
     (tmp_path / "old.jsonl").write_bytes(b"earlier run\n")
     code, out, err = go(["pretrain", "--data", small / "data" / "translated.bin",
                          "--out", tmp_path / "p.params", "--log", tmp_path / "old.jsonl",
-                         "--lr", "1e10"] + SMALL_TRAIN)
+                         "--lr", "1e10"] + SMALL_PRETRAIN)
     assert code == 3 and out == "", err
     assert "divergence at epoch 0, iteration" in err and "Warning" not in err
     assert not (tmp_path / "p.params").exists()
@@ -850,7 +861,7 @@ TRAIN_FLAGS = {"--config", "--log", "--val", "--epochs", "--iters-per-epoch",
                "--p-classes", "--k-per", "--lr", "--weight-decay",
                "--lambda-soft", "--lambda-moco", "--alpha", "--tau",
                "--queue-capacity", "--k", "--eps", "--min-pts", "--seed",
-               "--loss-mode", "--margin", "--scale", "--encoder-dim",
+               "--loss-mode", "--margin", "--scale",
                "--joint-source", "--lr-milestones", "--lr-gamma"}
 
 
@@ -859,7 +870,7 @@ TRAIN_FLAGS = {"--config", "--log", "--val", "--epochs", "--iters-per-epoch",
                "--samples-per-id", "--raw-dim", "--cluster-spread",
                "--translation-fidelity", "--cameras", "--seed",
                "--shift-strength", "--shift-offset"}),
-    ("pretrain", {"--data", "--out"} | TRAIN_FLAGS),
+    ("pretrain", {"--data", "--out", "--encoder-dim"} | TRAIN_FLAGS),
     ("baseline", {"--params", "--data", "--out"} | TRAIN_FLAGS),
     ("mmtplus", {"--params", "--params2", "--source", "--target", "--out",
                  "--export"} | TRAIN_FLAGS),

@@ -168,6 +168,17 @@ def test_nearest_is_the_stable_argsort_prefix(case):
         assert np.array_equal(nearest(values, m), ranking[:, :m])
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, "n-1"])
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "all-equal", "blocks", "integers"])
+def test_k_reciprocal_neighbors_match_reference_on_ties(case, k):
+    # every case spans several row blocks of the membership table, "blocks"
+    # more than one ROW_BLOCK; "integers" is asymmetric, its diagonal nonzero
+    values = tie_heavy_values(case)
+    k = values.shape[0] - 1 if k == "n-1" else k
+    got = [s.tolist() for s in k_reciprocal_neighbors(nearest(values, k + 1))]
+    assert got == oracles.expanded_ref(values, k)
+
+
 def test_nearest_ranks_nan_last():
     values = np.array([[np.nan, 1.0, np.nan, 0.0],
                        [np.nan, np.nan, np.nan, 2.0],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from uda_reid import retrieval
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.errors import DegenerateStructureError, NormalizationError
 from uda_reid.numerics import cdist, l2_normalize_rows
@@ -348,6 +349,113 @@ def test_evaluate_errors():
         evaluate(np.zeros((2, 2)), [0, -1], [0, 0], [0, 1], [1, 1])
     with pytest.raises(ValueError, match=r"gallery row 0 has no identity \(-1\)"):
         evaluate(np.zeros((1, 2)), [0], [0], [-1, 0], [1, 1])
+
+
+LABEL_ARRAYS = ("query ids", "query cameras", "gallery ids", "gallery cameras")
+
+
+@pytest.mark.parametrize("name", LABEL_ARRAYS)
+@pytest.mark.parametrize("fault", [lambda a: a + [1], lambda a: a[:-1], lambda a: [a]],
+                         ids=["long", "short", "2d"])
+def test_evaluate_label_arrays_must_match_dist(name, fault):
+    # against a (2, 3) matrix: extra query ids used to be ignored, extra
+    # gallery ids truncated, and short arrays raised a bare IndexError
+    argv = [[0, 1], [0, 0], [0, 1, 1], [1, 1, 1]]
+    argv[LABEL_ARRAYS.index(name)] = fault(argv[LABEL_ARRAYS.index(name)])
+    with pytest.raises(ValueError, match=rf"distance matrix shape \(2, 3\) does not match {name}"):
+        evaluate(np.zeros((2, 3)), *argv)
+
+
+def eval_case(case):
+    """(dist, ids_q, cams_q, ids_g, cams_g, top_limit) of a named case."""
+    rng = np.random.default_rng(0)
+    ids_q, cams_q = rng.integers(0, 4, size=(2, 12))
+    ids_g, cams_g = rng.integers(0, 4, size=(2, 40))
+    if case == "ties":  # few distinct values: long runs of equal entries
+        return rng.integers(0, 3, size=(12, 40)).astype(np.float64), ids_q, cams_q, ids_g, cams_g, 5
+    if case == "nan":
+        dist = rng.normal(size=(12, 40))
+        dist[rng.random(dist.shape) < 0.3] = np.nan
+        dist[3] = np.nan  # a row of NaN only
+        return dist, ids_q, cams_q, ids_g, cams_g, 8
+    if case == "camera_adjust":  # negative distances, signed zeros
+        dist = camera_adjust(np.round(rng.uniform(size=(12, 40)), 1), cams_q, cams_g, 1.0)
+        dist[dist == 0.0] = -0.0
+        return dist, ids_q, cams_q, ids_g, cams_g, 6
+    if case == "junk_past_top_limit":  # query 0's 10 junk rows rank first, its match 11th
+        ids_g[:10], cams_g[:10] = ids_q[0], cams_q[0]
+        ids_g[10:] = np.where(ids_g[10:] == ids_q[0], ids_q[0] + 1, ids_g[10:])
+        ids_g[39], cams_g[39] = ids_q[0], cams_q[0] + 1
+        dist = rng.uniform(0.1, 1.0, size=(12, 40))
+        dist[0, :10], dist[0, 39] = 0.0, 0.05
+        return dist, ids_q, cams_q, ids_g, cams_g, 3
+    if case == "top_limit_above_n_g":
+        return rng.uniform(size=(12, 40)), ids_q, cams_q, ids_g, cams_g, 41
+    if case == "top_limit_one":
+        return rng.integers(0, 2, size=(12, 40)).astype(np.float64), ids_q, cams_q, ids_g, cams_g, 1
+    # "one_gallery_row"
+    return rng.uniform(size=(12, 1)), ids_q, np.full(12, 9), ids_q[:1], cams_g[:1], 4
+
+
+EVAL_CASES = ["ties", "nan", "camera_adjust", "junk_past_top_limit",
+              "top_limit_above_n_g", "top_limit_one", "one_gallery_row"]
+
+
+def assert_evaluate_matches_full_sort(dist, ids_q, cams_q, ids_g, cams_g, top_limit):
+    ref = oracles.evaluate_full_sort_ref(dist, ids_q, cams_q, ids_g, cams_g, top_limit)
+    if ref is None:
+        with pytest.raises(DegenerateStructureError):
+            evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit=top_limit)
+        return
+    report = evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit=top_limit)
+    mean_ap, cmc, per_query_ap, num_valid = ref
+    assert report.mAP == mean_ap
+    assert report.cmc.tobytes() == cmc.tobytes()
+    assert np.array(report.per_query_ap).tobytes() == np.array(per_query_ap).tobytes()
+    assert report.num_valid_queries == num_valid
+
+
+@pytest.mark.parametrize("case", EVAL_CASES)
+def test_evaluate_bitwise_equals_full_sort(case):
+    args = eval_case(case)
+    if case == "junk_past_top_limit":  # query 0's window reaches past its junk rows
+        assert oracles.evaluate_full_sort_ref(*args)[2][0] == 1.0
+    assert_evaluate_matches_full_sort(*args)
+
+
+def test_evaluate_bitwise_equals_full_sort_on_random_cases():
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        n_q, n_g = rng.integers(1, 10), rng.integers(1, 25)
+        dist = rng.integers(-2, 3, size=(n_q, n_g)) * rng.choice([1.0, 0.5])
+        dist[rng.random(dist.shape) < 0.1] = np.nan
+        num_ids, num_cams = rng.integers(1, 4), rng.integers(1, 3)
+        assert_evaluate_matches_full_sort(
+            dist, rng.integers(0, num_ids, n_q), rng.integers(0, num_cams, n_q),
+            rng.integers(0, num_ids, n_g), rng.integers(0, num_cams, n_g),
+            int(rng.integers(1, n_g + 3)))
+
+
+def test_evaluate_ranks_once_without_a_full_sort(monkeypatch):
+    ranked, sorted_rows = [], []
+
+    def counted(values, m):
+        ranked.append((values.shape, m))
+        return nearest(values, m)
+
+    def recorded_argsort(a, *args, **kwargs):
+        sorted_rows.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    argsort = np.argsort
+    monkeypatch.setattr(retrieval, "nearest", counted)
+    monkeypatch.setattr(np, "argsort", recorded_argsort)
+    dist, ids_q, cams_q, ids_g, cams_g, _ = eval_case("junk_past_top_limit")
+    for top_limit, m in ((3, 13), (30, 40), (100, 40)):  # query 0 holds 10 junk rows
+        evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit=top_limit)
+        assert ranked == [((12, 40), m)]
+        ranked.clear()
+    assert sorted_rows == []
 
 
 def test_evaluate_split_scores_the_split_labels():
