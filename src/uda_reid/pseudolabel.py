@@ -18,11 +18,15 @@ entries exist: ``jaccard_rows`` reads the entries alone, so the function
 that owns the matrix (``relabel_epoch`` here, ``rerank`` in retrieval)
 releases it before the Jaccard output is allocated, and each O(n^2) path
 holds at most one n x n float64 array at a time.
+
+``dbscan`` clusters without an n x n boolean: it scans the matrix by row
+blocks for its eps-edges, links the core-core edges of each block by array
+union-find, and scans the non-core rows once more for their lowest core
+neighbors; no edge outlives its block.
 """
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +59,10 @@ class DistanceMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"distance matrix must be square, got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        # min and max propagate NaN and expose +-inf: one pass serves the
+        # finiteness and the Jaccard range checks alike
+        lo, hi = (v.min(), v.max()) if v.size else (0.0, 0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("non-finite distance values")
         if np.any(np.abs(np.diag(v)) > 0):
             raise ValueError("diagonal must be exactly zero")
@@ -67,7 +74,7 @@ class DistanceMatrix:
                 lower = v[j:j + SYMMETRY_BLOCK, i:i + SYMMETRY_BLOCK]
                 if np.max(np.abs(upper - lower.T)) > SYMMETRY_TOL:
                     raise ValueError(f"asymmetry beyond {SYMMETRY_TOL}")
-        if self.metric is Metric.JACCARD and (v.min() < -1e-9 or v.max() > 1 + 1e-9):
+        if self.metric is Metric.JACCARD and (lo < -1e-9 or hi > 1 + 1e-9):
             raise ValueError("jaccard distances must lie in [0, 1]")
 
 
@@ -121,7 +128,8 @@ def nearest(values: np.ndarray, m: int) -> np.ndarray:
     for start in range(0, values.shape[0], ROW_BLOCK):
         block = values[start:start + ROW_BLOCK]
         kth = np.partition(block, m - 1, axis=1)[:, m - 1:m]
-        rows, cols = np.nonzero(~(block > kth))  # at least m per row, by (row, index)
+        # at least m per row, in row-major (row, index) order
+        rows, cols = np.divmod(np.flatnonzero(~(block > kth)), block.shape[1])
         ranked = cols[np.lexsort((block[rows, cols], rows))]
         counts = np.bincount(rows, minlength=block.shape[0])
         first = np.cumsum(counts) - counts
@@ -352,38 +360,74 @@ def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
 # Density clustering on a precomputed matrix
 # ---------------------------------------------------------------------------
 
+def _link(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge, in place, the components of the root array ``parent`` (every
+    row points at its root) across the edges (a, b).
+
+    Per round, each root that an edge crosses hooks to the smallest root it
+    meets, then pointers jump until every row points at its root again, and
+    only the edges still crossing go on.  A root never rises, so a
+    component's root is its lowest row; jumping makes a long chain take a
+    few rounds, not one per link."""
+    while a.size:
+        ra, rb = parent[a], parent[b]
+        cross = ra != rb
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent[:] = up
+
+
 def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
     """Connected components of core points under <= eps; border points join
-    their lowest-index reachable core's cluster; the rest are OUTLIER.
-    ``eps``/``min_pts`` are unchecked: ``StageConfig.validate`` owns them."""
+    their lowest-index core neighbor's cluster; the rest are OUTLIER.
+    ``eps``/``min_pts`` are unchecked: ``StageConfig.validate`` owns them.
+
+    A row is core when at least ``min_pts`` entries of its row are <= eps
+    (the zero diagonal counts the row itself).  Two core rows i < j are
+    linked when ``D[i, j] <= eps``, the upper triangle.  Clusters are
+    numbered by their lowest core row, the order in which a scan of the rows
+    meets them.  A non-core row takes the cluster of its lowest-index core
+    neighbor, if it has one.
+
+    The matrix is scanned by row blocks, last block first, so that every
+    edge to a later row meets a row whose core status is known; each
+    block's core-core edges of the upper triangle are linked at once.  A
+    second scan, of the non-core rows with a neighbor, finds each one's
+    first core neighbor.  Whatever ``eps`` and ``min_pts`` are, no edge
+    outlives its block and no n x n array is allocated.
+    """
     dist.validate()
     values = dist.values
     n = dist.n
-    within = values <= eps
-    core = within.sum(axis=1) >= min_pts  # diagonal zero counts the point itself
+    core = np.zeros(n, dtype=bool)
+    border = np.zeros(n, dtype=bool)
+    parent = np.arange(n)
+    for start in reversed(range(0, n, ROW_BLOCK)):
+        hits = np.flatnonzero(values[start:start + ROW_BLOCK] <= eps)  # row-major
+        row = hits // n
+        count = np.bincount(row, minlength=min(ROW_BLOCK, n - start))
+        is_core = count >= min_pts
+        core[start:start + count.size] = is_core
+        border[start:start + count.size] = ~is_core & (count > 1)  # a neighbor besides itself
+        keep = is_core[row]  # only core rows' edges go on
+        src, dst = row[keep] + start, hits[keep] % n
+        link = (dst > src) & core[dst]  # core[dst] is known for dst > src
+        _link(parent, src[link], dst[link])
 
     labels = np.full(n, PSEUDO_OUTLIER, dtype=np.int32)
-    cluster = 0
-    for start in range(n):
-        if not core[start] or labels[start] != PSEUDO_OUTLIER:
-            continue
-        labels[start] = cluster
-        frontier = deque([start])
-        while frontier:
-            node = frontier.popleft()
-            for j in np.flatnonzero(within[node] & core):
-                if labels[j] == PSEUDO_OUTLIER:
-                    labels[j] = cluster
-                    frontier.append(int(j))
-        cluster += 1
-
-    for i in range(n):
-        if core[i] or labels[i] != PSEUDO_OUTLIER:
-            continue
-        reachable = np.flatnonzero(within[i] & core)
-        if reachable.size:
-            labels[i] = labels[reachable[0]]  # lowest-index reachable core
-    out = PseudoLabeling(assignment=labels, num_clusters=cluster)
+    roots, labels[core] = np.unique(parent[core], return_inverse=True)
+    border = np.flatnonzero(border)
+    for start in range(0, border.size, ROW_BLOCK):
+        rows = border[start:start + ROW_BLOCK]
+        near = (values[rows] <= eps) & core
+        first = near.argmax(axis=1)  # its lowest core neighbor, if it has one
+        reach = near[np.arange(rows.size), first]
+        labels[rows[reach]] = labels[first[reach]]
+    out = PseudoLabeling(assignment=labels, num_clusters=roots.size)
     out.validate()
     return out
 

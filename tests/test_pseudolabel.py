@@ -111,6 +111,31 @@ def test_distance_matrix_validate():
     DistanceMatrix(np.array([[0.0, 1.5], [1.5, 0.0]]), Metric.EUCLIDEAN).validate()
 
 
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["off-diagonal", "diagonal", "whole"])
+def test_distance_matrix_validate_rejects_non_finite(metric, bad, where):
+    # min and max carry the finiteness check: NaN propagates through both,
+    # and +-inf shows in one of them, whichever entries the rest hold
+    v = np.full((SYMMETRY_BLOCK + 5, SYMMETRY_BLOCK + 5), 0.5)
+    np.fill_diagonal(v, 0.0)
+    if where == "off-diagonal":
+        v[7, SYMMETRY_BLOCK + 2] = v[SYMMETRY_BLOCK + 2, 7] = bad
+    elif where == "diagonal":
+        v[3, 3] = bad
+    else:
+        v[:] = bad
+    with pytest.raises(ValueError, match="non-finite distance values"):
+        DistanceMatrix(v, metric).validate()
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+def test_distance_matrix_validate_accepts_empty(metric):
+    DistanceMatrix(np.zeros((0, 0)), metric).validate()
+    with pytest.raises(ValueError, match="square"):
+        DistanceMatrix(np.zeros((0, 3)), metric).validate()
+
+
 # ---------------------------------------------------------------------------
 # k-reciprocal neighbor sets
 # ---------------------------------------------------------------------------
@@ -144,7 +169,8 @@ def test_expanded_sets_match_reference(seed, k):
 
 
 def tie_heavy_values(case):
-    """Square matrices whose rows hold many exactly equal entries."""
+    """Matrices whose rows hold many exactly equal entries; square but for
+    "wide" and "tall"."""
     rng = np.random.default_rng(0)
     if case == "lattice":
         return pairwise_euclidean(rng.integers(0, 3, size=(40, 2))).values
@@ -155,10 +181,17 @@ def tie_heavy_values(case):
         return np.full((20, 20), 0.5)
     if case == "blocks":  # several row blocks, the last one partial
         return pairwise_euclidean(rng.integers(0, 4, size=(ROW_BLOCK + 45, 2))).values
+    if case == "wide":  # a query block against a larger gallery, as evaluate passes
+        return cdist(rng.integers(0, 3, size=(ROW_BLOCK + 45, 2)),
+                     rng.integers(0, 3, size=(3 * ROW_BLOCK + 7, 2)))
+    if case == "tall":  # more rows than columns
+        return cdist(rng.integers(0, 3, size=(2 * ROW_BLOCK + 1, 2)),
+                     rng.integers(0, 3, size=(ROW_BLOCK // 2, 2)))
     return rng.integers(0, 3, size=(30, 30)).astype(np.float64)  # "integers", asymmetric
 
 
-@pytest.mark.parametrize("case", ["lattice", "duplicates", "all-equal", "blocks", "integers"])
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "all-equal", "blocks", "integers",
+                                  "wide", "tall"])
 def test_nearest_is_the_stable_argsort_prefix(case):
     values = tie_heavy_values(case)
     n = values.shape[1]
@@ -180,11 +213,27 @@ def test_k_reciprocal_neighbors_match_reference_on_ties(case, k):
 
 
 def test_nearest_ranks_nan_last():
-    values = np.array([[np.nan, 1.0, np.nan, 0.0],
-                       [np.nan, np.nan, np.nan, 2.0],
-                       [1.0, 1.0, 1.0, 1.0]])
+    values = np.array([[np.nan, 1.0, np.nan, 0.0, 1.0, 1.0],
+                       [np.nan, np.nan, np.nan, 2.0, 2.0, np.nan],
+                       [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                       [np.inf, 1.0, -np.inf, np.nan, 0.0, -np.inf],
+                       [np.inf, np.inf, np.nan, np.inf, np.nan, 2.0],
+                       [-np.inf, -np.inf, -np.inf, -np.inf, -np.inf, -np.inf],
+                       [np.nan, np.inf, 3.0, -np.inf, np.inf, np.nan]])
+    values = np.tile(values, (ROW_BLOCK // 4, 1))  # the last row block is partial
     ranking = np.argsort(values, axis=1, kind="stable")
-    for m in (1, 2, 3, 4):
+    for m in range(1, values.shape[1] + 1):
+        assert np.array_equal(nearest(values, m), ranking[:, :m])
+
+
+@pytest.mark.parametrize("rows", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1,
+                                  2 * ROW_BLOCK + 1])
+def test_nearest_at_block_boundaries(rows):
+    # 50 columns: the flat index of a block splits by its column count, which
+    # differs from the block's row count at every size here
+    values = np.random.default_rng(rows).integers(0, 4, size=(rows, 50)).astype(np.float64)
+    ranking = np.argsort(values, axis=1, kind="stable")
+    for m in (1, 3, 49, 50):
         assert np.array_equal(nearest(values, m), ranking[:, :m])
 
 
@@ -471,6 +520,158 @@ def test_dbscan_input_errors():
         dbscan(skew, eps=1.0, min_pts=1)
 
 
+def assert_dbscan_is_reference(dm, eps, min_pts):
+    out = dbscan(dm, eps=eps, min_pts=min_pts)
+    ref_labels, ref_count = oracles.dbscan_ref(dm.values, eps, min_pts)
+    assert out.num_clusters == ref_count
+    assert np.array_equal(out.assignment, ref_labels)
+    return out
+
+
+def shuffled_line(positions, seed=0):
+    """``line_distances`` of the positions in a seeded random row order."""
+    positions = np.asarray(positions, dtype=np.float64)
+    return line_distances(positions[np.random.default_rng(seed).permutation(positions.size)])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dbscan_matches_reference_across_row_blocks(seed):
+    # 40 blobs of 2 to 12 rows, shuffled: clusters, borders and outliers in
+    # every row block, and core neighbors in other blocks
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 13, size=40)
+    centres = rng.normal(scale=5.0, size=(40, 3))
+    pts = np.repeat(centres, sizes, axis=0) + 0.6 * rng.normal(size=(sizes.sum(), 3))
+    dm = pairwise_euclidean(pts[rng.permutation(len(pts))])
+    assert dm.n > 2 * ROW_BLOCK
+    out = assert_dbscan_is_reference(dm, eps=1.0, min_pts=4)
+    assert out.num_clusters > 10 and 0 < out.num_outliers < dm.n
+
+
+def test_dbscan_matches_reference_on_a_shuffled_chain():
+    # 2,000 rows at unit spacing in random order: one component whose links
+    # join rows far apart in index, so hooking takes many rounds; the two
+    # ends are border rows
+    dm = shuffled_line(np.arange(2000), seed=1)
+    out = assert_dbscan_is_reference(dm, eps=1.0, min_pts=3)
+    assert out.num_clusters == 1 and out.num_outliers == 0
+
+
+def test_dbscan_border_between_two_clusters_matches_reference():
+    # 20 tight clusters of 12 rows, 10 apart; a border row midway between
+    # each neighboring pair reaches a few cores of both
+    clusters = [10.0 * c + 0.05 * np.arange(12) for c in range(20)]
+    borders = 10.0 * np.arange(19) + 5.3
+    dm = shuffled_line(np.concatenate(clusters + [borders]), seed=2)
+    eps, min_pts = 4.8, 10
+    out = assert_dbscan_is_reference(dm, eps, min_pts)
+    assert out.num_clusters == 20
+    within = dm.values <= eps
+    core = within.sum(axis=1) >= min_pts
+    border_rows = np.flatnonzero(~core)
+    assert border_rows.size == 19
+    for i in border_rows:
+        reached = out.assignment[np.flatnonzero(within[i] & core)]
+        assert np.unique(reached).size == 2  # two clusters in reach
+        assert out.assignment[i] == reached[0]  # the lowest-index core's
+
+
+def test_dbscan_distances_equal_to_eps_are_within():
+    # integer lattice with holes: neighbor distances are exactly 1.0
+    rng = np.random.default_rng(4)
+    grid = np.stack(np.meshgrid(np.arange(16), np.arange(16)), axis=-1).reshape(-1, 2)
+    dm = pairwise_euclidean(grid[rng.permutation(len(grid))[:200]])
+    assert np.count_nonzero(dm.values == 1.0) > dm.n
+    for min_pts in (2, 4, 5):
+        assert_dbscan_is_reference(dm, eps=1.0, min_pts=min_pts)
+
+
+def test_dbscan_no_core_and_every_row_core():
+    dm = random_distances(5, n=3 * ROW_BLOCK, d=2)
+    none = assert_dbscan_is_reference(dm, eps=0.5, min_pts=dm.n + 1)
+    assert none.num_clusters == 0 and none.num_outliers == dm.n
+    every = assert_dbscan_is_reference(dm, eps=0.5, min_pts=1)
+    assert every.num_outliers == 0
+    assert_dbscan_is_reference(dm, eps=10.0, min_pts=dm.n)  # one cluster of all
+    # every entry within eps, yet no row core: each row reaches all n rows
+    crowded = assert_dbscan_is_reference(dm, eps=dm.values.max(), min_pts=dm.n + 1)
+    assert crowded.num_outliers == dm.n
+
+
+@pytest.mark.parametrize("upper_within", [True, False])
+@pytest.mark.parametrize("gap", [0, 2 * ROW_BLOCK])
+def test_dbscan_links_core_rows_by_the_upper_triangle(upper_within, gap):
+    # two groups of 5 close rows, joined only by D[i, j] (i < j) and D[j, i],
+    # which straddle eps within the symmetry tolerance; ``gap`` isolated rows
+    # between the groups put j in a later row block
+    n = 10 + gap
+    v = np.full((n, n), 5.0)
+    for group in (np.arange(5), np.arange(5 + gap, n)):
+        v[np.ix_(group, group)] = 0.1
+    np.fill_diagonal(v, 0.0)
+    eps, i, j = 1.0, 4, 5 + gap
+    v[i, j], v[j, i] = (eps, eps + SYMMETRY_TOL / 2)[::1 if upper_within else -1]
+    out = assert_dbscan_is_reference(DistanceMatrix(v, Metric.EUCLIDEAN), eps, min_pts=5)
+    assert out.num_clusters == (1 if upper_within else 2)
+
+
+@pytest.mark.parametrize("min_pts,want", [(1, [0]), (2, [PSEUDO_OUTLIER])])
+def test_dbscan_single_row(min_pts, want):
+    out = dbscan(DistanceMatrix(np.zeros((1, 1)), Metric.JACCARD), eps=0.5, min_pts=min_pts)
+    assert out.assignment.tolist() == want
+    assert out.num_clusters == len(set(want) - {PSEUDO_OUTLIER})
+
+
+def test_dbscan_empty_matrix():
+    out = dbscan(DistanceMatrix(np.zeros((0, 0)), Metric.JACCARD), eps=0.5, min_pts=2)
+    assert out.assignment.size == 0 and out.num_clusters == 0
+
+
+def test_dbscan_duplicate_rows_match_reference():
+    # copies of 30 points: off-diagonal zeros, and ties at every distance
+    rng = np.random.default_rng(6)
+    base = rng.integers(-4, 5, size=(30, 2))
+    dm = pairwise_euclidean(base[rng.integers(0, 30, size=3 * ROW_BLOCK + 10)])
+    assert np.count_nonzero(dm.values == 0.0) > dm.n
+    for eps, min_pts in ((0.5, 4), (1.0, 8), (1.5, 30)):
+        assert_dbscan_is_reference(dm, eps, min_pts)
+
+
+def test_dbscan_holds_no_dense_boolean():
+    rng = np.random.default_rng(7)
+    n = 2000
+    pts = np.repeat(rng.normal(scale=4.0, size=(100, 4)), 20, axis=0)
+    dm = pairwise_euclidean(pts + 0.3 * rng.normal(size=(n, 4)))
+    tracemalloc.start()
+    try:
+        out = dbscan(dm, eps=1.0, min_pts=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.num_clusters > 50
+    # an n x n boolean alone is n^2 bytes; row-block temporaries stay far below
+    assert peak < n * n, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_dbscan_memory_does_not_grow_with_min_pts():
+    # all n^2 entries within eps and min_pts above n: no row is core, so
+    # every row is a non-core row with n neighbors; keeping their edges
+    # would hold 16 bytes per entry
+    n = 2000
+    dm = random_distances(8, n=n)
+    eps, min_pts = dm.values.max(), n + 1
+    tracemalloc.start()
+    try:
+        out = dbscan(dm, eps=eps, min_pts=min_pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, f"peak {peak / 1e6:.2f} MB"
+    ref_labels, ref_count = oracles.dbscan_ref(dm.values, eps, min_pts)
+    assert out.num_clusters == ref_count == 0
+    assert np.array_equal(out.assignment, ref_labels)
+
+
 def test_pseudolabeling_validation():
     PseudoLabeling(np.array([0, 1, PSEUDO_OUTLIER], dtype=np.int32), 2).validate()
     with pytest.raises(ValueError, match="dense"):
@@ -607,7 +808,7 @@ def test_relabel_epoch_holds_one_dense_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the Jaccard matrix, DBSCAN's n x n bool masks and the kernels'
-    # row-block and entry temporaries peak at 1.48x (numpy 2.4); the Euclidean
+    # the Jaccard matrix and the kernels' row-block and entry temporaries
+    # peak at 1.48x (numpy 2.4), inside the Jaccard kernel; the Euclidean
     # matrix kept alive beside the Jaccard one would peak at 2.5x
     assert peak < 1.75 * matrix_bytes, f"peak {peak / 1e6:.1f} MB"
