@@ -27,13 +27,25 @@ import numpy as np
 from uda_reid.pipeline import ablation_arms
 
 
+def seed_list(text: str) -> list[int]:
+    """``--seeds``: comma-separated integers >= 0, each named once."""
+    seeds = []
+    for entry in text.split(","):
+        if not entry.strip().isdecimal():
+            raise argparse.ArgumentTypeError(f"each seed must be an integer >= 0, got {entry!r}")
+        if int(entry) in seeds:
+            raise argparse.ArgumentTypeError(f"seed {int(entry)} is named twice")
+        seeds.append(int(entry))
+    return seeds
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", default="0,1,2,3,4")
+    ap.add_argument("--seeds", type=seed_list, default="0,1,2,3,4")
     ap.add_argument("--fidelity", type=float, default=None,
                     help="override the benchmark's translation fidelity")
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = args.seeds
 
     overrides = {} if args.fidelity is None else {"translation_fidelity": args.fidelity}
     started = time.time()

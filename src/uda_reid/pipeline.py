@@ -4,7 +4,7 @@ Stage I is realized by the generator's translation transform, stage II
 pretrains on labeled data, and stage III runs mutual mean-teacher
 self-training with joint-domain batches, a momentum queue per network, and
 per-epoch pseudo-label refresh.  All training stages share one epoch driver
-and differ only in their step.
+and one step builder, whose parts each stage picks by what it passes.
 """
 from __future__ import annotations
 
@@ -253,31 +253,75 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
         log.add(rec)
 
 
-def _hard_label_step(params: EncoderParams, adam: AdamState, cfg: StageConfig,
-                     raws: np.ndarray, domains: np.ndarray, rng: np.random.Generator):
-    """Step of a single network trained on hard labels: classification plus
-    hardest-mined triplet loss on a PK batch drawn from the driver's class
-    index.  The batch draws ``cfg.p_classes`` classes, or every class when
-    the index has fewer, and drops the triplet term when it holds only one.
-    Raises before any step unless ``cfg.k_per`` > 1: a class drawn once has
-    no triplet positive.
+def _training_step(params: EncoderParams, adam: AdamState, cfg: StageConfig, data: Dataset,
+                   rng: np.random.Generator, source: tuple[Dataset, ClassIndex] | None = None,
+                   teachers: EncoderParams | None = None):
+    """The step of every training stage, for one network or a stack.
+
+    One PK batch from the driver's class index of ``data``: ``cfg.p_classes``
+    classes (all, if it has fewer) of ``cfg.k_per`` rows.  A ``source`` pair
+    ``(dataset, class index)`` adds a block drawn first that leads the batch;
+    the target labels follow its classes.  One forward feeds the hard loss,
+    then one backward and one Adam step.  The rest follows what is passed:
+
+    - no ``teachers``: the hardest-mined softmax triplet, if the batch holds
+      more than one class; parts ``cls`` and ``tri``.  Raises unless
+      ``cfg.k_per`` > 1: a class drawn once has no triplet positive.
+    - ``teachers``, one mean teacher per network: soft cross-entropy against
+      the peer teacher and momentum contrast against the own teacher's
+      queue, weighted as in ``losses.mmt_plus_total``; the update adds one
+      EMA and one queue push.  Parts ``soft``, ``hard``, ``moco``, ``total``.
     """
-    if cfg.k_per == 1:
+    if teachers is None and cfg.k_per == 1:
         raise ConfigError("k_per", "must be > 1 for the triplet term's in-batch positives")
+    raws = data.features.astype(np.float64)
+    if source is not None:
+        source_data, index_s = source
+        raws_s = source_data.features.astype(np.float64)
+    queues = None if teachers is None else np.zeros((len(teachers.weight), 0, teachers.d_out))
 
     def step(index):
-        p = min(cfg.p_classes, index.classes.size)
-        idx, batch_labels = pk_sample(index, p, cfg.k_per, rng)
-        feats, x_hat = forward_cached(params, raws[idx], domains[idx])
-        cls_val, d_feats, d_cls = _hard_loss(params, feats, batch_labels, cfg)
-        tri_val, d_tri = 0.0, 0.0
-        if p > 1:
-            tri = losses.softmax_triplet_loss(feats, batch_labels)
-            tri_val, d_tri = tri.value, tri.grads["feats"]
-        grads = backward(params, x_hat, d_feats + d_tri)
+        if source is not None:
+            idx_s, labels_s = pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
+        idx, labels = pk_sample(index, min(cfg.p_classes, index.classes.size), cfg.k_per, rng)
+        rows, doms = raws[idx], data.domains[idx]
+        if source is not None:
+            rows = np.concatenate([raws_s[idx_s], rows], axis=0)
+            doms = np.concatenate([source_data.domains[idx_s], doms])
+            labels = np.concatenate([labels_s, index_s.classes.size + labels])
+        feats, x_hat = forward_cached(params, rows, doms)
+        hard, d_feats, d_cls = _hard_loss(params, feats, labels, cfg)
+        if teachers is None:
+            parts = {"cls": hard, "tri": 0.0}
+            if labels.size > cfg.k_per:  # more than one class in the batch
+                tri = losses.softmax_triplet_loss(feats, labels)
+                parts["tri"] = tri.value
+                d_feats = d_feats + tri.grads["feats"]
+        else:
+            # teachers only move by EMA after the students step, so one forward
+            # serves as each student's own teacher and, reversed, as its peer
+            own_feats = forward(teachers, rows, doms)
+            soft = losses.soft_ce_batch(classifier_logits(params, feats),
+                                        classifier_logits(teachers, own_feats)[::-1])
+            moco = losses.moco_batch(feats, own_feats, queues, cfg.tau)
+            parts = {"soft": soft.value, "hard": hard, "moco": moco.value,
+                     "total": losses.mmt_plus_total(soft.value, hard, moco.value,
+                                                    cfg.lambda_soft, cfg.lambda_moco)}
+            d_cls_soft, d_feats_soft = classifier_backward(
+                params, feats, cfg.lambda_soft * soft.grads["student_logits"])
+            d_feats = ((1.0 - cfg.lambda_soft) * d_feats + d_feats_soft
+                       + cfg.lambda_moco * moco.grads["queries"])
+            d_cls = (1.0 - cfg.lambda_soft) * d_cls + d_cls_soft
+        grads = backward(params, x_hat, d_feats)
         grads["classifier"] = d_cls
-        return ({"cls": cls_val, "tri": tri_val},
-                lambda: adam_step(params.trainable(), grads, adam))
+
+        def update():
+            nonlocal queues
+            adam_step(params.trainable(), grads, adam)
+            if teachers is not None:
+                ema_update(teachers, params, cfg.alpha)
+                queues = queue_push(queues, own_feats, cfg.queue_capacity)
+        return parts, update
     return step
 
 
@@ -302,8 +346,7 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
     params = init_params(train.d, cfg.encoder_dim, p_s, cfg.seed)
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="pretrain", seed=cfg.seed)
-    step = _hard_label_step(params, adam, cfg, train.features.astype(np.float64),
-                            train.domains, np.random.default_rng([cfg.seed, 11]))
+    step = _training_step(params, adam, cfg, train, np.random.default_rng([cfg.seed, 11]))
     _run_epochs(cfg, log, adam, step, params, val_split, index=index)
     return params, log
 
@@ -322,8 +365,7 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
     params = pretrained.copy()
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="baseline", seed=cfg.seed)
-    step = _hard_label_step(params, adam, cfg, target.features.astype(np.float64),
-                            target.domains, np.random.default_rng([cfg.seed, 13]))
+    step = _training_step(params, adam, cfg, target, np.random.default_rng([cfg.seed, 13]))
 
     def rebuild(index):
         params.classifier = _centroid_classifier(encode_dataset(params, target), index)
@@ -358,18 +400,13 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     identities.
 
     The two students are one stack of networks (:func:`stack_params`), and
-    so are the two teachers and the two queues, so every call below serves
-    both networks at once.  Per epoch: pseudo-labels refreshed with student
-    1, then the classifiers rebuilt from class centroids over the joint
+    so are the two teachers and the two queues, so every call serves both
+    networks at once.  Per epoch: pseudo-labels refreshed with student 1,
+    then the classifiers rebuilt from class centroids over the joint
     source+target label space: the source identities' centroids first, then
-    those of each class of the driver's target index.  Per iteration: one
-    PK batch per domain, the target one from that index and the source one
-    empty without ``joint_source``, joined into one batch; one teacher
-    forward and one student forward on the students' shared training-mode
-    ``x_hat``; soft cross-entropy against the peer teacher, hard loss on
-    joint labels, momentum-contrast loss against the own-teacher queue;
-    then one Adam step on the students, one EMA onto the teachers and one
-    push of the teacher features to the queues.
+    those of each class of the driver's target index.  Per iteration:
+    :func:`_training_step` with the teachers, and with the source block
+    only under ``joint_source``.
     """
     cfg.validate()
     if source.n == 0 or target.n == 0:
@@ -386,18 +423,15 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
 
     students = stack_params((pretrained, pretrained2))
     teachers = students.copy()
-    queues = np.zeros((2, 0, pretrained.d_out))
     adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng([cfg.seed, 17])
     log = RunLog(stage="mmt_plus", seed=cfg.seed)
 
-    dense_src, p_s = _dense_labels(source.identities)
-    index_s = class_index(dense_src)
+    index_s = class_index(_dense_labels(source.identities)[0])
     if cfg.joint_source:  # before the first relabel, not at the first step
         check_classes(index_s, cfg.p_classes)
-    raws_s = source.features.astype(np.float64)
-    raws_t = target.features.astype(np.float64)
-    offset_t = p_s if cfg.joint_source else 0  # target labels follow the source's
+    step = _training_step(students, adam, cfg, target, np.random.default_rng([cfg.seed, 17]),
+                          source=(source, index_s) if cfg.joint_source else None,
+                          teachers=teachers)
 
     def rebuild(index_t):
         cents = _centroid_classifier(encode_dataset(students, target), index_t)
@@ -406,41 +440,6 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
                 encode_dataset(students, source), index_s), cents], axis=-2)
         students.classifier = cents
         teachers.classifier = cents.copy()
-
-    def step(index_t):
-        # a target-only batch is the joint batch with an empty source block
-        idx_s, labels_s = (pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
-                           if cfg.joint_source else (np.zeros(0, dtype=np.int64),) * 2)
-        idx_t, labels_t = pk_sample(index_t, min(cfg.p_classes, index_t.classes.size),
-                                    cfg.k_per, rng)
-        rows = np.concatenate([raws_s[idx_s], raws_t[idx_t]], axis=0)
-        doms = np.concatenate([source.domains[idx_s], target.domains[idx_t]])
-        labels = np.concatenate([labels_s, offset_t + labels_t])
-
-        # teachers only move by EMA after the students step, so one forward
-        # serves as each student's own teacher and, reversed, as its peer
-        own_feats = forward(teachers, rows, doms)
-        peer_logits = classifier_logits(teachers, own_feats)[::-1]
-        feats, x_hat = forward_cached(students, rows, doms)
-        soft = losses.soft_ce_batch(classifier_logits(students, feats), peer_logits)
-        hard, d_feats_hard, d_cls_hard = _hard_loss(students, feats, labels, cfg)
-        moco = losses.moco_batch(feats, own_feats, queues, cfg.tau)
-        total = losses.mmt_plus_total(soft.value, hard, moco.value,
-                                      cfg.lambda_soft, cfg.lambda_moco)
-        d_cls_soft, d_feats_soft = classifier_backward(
-            students, feats, cfg.lambda_soft * soft.grads["student_logits"])
-        grads = backward(students, x_hat, d_feats_soft
-                         + (1.0 - cfg.lambda_soft) * d_feats_hard
-                         + cfg.lambda_moco * moco.grads["queries"])
-        grads["classifier"] = d_cls_soft + (1.0 - cfg.lambda_soft) * d_cls_hard
-
-        def update():
-            nonlocal queues
-            adam_step(students.trainable(), grads, adam)
-            ema_update(teachers, students, cfg.alpha)
-            queues = queue_push(queues, own_feats, cfg.queue_capacity)
-        return {"soft": soft.value, "hard": hard, "moco": moco.value,
-                "total": total}, update
 
     # relabel with the current student encoder: at desk-scale step counts
     # the EMA teacher lags too far behind to provide fresh labels.  The

@@ -206,21 +206,52 @@ def test_criterion_5_directional_ablations(ablation, capsys):
              .format(t=elapsed, **med))
 
 
-def test_run_ablation_reports_every_arm_per_seed(monkeypatch, capsys):
+ABLATION_ARMS = ("raw", "translated", "baseline", "ablated", "full", "reranked")
+
+
+def fake_arms(seed):  # values that 3 decimals would round together
+    return {arm: seed / 7 + i / 3 for i, arm in enumerate(ABLATION_ARMS)}
+
+
+@pytest.fixture
+def ablation_script(monkeypatch):
+    """scripts/run_ablation.py on fake arms, and the seeds they ran, in order."""
     spec = importlib.util.spec_from_file_location(
         "run_ablation", Path(__file__).parent.parent / "scripts" / "run_ablation.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    arms = ("raw", "translated", "baseline", "ablated", "full", "reranked")
+    ran = []
 
-    def fake_arms(seed):  # values that 3 decimals would round together
-        return {arm: seed / 7 + i / 3 for i, arm in enumerate(arms)}
+    def arms(seed):
+        ran.append(seed)
+        return fake_arms(seed)
 
-    monkeypatch.setattr(script, "ablation_arms", fake_arms)
+    monkeypatch.setattr(script, "ablation_arms", arms)
+    return script, ran
+
+
+def test_run_ablation_reports_every_arm_per_seed(ablation_script, capsys):
+    script, ran = ablation_script
     assert script.main(["--seeds", "3,0,11"]) == 0
+    assert ran == [3, 0, 11]
     report = json.loads(capsys.readouterr().out)
     assert report["per_seed"] == {str(s): fake_arms(s) for s in (3, 0, 11)}
     assert report["medians"]["full"] == round(3 / 7 + 4 / 3, 4)
+
+
+@pytest.mark.parametrize("seeds,why", [
+    ("1,,2", "got ''"), ("1,", "got ''"), ("-1", "got '-1'"), ("2, -1", "got ' -1'"),
+    ("x", "got 'x'"), ("0,0,1", "seed 0 is named twice"), ("1,01", "seed 1 is named twice"),
+])
+def test_run_ablation_rejects_bad_seed_lists_before_any_arm(ablation_script, capsys,
+                                                            seeds, why):
+    script, ran = ablation_script
+    with pytest.raises(SystemExit) as exc:
+        script.main([f"--seeds={seeds}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage:")
+    assert "argument --seeds: " in err and why in err
+    assert ran == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Stage orchestration: configs, run logs, the three training stages, and
 the bundled benchmark."""
+import hashlib
 import json
 import math
 import os
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 import make_stage_logs_fixture as stage_logs
-from uda_reid import pipeline
+from uda_reid import losses, pipeline
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.encoder import EncoderParams, encode_dataset, init_params, unstack_params
 from uda_reid.errors import ConfigError, DivergenceError
 from uda_reid.losses import LossOut
 from uda_reid.datamodel import config_from_kv, parse_kv
+from uda_reid.pseudolabel import PseudoLabeling
 from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
                                StageConfig, default_benchmark,
                                eval_encoder, run_full_pipeline, stage_baseline,
@@ -23,6 +25,7 @@ from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
 
 TINY_BENCH = dict(train_per_id=6, val_per_id=4, num_ids_source=8,
                   num_ids_target=8, raw_dim=16)
+SINGLE_CLUSTER_DIGEST = "54845b92e0e6839edf3f26245b2cbfe47bdd6c79f9c1c5f0d310ea571bdbe910"
 
 
 def tiny_cfg(**overrides):
@@ -287,6 +290,33 @@ def test_baseline_is_bitwise_deterministic(bench, pretrained):
     b, log_b = stage_baseline(pretrained, fresh_target(bench), tiny_cfg())
     assert all_equal(a, b)
     assert log_a.to_jsonl() == log_b.to_jsonl()
+
+
+def params_digest(params: EncoderParams) -> str:
+    h = hashlib.sha256()
+    for name, arr in params.all_arrays().items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def test_baseline_single_cluster_epoch_trains_without_triplet(bench, pretrained,
+                                                              monkeypatch):
+    # one cluster puts one class in every batch, which leaves the triplet no
+    # negative: the step logs it as 0.0 and adds nothing to the gradient
+    def never(*args, **kwargs):
+        raise AssertionError("the triplet ran on a one-class batch")
+
+    def one_cluster(target, *args):
+        return PseudoLabeling(np.zeros(target.n, dtype=np.int32), num_clusters=1)
+
+    monkeypatch.setattr(pipeline, "relabel_epoch", one_cluster)
+    monkeypatch.setattr(losses, "softmax_triplet_loss", never)
+    params, log = stage_baseline(pretrained, fresh_target(bench), tiny_cfg())
+    assert [(r.num_clusters, r.tri) for r in log.records] == [(1, 0.0), (1, 0.0)]
+    # pinned from the two-builder step, which added 0.0 to the feature
+    # gradient here: leaving the part out moves no bit
+    assert params_digest(params) == SINGLE_CLUSTER_DIGEST
 
 
 # ---------------------------------------------------------------------------
