@@ -14,6 +14,8 @@ change read lower and in how many higher; with ``--claim``, the claimed
 metric's medians, the parent's quartile spread and the drop between the
 medians; and every run's metrics, so that each figure can be recomputed.
 The file is rewritten after every pair, so a cut run keeps what it measured.
+``--claim`` is checked against the workload and end-to-end metric names in
+BENCHMARK.json before any run; a name it does not list is a usage error.
 
 Usage: python scripts/bench_pairs.py --parent DIR --change DIR --out FILE
            [--claim relabel_4k:op_s] [--title TEXT]
@@ -32,11 +34,26 @@ WORKLOADS = ("train_full", "relabel_4k", "rerank_3k")
 SIDES = ("parent", "change")
 PAIRS = 10  # seeds 1..PAIRS, one pair each
 SECONDS = 20  # bench/run.py --seconds
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def order(seed: int) -> tuple:
     """The sides of one pair in run order: the parent first on odd seeds."""
     return SIDES if seed % 2 else SIDES[::-1]
+
+
+def claim_arg(text: str) -> str:
+    """``--claim``'s WORKLOAD:METRIC, if BENCHMARK.json lists the workload and
+    the end-to-end metric."""
+    spec = json.loads(BENCHMARK.read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    workload, _, metric = text.partition(":")
+    if workload not in workloads or metric not in metrics:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not WORKLOAD:METRIC with a workload of {', '.join(workloads)} "
+            f"and an end-to-end metric of {', '.join(metrics)}")
+    return text
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -113,7 +130,8 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True, help="the parent checkout's root")
     p.add_argument("--change", type=Path, required=True, help="the change checkout's root")
     p.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
-    p.add_argument("--claim", help="WORKLOAD:METRIC whose medians the claim block compares")
+    p.add_argument("--claim", type=claim_arg,
+                   help="WORKLOAD:METRIC whose medians the claim block compares")
     p.add_argument("--title", default="", help="what the change does, in one line")
     args = p.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}

@@ -259,9 +259,6 @@ def margin_classification_batch(features, class_weights, labels, mode: LossMode,
 def mmt_plus_total(soft, hard, moco, lambda_soft: float, lambda_moco: float):
     """lambda_soft*soft + (1-lambda_soft)*hard + lambda_moco*moco, per
     network when the parts are per-network arrays.  The weights are
-    unchecked: ``StageConfig.validate`` owns their ranges."""
-    parts = {"soft": soft, "hard": hard, "moco": moco}
-    for name, val in parts.items():
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"non-finite {name} part: {val}")
+    unchecked: ``StageConfig.validate`` owns their ranges, and the training
+    loop's guard owns the finiteness of the result."""
     return lambda_soft * soft + (1.0 - lambda_soft) * hard + lambda_moco * moco

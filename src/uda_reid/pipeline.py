@@ -3,8 +3,8 @@
 Stage I is realized by the generator's translation transform, stage II
 pretrains on labeled data, and stage III runs mutual mean-teacher
 self-training with joint-domain batches, a momentum queue per network, and
-per-epoch pseudo-label refresh.  All training stages share one epoch driver
-and one step builder, whose parts each stage picks by what it passes.
+per-epoch pseudo-label refresh.  All training stages share one training
+loop and one batch function, whose parts each stage picks by what it passes.
 """
 from __future__ import annotations
 
@@ -184,55 +184,136 @@ def eval_encoder(params: EncoderParams, split: QueryGallerySplit,
 
 
 # ---------------------------------------------------------------------------
-# The epoch driver shared by every stage
+# The training loop shared by every stage
 # ---------------------------------------------------------------------------
 
-def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
-                eval_params: EncoderParams, val_split: QueryGallerySplit | None,
-                index: ClassIndex | None = None, relabel=None, rebuild=None) -> None:
-    """Train ``cfg.epochs`` epochs of ``cfg.iters_per_epoch`` steps each.
+def _batch_grads(params: EncoderParams, teachers: EncoderParams | None,
+                 queues: np.ndarray | None, cfg: StageConfig, rows: np.ndarray,
+                 doms: np.ndarray, labels: np.ndarray):
+    """``(parts, grads, teacher_feats)`` of one batch for one network or a
+    stack: the loss parts, each a float or one value per network; the
+    gradient of each network's total for every trainable array; and, with
+    ``teachers``, their features of the batch, else None.
 
-    ``step(index)`` draws one batch, rows and labels, from the class
-    ``index`` of the current labels and returns ``(parts, update)``: a dict
-    of loss parts, each a float or, for a stack of networks, an array of one
-    value per network, and a callable that applies the updates.  Without a
-    ``"total"`` part each network trains on the sum of its parts; the guard
-    checks every total for finiteness before ``update`` runs.  An overflow
-    or invalid operation in ``relabel``, ``rebuild``, ``step`` or ``update``
-    is a divergence at that epoch, like a non-finite total.  The record
-    averages each part over every network and step of the epoch; a missing
-    total is recorded as the sum of the part sums over that count.
+    One forward feeds the hard loss.  The rest follows ``teachers``:
 
-    Supervised training passes the fixed ``index`` of its labels.
-    Self-training stages pass ``relabel() -> PseudoLabeling``, run at each
-    epoch start: an epoch without clusters is recorded as skipped and not
-    trained; otherwise the labelling's class index is built here, once,
-    ``rebuild(index)`` re-seeds the classifiers from it and the optimizer
-    drops its classifier moments.  The index is the steps' only source of
-    labels; a dataset's ``pseudo`` column is an output they never read.
+    - none: the hardest-mined softmax triplet, if the batch holds more than
+      one class; parts ``cls`` and ``tri``, whose sum is the total.
+    - one mean teacher per network: soft cross-entropy against the peer
+      teacher and momentum contrast against the own teacher's ``queues``,
+      weighted as in ``losses.mmt_plus_total``; parts ``soft``, ``hard``,
+      ``moco`` and ``total``.
     """
+    feats, x_hat = forward_cached(params, rows, doms)
+    hard, d_feats, d_cls = _hard_loss(params, feats, labels, cfg)
+    own_feats = None
+    if teachers is None:
+        parts = {"cls": hard, "tri": 0.0}
+        if labels.size > cfg.k_per:  # more than one class in the batch
+            tri = losses.softmax_triplet_loss(feats, labels)
+            parts["tri"] = tri.value
+            d_feats = d_feats + tri.grads["feats"]
+    else:
+        # teachers only move by EMA after the students step, so one forward
+        # serves as each student's own teacher and, reversed, as its peer
+        own_feats = forward(teachers, rows, doms)
+        soft = losses.soft_ce_batch(classifier_logits(params, feats),
+                                    classifier_logits(teachers, own_feats)[::-1])
+        moco = losses.moco_batch(feats, own_feats, queues, cfg.tau)
+        parts = {"soft": soft.value, "hard": hard, "moco": moco.value,
+                 "total": losses.mmt_plus_total(soft.value, hard, moco.value,
+                                                cfg.lambda_soft, cfg.lambda_moco)}
+        d_cls_soft, d_feats_soft = classifier_backward(
+            params, feats, cfg.lambda_soft * soft.grads["student_logits"])
+        d_feats = ((1.0 - cfg.lambda_soft) * d_feats + d_feats_soft
+                   + cfg.lambda_moco * moco.grads["queries"])
+        d_cls = (1.0 - cfg.lambda_soft) * d_cls + d_cls_soft
+    grads = backward(params, x_hat, d_feats)
+    grads["classifier"] = d_cls
+    return parts, grads, own_feats
+
+
+def _train(params: EncoderParams, cfg: StageConfig, data: Dataset, rng: np.random.Generator,
+           log: RunLog, val_split: QueryGallerySplit | None, index: ClassIndex | None = None,
+           source: Dataset | None = None, teachers: EncoderParams | None = None) -> None:
+    """Train ``params``, one network or a stack, in place for ``cfg.epochs``
+    epochs of ``cfg.iters_per_epoch`` steps; one record per epoch in ``log``.
+
+    A step draws a PK batch of ``data``, ``cfg.p_classes`` classes (all, if
+    fewer) of ``cfg.k_per`` rows, led by a block of ``source`` identities if
+    given (the target labels follow its classes).  Every network's total
+    from :func:`_batch_grads` is checked for finiteness before Adam steps
+    and, with ``teachers`` (one per network), before the EMA and the queue
+    push.  Any overflow or invalid operation in an epoch is a divergence
+    there too.  The record averages each part over every network and step;
+    a missing total is the sum of the part sums over that count.
+
+    Without a fixed class ``index``, each epoch starts with a relabel by the
+    first network.  An epoch without clusters, or without teachers with one
+    cluster (no loss to learn from), is skipped.  Else the labelling's class
+    index is built, the classifiers are rebuilt from class centroids (the
+    source identities' first) and copied to the teachers, and Adam drops its
+    classifier moments.  Batches take labels from the index alone, never
+    from a dataset's ``pseudo`` column.  Validation scores the first
+    teacher, else the first network.  Raises before the first relabel unless
+    ``cfg.k_per`` > 1 without teachers (the triplet's positives) and
+    ``source`` has ``cfg.p_classes`` identities.
+    """
+    if teachers is None and cfg.k_per == 1:
+        raise ConfigError("k_per", "must be > 1 for the triplet term's in-batch positives")
+    if source is not None:
+        index_s = class_index(_dense_labels(source.identities)[0])
+        check_classes(index_s, cfg.p_classes)
+        raws_s = source.features.astype(np.float64)
+    raws = data.features.astype(np.float64)
+    relabel = index is None
+    # views see every in-place update; neither relabel nor evaluation reads
+    # the classifier, which the rebuild replaces
+    first = unstack_params(params)[0] if params.weight.ndim == 3 else params
+    eval_net = first if teachers is None else unstack_params(teachers)[0]
+    queues = None if teachers is None else np.zeros((len(teachers.weight), 0, teachers.d_out))
+    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     for epoch in range(cfg.epochs):
         adam.lr = cfg.lr_at(epoch)
         rec = EpochRecord(epoch=epoch)
         sums, count, it = {}, 0, None  # it stays None through relabel and rebuild
         try:
             with np.errstate(over="raise", invalid="raise"):
-                labeling = None if relabel is None else relabel()
-                if labeling is not None:
+                if relabel:
+                    labeling = relabel_epoch(data, first, cfg.k, cfg.eps, cfg.min_pts)
                     rec.num_clusters = labeling.num_clusters
                     rec.num_outliers = labeling.num_outliers
-                    rec.skipped = labeling.num_clusters == 0
+                    rec.skipped = labeling.num_clusters < (2 if teachers is None else 1)
                     if not rec.skipped:
                         index = class_index(labeling.assignment)
-                        rebuild(index)
+                        cents = _centroid_classifier(encode_dataset(params, data), index)
+                        if source is not None:
+                            cents = np.concatenate([_centroid_classifier(
+                                encode_dataset(params, source), index_s), cents], axis=-2)
+                        params.classifier = cents
+                        if teachers is not None:
+                            teachers.classifier = cents.copy()
                         adam.reset("classifier")
                 for it in range(0 if rec.skipped else cfg.iters_per_epoch):
-                    parts, update = step(index)
+                    if source is not None:
+                        idx_s, labels_s = pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
+                    idx, labels = pk_sample(index, min(cfg.p_classes, index.classes.size),
+                                            cfg.k_per, rng)
+                    rows, doms = raws[idx], data.domains[idx]
+                    if source is not None:
+                        rows = np.concatenate([raws_s[idx_s], rows], axis=0)
+                        doms = np.concatenate([source.domains[idx_s], doms])
+                        labels = np.concatenate([labels_s, index_s.classes.size + labels])
+                    parts, grads, own_feats = _batch_grads(params, teachers, queues, cfg,
+                                                           rows, doms, labels)
                     totals = np.atleast_1d(parts.get("total", sum(parts.values())))
                     bad = ~np.isfinite(totals)
                     if bad.any():
                         raise DivergenceError(epoch, it, f"non-finite loss {totals[bad][0]}")
-                    update()
+                    adam_step(params.trainable(), grads, adam)
+                    if teachers is not None:
+                        ema_update(teachers, params, cfg.alpha)
+                        queues = queue_push(queues, own_feats, cfg.queue_capacity)
                     # network 0's parts, then network 1's, step by step: a
                     # fixed summation order keeps the epoch means bitwise stable
                     for net in range(totals.size):
@@ -248,81 +329,9 @@ def _run_epochs(cfg: StageConfig, log: RunLog, adam: AdamState, step,
                 rec.total = sum(sums.values()) / count
             rec.lr = adam.lr
         if val_split is not None:
-            report = eval_encoder(eval_params, val_split)
+            report = eval_encoder(eval_net, val_split)
             rec.val_map, rec.val_cmc1 = report.mAP, float(report.cmc[0])
         log.add(rec)
-
-
-def _training_step(params: EncoderParams, adam: AdamState, cfg: StageConfig, data: Dataset,
-                   rng: np.random.Generator, source: tuple[Dataset, ClassIndex] | None = None,
-                   teachers: EncoderParams | None = None):
-    """The step of every training stage, for one network or a stack.
-
-    One PK batch from the driver's class index of ``data``: ``cfg.p_classes``
-    classes (all, if it has fewer) of ``cfg.k_per`` rows.  A ``source`` pair
-    ``(dataset, class index)`` adds a block drawn first that leads the batch;
-    the target labels follow its classes.  One forward feeds the hard loss,
-    then one backward and one Adam step.  The rest follows what is passed:
-
-    - no ``teachers``: the hardest-mined softmax triplet, if the batch holds
-      more than one class; parts ``cls`` and ``tri``.  Raises unless
-      ``cfg.k_per`` > 1: a class drawn once has no triplet positive.
-    - ``teachers``, one mean teacher per network: soft cross-entropy against
-      the peer teacher and momentum contrast against the own teacher's
-      queue, weighted as in ``losses.mmt_plus_total``; the update adds one
-      EMA and one queue push.  Parts ``soft``, ``hard``, ``moco``, ``total``.
-    """
-    if teachers is None and cfg.k_per == 1:
-        raise ConfigError("k_per", "must be > 1 for the triplet term's in-batch positives")
-    raws = data.features.astype(np.float64)
-    if source is not None:
-        source_data, index_s = source
-        raws_s = source_data.features.astype(np.float64)
-    queues = None if teachers is None else np.zeros((len(teachers.weight), 0, teachers.d_out))
-
-    def step(index):
-        if source is not None:
-            idx_s, labels_s = pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
-        idx, labels = pk_sample(index, min(cfg.p_classes, index.classes.size), cfg.k_per, rng)
-        rows, doms = raws[idx], data.domains[idx]
-        if source is not None:
-            rows = np.concatenate([raws_s[idx_s], rows], axis=0)
-            doms = np.concatenate([source_data.domains[idx_s], doms])
-            labels = np.concatenate([labels_s, index_s.classes.size + labels])
-        feats, x_hat = forward_cached(params, rows, doms)
-        hard, d_feats, d_cls = _hard_loss(params, feats, labels, cfg)
-        if teachers is None:
-            parts = {"cls": hard, "tri": 0.0}
-            if labels.size > cfg.k_per:  # more than one class in the batch
-                tri = losses.softmax_triplet_loss(feats, labels)
-                parts["tri"] = tri.value
-                d_feats = d_feats + tri.grads["feats"]
-        else:
-            # teachers only move by EMA after the students step, so one forward
-            # serves as each student's own teacher and, reversed, as its peer
-            own_feats = forward(teachers, rows, doms)
-            soft = losses.soft_ce_batch(classifier_logits(params, feats),
-                                        classifier_logits(teachers, own_feats)[::-1])
-            moco = losses.moco_batch(feats, own_feats, queues, cfg.tau)
-            parts = {"soft": soft.value, "hard": hard, "moco": moco.value,
-                     "total": losses.mmt_plus_total(soft.value, hard, moco.value,
-                                                    cfg.lambda_soft, cfg.lambda_moco)}
-            d_cls_soft, d_feats_soft = classifier_backward(
-                params, feats, cfg.lambda_soft * soft.grads["student_logits"])
-            d_feats = ((1.0 - cfg.lambda_soft) * d_feats + d_feats_soft
-                       + cfg.lambda_moco * moco.grads["queries"])
-            d_cls = (1.0 - cfg.lambda_soft) * d_cls + d_cls_soft
-        grads = backward(params, x_hat, d_feats)
-        grads["classifier"] = d_cls
-
-        def update():
-            nonlocal queues
-            adam_step(params.trainable(), grads, adam)
-            if teachers is not None:
-                ema_update(teachers, params, cfg.alpha)
-                queues = queue_push(queues, own_feats, cfg.queue_capacity)
-        return parts, update
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +353,9 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
     if cfg.p_classes == 1:
         raise ConfigError("p_classes", "must be > 1 for pretraining's triplet negatives")
     params = init_params(train.d, cfg.encoder_dim, p_s, cfg.seed)
-    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="pretrain", seed=cfg.seed)
-    step = _training_step(params, adam, cfg, train, np.random.default_rng([cfg.seed, 11]))
-    _run_epochs(cfg, log, adam, step, params, val_split, index=index)
+    _train(params, cfg, train, np.random.default_rng([cfg.seed, 11]), log, val_split,
+           index=index)
     return params, log
 
 
@@ -357,22 +365,15 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
 
 def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
                    val_split: QueryGallerySplit | None = None) -> tuple[EncoderParams, RunLog]:
-    """Alternates pseudo-label refresh and supervised training on them;
-    raises before the first relabel unless ``cfg.k_per`` > 1."""
+    """Alternates pseudo-label refresh and supervised training on them; an
+    epoch whose labelling has fewer than two clusters is skipped.  Raises
+    before the first relabel unless ``cfg.k_per`` > 1."""
     cfg.validate()
     if pretrained.d_in != target.d:
         raise ValueError("pretrained encoder dimension does not match data")
     params = pretrained.copy()
-    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="baseline", seed=cfg.seed)
-    step = _training_step(params, adam, cfg, target, np.random.default_rng([cfg.seed, 13]))
-
-    def rebuild(index):
-        params.classifier = _centroid_classifier(encode_dataset(params, target), index)
-
-    _run_epochs(cfg, log, adam, step, params, val_split,
-                relabel=lambda: relabel_epoch(target, params, cfg.k, cfg.eps, cfg.min_pts),
-                rebuild=rebuild)
+    _train(params, cfg, target, np.random.default_rng([cfg.seed, 13]), log, val_split)
     return params, log
 
 
@@ -404,9 +405,9 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     networks at once.  Per epoch: pseudo-labels refreshed with student 1,
     then the classifiers rebuilt from class centroids over the joint
     source+target label space: the source identities' centroids first, then
-    those of each class of the driver's target index.  Per iteration:
-    :func:`_training_step` with the teachers, and with the source block
-    only under ``joint_source``.
+    those of each class of the target labelling.  Per iteration: one step
+    of :func:`_train` with the teachers, and with the source block only
+    under ``joint_source``.
     """
     cfg.validate()
     if source.n == 0 or target.n == 0:
@@ -423,32 +424,11 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
 
     students = stack_params((pretrained, pretrained2))
     teachers = students.copy()
-    adam = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     log = RunLog(stage="mmt_plus", seed=cfg.seed)
-
-    index_s = class_index(_dense_labels(source.identities)[0])
-    if cfg.joint_source:  # before the first relabel, not at the first step
-        check_classes(index_s, cfg.p_classes)
-    step = _training_step(students, adam, cfg, target, np.random.default_rng([cfg.seed, 17]),
-                          source=(source, index_s) if cfg.joint_source else None,
-                          teachers=teachers)
-
-    def rebuild(index_t):
-        cents = _centroid_classifier(encode_dataset(students, target), index_t)
-        if cfg.joint_source:
-            cents = np.concatenate([_centroid_classifier(
-                encode_dataset(students, source), index_s), cents], axis=-2)
-        students.classifier = cents
-        teachers.classifier = cents.copy()
-
     # relabel with the current student encoder: at desk-scale step counts
-    # the EMA teacher lags too far behind to provide fresh labels.  The
-    # views see every in-place update; neither relabel nor evaluation reads
-    # the classifier, which rebuild replaces.
-    student1, teacher1 = unstack_params(students)[0], unstack_params(teachers)[0]
-    _run_epochs(cfg, log, adam, step, teacher1, val_split,
-                relabel=lambda: relabel_epoch(target, student1, cfg.k, cfg.eps, cfg.min_pts),
-                rebuild=rebuild)
+    # the EMA teacher lags too far behind to provide fresh labels
+    _train(students, cfg, target, np.random.default_rng([cfg.seed, 17]), log, val_split,
+           source=source if cfg.joint_source else None, teachers=teachers)
     return unstack_params(teachers), log
 
 

@@ -92,3 +92,29 @@ def test_main_alternates_and_rewrites_after_every_pair(script, monkeypatch, tmp_
     assert len(written["runs"]) == 6 * len(script.WORKLOADS)
     assert "--seconds 20 " in written["command"]
     assert written["protocol"].startswith("3 pairs per workload on seeds 1-3,")
+
+
+@pytest.mark.parametrize("claim", ["op_s", "relabel_4k:op_sec", "relabel4k:op_s", ":op_s",
+                                   "relabel_4k:", "relabel_4k:op_s:x", "relabel_4k:trace.op_s"])
+def test_bad_claim_is_a_usage_error_before_any_run(script, monkeypatch, tmp_path, capsys,
+                                                   claim):
+    def never(*args):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(script, "run_once", never)
+    monkeypatch.setattr(script, "commit_of", never)
+    out = tmp_path / "BENCH_0.json"
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                     "--out", str(out), "--claim", claim])
+    assert exc.value.code == 2
+    assert f"--claim: {claim!r} is not WORKLOAD:METRIC" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_benchmark_workload_and_end_to_end_metric_is_a_claim(script):
+    spec = json.loads(script.BENCHMARK.read_text())
+    for workload in spec["workloads"]:
+        for metric in spec["end_to_end"]:
+            claim = f"{workload['name']}:{metric['name']}"
+            assert script.claim_arg(claim) == claim

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from uda_reid import pipeline
-from uda_reid.encoder import class_index, pk_sample, unstack_params
+from uda_reid.encoder import (class_index, forward, pk_sample, queue_push,
+                              stack_params, unstack_params)
 from uda_reid.gradcheck import (KERNEL_CHECKS, central_difference,
                                 relative_error, run_gradcheck, worst_error)
 from uda_reid.numerics import l2_normalize_rows, l2_normalize_rows_backward
@@ -79,56 +80,67 @@ def pretrained(bench):
     return stage_pretrain(bench.translated, StageConfig(**TINY_CFG))[0]
 
 
-def frozen_step(monkeypatch, run_stage):
-    """The step a stage trains with, frozen for finite differences.
+def fixed_batch(stage, cfg, bench, pretrained, student_stacks):
+    """A trained stage's networks and a call of ``_batch_grads`` on one fixed
+    batch of them.
 
-    ``run_stage`` runs with ``_run_epochs`` replaced: the replacement relabels,
-    indexes and rebuilds once, as the driver does at an epoch start, and takes
-    three real steps, which fills the queues.
-    Afterwards every PK draw repeats one batch, ``adam_step`` records the
-    grads instead of applying them, and the EMA and queue updates are off, so
-    teachers and queues stay put.  Returns the trained networks, the step on
-    the fixed class index, and the list the grads are recorded into.
+    The stage runs for real.  Its networks keep the classifiers of their last
+    rebuild, so the batch is drawn by ``pk_sample`` on a fixed generator from
+    the class index those were built on: the identities for pretraining,
+    else the target's last pseudo labels, led by a block of the source
+    identities under joint batches, as the training loop forms it.  Stage
+    III's queues hold its teachers' features of the first
+    ``cfg.queue_capacity`` target rows.  Returns the trained networks and
+    the call.
     """
-    drive = {}
+    rng = np.random.default_rng(0)
+    target = bench.target_train.subset(np.arange(bench.target_train.n))
+    data = bench.translated if stage == "pretrain" else target
+    teachers = queues = None
+    if stage == "pretrain":
+        params = stage_pretrain(data, cfg)[0]
+    elif stage == "baseline":
+        params = stage_baseline(pretrained, data, cfg)[0]
+    else:
+        teachers = stack_params(stage_mmt_plus(pretrained, bench.source, data, cfg)[0])
+        params = student_stacks[0]
+        rows = slice(cfg.queue_capacity)
+        queues = queue_push(np.zeros((2, 0, teachers.d_out)),
+                            forward(teachers, data.features[rows], data.domains[rows]),
+                            cfg.queue_capacity)
+    index = class_index(np.unique(data.identities, return_inverse=True)[1]
+                        if stage == "pretrain" else data.pseudo)
+    idx, labels = pk_sample(index, min(cfg.p_classes, index.classes.size), cfg.k_per, rng)
+    rows, doms = data.features[idx], data.domains[idx]
+    joint = cfg.joint_source and stage.startswith("mmt")
+    if joint:
+        index_s = class_index(np.unique(bench.source.identities, return_inverse=True)[1])
+        idx_s, labels_s = pk_sample(index_s, cfg.p_classes, cfg.k_per, rng)
+        rows = np.concatenate([bench.source.features[idx_s], rows])
+        doms = np.concatenate([bench.source.domains[idx_s], doms])
+        labels = np.concatenate([labels_s, index_s.classes.size + labels])
+    nets = [params] if teachers is None else list(unstack_params(params))
+    classes = index.classes.size + (index_s.classes.size if joint else 0)
+    assert index.classes.size > 1
+    assert all(net.classifier.shape[0] == classes for net in nets)
+    return nets, lambda: pipeline._batch_grads(params, teachers, queues, cfg,
+                                               rows.astype(np.float64), doms, labels)
 
-    def run_epochs(cfg, log, adam, step, eval_params, val_split, index=None,
-                   relabel=None, rebuild=None):
-        if relabel is not None:
-            labeling = relabel()
-            assert labeling.num_clusters > 1
-            index = class_index(labeling.assignment)
-            rebuild(index)
-        for _ in range(3):
-            step(index)[1]()
-        drive["step"] = lambda: step(index)
 
-    monkeypatch.setattr(pipeline, "_run_epochs", run_epochs)
-    nets = run_stage()
-    recorded = []
-    monkeypatch.setattr(pipeline, "pk_sample", lambda index, p, k, rng:
-                        pk_sample(index, p, k, np.random.default_rng(0)))
-    monkeypatch.setattr(pipeline, "adam_step",
-                        lambda params, grads, state: recorded.append(grads))
-    monkeypatch.setattr(pipeline, "ema_update", lambda teacher, student, alpha: None)
-    monkeypatch.setattr(pipeline, "queue_push", lambda queue, feats, capacity: queue)
-    return nets, drive["step"], recorded
+def objective_error(nets, batch):
+    """Worst relative error between the grads that ``batch()`` returns, the
+    ones the training loop hands to ``adam_step``, and central differences
+    of each network's training total (``total``, or the sum of its parts, as
+    the loop reads it).
 
-
-def objective_error(nets, step, recorded):
-    """Worst relative error between the grads the update hands to
-    ``adam_step`` and central differences of each network's training total
-    (``total``, or the sum of its parts, as the epoch driver reads it).
-
-    Several networks are views into one stack that trains in one step: the
-    single recorded grad dict is split per network, and arrays are reset and
-    varied in place so that the stack sees it.  Every array of every trained
-    network, running statistics included, is reset to its starting value
-    before each evaluation; the teachers and queues stay put under
-    ``frozen_step``."""
+    Several networks are views into one stack that one call serves: the
+    grad dict is split per network, and arrays are reset and varied in
+    place so that the stack sees it.  Every array of every trained network,
+    running statistics included, is reset to its starting value before each
+    evaluation; the teachers and queues stay put.
+    """
     start = [net.copy() for net in nets]
-    step()[1]()
-    grads = recorded[-1]
+    grads = batch()[1]
     per_net = [grads] if len(nets) == 1 else [
         {name: grad[i] for name, grad in grads.items()} for i in range(len(nets))]
     worst = 0.0
@@ -139,7 +151,7 @@ def objective_error(nets, step, recorded):
                     getattr(net, name)[...] = arr
             for name, arr in trained.items():
                 getattr(nets[i], name)[...] = arr
-            parts = step()[0]
+            parts = batch()[0]
             return np.atleast_1d(parts.get("total", sum(parts.values())))[i]
         worst = max(worst, worst_error(total, start[i].trainable(), per_net[i]))
     return worst
@@ -147,21 +159,11 @@ def objective_error(nets, step, recorded):
 
 @pytest.mark.parametrize("stage", ["pretrain", "baseline", "mmt-joint", "mmt-solo"])
 @pytest.mark.parametrize("mode", list(LossMode))
-def test_training_step_grads_match_objective(monkeypatch, student_stacks, bench, pretrained,
-                                             stage, mode):
-    # every stage trains with the one step builder: each of its part sets,
+def test_training_step_grads_match_objective(student_stacks, bench, pretrained, stage, mode):
+    # every stage trains with the one batch function: each of its part sets,
     # with and without teachers and a source block, under each hard loss
     cfg = StageConfig(**TINY_CFG, loss_mode=mode, joint_source=stage != "mmt-solo")
-    target = bench.target_train.subset(np.arange(bench.target_train.n))
-
-    def run():
-        if stage == "pretrain":
-            return [stage_pretrain(bench.translated, cfg)[0]]
-        if stage == "baseline":
-            return [stage_baseline(pretrained, target, cfg)[0]]
-        stage_mmt_plus(pretrained, bench.source, target, cfg)
-        return list(unstack_params(student_stacks[0]))
-    nets, step, recorded = frozen_step(monkeypatch, run)
+    nets, batch = fixed_batch(stage, cfg, bench, pretrained, student_stacks)
     if stage.startswith("mmt"):
-        assert np.all(step()[0]["moco"] > 0)  # the queues took rows
-    assert objective_error(nets, step, recorded) < 1e-6
+        assert np.all(batch()[0]["moco"] > 0)  # the queues hold rows
+    assert objective_error(nets, batch) < 1e-6

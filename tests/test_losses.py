@@ -359,11 +359,6 @@ def test_total_linear_in_each_part():
     assert bumped - base == pytest.approx(0.1, abs=1e-12)
 
 
-def test_total_errors():
-    with pytest.raises(ValueError, match="non-finite"):
-        mmt_plus_total(np.nan, 1.0, 1.0, 0.5, 0.1)
-
-
 # ---------------------------------------------------------------------------
 # shared value/grad hygiene
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Stage orchestration: configs, run logs, the three training stages, and
 the bundled benchmark."""
-import hashlib
 import json
 import math
 import os
@@ -25,7 +24,6 @@ from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
 
 TINY_BENCH = dict(train_per_id=6, val_per_id=4, num_ids_source=8,
                   num_ids_target=8, raw_dim=16)
-SINGLE_CLUSTER_DIGEST = "54845b92e0e6839edf3f26245b2cbfe47bdd6c79f9c1c5f0d310ea571bdbe910"
 
 
 def tiny_cfg(**overrides):
@@ -241,6 +239,43 @@ def test_pretrain_logs_metrics_and_validation(bench):
     assert 0.0 <= rec.val_cmc1 <= 1.0
 
 
+@pytest.mark.parametrize("stage,part", [("baseline", "cross_entropy_batch"),
+                                        ("mmt_plus", "soft_ce_batch")])
+def test_guard_stops_a_non_finite_total_before_any_update(bench, pretrained, monkeypatch,
+                                                         stage, part):
+    # a NaN part, in the last network's value, at the seventh step (epoch 1,
+    # iteration 2 of 4): every stage reports a divergence at that position,
+    # and that step neither steps Adam nor moves the teachers or queues
+    real_part = getattr(losses, part)
+    calls = {name: 0 for name in (part, "adam_step", "ema_update", "queue_push")}
+
+    def poisoned(*args):
+        out = real_part(*args)
+        calls[part] += 1
+        if calls[part] < 7:
+            return out
+        value = np.array(out.value, dtype=np.float64)
+        value.reshape(-1)[-1] = np.nan
+        return LossOut(value=value if value.ndim else float(value), grads=out.grads)
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(losses, part, poisoned)
+    for name in ("adam_step", "ema_update", "queue_push"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    with pytest.raises(DivergenceError, match="at epoch 1, iteration 2: non-finite loss nan"):
+        if stage == "baseline":
+            stage_baseline(pretrained, fresh_target(bench), tiny_cfg())
+        else:
+            stage_mmt_plus(pretrained, bench.source, fresh_target(bench), tiny_cfg())
+    teachers = 6 if stage == "mmt_plus" else 0
+    assert calls == {part: 7, "adam_step": 6, "ema_update": teachers, "queue_push": teachers}
+
+
 def test_pretrain_divergence_guard_reports_position(bench, monkeypatch):
     def poisoned(logits, labels):
         return LossOut(value=float("nan"),
@@ -292,31 +327,23 @@ def test_baseline_is_bitwise_deterministic(bench, pretrained):
     assert log_a.to_jsonl() == log_b.to_jsonl()
 
 
-def params_digest(params: EncoderParams) -> str:
-    h = hashlib.sha256()
-    for name, arr in params.all_arrays().items():
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
-def test_baseline_single_cluster_epoch_trains_without_triplet(bench, pretrained,
-                                                              monkeypatch):
-    # one cluster puts one class in every batch, which leaves the triplet no
-    # negative: the step logs it as 0.0 and adds nothing to the gradient
+def test_baseline_single_cluster_epoch_is_skipped(bench, pretrained, monkeypatch):
+    # one cluster leaves the hard loss and the triplet nothing to learn from,
+    # so the epoch is skipped: no step, no weight decay, no running-stat drift
     def never(*args, **kwargs):
-        raise AssertionError("the triplet ran on a one-class batch")
+        raise AssertionError("a training step ran")
 
     def one_cluster(target, *args):
         return PseudoLabeling(np.zeros(target.n, dtype=np.int32), num_clusters=1)
 
     monkeypatch.setattr(pipeline, "relabel_epoch", one_cluster)
-    monkeypatch.setattr(losses, "softmax_triplet_loss", never)
-    params, log = stage_baseline(pretrained, fresh_target(bench), tiny_cfg())
-    assert [(r.num_clusters, r.tri) for r in log.records] == [(1, 0.0), (1, 0.0)]
-    # pinned from the two-builder step, which added 0.0 to the feature
-    # gradient here: leaving the part out moves no bit
-    assert params_digest(params) == SINGLE_CLUSTER_DIGEST
+    for name in ("pk_sample", "forward_cached", "adam_step"):
+        monkeypatch.setattr(pipeline, name, never)
+    params, log = stage_baseline(pretrained, fresh_target(bench), tiny_cfg(),
+                                 val_split=bench.val_split)
+    assert [(r.skipped, r.num_clusters, r.cls) for r in log.records] == [(True, 1, None)] * 2
+    assert all(r.val_map is not None for r in log.records)
+    assert all_equal(params, pretrained)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +425,21 @@ def test_mmt_skips_epochs_without_clusters(bench, pretrained, monkeypatch,
     second = pipeline._decorrelated_copy(pretrained, cfg.seed)
     for nets in (unstack_params(student_stacks[0]), teachers):
         assert all_equal(nets[0], pretrained) and all_equal(nets[1], second)
+
+
+def test_mmt_trains_on_a_single_cluster_epoch(bench, pretrained, monkeypatch, student_stacks):
+    # unlike the baseline, stage III still learns from one cluster: its soft
+    # and queue terms do not vanish with a single class in the batch
+    def one_cluster(target, *args):
+        return PseudoLabeling(np.zeros(target.n, dtype=np.int32), num_clusters=1)
+
+    monkeypatch.setattr(pipeline, "relabel_epoch", one_cluster)
+    teachers, log = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
+                                   tiny_cfg(joint_source=False))
+    assert [(r.skipped, r.num_clusters) for r in log.records] == [(False, 1)] * 2
+    assert all(r.moco > 0 for r in log.records)
+    assert not np.array_equal(teachers[0].weight, pretrained.weight)
+    assert not np.array_equal(unstack_params(student_stacks[0])[0].weight, pretrained.weight)
 
 
 @pytest.mark.parametrize("stage", ["baseline", "mmt_plus"])
@@ -487,16 +529,19 @@ def longhand_centroids(net, parts):
 def test_rebuilt_classifier_is_the_normalised_class_means(
         bench, pretrained, monkeypatch, student_stacks, stage, joint_source):
     # every rebuild seeds each network's classifier with its own centroids,
-    # the source identities' first when stage III trains on joint batches
+    # the source identities' first when stage III trains on joint batches;
+    # checked at each epoch's first PK draw, after the rebuild, before any step
     target = fresh_target(bench)
-    rebuilt = []
-    real_run_epochs = pipeline._run_epochs
+    rebuilt, relabelled = [], []
+    real_relabel, real_pk_sample = pipeline.relabel_epoch, pipeline.pk_sample
 
-    def run_epochs(cfg, log, adam, step, eval_params, val_split, index=None,
-                   relabel=None, rebuild=None):
-        def checked(index):
-            rebuild(index)
-            nets = ([eval_params] if stage == "baseline"
+    def relabel(target, net, *args):
+        relabelled.append(net)
+        return real_relabel(target, net, *args)
+
+    def checked(*args):
+        if len(rebuilt) < len(relabelled):  # the epoch's first draw
+            nets = (relabelled[-1:] if stage == "baseline"
                     else unstack_params(student_stacks[-1]))
             parts = [(target, target.pseudo)]
             if joint_source:
@@ -506,10 +551,10 @@ def test_rebuilt_classifier_is_the_normalised_class_means(
                 assert net.classifier.shape == want.shape
                 assert np.max(np.abs(net.classifier - want)) < 1e-12
             rebuilt.append(len(nets))
-        real_run_epochs(cfg, log, adam, step, eval_params, val_split, index,
-                        relabel, checked)
+        return real_pk_sample(*args)
 
-    monkeypatch.setattr(pipeline, "_run_epochs", run_epochs)
+    monkeypatch.setattr(pipeline, "relabel_epoch", relabel)
+    monkeypatch.setattr(pipeline, "pk_sample", checked)
     cfg = tiny_cfg(epochs=3, joint_source=joint_source)
     if stage == "baseline":
         stage_baseline(pretrained, target, cfg)
