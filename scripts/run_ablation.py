@@ -24,6 +24,8 @@ if __name__ == "__main__":
 
 import numpy as np
 
+from uda_reid.datamodel import SynthConfig
+from uda_reid.errors import ConfigError
 from uda_reid.pipeline import ablation_arms
 
 
@@ -39,10 +41,18 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
+def fidelity(text: str) -> float:
+    """``--fidelity``: a translation fidelity that ``SynthConfig`` accepts."""
+    try:
+        return SynthConfig(translation_fidelity=float(text)).validate().translation_fidelity
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=seed_list, default="0,1,2,3,4")
-    ap.add_argument("--fidelity", type=float, default=None,
+    ap.add_argument("--fidelity", type=fidelity, default=None,
                     help="override the benchmark's translation fidelity")
     args = ap.parse_args(argv)
     seeds = args.seeds

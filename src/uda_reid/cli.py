@@ -313,7 +313,8 @@ def _cmd_rerank(args) -> dict:
     check_rerank_args(args.k1, args.k2, args.lam)
     _, q, g = _encoded_split(args, labelled=False)
     dist = rerank(q, g, k1=args.k1, k2=args.k2, lam=args.lam)
-    np.save(args.out, dist)
+    with open(args.out, "wb") as fh:  # a path: np.save would add ".npy"
+        np.save(fh, dist)
     _note(f"wrote {dist.shape[0]}x{dist.shape[1]} distance matrix to {args.out}")
     return {"command": "rerank", "out": str(args.out),
             "shape": list(dist.shape), "k1": args.k1, "k2": args.k2,

@@ -22,11 +22,13 @@ holds at most one n x n float64 array at a time.
 ``dbscan`` clusters without an n x n boolean: it scans the matrix by row
 blocks for its eps-edges, links the core-core edges of each block by array
 union-find, and scans the non-core rows once more for their lowest core
-neighbors; no edge outlives its block.
+neighbors; no edge outlives its block.  It checks neither its input nor its
+output: every matrix it clusters is built here, square with an exactly zero
+diagonal, by ``pairwise_euclidean`` or ``jaccard_distance``, and their tests
+hold them to that.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,46 +38,16 @@ from .encoder import EncoderParams, encode_dataset
 from .errors import DegenerateStructureError
 from .numerics import ROW_BLOCK, cdist, l2_normalize_rows
 
-SYMMETRY_TOL = 1e-6
-SYMMETRY_BLOCK = 256  # side of the square tiles of the symmetry check
 JACCARD_TERMS = 1 << 16  # min terms per block of the Jaccard kernel
-
-
-class Metric(enum.Enum):
-    EUCLIDEAN = "euclidean"
-    JACCARD = "jaccard"
 
 
 @dataclass
 class DistanceMatrix:
     values: np.ndarray
-    metric: Metric
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def validate(self) -> None:
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"distance matrix must be square, got {v.shape}")
-        # min and max propagate NaN and expose +-inf: one pass serves the
-        # finiteness and the Jaccard range checks alike
-        lo, hi = (v.min(), v.max()) if v.size else (0.0, 0.0)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("non-finite distance values")
-        if np.any(np.abs(np.diag(v)) > 0):
-            raise ValueError("diagonal must be exactly zero")
-        # tile (i, j) against tile (j, i) for j >= i: small temporaries, and
-        # both tiles are read a row at a time rather than a column at a time
-        for i in range(0, v.shape[0], SYMMETRY_BLOCK):
-            for j in range(i, v.shape[0], SYMMETRY_BLOCK):
-                upper = v[i:i + SYMMETRY_BLOCK, j:j + SYMMETRY_BLOCK]
-                lower = v[j:j + SYMMETRY_BLOCK, i:i + SYMMETRY_BLOCK]
-                if np.max(np.abs(upper - lower.T)) > SYMMETRY_TOL:
-                    raise ValueError(f"asymmetry beyond {SYMMETRY_TOL}")
-        if self.metric is Metric.JACCARD and (lo < -1e-9 or hi > 1 + 1e-9):
-            raise ValueError("jaccard distances must lie in [0, 1]")
 
 
 @dataclass
@@ -88,17 +60,6 @@ class PseudoLabeling:
     def num_outliers(self) -> int:
         return int(np.sum(self.assignment == PSEUDO_OUTLIER))
 
-    def validate(self) -> None:
-        ids = self.assignment[self.assignment != PSEUDO_OUTLIER]
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_clusters):
-            raise ValueError("cluster ids must be dense in [0, num_clusters)")
-        if ids.size:
-            present = np.unique(ids)
-            if present.size != self.num_clusters:
-                raise ValueError("every cluster id must have at least one member")
-        elif self.num_clusters != 0:
-            raise ValueError("no members but num_clusters > 0")
-
 
 def pairwise_euclidean(feats) -> DistanceMatrix:
     feats = np.asarray(feats, dtype=np.float64)
@@ -108,7 +69,7 @@ def pairwise_euclidean(feats) -> DistanceMatrix:
         raise ValueError("non-finite feature values")
     values = cdist(feats, feats)
     np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values, metric=Metric.EUCLIDEAN)
+    return DistanceMatrix(values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +302,7 @@ def _reciprocal_entries(dist: DistanceMatrix, k: int):
 
 def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:
     """Jaccard distances over the R*(p, k) memberships."""
-    return DistanceMatrix(values=jaccard_rows(_reciprocal_entries(dist, k), dist.n),
-                          metric=Metric.JACCARD)
+    return DistanceMatrix(values=jaccard_rows(_reciprocal_entries(dist, k), dist.n))
 
 
 def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
@@ -385,6 +345,8 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
     """Connected components of core points under <= eps; border points join
     their lowest-index core neighbor's cluster; the rest are OUTLIER.
     ``eps``/``min_pts`` are unchecked: ``StageConfig.validate`` owns them.
+    ``dist`` is unchecked too: it must be square with an exactly zero
+    diagonal, as ``pairwise_euclidean`` and ``jaccard_distance`` build it.
 
     A row is core when at least ``min_pts`` entries of its row are <= eps
     (the zero diagonal counts the row itself).  Two core rows i < j are
@@ -400,7 +362,6 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
     first core neighbor.  Whatever ``eps`` and ``min_pts`` are, no edge
     outlives its block and no n x n array is allocated.
     """
-    dist.validate()
     values = dist.values
     n = dist.n
     core = np.zeros(n, dtype=bool)
@@ -427,9 +388,7 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
         first = near.argmax(axis=1)  # its lowest core neighbor, if it has one
         reach = near[np.arange(rows.size), first]
         labels[rows[reach]] = labels[first[reach]]
-    out = PseudoLabeling(assignment=labels, num_clusters=roots.size)
-    out.validate()
-    return out
+    return PseudoLabeling(assignment=labels, num_clusters=roots.size)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +410,7 @@ def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
     euclid = pairwise_euclidean(feats)
     entries = _reciprocal_entries(euclid, k)
     del euclid  # freed before the Jaccard matrix is allocated
-    jaccard = DistanceMatrix(values=jaccard_rows(entries, target.n), metric=Metric.JACCARD)
+    jaccard = DistanceMatrix(values=jaccard_rows(entries, target.n))
     labeling = dbscan(jaccard, eps, min_pts)
     target.pseudo[:] = labeling.assignment
     return labeling

@@ -56,21 +56,13 @@ def split_query_gallery(ds: Dataset, per_id: int = 2) -> QueryGallerySplit:
     if ds.n == 0:
         raise ValueError("dataset is empty")
     require_identities(ds.identities, "dataset")
-    query_rows = []
-    gallery_rows = []
-    seen: dict[int, int] = {}
-    counts = {int(i): int(c) for i, c in zip(*np.unique(ds.identities, return_counts=True))}
-    for row in range(ds.n):
-        ident = int(ds.identities[row])
-        taken = seen.get(ident, 0)
-        quota = min(per_id, counts[ident] - 1)
-        if taken < quota:
-            query_rows.append(row)
-            seen[ident] = taken + 1
-        else:
-            gallery_rows.append(row)
-    split = QueryGallerySplit(query=ds.subset(np.array(query_rows, dtype=np.int64)),
-                              gallery=ds.subset(np.array(gallery_rows, dtype=np.int64)))
+    _, ident, counts = np.unique(ds.identities, return_inverse=True, return_counts=True)
+    order = np.argsort(ident, kind="stable")  # by identity, then row
+    rank = np.empty(ds.n, dtype=np.int64)  # a row's place among its identity's rows
+    rank[order] = np.arange(ds.n) - (np.cumsum(counts) - counts)[ident[order]]
+    query = rank < np.minimum(per_id, counts[ident] - 1)
+    split = QueryGallerySplit(query=ds.subset(np.flatnonzero(query)),
+                              gallery=ds.subset(np.flatnonzero(~query)))
     split.validate()
     return split
 

@@ -257,6 +257,23 @@ def rerank_ref(query, gallery, k1, k2, lam):
 # evaluation protocol
 # ---------------------------------------------------------------------------
 
+def split_query_gallery_ref(identities, per_id):
+    """(query rows, gallery rows): scanning the rows in order, each
+    identity's first min(per_id, count - 1) rows are queries."""
+    identities = [int(i) for i in identities]
+    counts = {i: identities.count(i) for i in set(identities)}
+    query_rows, gallery_rows = [], []
+    seen: dict[int, int] = {}
+    for row, ident in enumerate(identities):
+        taken = seen.get(ident, 0)
+        if taken < min(per_id, counts[ident] - 1):
+            query_rows.append(row)
+            seen[ident] = taken + 1
+        else:
+            gallery_rows.append(row)
+    return query_rows, gallery_rows
+
+
 def ap_ref(dist_row, qid, qcam, gids, gcams, top_limit):
     """(average precision, first-hit rank); (None, None) for invalid queries."""
     order = sorted(range(len(dist_row)), key=lambda j: (dist_row[j], j))

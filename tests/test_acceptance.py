@@ -254,6 +254,20 @@ def test_run_ablation_rejects_bad_seed_lists_before_any_arm(ablation_script, cap
     assert ran == []
 
 
+@pytest.mark.parametrize("value,why", [
+    ("nan", "must be finite, got nan"), ("inf", "must be finite, got inf"),
+    ("-0.1", "must be in [0, 1], got -0.1"), ("1.5", "must be in [0, 1], got 1.5"),
+])
+def test_run_ablation_rejects_bad_fidelity_before_any_arm(ablation_script, capsys, value, why):
+    script, ran = ablation_script
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--seeds", "0", f"--fidelity={value}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage:")
+    assert "argument --fidelity: config field 'translation_fidelity': " in err and why in err
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # criterion 6: repeated CLI invocations are byte-identical
 # ---------------------------------------------------------------------------

@@ -227,6 +227,18 @@ def test_rerank_writes_distance_matrix(arts, tmp_path):
     assert dist.shape == (48, 48) and np.all(np.isfinite(dist))
 
 
+def test_rerank_writes_exactly_the_out_path(arts, tmp_path):
+    base = ["rerank", "--query", arts["target"], "--gallery", arts["target"],
+            "--params", arts["pre"], "--out"]
+    ok(base + [tmp_path / "dist.npy"])
+    code, out, err = go(base + [tmp_path / "d"])
+    assert code == 0 and json.loads(out)["out"] == str(tmp_path / "d")
+    assert err.rstrip().endswith(f"to {tmp_path / 'd'}")
+    assert not (tmp_path / "d.npy").exists()
+    assert (tmp_path / "d").read_bytes() == (tmp_path / "dist.npy").read_bytes()
+    assert np.array_equal(np.load(tmp_path / "d"), np.load(tmp_path / "dist.npy"))
+
+
 def test_evaluate_payload_shape(arts):
     payload = ok(["evaluate", "--query", arts["target"], "--gallery",
                   arts["target"], "--params", arts["pre"]])

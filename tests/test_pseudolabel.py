@@ -11,9 +11,7 @@ from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.encoder import encode_dataset, init_params
 from uda_reid.errors import DegenerateStructureError
 from uda_reid.numerics import ROW_BLOCK, cdist, l2_normalize_rows
-from uda_reid.pseudolabel import (SYMMETRY_BLOCK, SYMMETRY_TOL,
-                                  DistanceMatrix, Metric, PseudoLabeling,
-                                  dbscan, jaccard_distance,
+from uda_reid.pseudolabel import (DistanceMatrix, PseudoLabeling, dbscan, jaccard_distance,
                                   jaccard_from_membership, jaccard_rows,
                                   k_reciprocal_neighbors, membership_entries,
                                   membership_matrix, nearest, pairwise_euclidean,
@@ -58,12 +56,10 @@ def reciprocal_sets(dm, k):
 def test_pairwise_euclidean_triangle():
     pts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
     dm = pairwise_euclidean(pts)
-    assert dm.metric is Metric.EUCLIDEAN
     assert dm.n == 3
     assert dm.values[0, 1] == pytest.approx(3.0, abs=1e-12)
     assert dm.values[1, 2] == pytest.approx(4.0, abs=1e-12)
     assert dm.values[0, 2] == pytest.approx(5.0, abs=1e-12)
-    dm.validate()
 
 
 def test_pairwise_matches_reference():
@@ -90,50 +86,6 @@ def test_pairwise_euclidean_errors():
         pairwise_euclidean(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="finite"):
         pairwise_euclidean(np.array([[np.inf, 0.0]]))
-
-
-def test_distance_matrix_validate():
-    with pytest.raises(ValueError, match="square"):
-        DistanceMatrix(np.zeros((2, 3)), Metric.EUCLIDEAN).validate()
-    with pytest.raises(ValueError, match="finite"):
-        DistanceMatrix(np.array([[0.0, np.nan], [np.nan, 0.0]]),
-                       Metric.EUCLIDEAN).validate()
-    with pytest.raises(ValueError, match="diagonal"):
-        DistanceMatrix(np.array([[0.1, 1.0], [1.0, 0.0]]),
-                       Metric.EUCLIDEAN).validate()
-    skew = np.array([[0.0, 1.0], [1.1, 0.0]])
-    with pytest.raises(ValueError, match="asymmetry"):
-        DistanceMatrix(skew, Metric.EUCLIDEAN).validate()
-    with pytest.raises(ValueError, match="jaccard"):
-        DistanceMatrix(np.array([[0.0, 1.5], [1.5, 0.0]]),
-                       Metric.JACCARD).validate()
-    # the same values are fine under a metric without the [0, 1] constraint
-    DistanceMatrix(np.array([[0.0, 1.5], [1.5, 0.0]]), Metric.EUCLIDEAN).validate()
-
-
-@pytest.mark.parametrize("metric", list(Metric))
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["off-diagonal", "diagonal", "whole"])
-def test_distance_matrix_validate_rejects_non_finite(metric, bad, where):
-    # min and max carry the finiteness check: NaN propagates through both,
-    # and +-inf shows in one of them, whichever entries the rest hold
-    v = np.full((SYMMETRY_BLOCK + 5, SYMMETRY_BLOCK + 5), 0.5)
-    np.fill_diagonal(v, 0.0)
-    if where == "off-diagonal":
-        v[7, SYMMETRY_BLOCK + 2] = v[SYMMETRY_BLOCK + 2, 7] = bad
-    elif where == "diagonal":
-        v[3, 3] = bad
-    else:
-        v[:] = bad
-    with pytest.raises(ValueError, match="non-finite distance values"):
-        DistanceMatrix(v, metric).validate()
-
-
-@pytest.mark.parametrize("metric", list(Metric))
-def test_distance_matrix_validate_accepts_empty(metric):
-    DistanceMatrix(np.zeros((0, 0)), metric).validate()
-    with pytest.raises(ValueError, match="square"):
-        DistanceMatrix(np.zeros((0, 3)), metric).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +251,19 @@ def test_jaccard_rejects_all_empty_membership():
 def test_jaccard_distance_matches_reference(seed):
     dm = random_distances(seed, n=10)
     got = jaccard_distance(dm, k=3)
-    assert got.metric is Metric.JACCARD
     ref = oracles.jaccard_distance_ref(dm.values, 3)
     assert np.allclose(got.values, ref, atol=1e-10)
-    got.validate()
 
 
 def test_jaccard_exactly_symmetric_across_blocks():
-    n = SYMMETRY_BLOCK + 44  # two blocks of the symmetry check
+    n = 300  # several row blocks of the Jaccard kernel
     rng = np.random.default_rng(0)
     v = rng.random((n, n)) * (rng.random((n, n)) < 0.05)
     v[:3] = 0.0  # rows with empty support
     d = jaccard_from_membership(v)
     assert np.allclose(d, oracles.jaccard_ref(v), atol=1e-12)
     assert np.array_equal(d, d.T)
-    DistanceMatrix(d, Metric.JACCARD).validate()
+    assert np.all(np.diag(d) == 0.0) and d.min() >= 0.0 and d.max() <= 1.0
 
 
 @pytest.mark.parametrize("seed,k", [(seed, k) for seed in [*range(4), "lattice", "duplicates"]
@@ -492,32 +442,9 @@ def test_dbscan_permutation_invariant_up_to_relabeling():
     dm = pairwise_euclidean(pts)
     base = dbscan(dm, eps=1.5, min_pts=3)
     perm = rng.permutation(10)
-    shuffled = DistanceMatrix(dm.values[np.ix_(perm, perm)], Metric.EUCLIDEAN)
+    shuffled = DistanceMatrix(dm.values[np.ix_(perm, perm)])
     permuted = dbscan(shuffled, eps=1.5, min_pts=3)
     assert oracles.same_partition(base.assignment[perm], permuted.assignment)
-
-
-def test_distance_matrix_symmetry_checked_in_every_row_block():
-    n = 2 * SYMMETRY_BLOCK + 3
-    v = np.ones((n, n))
-    np.fill_diagonal(v, 0.0)
-    v[n - 1, 1] += 0.9 * SYMMETRY_TOL  # within tolerance: accepted
-    DistanceMatrix(v, Metric.EUCLIDEAN).validate()
-    b = SYMMETRY_BLOCK
-    for row, col in [(n - 1, 0), (0, n - 1), (b, b - 1),
-                     (10, b + 20),  # a tile above the diagonal
-                     (b + 20, 10),  # a tile below it
-                     (2 * b + 1, 2 * b + 2), (b + 5, 2 * b + 2)]:  # the partial last tiles
-        skew = v.copy()
-        skew[row, col] += 2 * SYMMETRY_TOL
-        with pytest.raises(ValueError, match="asymmetry"):
-            DistanceMatrix(skew, Metric.EUCLIDEAN).validate()
-
-
-def test_dbscan_input_errors():
-    skew = DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), Metric.EUCLIDEAN)
-    with pytest.raises(ValueError, match="asymmetry"):
-        dbscan(skew, eps=1.0, min_pts=1)
 
 
 def assert_dbscan_is_reference(dm, eps, min_pts):
@@ -602,28 +529,28 @@ def test_dbscan_no_core_and_every_row_core():
 @pytest.mark.parametrize("gap", [0, 2 * ROW_BLOCK])
 def test_dbscan_links_core_rows_by_the_upper_triangle(upper_within, gap):
     # two groups of 5 close rows, joined only by D[i, j] (i < j) and D[j, i],
-    # which straddle eps within the symmetry tolerance; ``gap`` isolated rows
-    # between the groups put j in a later row block
+    # which straddle eps by 5e-7; ``gap`` isolated rows between the groups
+    # put j in a later row block
     n = 10 + gap
     v = np.full((n, n), 5.0)
     for group in (np.arange(5), np.arange(5 + gap, n)):
         v[np.ix_(group, group)] = 0.1
     np.fill_diagonal(v, 0.0)
     eps, i, j = 1.0, 4, 5 + gap
-    v[i, j], v[j, i] = (eps, eps + SYMMETRY_TOL / 2)[::1 if upper_within else -1]
-    out = assert_dbscan_is_reference(DistanceMatrix(v, Metric.EUCLIDEAN), eps, min_pts=5)
+    v[i, j], v[j, i] = (eps, eps + 5e-7)[::1 if upper_within else -1]
+    out = assert_dbscan_is_reference(DistanceMatrix(v), eps, min_pts=5)
     assert out.num_clusters == (1 if upper_within else 2)
 
 
 @pytest.mark.parametrize("min_pts,want", [(1, [0]), (2, [PSEUDO_OUTLIER])])
 def test_dbscan_single_row(min_pts, want):
-    out = dbscan(DistanceMatrix(np.zeros((1, 1)), Metric.JACCARD), eps=0.5, min_pts=min_pts)
+    out = dbscan(DistanceMatrix(np.zeros((1, 1))), eps=0.5, min_pts=min_pts)
     assert out.assignment.tolist() == want
     assert out.num_clusters == len(set(want) - {PSEUDO_OUTLIER})
 
 
 def test_dbscan_empty_matrix():
-    out = dbscan(DistanceMatrix(np.zeros((0, 0)), Metric.JACCARD), eps=0.5, min_pts=2)
+    out = dbscan(DistanceMatrix(np.zeros((0, 0))), eps=0.5, min_pts=2)
     assert out.assignment.size == 0 and out.num_clusters == 0
 
 
@@ -672,14 +599,7 @@ def test_dbscan_memory_does_not_grow_with_min_pts():
     assert np.array_equal(out.assignment, ref_labels)
 
 
-def test_pseudolabeling_validation():
-    PseudoLabeling(np.array([0, 1, PSEUDO_OUTLIER], dtype=np.int32), 2).validate()
-    with pytest.raises(ValueError, match="dense"):
-        PseudoLabeling(np.array([0, 2], dtype=np.int32), 2).validate()
-    with pytest.raises(ValueError, match="member"):
-        PseudoLabeling(np.array([0, 0], dtype=np.int32), 2).validate()
-    with pytest.raises(ValueError, match="num_clusters"):
-        PseudoLabeling(np.full(3, PSEUDO_OUTLIER, dtype=np.int32), 1).validate()
+def test_pseudolabeling_counts_outliers():
     lab = PseudoLabeling(np.array([0, PSEUDO_OUTLIER, 0], dtype=np.int32), 1)
     assert lab.num_outliers == 1
 
@@ -790,11 +710,61 @@ def test_relabel_epoch_equals_composed_jaccard_distance_bitwise(monkeypatch, see
 
     monkeypatch.setattr(pseudolabel, "dbscan", keep_input)
     got = relabel_epoch(ds, params, k=k, eps=eps, min_pts=min_pts)
-    assert len(seen) == 1 and seen[0].metric is Metric.JACCARD
+    assert len(seen) == 1
     assert np.array_equal(seen[0].values, jac.values)
     assert np.array_equal(got.assignment, want.assignment)
     assert got.num_clusters == want.num_clusters
     assert np.array_equal(ds.pseudo, want.assignment)
+
+
+def invariant_dataset(case):
+    """657 rows (ten row blocks and a partial eleventh) whose Jaccard kernel
+    runs in several term blocks: clustered, duplicated or lattice features."""
+    rng = np.random.default_rng(9)
+    n = 10 * ROW_BLOCK + 17
+    if case == "clustered":
+        return clustered_dataset(seed=9, ids=44, per_id=15, spread=4.0).subset(np.arange(n))
+    if case == "duplicates":  # 40 distinct rows, each repeated about 16 times
+        feats = rng.integers(1, 4, size=(40, 3))[rng.integers(0, 40, size=n)]
+    else:  # n distinct points of the 9^3 lattice: many exactly tied distances
+        grid = np.stack(np.meshgrid(*[np.arange(1, 10)] * 3), axis=-1).reshape(-1, 3)
+        feats = grid[rng.permutation(len(grid))[:n]]
+    ds = clustered_dataset(ids=1, per_id=n, d=3)
+    ds.features[:] = feats
+    return ds
+
+
+@pytest.mark.parametrize("case", ["clustered", "duplicates", "lattice"])
+def test_matrices_dbscan_trusts_hold_its_precondition_where_built(monkeypatch, case):
+    # dbscan checks nothing: the Euclidean matrix is square with an exactly
+    # zero diagonal, and the Jaccard one relabel_epoch hands it (bitwise
+    # jaccard_distance's) is also exactly symmetric and within [0, 1]
+    ds = invariant_dataset(case)
+    params = identity_encoder(ds.d)
+    k = 30
+    seen = []
+    clustering = pseudolabel.dbscan
+
+    def keep_input(dist, *args):
+        seen.append(dist.values)
+        return clustering(dist, *args)
+
+    monkeypatch.setattr(pseudolabel, "dbscan", keep_input)
+    relabel_epoch(ds, params, k=k, eps=0.6, min_pts=4)
+    euclid = pairwise_euclidean(l2_normalize_rows(encode_dataset(params, ds)))
+    _, members, _ = membership_entries(euclid, reciprocal_sets(euclid, k))
+    terms = np.bincount(members, minlength=ds.n)[members]  # a row's member meets its holders
+    assert terms.sum() > 5 * pseudolabel.JACCARD_TERMS
+    e = euclid.values
+    assert e.shape == (ds.n, ds.n) and np.all(np.diag(e) == 0.0) and np.all(np.isfinite(e))
+    if case != "clustered":
+        assert np.unique(e).size < e.size // 4  # ties beyond the mirrored pairs
+    d = seen[0]
+    assert np.array_equal(d, jaccard_distance(euclid, k).values)
+    assert d.shape == (ds.n, ds.n)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.all((d >= 0.0) & (d <= 1.0))
 
 
 def test_relabel_epoch_holds_one_dense_matrix():

@@ -49,6 +49,21 @@ def test_split_always_leaves_gallery_row_per_identity():
     assert split.query.n == 4 and split.gallery.n == 1
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("per_id", [1, 2, 3])
+def test_split_matches_the_row_scan_reference(seed, per_id):
+    # unsorted ids with gaps, singleton identities among larger ones
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 7, size=12)
+    sizes[:3] = 1
+    ids = rng.permutation(np.repeat(rng.choice(100, size=12, replace=False), sizes))
+    ds = labeled_dataset(ids, cameras=np.arange(ids.size))
+    split = split_query_gallery(ds, per_id=per_id)
+    query_rows, gallery_rows = oracles.split_query_gallery_ref(ids, per_id)
+    assert split.query.cameras.tolist() == query_rows  # a row's camera is its index
+    assert split.gallery.cameras.tolist() == gallery_rows
+
+
 def test_split_errors():
     with pytest.raises(ValueError, match="empty"):
         split_query_gallery(labeled_dataset([0]).subset(np.array([], dtype=np.int64)))
