@@ -1,18 +1,21 @@
 """Benchmark two checkouts in alternating pairs and write one BENCH_*.json.
 
-For every workload and every seed 1..PAIRS, ``bench/run.py`` runs for
-SECONDS once in the parent checkout and once in the change checkout, each
-run its own process started from its checkout's root.  The parent runs
-first on odd seeds and the change first on even seeds, so that a drift of
-the machine falls on both sides alike.  Every run pins BLAS to one thread
-itself.
+For every workload of BENCHMARK.json, in its order, and every seed
+1..PAIRS, ``bench/run.py`` runs for the file's ``run_seconds`` once in the
+parent checkout and once in the change checkout, each run its own process
+started from its checkout's root by this script's own interpreter.  The
+parent runs first on odd seeds and the change first on even seeds, so that a
+drift of the machine falls on both sides alike.  Every run pins BLAS to one
+thread itself.
 
 The output holds, per side and workload, the median of every end-to-end
 metric with its quartiles (q1, q3) and the summed ``attempted`` and
 ``failed`` counts; per workload and metric, in how many of the pairs the
 change read lower and in how many higher; with ``--claim``, the claimed
-metric's medians, the parent's quartile spread and the drop between the
-medians; and every run's metrics, so that each figure can be recomputed.
+metric's medians, the parent's quartile spread, the number of pairs in which
+the change read better, and the gain between the medians, positive when the
+change is better in the direction BENCHMARK.json gives the metric; and every
+run's metrics, so that each figure can be recomputed.
 The file is rewritten after every pair, so a cut run keeps what it measured.
 ``--claim`` is checked against the workload and end-to-end metric names in
 BENCHMARK.json before any run; a name it does not list is a usage error.
@@ -30,11 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("train_full", "relabel_4k", "rerank_3k")
 SIDES = ("parent", "change")
 PAIRS = 10  # seeds 1..PAIRS, one pair each
-SECONDS = 20  # bench/run.py --seconds
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def load_spec() -> dict:
+    return json.loads(BENCHMARK.read_text())
 
 
 def order(seed: int) -> tuple:
@@ -45,7 +50,7 @@ def order(seed: int) -> tuple:
 def claim_arg(text: str) -> str:
     """``--claim``'s WORKLOAD:METRIC, if BENCHMARK.json lists the workload and
     the end-to-end metric."""
-    spec = json.loads(BENCHMARK.read_text())
+    spec = load_spec()
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = [m["name"] for m in spec["end_to_end"]]
     workload, _, metric = text.partition(":")
@@ -56,10 +61,10 @@ def claim_arg(text: str) -> str:
     return text
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     """The JSON line that one ``bench/run.py`` process prints last."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -76,11 +81,10 @@ def _quartiles(values) -> dict:
 
 def summarize(runs: list, claim: str | None = None) -> dict:
     """Entries, pair counts and the optional claim from the runs, each a dict
-    with ``side``, ``workload``, ``seed`` and the run's ``result`` line.  A
-    pair counts once both of its runs are present."""
+    with ``side``, ``workload``, ``seed`` and the run's ``result`` line, in
+    workload order.  A pair counts once both of its runs are present."""
     entries, pairs = [], []
-    workloads = [w for w in WORKLOADS if any(r["workload"] == w for r in runs)]
-    for workload in workloads:
+    for workload in dict.fromkeys(r["workload"] for r in runs):
         by_side = {side: {r["seed"]: r["result"] for r in runs
                           if r["workload"] == workload and r["side"] == side}
                    for side in SIDES}
@@ -108,14 +112,15 @@ def summarize(runs: list, claim: str | None = None) -> dict:
     workload, metric = claim.split(":") if claim else (None, None)
     side = {e["side"]: e["metrics"][metric] for e in entries if e["workload"] == workload}
     if side:
+        better = next(m["better"] for m in load_spec()["end_to_end"] if m["name"] == metric)
         counts = next(p for p in pairs if p["workload"] == workload and p["metric"] == metric)
         parent, change = side["parent"]["value"], side["change"]["value"]
-        out["claim"] = {"workload": workload, "metric": metric, "pairs": counts["pairs"],
-                        "change_lower": counts["change_lower"],
+        gain = parent - change if better == "lower" else change - parent
+        out["claim"] = {"workload": workload, "metric": metric, "better": better,
+                        "pairs": counts["pairs"], "change_better": counts[f"change_{better}"],
                         "parent_median": parent, "change_median": change,
                         "parent_iqr": side["parent"]["q3"] - side["parent"]["q1"],
-                        "median_drop": parent - change,
-                        "median_drop_pct": 100.0 * (parent - change) / parent}
+                        "gain": gain, "gain_pct": 100.0 * gain / parent}
     return out
 
 
@@ -135,10 +140,12 @@ def main(argv=None) -> int:
     p.add_argument("--title", default="", help="what the change does, in one line")
     args = p.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = load_spec()
+    seconds = spec["run_seconds"]
     header = {
         "change": args.title,
         "parent_commit": commit_of(checkouts["parent"]),
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {SECONDS} "
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds} "
                    "--trace 0",
         "machine": f"{os.cpu_count()} cores, Python {platform.python_version()}, "
                    f"numpy {np.__version__}; bench/run.py pins BLAS to one thread",
@@ -150,10 +157,10 @@ def main(argv=None) -> int:
                     "read lower or higher than the parent",
     }
     runs = []
-    for workload in WORKLOADS:
+    for workload in (w["name"] for w in spec["workloads"]):
         for seed in range(1, PAIRS + 1):
             for side in order(seed):
-                result = run_once(checkouts[side], workload, seed)
+                result = run_once(checkouts[side], workload, seed, seconds)
                 runs.append({"side": side, "workload": workload, "seed": seed,
                              "result": result})
                 print(f"{workload} seed {seed} {side}: op_s "

@@ -6,7 +6,8 @@ Conventions
 Machine-readable results are printed to standard output as a single JSON
 object; progress and diagnostics go to standard error.  Exit codes: 0 on
 success, 1 on usage errors, 2 on data or format errors, 3 on numerical
-failures (training divergence, gradient-check tolerance breach).
+failures (training divergence, gradient-check tolerance breach).  An output
+naming an input or the other output exits 2 before any work (``_check_writes``).
 
 ``--threads N`` caps BLAS/OpenMP parallelism; N below 1 exits 2 before any
 work starts.  The cap must be in place before numpy first loads, so this
@@ -157,6 +158,29 @@ def _add_rerank_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument("--" + name, type=type(param.default), default=param.default)
 
 
+_READS = ("config", "params", "params2", "data", "val", "source", "target", "query", "gallery")
+
+
+def _check_writes(args) -> None:
+    """Raise if ``--out`` or ``--log`` names a file that the command reads or
+    that the other names; a file is its device and inode once it exists, else
+    its resolved path.  ``cluster --out`` may name ``--data``: the in-place
+    rewrite that ``cluster`` documents."""
+    named, allowed = [], ("data", "out") if args.command == "cluster" else None
+    for flag in _READS + ("out", "log"):
+        value = getattr(args, flag, None)
+        for path in value if isinstance(value, list) else filter(None, [value]):
+            try:
+                st = os.stat(path)
+                key = st.st_dev, st.st_ino
+            except OSError:
+                key = os.path.realpath(path)
+            for other, seen in named:
+                if key == seen and flag not in _READS and (other, flag) != allowed:
+                    raise ValueError(f"--{flag} and --{other} name the same file: {path}")
+            named.append((flag, key))
+
+
 def _load_dataset(path):
     from .datamodel import load_features
 
@@ -167,9 +191,9 @@ def _train(args, stage) -> dict:
     """Run ``stage(val_split) -> (params, log)``, write the params to
     ``--out`` and the log to ``--log``, and return the command's summary.
     ``--val`` is loaded and both paths are opened before the stage runs, so
-    a bad file, or a path that cannot be written or that both flags name,
-    fails first.  If anything fails, the files opened here that did not
-    exist before are removed; appending nothing leaves a file unchanged."""
+    a bad file or a path that cannot be written fails first.  If anything
+    fails, the files opened here that did not exist before are removed;
+    appending nothing leaves a file unchanged."""
     from .encoder import save_params
     from .retrieval import split_query_gallery
 
@@ -180,8 +204,6 @@ def _train(args, stage) -> dict:
             if not os.path.exists(path):
                 created.append(path)
             open(path, "ab").close()
-        if args.log is not None and os.path.samefile(args.out, args.log):
-            raise ValueError(f"--log and --out name the same file: {args.log}")
         params, log = stage(val_split)
         save_params(args.out, params)
         if args.log is not None:
@@ -494,6 +516,7 @@ def run(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return 1
+        _check_writes(args)
         payload = args.handler(args)
     except _UsageError as exc:
         _note(str(exc))

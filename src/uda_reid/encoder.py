@@ -248,27 +248,19 @@ def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
 # ---------------------------------------------------------------------------
 
 def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> None:
-    """In place, teacher <- alpha*teacher + (1-alpha)*student on every array.
-    ``alpha`` is unchecked: ``StageConfig.validate`` owns its range, [0, 1]."""
-    t_arrays = teacher.all_arrays()
+    """In place, teacher <- alpha*teacher + (1-alpha)*student on every array
+    (equal shapes).  ``alpha`` is unchecked: ``StageConfig.validate`` owns its range."""
     s_arrays = student.all_arrays()
-    for name, t_arr in t_arrays.items():
-        s_arr = s_arrays[name]
-        if t_arr.shape != s_arr.shape:
-            raise ValueError(f"shape mismatch on {name}: {t_arr.shape} vs {s_arr.shape}")
+    for name, t_arr in teacher.all_arrays().items():
         t_arr *= alpha
-        t_arr += (1.0 - alpha) * s_arr
+        t_arr += (1.0 - alpha) * s_arrays[name]
     np.maximum(teacher.running_var, EPS_VAR, out=teacher.running_var)
 
 
 def queue_push(queue: np.ndarray, feats, capacity: int) -> np.ndarray:
     """A new FIFO queue: ``queue`` (rows, dim, oldest first; one per network of a
-    stack) with the L2-normalized ``feats`` appended, cut to its newest
-    ``capacity`` rows (unchecked: ``StageConfig.validate`` owns its range)."""
-    feats = np.asarray(feats, dtype=np.float64)
-    dim = queue.shape[-1]
-    if feats.ndim != queue.ndim or feats.shape[-1] != dim:
-        raise ValueError(f"expected (n, {dim}) rows, got {feats.shape}")
+    stack) with the L2-normalized ``feats`` rows of its width appended, cut to
+    its newest ``capacity`` rows (unchecked: ``StageConfig.validate`` owns it)."""
     normed = l2_normalize_rows(feats, "queue feature")
     return np.concatenate([queue, normed], axis=-2)[..., -capacity:, :]
 
@@ -292,13 +284,12 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """In-place decoupled-decay Adam: p -= lr*wd*p, then the bias-corrected
-    moment update.  A non-finite gradient rejects the whole step."""
+    """In-place decoupled-decay Adam on gradients of their parameters' shapes:
+    p -= lr*wd*p, then the bias-corrected moment update.  A non-finite
+    gradient rejects the whole step."""
     for name, grad in grads.items():
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(message=f"non-finite gradient for parameter '{name}'")
-        if params[name].shape != np.shape(grad):
-            raise ValueError(f"gradient shape mismatch on {name}")
     for name, grad in grads.items():
         p = params[name]
         if name not in state.slots:

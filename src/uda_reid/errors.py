@@ -16,7 +16,7 @@ class FormatError(ValueError):
 
 
 class MiningError(ValueError):
-    """A batch cannot supply a positive/negative pair for some anchor label."""
+    """A labelling has too few usable classes for a PK batch."""
 
     def __init__(self, labels, message):
         super().__init__(f"{message} (labels: {sorted(set(int(l) for l in labels))})")

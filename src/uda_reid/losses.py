@@ -13,6 +13,11 @@ The batch kernels also take a stack of batches on a leading network axis,
 (networks, n, ...) instead of (n, ...), with the per-row labels shared; their
 ``value`` is then one float64 per network, and each network's slice of the
 result is bitwise the unstacked call on that slice.
+
+Precondition, met by ``pipeline._train`` and not checked again here: every
+array is finite, the shapes of one call align, every label indexes a class of
+its logits or weights, and every anchor of :func:`softmax_triplet_loss` has an
+in-batch positive at another position and a negative.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MiningError
 from .numerics import (cdist, l2_normalize_rows, l2_normalize_rows_backward,
                        log_softmax, mT, sigmoid, softmax, softplus)
 
@@ -42,13 +46,6 @@ class LossOut:
     grads: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _as_float64(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 def _row_mean(terms) -> float | np.ndarray:
     """Mean over the last axis: a float for one batch, an array for a stack.
 
@@ -64,11 +61,9 @@ def _row_mean(terms) -> float | np.ndarray:
 
 def cross_entropy_batch(logits, labels) -> LossOut:
     """Mean cross-entropy over rows; gradient w.r.t. the full logit matrix."""
-    logits = _as_float64(logits, "logits")
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n, p = logits.shape[-2:]
-    if np.any(labels < 0) or np.any(labels >= p):
-        raise ValueError("label out of range")
+    n = logits.shape[-2]
     rows = np.arange(n)
     logp = log_softmax(logits)
     value = -_row_mean(logp[..., rows, labels])
@@ -87,22 +82,14 @@ def hardest_triplets(feats, labels):
 
     Returns (d_p, d_n, pos_idx, neg_idx).  Hardest positive is the farthest
     same-label row (anchor excluded); hardest negative the closest
-    other-label row.  Raises MiningError naming labels that lack a pair.
+    other-label row.  Takes float64 ``feats`` and int64 ``labels`` under
+    the module's precondition: every row has both.
     """
-    feats = _as_float64(feats, "batch")
-    labels = np.asarray(labels, dtype=np.int64)
     n = feats.shape[0]
     dist = cdist(feats, feats)
     same = labels[:, None] == labels[None, :]
+    diff = ~same
     np.fill_diagonal(same, False)
-    diff = ~(labels[:, None] == labels[None, :])
-
-    missing_pos = ~same.any(axis=1)
-    if missing_pos.any():
-        raise MiningError(labels[missing_pos], "anchors without an in-batch positive")
-    missing_neg = ~diff.any(axis=1)
-    if missing_neg.any():
-        raise MiningError(labels[missing_neg], "anchors without an in-batch negative")
 
     pos_idx = np.where(same, dist, -np.inf).argmax(axis=1)
     neg_idx = np.where(diff, dist, np.inf).argmin(axis=1)
@@ -117,7 +104,7 @@ def softmax_triplet_loss(feats, labels) -> LossOut:
     Gradients touch only each anchor and its mined positive/negative rows;
     the mining itself is treated as locally constant.
     """
-    feats = _as_float64(feats, "batch")
+    feats = np.asarray(feats, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = feats.shape[0]
     d_p, d_n, pos_idx, neg_idx = hardest_triplets(feats, labels)
@@ -145,12 +132,8 @@ def softmax_triplet_loss(feats, labels) -> LossOut:
 def soft_ce_batch(student_logits, teacher_logits) -> LossOut:
     """Mean over rows of -sum softmax(teacher) * log softmax(student); no
     gradient to the teacher."""
-    s = _as_float64(student_logits, "student_logits")
-    t = _as_float64(teacher_logits, "teacher_logits")
-    if s.shape != t.shape:
-        raise ValueError(f"length mismatch: {s.shape} vs {t.shape}")
-    if s.shape[-1] < 1:
-        raise ValueError("at least one class required")
+    s = np.asarray(student_logits, dtype=np.float64)
+    t = np.asarray(teacher_logits, dtype=np.float64)
     n = s.shape[-2]
     t_prob = softmax(t)
     s_logp = log_softmax(s)
@@ -173,12 +156,10 @@ def moco_batch(queries, keys_pos, queue, tau: float) -> LossOut:
     keys and queue entries are constants.  An empty queue gives zero loss.
     ``tau`` is unchecked: ``StageConfig.validate`` owns its range (> 0).
     """
-    queries = _as_float64(queries, "queries")
-    keys_pos = _as_float64(keys_pos, "keys_pos")
-    if queries.shape != keys_pos.shape:
-        raise ValueError("queries and positive keys must align")
+    queries = np.asarray(queries, dtype=np.float64)
+    keys_pos = np.asarray(keys_pos, dtype=np.float64)
+    queue = np.asarray(queue, dtype=np.float64)
     n = queries.shape[-2]
-    queue = _as_float64(queue, "queue")
     k = queue.shape[-2]
 
     q_hat = l2_normalize_rows(queries, "query")
@@ -211,15 +192,10 @@ def margin_classification_batch(features, class_weights, labels, mode: LossMode,
     raw features and raw class weights through the normalizations.  ``margin``
     and ``scale`` are unchecked: ``StageConfig.validate`` owns their ranges.
     """
-    feats = _as_float64(features, "features")
-    weights = _as_float64(class_weights, "class_weights")
+    feats = np.asarray(features, dtype=np.float64)
+    weights = np.asarray(class_weights, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n, d = feats.shape[-2:]
-    p = weights.shape[-2]
-    if weights.shape[-1] != d:
-        raise ValueError("feature/weight dimension mismatch")
-    if np.any(labels < 0) or np.any(labels >= p):
-        raise ValueError("label out of range")
+    n = feats.shape[-2]
 
     f_hat = l2_normalize_rows(feats, "feature")
     w_hat = l2_normalize_rows(weights, "class_weights")

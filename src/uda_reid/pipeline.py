@@ -116,11 +116,6 @@ class RunLog:
     def skipped_epochs(self) -> int:
         return sum(rec.skipped for rec in self.records)
 
-    def add(self, record: EpochRecord) -> None:
-        if self.records and record.epoch <= self.records[-1].epoch:
-            raise ValueError("epoch indices must increase")
-        self.records.append(record)
-
     def to_jsonl(self) -> str:
         """One JSON object per epoch."""
         lines = []
@@ -245,7 +240,8 @@ def _train(params: EncoderParams, cfg: StageConfig, data: Dataset, rng: np.rando
     from :func:`_batch_grads` is checked for finiteness before Adam steps
     and, with ``teachers`` (one per network), before the EMA and the queue
     push.  Any overflow or invalid operation in an epoch is a divergence
-    there too.  The record averages each part over every network and step;
+    there too.  This guard is the step's only finiteness check: the loss,
+    EMA, queue and Adam kernels take the arrays built here unchecked.  The record averages each part over every network and step;
     a missing total is the sum of the part sums over that count.
 
     Without a fixed class ``index``, each epoch starts with a relabel by the
@@ -331,7 +327,7 @@ def _train(params: EncoderParams, cfg: StageConfig, data: Dataset, rng: np.rando
         if val_split is not None:
             report = eval_encoder(eval_net, val_split)
             rec.val_map, rec.val_cmc1 = report.mAP, float(report.cmc[0])
-        log.add(rec)
+        log.records.append(rec)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ def script():
     return module
 
 
-def result(op_s, rss, correct=True, attempted=3):
+def result(op_s, rss, correct=True, attempted=3, **fractions):
     """One ``bench/run.py`` result line, as parsed JSON."""
     return {"correct": correct, "attempted": attempted, "failed": 0,
             "metrics": {"op_s": {"value": op_s, "unit": "s"},
-                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+                        "peak_rss_mb": {"value": rss, "unit": "MB"},
+                        **{name: {"value": value, "unit": "fraction"}
+                           for name, value in fractions.items()}}}
 
 
 def runs_of(workload, parent, change):
@@ -55,10 +57,26 @@ def test_summary_medians_quartiles_and_pair_counts(script):
     assert counts["relabel_4k", "op_s"] == (5, 4, 1)
     assert counts["relabel_4k", "peak_rss_mb"] == (5, 3, 1)  # seed 2 ties
     assert counts["rerank_3k", "op_s"] == (5, 0, 0)
-    assert out["claim"] == {"workload": "relabel_4k", "metric": "op_s", "pairs": 5,
-                            "change_lower": 4, "parent_median": 3.0, "change_median": 1.0,
-                            "parent_iqr": 2.0, "median_drop": 2.0,
-                            "median_drop_pct": pytest.approx(200.0 / 3.0)}
+    assert out["claim"] == {"workload": "relabel_4k", "metric": "op_s", "better": "lower",
+                            "pairs": 5, "change_better": 4, "parent_median": 3.0,
+                            "change_median": 1.0, "parent_iqr": 2.0, "gain": 2.0,
+                            "gain_pct": pytest.approx(200.0 / 3.0)}
+
+
+def test_claim_on_a_higher_is_better_metric_counts_higher_pairs_as_better(script):
+    # map_rerank improves in 4 of 5 pairs: 4 better pairs and a positive gain
+    parent = [0.60, 0.70, 0.80, 0.90, 0.75]
+    change = [0.65, 0.72, 0.79, 0.95, 0.80]
+    runs = [{"side": side, "workload": "rerank_3k", "seed": seed,
+             "result": result(1.0, 100.0, map_rerank=value)}
+            for side, values in (("parent", parent), ("change", change))
+            for seed, value in enumerate(values, 1)]
+    claim = script.summarize(runs, claim="rerank_3k:map_rerank")["claim"]
+    assert claim["better"] == "higher"
+    assert claim["pairs"] == 5 and claim["change_better"] == 4
+    assert claim["parent_median"] == 0.75 and claim["change_median"] == 0.79
+    assert claim["gain"] == pytest.approx(0.04) and claim["gain"] > 0
+    assert claim["gain_pct"] == pytest.approx(100.0 * 0.04 / 0.75)
 
 
 def test_summary_without_the_claimed_workload_has_no_claim(script):
@@ -71,8 +89,9 @@ def test_summary_without_the_claimed_workload_has_no_claim(script):
 def test_main_alternates_and_rewrites_after_every_pair(script, monkeypatch, tmp_path):
     calls = []
 
-    def fake_run(checkout, workload, seed):
+    def fake_run(checkout, workload, seed, seconds):
         calls.append((checkout.name, workload, seed))
+        assert seconds == 20
         return result(seed + (0.5 if checkout.name == "new" else 1.0), 50.0)
 
     monkeypatch.setattr(script, "run_once", fake_run)
@@ -83,15 +102,43 @@ def test_main_alternates_and_rewrites_after_every_pair(script, monkeypatch, tmp_
     out = tmp_path / "BENCH_0.json"
     assert script.main(["--parent", str(tmp_path / "old"), "--change", str(tmp_path / "new"),
                         "--out", str(out), "--claim", "rerank_3k:op_s"]) == 0
+    workloads = [w["name"] for w in json.loads(script.BENCHMARK.read_text())["workloads"]]
     pairs = [("old", 1), ("new", 1), ("new", 2), ("old", 2), ("old", 3), ("new", 3)]
-    assert [(name, seed) for name, _, seed in calls] == pairs * len(script.WORKLOADS)
-    assert [workload for _, workload, _ in calls[::len(pairs)]] == list(script.WORKLOADS)
+    assert [(name, seed) for name, _, seed in calls] == pairs * len(workloads)
+    assert [workload for _, workload, _ in calls[::len(pairs)]] == workloads
     written = json.loads(out.read_text())
-    assert written["claim"]["change_lower"] == 3
-    assert written["claim"]["median_drop"] == 0.5
-    assert len(written["runs"]) == 6 * len(script.WORKLOADS)
+    assert written["claim"]["change_better"] == 3
+    assert written["claim"]["gain"] == 0.5
+    assert len(written["runs"]) == 6 * len(workloads)
     assert "--seconds 20 " in written["command"]
     assert written["protocol"].startswith("3 pairs per workload on seeds 1-3,")
+
+
+def test_main_runs_exactly_the_files_workloads_in_its_order(script, monkeypatch, tmp_path):
+    # a spec with the workloads reordered and one dropped, and another run time
+    spec = json.loads(script.BENCHMARK.read_text())
+    spec["workloads"] = spec["workloads"][::-1][:2]
+    spec["run_seconds"] = 7
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((workload, seconds))
+        return result(1.0, 50.0)
+
+    monkeypatch.setattr(script, "BENCHMARK", bench)
+    monkeypatch.setattr(script, "run_once", fake_run)
+    monkeypatch.setattr(script, "commit_of", lambda checkout: None)
+    monkeypatch.setattr(script, "PAIRS", 1)
+    out = tmp_path / "BENCH_0.json"
+    assert script.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                        "--out", str(out)]) == 0
+    names = [w["name"] for w in spec["workloads"]]
+    assert calls == [(name, 7) for name in names for _ in range(2)]
+    written = json.loads(out.read_text())
+    assert [e["workload"] for e in written["entries"]] == [n for n in names for _ in range(2)]
+    assert "--seconds 7 " in written["command"]
 
 
 @pytest.mark.parametrize("claim", ["op_s", "relabel_4k:op_sec", "relabel4k:op_s", ":op_s",

@@ -654,6 +654,69 @@ def test_log_and_out_naming_one_file_exits_2_before_training(command, out, log, 
         assert (tmp_path / "x").read_bytes() == b"kept"
 
 
+TRAIN_IN = ["--data", "t.bin"]
+BASE_IN = ["--params", "p.params", "--data", "g.bin"]
+MMT_IN = ["--params", "p.params", "--source", "s.bin", "--target", "g.bin"]
+RETRIEVE_IN = ["--query", "g.bin", "--gallery", "s.bin", "--params", "p.params"]
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["pretrain", "--data", "t.bin", "--out", "t.bin"], "--out and --data"),
+    (["pretrain", "--data", "t.bin", "--out", "link.bin"], "--out and --data"),
+    (["pretrain", *TRAIN_IN, "--val", "g.bin", "--out", "o.params", "--log", "g.bin"],
+     "--log and --val"),
+    (["pretrain", *TRAIN_IN, "--config", "c.cfg", "--out", "./c.cfg"], "--out and --config"),
+    (["baseline", *BASE_IN, "--out", "p.params"], "--out and --params"),
+    (["baseline", *BASE_IN, "--out", "o.params", "--log", "g.bin"], "--log and --data"),
+    (["mmtplus", *MMT_IN, "--out", "s.bin"], "--out and --source"),
+    (["mmtplus", *MMT_IN, "--params2", "q.params", "--out", "q.params"],
+     "--out and --params2"),
+    (["mmtplus", *MMT_IN, "--out", "o.params", "--log", "g.bin"], "--log and --target"),
+    (["cluster", "--params", "p.params", "--data", "g.bin", "--out", "p.params"],
+     "--out and --params"),
+    (["rerank", *RETRIEVE_IN, "--out", "g.bin"], "--out and --query"),
+    (["rerank", *RETRIEVE_IN, "--out", "s.bin"], "--out and --gallery"),
+    (["rerank", *RETRIEVE_IN, "--out", "p.params"], "--out and --params"),
+    (["ensemble", "--data", "g.bin", "--params", "p.params", "--out", "g.bin"],
+     "--out and --data"),
+    (["ensemble", "--data", "g.bin", "--params", "p.params", "--params", "q.params",
+      "--out", "q.params"], "--out and --params"),
+])
+def test_output_naming_an_input_exits_2_before_any_work(argv, flags, arts, tmp_path,
+                                                       monkeypatch, no_training):
+    # no input is read, every input keeps its bytes and no file is created
+    monkeypatch.chdir(tmp_path)
+    for name, key in (("t.bin", "translated"), ("s.bin", "source"), ("g.bin", "target"),
+                      ("p.params", "pre"), ("q.params", "pre")):
+        shutil.copyfile(arts[key], name)
+    (tmp_path / "c.cfg").write_text("epochs = 1\n")
+    os.symlink("t.bin", "link.bin")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def no_read(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr("uda_reid.datamodel.load_features", no_read)
+    monkeypatch.setattr("uda_reid.encoder.load_params", no_read)
+    code, out, err = go(argv)
+    assert code == 2 and out == "", err
+    path = argv[argv.index(flags.split()[0]) + 1]
+    assert f"error: {flags} name the same file: {path}" in err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_cluster_out_may_name_its_data(arts, tmp_path, monkeypatch):
+    # the documented in-place rewrite, spelled through --out
+    monkeypatch.chdir(tmp_path)
+    shutil.copyfile(arts["target"], "g.bin")
+    before = (tmp_path / "g.bin").read_bytes()
+    payload = ok(["cluster", "--params", arts["pre"], "--data", "g.bin", "--out", "./g.bin",
+                  "--k", "10"])
+    assert payload["data"] == "./g.bin"
+    assert (tmp_path / "g.bin").read_bytes() != before
+    assert os.listdir(tmp_path) == ["g.bin"]
+
+
 @pytest.mark.parametrize("command,argv", [
     ("pretrain", ["--data", "missing.bin", "--lr", "-1"]),
     ("baseline", ["--params", "missing.params", "--data", "missing.bin", "--lr", "-1"]),

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uda_reid.datamodel import Dataset
 from uda_reid.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_VAR, AdamState,
@@ -219,6 +221,24 @@ def test_pk_sample_replacement_for_thin_classes():
     assert list(idx[picked == 1]) == [3, 3]
 
 
+@settings(max_examples=60)
+@given(data=st.data(), p=st.integers(2, 5), k=st.integers(2, 5), seed=st.integers(0, 2**16))
+def test_pk_batch_rows_each_have_a_positive_and_a_negative(data, p, k, seed):
+    # what the triplet mining trusts: classes of 1 to k+2 rows, outliers too
+    sizes = data.draw(st.lists(st.integers(1, k + 2), min_size=p, max_size=p + 3))
+    outliers = data.draw(st.integers(0, 3))
+    labels = np.concatenate([np.repeat(np.arange(len(sizes)), sizes),
+                             np.full(outliers, -1)])
+    labels = np.random.default_rng(seed).permutation(labels)
+    rows, batch = pk_sample(class_index(labels), p, k, np.random.default_rng(seed))
+    assert rows.shape == batch.shape == (p * k,) and batch.dtype == np.int64
+    assert np.array_equal(batch, labels[rows]) and np.all(batch >= 0)  # own, usable
+    same = batch[:, None] == batch[None, :]
+    assert np.all(same.sum(axis=1) == k)  # k - 1 positives at other positions
+    assert not np.any(same.all(axis=1))  # and a negative
+    assert np.unique(batch).size == p
+
+
 def test_pk_sample_requires_enough_classes():
     with pytest.raises(MiningError, match="usable"):
         pk_sample(class_index(np.array([0, 0, -1])), p_classes=2, k_per=1,
@@ -299,14 +319,6 @@ def test_ema_keeps_variance_floor():
     assert np.all(teacher.running_var >= EPS_VAR)
 
 
-def test_ema_errors():
-    teacher = small_params()
-    student = small_params()
-    student.classifier = np.zeros((9, teacher.d_out))
-    with pytest.raises(ValueError, match="classifier"):
-        ema_update(teacher, student, alpha=0.5)
-
-
 # ---------------------------------------------------------------------------
 # feature queue
 # ---------------------------------------------------------------------------
@@ -351,8 +363,6 @@ def test_queue_ordering_across_batches():
 
 def test_queue_errors():
     q = np.zeros((0, 3))
-    with pytest.raises(ValueError, match="expected"):
-        queue_push(q, np.ones((1, 2)), 2)
     with pytest.raises(NormalizationError):
         queue_push(q, np.zeros((1, 3)), 2)
 
@@ -415,12 +425,6 @@ def test_adam_rejects_nonfinite_gradient():
     with pytest.raises(DivergenceError, match="p"):
         adam_step(params, {"p": np.array([np.nan])}, state)
     assert np.array_equal(params["p"], before)  # step rejected wholesale
-
-
-def test_adam_shape_mismatch():
-    params = {"p": np.ones((2, 2))}
-    with pytest.raises(ValueError, match="shape"):
-        adam_step(params, {"p": np.ones(3)}, AdamState(lr=0.01, weight_decay=0.0))
 
 
 def test_adam_reset_restarts_bias_correction():

@@ -1,5 +1,6 @@
 """Stage orchestration: configs, run logs, the three training stages, and
 the bundled benchmark."""
+import inspect
 import json
 import math
 import os
@@ -148,20 +149,10 @@ def test_epoch_record_drops_unset_fields():
     assert skipped.to_dict() == {"epoch": 0, "skipped": True, "num_clusters": 0}
 
 
-def test_runlog_requires_increasing_epochs():
-    log = RunLog(stage="s", seed=0)
-    log.add(EpochRecord(epoch=0))
-    log.add(EpochRecord(epoch=2))
-    with pytest.raises(ValueError, match="increase"):
-        log.add(EpochRecord(epoch=2))
-    with pytest.raises(ValueError, match="increase"):
-        log.add(EpochRecord(epoch=1))
-
-
 def test_runlog_jsonl_shape():
     log = RunLog(stage="pretrain", seed=7)
-    log.add(EpochRecord(epoch=0, cls=1.0, lr=0.002))
-    log.add(EpochRecord(epoch=1, cls=0.5, lr=0.002))
+    log.records += [EpochRecord(epoch=0, cls=1.0, lr=0.002),
+                    EpochRecord(epoch=1, cls=0.5, lr=0.002)]
     text = log.to_jsonl()
     assert text.endswith("\n")
     lines = text.splitlines()
@@ -176,10 +167,9 @@ def test_runlog_jsonl_shape():
 def test_runlog_final_val_map():
     log = RunLog(stage="s", seed=0)
     assert log.final_val_map is None
-    log.add(EpochRecord(epoch=0, val_map=0.4))
-    log.add(EpochRecord(epoch=1))
+    log.records += [EpochRecord(epoch=0, val_map=0.4), EpochRecord(epoch=1)]
     assert log.final_val_map == 0.4
-    log.add(EpochRecord(epoch=2, val_map=0.7))
+    log.records.append(EpochRecord(epoch=2, val_map=0.7))
     assert log.final_val_map == 0.7
 
 
@@ -647,6 +637,124 @@ def test_mmt_is_bitwise_deterministic(bench, pretrained, student_stacks):
     students_a, students_b = (unstack_params(s) for s in student_stacks)
     assert all_equal(students_a[1], students_b[1])
     assert log_a.to_jsonl() == log_b.to_jsonl()
+
+
+# ---------------------------------------------------------------------------
+# the arrays the step's kernels trust
+# ---------------------------------------------------------------------------
+
+def finite64(*arrays):
+    for arr in arrays:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert np.all(np.isfinite(arr))
+
+
+def labels_index(labels, rows, classes):
+    assert isinstance(labels, np.ndarray) and labels.dtype == np.int64
+    assert labels.shape == (rows,)
+    assert labels.min() >= 0 and labels.max() < classes
+
+
+def triplet_batch(feats, labels):
+    finite64(feats)
+    assert feats.ndim == 2
+    labels_index(labels, len(feats), labels.max() + 1)
+    same = labels[:, None] == labels[None, :]
+    assert np.all(same.sum(axis=1) >= 2)  # a positive at another position
+    assert not np.any(same.all(axis=1))  # and a negative
+
+
+def same_leading(a, b):
+    """Equal network axes, equal feature widths."""
+    assert a.shape[:-2] == b.shape[:-2] and a.shape[-1] == b.shape[-1]
+
+
+def ce_args(logits, labels):
+    finite64(logits)
+    labels_index(labels, logits.shape[-2], logits.shape[-1])
+
+
+def soft_ce_args(student_logits, teacher_logits):
+    finite64(student_logits, teacher_logits)
+    assert student_logits.shape == teacher_logits.shape
+
+
+def moco_args(queries, keys_pos, queue, tau):
+    finite64(queries, keys_pos, queue)
+    assert queries.shape == keys_pos.shape
+    same_leading(queue, queries)
+
+
+def margin_args(features, class_weights, labels, mode, margin, scale):
+    finite64(features, class_weights)
+    same_leading(class_weights, features)
+    labels_index(labels, features.shape[-2], class_weights.shape[-2])
+
+
+def adam_args(params, grads, state):
+    for name, grad in grads.items():
+        finite64(params[name], grad)
+        assert params[name].shape == grad.shape
+
+
+def ema_args(teacher, student, alpha):
+    for name, arr in teacher.all_arrays().items():
+        other = student.all_arrays()[name]
+        finite64(arr, other)
+        assert arr.shape == other.shape
+
+
+def queue_args(queue, feats, capacity):
+    finite64(queue, feats)
+    assert feats.ndim == queue.ndim
+    same_leading(feats, queue)
+
+
+# what each kernel of the step trusts of its arguments, by parameter name
+PRECONDITIONS = {
+    (losses, "cross_entropy_batch"): ce_args,
+    (losses, "softmax_triplet_loss"): triplet_batch,
+    (losses, "hardest_triplets"): triplet_batch,
+    (losses, "soft_ce_batch"): soft_ce_args,
+    (losses, "moco_batch"): moco_args,
+    (losses, "margin_classification_batch"): margin_args,
+    (pipeline, "adam_step"): adam_args,
+    (pipeline, "ema_update"): ema_args,
+    (pipeline, "queue_push"): queue_args,
+}
+
+
+@pytest.mark.parametrize("mode", list(LossMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("stage", ["pretrain", "baseline", "mmt_joint", "mmt_solo"])
+def test_step_kernels_get_what_they_trust(bench, pretrained, monkeypatch, stage, mode):
+    # the kernels no longer check these arrays: each call of a tiny run of
+    # every stage, under every hard loss, must meet what they trust
+    calls = {}
+
+    def checked(name, real, check):
+        signature = inspect.signature(real)
+
+        def wrapped(*args, **kwargs):
+            check(**signature.bind(*args, **kwargs).arguments)
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for (module, name), check in PRECONDITIONS.items():
+        monkeypatch.setattr(module, name, checked(name, getattr(module, name), check))
+    cfg = tiny_cfg(loss_mode=mode, joint_source=stage == "mmt_joint")
+    if stage == "pretrain":
+        stage_pretrain(bench.translated, cfg)
+    elif stage == "baseline":
+        stage_baseline(pretrained, fresh_target(bench), cfg)
+    else:
+        stage_mmt_plus(pretrained, bench.source, fresh_target(bench), cfg)
+    hard = ("cross_entropy_batch" if mode is LossMode.PLAIN_CE
+            else "margin_classification_batch")
+    parts = ({"softmax_triplet_loss", "hardest_triplets"} if stage in ("pretrain", "baseline")
+             else {"soft_ce_batch", "moco_batch", "ema_update", "queue_push"})
+    assert set(calls) == {hard, "cross_entropy_batch", "adam_step"} | parts
+    assert calls["adam_step"] == cfg.epochs * cfg.iters_per_epoch
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,6 @@ def test_queue_push_keeps_one_fifo_per_network():
         stacked = queue_push(stacked, feats, 5)
         singles = [queue_push(queue, feats[i], 5) for i, queue in enumerate(singles)]
         assert same(stacked, singles)
-    with pytest.raises(ValueError, match="rows"):
-        queue_push(stacked, rng.normal(size=(2, 3)), 5)
 
 
 def test_normalize_names_the_row_within_its_network():
