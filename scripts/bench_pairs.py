@@ -11,11 +11,15 @@ thread itself.
 The output holds, per side and workload, the median of every end-to-end
 metric with its quartiles (q1, q3) and the summed ``attempted`` and
 ``failed`` counts; per workload and metric, in how many of the pairs the
-change read lower and in how many higher; with ``--claim``, the claimed
-metric's medians, the parent's quartile spread, the number of pairs in which
-the change read better, and the gain between the medians, positive when the
-change is better in the direction BENCHMARK.json gives the metric; and every
-run's metrics, so that each figure can be recomputed.
+change read lower and in how many higher; ``regressions``, every workload's
+end-to-end metric whose change median is worse than the parent's by more
+than BENCHMARK.json's bound, a share of the parent's median; with
+``--claim``, the claimed metric's medians, the parent's quartile spread, the
+number of pairs in which the change read better, the gain between the
+medians, positive when the change is better in the direction BENCHMARK.json
+gives the metric, and ``met``: better in at least 9 of 10 pairs, with a gain
+above the parent's quartile spread; and every run's metrics, so that each
+figure can be recomputed.
 The file is rewritten after every pair, so a cut run keeps what it measured.
 ``--claim`` is checked against the workload and end-to-end metric names in
 BENCHMARK.json before any run; a name it does not list is a usage error.
@@ -80,9 +84,10 @@ def _quartiles(values) -> dict:
 
 
 def summarize(runs: list, claim: str | None = None) -> dict:
-    """Entries, pair counts and the optional claim from the runs, each a dict
-    with ``side``, ``workload``, ``seed`` and the run's ``result`` line, in
-    workload order.  A pair counts once both of its runs are present."""
+    """Entries, pair counts, regressions and the optional claim from the
+    runs, each a dict with ``side``, ``workload``, ``seed`` and the run's
+    ``result`` line, in workload order.  A pair counts once both of its runs
+    are present."""
     entries, pairs = [], []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_side = {side: {r["seed"]: r["result"] for r in runs
@@ -108,19 +113,40 @@ def summarize(runs: list, claim: str | None = None) -> dict:
             pairs.append({"workload": workload, "metric": name, "pairs": len(seeds),
                           "change_lower": sum(d < 0 for d in diffs),
                           "change_higher": sum(d > 0 for d in diffs)})
-    out = {"entries": entries, "pairs": pairs}
+    spec = {m["name"]: m for m in load_spec()["end_to_end"]}
+    median = {(e["workload"], e["side"], name): m
+              for e in entries for name, m in e["metrics"].items()}
+    compared = [(workload, name) for workload, side, name in median
+                if side == "change" and name in spec and (workload, "parent", name) in median]
+
+    def medians(workload, name):
+        return tuple(median[workload, side, name]["value"] for side in SIDES)
+
+    def gain(workload, name):
+        """Parent median to change median, positive when the change is better."""
+        parent, change = medians(workload, name)
+        return parent - change if spec[name]["better"] == "lower" else change - parent
+
+    regressions = []
+    for workload, name in compared:
+        parent, change = medians(workload, name)
+        if -gain(workload, name) > spec[name]["bound"] * abs(parent):
+            regressions.append({"workload": workload, "metric": name, "parent_median": parent,
+                                "change_median": change, "bound": spec[name]["bound"]})
+    out = {"entries": entries, "pairs": pairs, "regressions": regressions}
     workload, metric = claim.split(":") if claim else (None, None)
-    side = {e["side"]: e["metrics"][metric] for e in entries if e["workload"] == workload}
-    if side:
-        better = next(m["better"] for m in load_spec()["end_to_end"] if m["name"] == metric)
+    if (workload, metric) in compared:
+        better = spec[metric]["better"]
         counts = next(p for p in pairs if p["workload"] == workload and p["metric"] == metric)
-        parent, change = side["parent"]["value"], side["change"]["value"]
-        gain = parent - change if better == "lower" else change - parent
+        parent, change = medians(workload, metric)
+        iqr = median[workload, "parent", metric]["q3"] - median[workload, "parent", metric]["q1"]
+        change_better, claimed = counts[f"change_{better}"], gain(workload, metric)
         out["claim"] = {"workload": workload, "metric": metric, "better": better,
-                        "pairs": counts["pairs"], "change_better": counts[f"change_{better}"],
+                        "pairs": counts["pairs"], "change_better": change_better,
                         "parent_median": parent, "change_median": change,
-                        "parent_iqr": side["parent"]["q3"] - side["parent"]["q1"],
-                        "gain": gain, "gain_pct": 100.0 * gain / parent}
+                        "parent_iqr": iqr, "gain": claimed,
+                        "gain_pct": 100.0 * claimed / parent,
+                        "met": 10 * change_better >= 9 * counts["pairs"] > 0 and claimed > iqr}
     return out
 
 

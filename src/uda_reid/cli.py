@@ -161,14 +161,24 @@ def _add_rerank_flags(p: argparse.ArgumentParser) -> None:
 _READS = ("config", "params", "params2", "data", "val", "source", "target", "query", "gallery")
 
 
+def _synth_paths(out) -> list:
+    """The files ``synth`` writes in its ``--out`` directory, one per dataset."""
+    from .datamodel import SYNTH_NAMES
+
+    return [os.path.join(out, f"{name}.bin") for name in SYNTH_NAMES]
+
+
 def _check_writes(args) -> None:
     """Raise if ``--out`` or ``--log`` names a file that the command reads or
     that the other names; a file is its device and inode once it exists, else
-    its resolved path.  ``cluster --out`` may name ``--data``: the in-place
+    its resolved path.  ``synth``'s outputs are the files it writes in its
+    ``--out`` directory.  ``cluster --out`` may name ``--data``: the in-place
     rewrite that ``cluster`` documents."""
     named, allowed = [], ("data", "out") if args.command == "cluster" else None
     for flag in _READS + ("out", "log"):
         value = getattr(args, flag, None)
+        if (args.command, flag) == ("synth", "out"):
+            value = _synth_paths(value)
         for path in value if isinstance(value, list) else filter(None, [value]):
             try:
                 st = os.stat(path)
@@ -231,10 +241,8 @@ def _cmd_synth(args) -> dict:
 
     cfg = _config(SynthConfig, args)
     os.makedirs(args.out, exist_ok=True)
-    source, target, translated = generate_synthetic(cfg)
     paths = {}
-    for ds in (source, target, translated):
-        path = os.path.join(args.out, f"{ds.name}.bin")
+    for path, ds in zip(_synth_paths(args.out), generate_synthetic(cfg)):
         save_features(path, ds)
         paths[ds.name] = {"path": path, "rows": ds.n, "dim": ds.d}
         _note(f"wrote {path} ({ds.n} rows)")

@@ -55,6 +55,8 @@ NUISANCE_NOISE = 2.5
 CAMERA_OFFSET = 1.5
 CAMERA_SIGNAL = 0.9
 
+SYNTH_NAMES = ("source", "target", "translated")  # generate_synthetic's datasets, in order
+
 
 class Domain(enum.IntEnum):
     SOURCE = 0
@@ -306,10 +308,10 @@ def generate_synthetic(cfg: SynthConfig):
             name=name,
         ).validate()
 
-    source = build(src_obs, src_ids, src_cams, Domain.SOURCE, "source")
-    target = build(tgt_raw, tgt_ids, tgt_cams, Domain.TARGET, "target")
-    translated = build(translated_feats, src_ids, src_cams, Domain.TARGET, "translated")
-    return source, target, translated
+    parts = ((src_obs, src_ids, src_cams, Domain.SOURCE),
+             (tgt_raw, tgt_ids, tgt_cams, Domain.TARGET),
+             (translated_feats, src_ids, src_cams, Domain.TARGET))
+    return tuple(build(*part, name) for part, name in zip(parts, SYNTH_NAMES))
 
 
 # ---------------------------------------------------------------------------

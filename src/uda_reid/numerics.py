@@ -65,11 +65,23 @@ def l2_normalize_rows_backward(d_hat, x, x_hat):
     return (d_hat - radial * x_hat) / np.linalg.norm(x, axis=-1)[..., None]
 
 
+def finish_distances(products, a_sq, b_sq):
+    """Euclidean distances from the products a.b and the squared norms,
+    in place on ``products``: sqrt(max((|a|^2 + |b|^2) - 2 a.b, 0)).
+
+    Elementwise, so the products of any subset of row pairs, with their
+    norms gathered alike, finish to the bits that the whole block holds."""
+    products *= 2.0
+    np.subtract(a_sq + b_sq, products, out=products)
+    np.maximum(products, 0.0, out=products)
+    return np.sqrt(products, out=products)
+
+
 def cdist(a, b):
     """Euclidean distances between rows of ``a`` (n x d) and ``b`` (m x d).
 
-    sqrt(max((|a|^2 + |b|^2) - 2 a.b, 0)), finished in place on the one
-    (n, m) product by row blocks, so no other (n, m) array is allocated.
+    ``finish_distances`` on the one (n, m) product, in place by row blocks,
+    so no other (n, m) array is allocated.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -77,9 +89,5 @@ def cdist(a, b):
     bb = np.sum(b * b, axis=1)[None, :]
     out = a @ b.T
     for start in range(0, out.shape[0], ROW_BLOCK):
-        block = out[start:start + ROW_BLOCK]
-        block *= 2.0
-        np.subtract(aa[start:start + ROW_BLOCK] + bb, block, out=block)
-        np.maximum(block, 0.0, out=block)
-        np.sqrt(block, out=block)
+        finish_distances(out[start:start + ROW_BLOCK], aa[start:start + ROW_BLOCK], bb)
     return out

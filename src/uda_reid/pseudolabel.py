@@ -13,11 +13,13 @@ memberships as sparse (row, member, weight) entries, read through an
 inverted index, and its sums add the same terms in the same order as the
 dense forms ``membership_matrix`` and ``jaccard_from_membership`` would.
 
-The Euclidean matrix lives only until its rank table and the membership
-entries exist: ``jaccard_rows`` reads the entries alone, so the function
-that owns the matrix (``relabel_epoch`` here, ``rerank`` in retrieval)
-releases it before the Jaccard output is allocated, and each O(n^2) path
-holds at most one n x n float64 array at a time.
+``relabel_epoch`` here and ``rerank`` in retrieval never hold the Euclidean
+matrix: ``EuclideanRows`` computes it from the features one row block at a
+time, ranked block by block, and recomputes the blocks once more for the
+distances at the R* members, the membership entries that ``jaccard_rows``
+reads alone.  So relabel holds only its n x n Jaccard output, and ``rerank``
+holds no n x n array.  ``pairwise_euclidean`` concatenates the same blocks
+into the dense matrix that ``jaccard_distance`` reads.
 
 ``dbscan`` clusters without an n x n boolean: it scans the matrix by row
 blocks for its eps-edges, links the core-core edges of each block by array
@@ -36,7 +38,7 @@ import numpy as np
 from .datamodel import PSEUDO_OUTLIER, Dataset
 from .encoder import EncoderParams, encode_dataset
 from .errors import DegenerateStructureError
-from .numerics import ROW_BLOCK, cdist, l2_normalize_rows
+from .numerics import ROW_BLOCK, finish_distances, l2_normalize_rows
 
 JACCARD_TERMS = 1 << 16  # min terms per block of the Jaccard kernel
 
@@ -48,6 +50,12 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    def at(self, rows, members) -> np.ndarray:
+        return self.values[rows, members]
+
+    def ranked(self, m: int) -> np.ndarray:
+        return nearest(self.values, m)
 
 
 @dataclass
@@ -61,15 +69,61 @@ class PseudoLabeling:
         return int(np.sum(self.assignment == PSEUDO_OUTLIER))
 
 
+class EuclideanRows:
+    """The n x n Euclidean matrix of feature rows, computed from the features
+    one ROW_BLOCK-row block at a time: no n x n array is held.
+
+    ``blocks`` finishes each block's products with ``finish_distances`` and
+    zeroes its diagonal.  ``at`` recomputes the products of the blocks that
+    hold the entries asked for and finishes only those: the same products
+    and the same elementwise formula, so bitwise what the blocks hold.
+    """
+
+    def __init__(self, feats):
+        feats = np.asarray(feats, dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[0] < 1:
+            raise ValueError("need a non-empty (n, d) feature matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("non-finite feature values")
+        self.feats = feats
+        self.sq = np.sum(feats * feats, axis=1)
+
+    @property
+    def n(self) -> int:
+        return self.feats.shape[0]
+
+    def _products(self, lo: int) -> np.ndarray:
+        return self.feats[lo:lo + ROW_BLOCK] @ self.feats.T
+
+    def blocks(self):
+        """(lo, rows [lo, lo + ROW_BLOCK) of the matrix) per block, in order."""
+        for lo in range(0, self.n, ROW_BLOCK):
+            block = finish_distances(self._products(lo), self.sq[lo:lo + ROW_BLOCK, None],
+                                     self.sq)
+            diag = np.arange(block.shape[0])
+            block[diag, lo + diag] = 0.0
+            yield lo, block
+
+    def ranked(self, m: int) -> np.ndarray:
+        """``nearest(values, m)``, block by block."""
+        return np.concatenate([nearest(block, m) for _, block in self.blocks()])
+
+    def at(self, rows, members) -> np.ndarray:
+        """The entries (rows, members), ``rows`` in increasing order."""
+        out = np.empty(rows.size)
+        for lo in range(0, self.n, ROW_BLOCK):
+            span = slice(*np.searchsorted(rows, [lo, lo + ROW_BLOCK]))
+            p, g = rows[span], members[span]
+            if p.size:
+                out[span] = finish_distances(self._products(lo)[p - lo, g], self.sq[p],
+                                             self.sq[g])
+        out[rows == members] = 0.0
+        return out
+
+
 def pairwise_euclidean(feats) -> DistanceMatrix:
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise ValueError("need a non-empty (n, d) feature matrix")
-    if not np.all(np.isfinite(feats)):
-        raise ValueError("non-finite feature values")
-    values = cdist(feats, feats)
-    np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(values=values)
+    """The dense Euclidean matrix: ``EuclideanRows``' blocks, concatenated."""
+    return DistanceMatrix(values=np.concatenate([b for _, b in EuclideanRows(feats).blocks()]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +210,13 @@ def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
 # Jaccard distance over fuzzy neighborhood memberships
 # ---------------------------------------------------------------------------
 
-def membership_entries(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]):
+def membership_entries(dist, neighbor_sets: list[np.ndarray]):
     """(row, member, weight) per member of each R*(p), in row-major order,
     with weight exp(-D[p][g]): all that ``jaccard_rows`` reads of the
-    distance matrix."""
+    distance matrix, a ``DistanceMatrix`` or ``EuclideanRows``."""
     rows = np.repeat(np.arange(len(neighbor_sets)), list(map(len, neighbor_sets)))
     members = np.concatenate(neighbor_sets)
-    return rows, members, np.exp(-dist.values[rows, members])
+    return rows, members, np.exp(-dist.at(rows, members))
 
 
 def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> np.ndarray:
@@ -293,16 +347,14 @@ def jaccard_rows(entries, n: int, near: np.ndarray | None = None,
     return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows)
 
 
-def _reciprocal_entries(dist: DistanceMatrix, k: int):
-    """``membership_entries`` over the R*(p, k) sets of ``dist``."""
+def jaccard_distance(dist, k: int) -> DistanceMatrix:
+    """Jaccard distances over the R*(p, k) memberships of ``dist``, a
+    ``DistanceMatrix`` or ``EuclideanRows``: ranked once, then read at the
+    membership entries."""
     if not 1 <= k < dist.n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={dist.n}")
-    return membership_entries(dist, k_reciprocal_neighbors(nearest(dist.values, k + 1)))
-
-
-def jaccard_distance(dist: DistanceMatrix, k: int) -> DistanceMatrix:
-    """Jaccard distances over the R*(p, k) memberships."""
-    return DistanceMatrix(values=jaccard_rows(_reciprocal_entries(dist, k), dist.n))
+    entries = membership_entries(dist, k_reciprocal_neighbors(dist.ranked(k + 1)))
+    return DistanceMatrix(values=jaccard_rows(entries, dist.n))
 
 
 def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
@@ -398,8 +450,9 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
 def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
                   min_pts: int) -> PseudoLabeling:
     """Encode, build Jaccard distances, cluster, and write the assignment
-    into the dataset's pseudo column: ``jaccard_distance`` on the Euclidean
-    matrix, bit for bit, with the matrix released first.
+    into the dataset's pseudo column.  ``jaccard_distance`` runs on the
+    Euclidean row stream, so only the Jaccard matrix is n x n; it is bitwise
+    ``jaccard_distance`` on ``pairwise_euclidean``'s matrix.
 
     Encoded rows are L2-normalized first so that the exp(-d) fuzzy weights
     and the eps threshold operate on a fixed [0, 2] distance range.
@@ -407,10 +460,6 @@ def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
     if target.n == 0:
         raise ValueError("target dataset is empty")
     feats = l2_normalize_rows(encode_dataset(params, target), "encoded feature")
-    euclid = pairwise_euclidean(feats)
-    entries = _reciprocal_entries(euclid, k)
-    del euclid  # freed before the Jaccard matrix is allocated
-    jaccard = DistanceMatrix(values=jaccard_rows(entries, target.n))
-    labeling = dbscan(jaccard, eps, min_pts)
+    labeling = dbscan(jaccard_distance(EuclideanRows(feats), k), eps, min_pts)
     target.pseudo[:] = labeling.assignment
     return labeling

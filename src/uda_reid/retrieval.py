@@ -11,8 +11,8 @@ import numpy as np
 from .datamodel import IDENTITY_NONE, Dataset
 from .errors import DegenerateStructureError
 from .numerics import l2_normalize_rows
-from .pseudolabel import (jaccard_rows, k_reciprocal_neighbors, membership_entries, nearest,
-                          pairwise_euclidean)
+from .pseudolabel import (EuclideanRows, jaccard_rows, k_reciprocal_neighbors,
+                          membership_entries, nearest)
 
 
 @dataclass
@@ -88,6 +88,11 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     expansion averages each membership row over its top-k2 ranked neighbors
     (self included).  Returns lam*euclidean + (1-lam)*jaccard restricted to
     the query x gallery block.
+
+    The pooled Euclidean matrix is a stream of row blocks (``EuclideanRows``),
+    read twice: each block is ranked, and its query rows' gallery columns
+    scaled into the blend, before it is dropped; then the R* memberships
+    are read at their entries.  No n x n array is held.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -96,14 +101,18 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     n_q, n = q.shape[0], q.shape[0] + g.shape[0]
     check_rerank_args(k1, k2, lam, n)
 
-    euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
-    blend = lam * euclid.values[:n_q, n_q:]
-    top = nearest(euclid.values, k1 + 1)  # its first k2 columns are nearest(values, k2)
+    euclid = EuclideanRows(np.concatenate([q, g], axis=0))
+    top = np.empty((n, k1 + 1), dtype=np.intp)  # its first k2 columns are nearest(values, k2)
+    blend = np.empty((n_q, n - n_q))
+    for lo, block in euclid.blocks():
+        top[lo:lo + block.shape[0]] = nearest(block, k1 + 1)
+        if lo < n_q:
+            blend[lo:lo + block.shape[0]] = lam * block[:n_q - lo, n_q:]
     entries = membership_entries(euclid, k_reciprocal_neighbors(top))
-    del euclid  # freed before the Jaccard rows are allocated
     near = top[:, :k2] if k2 > 1 else None
     jac = jaccard_rows(entries, n, near, num_rows=n_q)  # query rows only
-    return blend + (1.0 - lam) * jac[:, n_q:]
+    blend += (1.0 - lam) * jac[:, n_q:]
+    return blend
 
 
 # ---------------------------------------------------------------------------

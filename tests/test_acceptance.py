@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_retrieval import oracle_points
 from uda_reid.cli import run
 from uda_reid.encoder import init_params, ema_update
 from uda_reid.gradcheck import run_gradcheck
@@ -118,7 +119,10 @@ def test_criterion_3_endpoint_identities(capsys):
     rng = np.random.default_rng(0)
     q, g = rng.normal(size=(6, 4)), rng.normal(size=(10, 4))
 
-    rerank_exact = np.array_equal(rerank(q, g, k1=5, k2=2, lam=1.0), cdist(q, g))
+    q_blocks, g_blocks = oracle_points("blocks")  # the query rows end inside a row block
+    rerank_exact = (np.array_equal(rerank(q, g, k1=5, k2=2, lam=1.0), cdist(q, g))
+                    and np.array_equal(rerank(q_blocks, g_blocks, k1=20, k2=6, lam=1.0),
+                                       cdist(q_blocks, g_blocks)))
 
     dist = cdist(q, g)
     cam_q = rng.integers(0, 3, size=6)

@@ -60,7 +60,7 @@ def test_summary_medians_quartiles_and_pair_counts(script):
     assert out["claim"] == {"workload": "relabel_4k", "metric": "op_s", "better": "lower",
                             "pairs": 5, "change_better": 4, "parent_median": 3.0,
                             "change_median": 1.0, "parent_iqr": 2.0, "gain": 2.0,
-                            "gain_pct": pytest.approx(200.0 / 3.0)}
+                            "gain_pct": pytest.approx(200.0 / 3.0), "met": False}
 
 
 def test_claim_on_a_higher_is_better_metric_counts_higher_pairs_as_better(script):
@@ -77,6 +77,41 @@ def test_claim_on_a_higher_is_better_metric_counts_higher_pairs_as_better(script
     assert claim["parent_median"] == 0.75 and claim["change_median"] == 0.79
     assert claim["gain"] == pytest.approx(0.04) and claim["gain"] > 0
     assert claim["gain_pct"] == pytest.approx(100.0 * 0.04 / 0.75)
+
+
+@pytest.mark.parametrize("better_pairs,drop,met", [
+    (9, 0.5, True),    # 9 of 10 pairs better, the medians 0.5 apart
+    (10, 0.5, True),
+    (8, 0.5, False),   # one pair short
+    (10, 0.2, False),  # every pair better, but the gain is inside the spread
+])
+def test_claim_is_met_by_nine_of_ten_better_pairs_and_a_gain_above_the_spread(
+        script, better_pairs, drop, met):
+    parent = [1.0 + 0.1 * seed for seed in range(10)]  # quartile spread 0.45
+    change = [p - drop if seed < better_pairs else p + 0.01 for seed, p in enumerate(parent)]
+    runs = runs_of("rerank_3k", [(1.0, p) for p in parent], [(1.0, c) for c in change])
+    claim = script.summarize(runs, claim="rerank_3k:peak_rss_mb")["claim"]
+    assert claim["change_better"] == better_pairs
+    assert claim["parent_iqr"] == pytest.approx(0.45)
+    assert claim["met"] is met
+
+
+def test_regressions_list_the_medians_worse_than_their_bound(script):
+    bound = {m["name"]: m["bound"] for m in json.loads(script.BENCHMARK.read_text())["end_to_end"]}
+    parent = result(2.0, 100.0, map_rerank=0.8, label_purity=0.8)
+    change = result(2.0 * (1 + 1.01 * bound["op_s"]),  # lower is better: worse by more
+                    100.0 * (1 + 0.99 * bound["peak_rss_mb"]),  # worse, inside the bound
+                    map_rerank=0.8 * (1 - 1.01 * bound["map_rerank"]),  # higher is better
+                    label_purity=0.8 * (1 + 2 * bound["label_purity"]))  # better
+    runs = [{"side": side, "workload": workload, "seed": 1, "result": res}
+            for workload, change_result in (("relabel_4k", parent), ("rerank_3k", change))
+            for side, res in (("parent", parent), ("change", change_result))]
+    regressions = script.summarize(runs)["regressions"]
+    assert [(r["workload"], r["metric"]) for r in regressions] == [
+        ("rerank_3k", "op_s"), ("rerank_3k", "map_rerank")]
+    assert regressions[0] == {"workload": "rerank_3k", "metric": "op_s", "parent_median": 2.0,
+                              "change_median": change["metrics"]["op_s"]["value"],
+                              "bound": bound["op_s"]}
 
 
 def test_summary_without_the_claimed_workload_has_no_claim(script):

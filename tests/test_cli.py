@@ -20,7 +20,7 @@ import pytest
 import uda_reid
 from uda_reid import pipeline, retrieval
 from uda_reid.cli import run
-from uda_reid.datamodel import load_features, save_features
+from uda_reid.datamodel import SYNTH_NAMES, load_features, save_features
 from uda_reid.encoder import init_params, load_params, save_params
 
 TINY_SYNTH = ["--num-ids-source", "8", "--num-ids-target", "8",
@@ -703,6 +703,26 @@ def test_output_naming_an_input_exits_2_before_any_work(argv, flags, arts, tmp_p
     path = argv[argv.index(flags.split()[0]) + 1]
     assert f"error: {flags} name the same file: {path}" in err
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", SYNTH_NAMES)
+def test_synth_config_among_its_outputs_exits_2_before_any_write(name, tmp_path, monkeypatch):
+    # synth writes one file per dataset inside --out: a --config among them
+    # would be overwritten by the dataset of that name
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("d")
+    config = tmp_path / "d" / f"{name}.bin"
+    config.write_text("seed = 3\n")
+
+    def no_synth(*args):
+        raise AssertionError("data was generated")
+
+    monkeypatch.setattr("uda_reid.datamodel.generate_synthetic", no_synth)
+    code, out, err = go(["synth", "--out", "d", "--config", f"d/{name}.bin"])
+    assert code == 2 and out == "", err
+    assert f"error: --out and --config name the same file: d/{name}.bin" in err
+    assert os.listdir("d") == [f"{name}.bin"]
+    assert config.read_text() == "seed = 3\n"
 
 
 def test_cluster_out_may_name_its_data(arts, tmp_path, monkeypatch):

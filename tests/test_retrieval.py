@@ -8,7 +8,7 @@ import oracles
 from uda_reid import retrieval
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.errors import DegenerateStructureError, NormalizationError
-from uda_reid.numerics import cdist, l2_normalize_rows
+from uda_reid.numerics import ROW_BLOCK, cdist, l2_normalize_rows
 from uda_reid.pseudolabel import (k_reciprocal_neighbors, membership_matrix, nearest,
                                   pairwise_euclidean)
 from uda_reid.retrieval import (EvalReport, QueryGallerySplit, camera_adjust,
@@ -100,6 +100,11 @@ def oracle_points(seed):
         pts = (np.repeat(rng.normal(size=(12, 8)), 10, axis=0)
                + 0.4 * rng.normal(size=(120, 8)))
         return pts[::3], np.delete(pts, np.s_[::3], axis=0)
+    elif seed == "blocks":  # four row blocks, the last partial; the query rows end
+        # inside the second, and copies of 40 rows put rows in their own R*
+        base = rng.integers(-2, 3, size=(40, 4)).astype(np.float64)
+        pts = base[rng.integers(0, 40, size=3 * ROW_BLOCK + 20)]
+        return pts[:ROW_BLOCK + 10], pts[ROW_BLOCK + 10:]
     else:
         return rng.normal(size=(4, 3)), rng.normal(size=(8, 3))
     return pts[:4], pts[4:]
@@ -143,31 +148,47 @@ def rerank_full_sort(q, g, k1, k2, lam):
 @pytest.mark.parametrize("k1,k2,seed", [(k1, k2, seed) for k1, k2 in [(5, 1), (5, 3), (7, 7)]
                                         for seed in (0, "lattice", "duplicates")]
                          + [(20, 1, "clustered"), (20, 6, "clustered"), (20, 20, "clustered")]
-                         + [(11, 11, "duplicates"), (11, 1, "lattice")])  # k1 = n - 1
+                         + [(11, 11, "duplicates"), (11, 1, "lattice")]  # k1 = n - 1
+                         + [(20, 1, "blocks"), (20, 6, "blocks"), (9, 9, "blocks")])
 def test_rerank_bitwise_equals_full_sort_and_dense_loop(seed, k1, k2):
     q, g = oracle_points(seed)
     assert np.array_equal(rerank(q, g, k1=k1, k2=k2, lam=0.3),
                           rerank_full_sort(q, g, k1, k2, 0.3))
 
 
+@pytest.mark.parametrize("k1", [9, 20])
+def test_blocks_case_spans_row_blocks_and_rows_in_their_own_sets(k1):
+    # what the "blocks" case puts to the streamed Euclidean rows: several
+    # blocks, the query/gallery boundary inside one, and R*(p) holding p,
+    # the (p, p) entry that the stream zeroes
+    q, g = oracle_points("blocks")
+    n_q, n = q.shape[0], q.shape[0] + g.shape[0]
+    assert ROW_BLOCK < n_q and n_q % ROW_BLOCK and n > 3 * ROW_BLOCK
+    euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
+    sets = k_reciprocal_neighbors(nearest(euclid.values, k1 + 1))
+    assert any(p in members for p, members in enumerate(sets))
+
+
 def test_rerank_holds_no_dense_membership():
     rng = np.random.default_rng(5)
-    n, n_q = 1500, 1300  # 75 identities x 20 rows, pooled; the Jaccard rows are nearly n x n
+    n = 1500  # 75 identities x 20 rows, pooled
     x = l2_normalize_rows(np.repeat(rng.normal(size=(75, 32)), 20, axis=0)
                           + 0.5 * rng.normal(size=(n, 32)))
     euclid_bytes = n * n * 8
-    tracemalloc.start()
-    try:
-        rerank(x[:n_q], x[n_q:], k1=30, k2=6, lam=0.3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one n x n float64 at a time: the pooled matrix, freed before the
-    # (n_q, n) Jaccard rows (0.87x) exist, plus blends, sparse entries and
-    # row-block temporaries, peaks at 1.59x (numpy 2.4). The pooled matrix
-    # kept beside the Jaccard rows peaks at 2.45x; a dense membership and its
-    # k2 average beside it would add 2x more
-    assert peak < 1.8 * euclid_bytes, f"peak {peak / 1e6:.1f} MB"
+    # the pooled Euclidean matrix is never held, only its row blocks.  1,300
+    # queries: the (n_q, n) Jaccard rows (0.87x) beside the blend (0.19x),
+    # plus sparse entries and row-block temporaries, peak at 1.63x (numpy
+    # 2.4); the pooled matrix kept beside them peaks at 2.45x, and a dense
+    # membership and its k2 average would add 2x more.  100 queries: 0.83x;
+    # a pooled matrix, even one freed before the Jaccard rows exist, peaks at 1.23x
+    for n_q, bound in ((1300, 1.8), (100, 1.0)):
+        tracemalloc.start()
+        try:
+            rerank(x[:n_q], x[n_q:], k1=30, k2=6, lam=0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * euclid_bytes, f"{n_q} queries: peak {peak / 1e6:.1f} MB"
 
 
 def test_rerank_prefers_exact_duplicate():
@@ -192,6 +213,16 @@ def test_rerank_parameter_errors():
     for k2 in (0, 6):  # rerank owns the k2 bounds of jaccard_rows' expansion
         with pytest.raises(ValueError, match=f"need 1 <= k2 <= k1 < n, got k1=4, k2={k2}, n=5"):
             rerank(q, g, k1=4, k2=k2)
+
+
+@pytest.mark.parametrize("side", ["query", "gallery"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rerank_rejects_non_finite_features(side, bad):
+    rng = np.random.default_rng(0)
+    feats = {"query": rng.normal(size=(3, 4)), "gallery": rng.normal(size=(5, 4))}
+    feats[side][1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite feature values"):
+        rerank(feats["query"], feats["gallery"], k1=4, k2=2)
 
 
 # ---------------------------------------------------------------------------
