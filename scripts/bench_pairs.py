@@ -13,13 +13,16 @@ metric with its quartiles (q1, q3) and the summed ``attempted`` and
 ``failed`` counts; per workload and metric, in how many of the pairs the
 change read lower and in how many higher; ``regressions``, every workload's
 end-to-end metric whose change median is worse than the parent's by more
-than BENCHMARK.json's bound, a share of the parent's median; with
-``--claim``, the claimed metric's medians, the parent's quartile spread, the
-number of pairs in which the change read better, the gain between the
-medians, positive when the change is better in the direction BENCHMARK.json
-gives the metric, and ``met``: better in at least 9 of 10 pairs, with a gain
-above the parent's quartile spread; and every run's metrics, so that each
-figure can be recomputed.
+than BENCHMARK.json's bound, a share of the parent's median;
+``unresolved``, every workload's end-to-end metric whose parent quartile
+spread is wider than that bound, so that the runs cannot tell a change of
+the bound's size from noise, unless every change run is better than every
+parent run; with ``--claim``, the claimed metric's medians, the parent's
+quartile spread, the number of pairs in which the change read better, the
+gain between the medians, positive when the change is better in the
+direction BENCHMARK.json gives the metric, and ``met``: better in at least 9
+of 10 pairs, with a gain above the parent's quartile spread; and every run's
+metrics, so that each figure can be recomputed.
 The file is rewritten after every pair, so a cut run keeps what it measured.
 ``--claim`` is checked against the workload and end-to-end metric names in
 BENCHMARK.json before any run; a name it does not list is a usage error.
@@ -84,11 +87,11 @@ def _quartiles(values) -> dict:
 
 
 def summarize(runs: list, claim: str | None = None) -> dict:
-    """Entries, pair counts, regressions and the optional claim from the
-    runs, each a dict with ``side``, ``workload``, ``seed`` and the run's
-    ``result`` line, in workload order.  A pair counts once both of its runs
-    are present."""
-    entries, pairs = [], []
+    """Entries, pair counts, regressions, unresolved metrics and the
+    optional claim from the runs, each a dict with ``side``, ``workload``,
+    ``seed`` and the run's ``result`` line, in workload order.  A pair counts
+    once both of its runs are present."""
+    entries, pairs, values = [], [], {}  # values: (workload, side, metric) -> per-run values
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_side = {side: {r["seed"]: r["result"] for r in runs
                           if r["workload"] == workload and r["side"] == side}
@@ -96,13 +99,14 @@ def summarize(runs: list, claim: str | None = None) -> dict:
         for side in SIDES:
             results = [by_side[side][s] for s in sorted(by_side[side])]
             units = {name: m["unit"] for res in results for name, m in res["metrics"].items()}
+            for name in units:
+                values[workload, side, name] = [res["metrics"][name]["value"] for res in results]
             entries.append({
                 "side": side, "workload": workload, "seeds": sorted(by_side[side]),
                 "correct": all(res["correct"] for res in results),
                 "attempted": sum(res["attempted"] for res in results),
                 "failed": sum(res["failed"] for res in results),
-                "metrics": {name: {**_quartiles([res["metrics"][name]["value"]
-                                                  for res in results]), "unit": unit}
+                "metrics": {name: {**_quartiles(values[workload, side, name]), "unit": unit}
                             for name, unit in units.items()},
             })
         seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
@@ -133,7 +137,24 @@ def summarize(runs: list, claim: str | None = None) -> dict:
         if -gain(workload, name) > spec[name]["bound"] * abs(parent):
             regressions.append({"workload": workload, "metric": name, "parent_median": parent,
                                 "change_median": change, "bound": spec[name]["bound"]})
-    out = {"entries": entries, "pairs": pairs, "regressions": regressions}
+
+    def beats_every_parent_run(workload, name):
+        change, parent = (values[workload, side, name] for side in ("change", "parent"))
+        if spec[name]["better"] == "lower":
+            return max(change) < min(parent)
+        return min(change) > max(parent)
+
+    unresolved = []
+    for workload, name in compared:
+        parent = median[workload, "parent", name]
+        spread = parent["q3"] - parent["q1"]
+        if (spread > spec[name]["bound"] * abs(parent["value"])
+                and not beats_every_parent_run(workload, name)):
+            unresolved.append({"workload": workload, "metric": name,
+                               "parent_median": parent["value"], "parent_iqr": spread,
+                               "bound": spec[name]["bound"]})
+    out = {"entries": entries, "pairs": pairs, "regressions": regressions,
+           "unresolved": unresolved}
     workload, metric = claim.split(":") if claim else (None, None)
     if (workload, metric) in compared:
         better = spec[metric]["better"]

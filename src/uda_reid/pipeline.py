@@ -71,6 +71,8 @@ class StageConfig:
                 raise ConfigError(name, f"must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha", f"must be in [0, 1], got {self.alpha}")
+        if min(self.lr_milestones, default=0) < 0:
+            raise ConfigError("lr_milestones", f"must be >= 0, got {self.lr_milestones}")
 
     def lr_at(self, epoch: int) -> float:
         passed = sum(1 for m in self.lr_milestones if epoch >= m)

@@ -5,29 +5,27 @@ k-reciprocal neighbor sets into fuzzy memberships, convert to Jaccard
 distances, and cluster with density-based scanning.  Outliers keep the
 OUTLIER sentinel and are skipped by batch sampling downstream.
 
-Each distance matrix is ranked once, by the function that owns it, into a
-tie-exact rank table (``nearest``: ties break by the lower index) that both
-``k_reciprocal_neighbors`` and ``jaccard_rows``' local expansion read.
-``jaccard_rows`` serves relabeling and re-ranking alike: it keeps the
-memberships as sparse (row, member, weight) entries, read through an
-inverted index, and its sums add the same terms in the same order as the
-dense forms ``membership_matrix`` and ``jaccard_from_membership`` would.
+The Euclidean matrix is read one way, as the ``EuclideanRows`` stream that
+``pairwise_euclidean`` returns: it computes the matrix from the features one
+row block at a time, ranks it block by block into a tie-exact rank table
+(``nearest``: ties break by the lower index) that both
+``k_reciprocal_neighbors`` and ``jaccard_rows``' local expansion read, and
+recomputes the blocks once more for the distances at the R* members, the
+membership entries that ``jaccard_rows`` reads alone.  No n x n Euclidean
+array is built: relabel holds only its n x n Jaccard output, and ``rerank``
+in retrieval holds no n x n array.  ``jaccard_rows`` serves relabeling and
+re-ranking alike: it keeps the memberships as sparse (row, member, weight)
+entries, read through an inverted index, and its sums add the same terms in
+the same order as the dense forms ``membership_matrix`` and
+``jaccard_from_membership`` would.
 
-``relabel_epoch`` here and ``rerank`` in retrieval never hold the Euclidean
-matrix: ``EuclideanRows`` computes it from the features one row block at a
-time, ranked block by block, and recomputes the blocks once more for the
-distances at the R* members, the membership entries that ``jaccard_rows``
-reads alone.  So relabel holds only its n x n Jaccard output, and ``rerank``
-holds no n x n array.  ``pairwise_euclidean`` concatenates the same blocks
-into the dense matrix that ``jaccard_distance`` reads.
-
-``dbscan`` clusters without an n x n boolean: it scans the matrix by row
-blocks for its eps-edges, links the core-core edges of each block by array
-union-find, and scans the non-core rows once more for their lowest core
-neighbors; no edge outlives its block.  It checks neither its input nor its
-output: every matrix it clusters is built here, square with an exactly zero
-diagonal, by ``pairwise_euclidean`` or ``jaccard_distance``, and their tests
-hold them to that.
+``dbscan`` clusters a ``DistanceMatrix``, the Jaccard matrix that
+``jaccard_distance`` builds, without an n x n boolean: it scans the matrix
+by row blocks for its eps-edges, links the core-core edges of each block by
+array union-find, and scans the non-core rows once more for their lowest
+core neighbors; no edge outlives its block.  It checks neither its input
+nor its output: the matrix is square with an exactly zero diagonal, and
+``jaccard_distance``'s tests hold it to that.
 """
 from __future__ import annotations
 
@@ -45,17 +43,12 @@ JACCARD_TERMS = 1 << 16  # min terms per block of the Jaccard kernel
 
 @dataclass
 class DistanceMatrix:
+    """A square matrix with an exactly zero diagonal, as ``dbscan`` clusters it."""
     values: np.ndarray
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    def at(self, rows, members) -> np.ndarray:
-        return self.values[rows, members]
-
-    def ranked(self, m: int) -> np.ndarray:
-        return nearest(self.values, m)
 
 
 @dataclass
@@ -105,7 +98,7 @@ class EuclideanRows:
             yield lo, block
 
     def ranked(self, m: int) -> np.ndarray:
-        """``nearest(values, m)``, block by block."""
+        """``nearest`` of the matrix, block by block: a row's ranks read its row alone."""
         return np.concatenate([nearest(block, m) for _, block in self.blocks()])
 
     def at(self, rows, members) -> np.ndarray:
@@ -121,9 +114,9 @@ class EuclideanRows:
         return out
 
 
-def pairwise_euclidean(feats) -> DistanceMatrix:
-    """The dense Euclidean matrix: ``EuclideanRows``' blocks, concatenated."""
-    return DistanceMatrix(values=np.concatenate([b for _, b in EuclideanRows(feats).blocks()]))
+def pairwise_euclidean(feats) -> EuclideanRows:
+    """The Euclidean matrix of the feature rows, as its row-block stream."""
+    return EuclideanRows(feats)
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +203,16 @@ def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
 # Jaccard distance over fuzzy neighborhood memberships
 # ---------------------------------------------------------------------------
 
-def membership_entries(dist, neighbor_sets: list[np.ndarray]):
+def membership_entries(dist: EuclideanRows, neighbor_sets: list[np.ndarray]):
     """(row, member, weight) per member of each R*(p), in row-major order,
     with weight exp(-D[p][g]): all that ``jaccard_rows`` reads of the
-    distance matrix, a ``DistanceMatrix`` or ``EuclideanRows``."""
+    Euclidean matrix."""
     rows = np.repeat(np.arange(len(neighbor_sets)), list(map(len, neighbor_sets)))
     members = np.concatenate(neighbor_sets)
     return rows, members, np.exp(-dist.at(rows, members))
 
 
-def membership_matrix(dist: DistanceMatrix, neighbor_sets: list[np.ndarray]) -> np.ndarray:
+def membership_matrix(dist: EuclideanRows, neighbor_sets: list[np.ndarray]) -> np.ndarray:
     """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere.
 
     The package itself reads the memberships only as entries; this dense
@@ -347,10 +340,9 @@ def jaccard_rows(entries, n: int, near: np.ndarray | None = None,
     return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows)
 
 
-def jaccard_distance(dist, k: int) -> DistanceMatrix:
-    """Jaccard distances over the R*(p, k) memberships of ``dist``, a
-    ``DistanceMatrix`` or ``EuclideanRows``: ranked once, then read at the
-    membership entries."""
+def jaccard_distance(dist: EuclideanRows, k: int) -> DistanceMatrix:
+    """Jaccard distances over the R*(p, k) memberships of the Euclidean
+    matrix ``dist``: ranked once, then read at the membership entries."""
     if not 1 <= k < dist.n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={dist.n}")
     entries = membership_entries(dist, k_reciprocal_neighbors(dist.ranked(k + 1)))
@@ -398,7 +390,7 @@ def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
     their lowest-index core neighbor's cluster; the rest are OUTLIER.
     ``eps``/``min_pts`` are unchecked: ``StageConfig.validate`` owns them.
     ``dist`` is unchecked too: it must be square with an exactly zero
-    diagonal, as ``pairwise_euclidean`` and ``jaccard_distance`` build it.
+    diagonal, as ``jaccard_distance``, its only builder, makes it.
 
     A row is core when at least ``min_pts`` entries of its row are <= eps
     (the zero diagonal counts the row itself).  Two core rows i < j are
@@ -451,8 +443,7 @@ def relabel_epoch(target: Dataset, params: EncoderParams, k: int, eps: float,
                   min_pts: int) -> PseudoLabeling:
     """Encode, build Jaccard distances, cluster, and write the assignment
     into the dataset's pseudo column.  ``jaccard_distance`` runs on the
-    Euclidean row stream, so only the Jaccard matrix is n x n; it is bitwise
-    ``jaccard_distance`` on ``pairwise_euclidean``'s matrix.
+    Euclidean row stream, so only the Jaccard matrix is n x n.
 
     Encoded rows are L2-normalized first so that the exp(-d) fuzzy weights
     and the eps threshold operate on a fixed [0, 2] distance range.

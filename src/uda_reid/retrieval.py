@@ -10,7 +10,7 @@ import numpy as np
 
 from .datamodel import IDENTITY_NONE, Dataset
 from .errors import DegenerateStructureError
-from .numerics import l2_normalize_rows
+from .numerics import cdist, l2_normalize_rows
 from .pseudolabel import (EuclideanRows, jaccard_rows, k_reciprocal_neighbors,
                           membership_entries, nearest)
 
@@ -89,10 +89,11 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     (self included).  Returns lam*euclidean + (1-lam)*jaccard restricted to
     the query x gallery block.
 
-    The pooled Euclidean matrix is a stream of row blocks (``EuclideanRows``),
-    read twice: each block is ranked, and its query rows' gallery columns
-    scaled into the blend, before it is dropped; then the R* memberships
-    are read at their entries.  No n x n array is held.
+    The pooled Euclidean matrix is read as a stream of row blocks
+    (``EuclideanRows``): ranked once, as ``jaccard_distance`` ranks it, then
+    read at the R* memberships; no n x n array is held.  The Euclidean term
+    is ``cdist`` of the query and gallery rows, so at ``lam = 1`` the result
+    is ``cdist`` itself.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -102,15 +103,12 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     check_rerank_args(k1, k2, lam, n)
 
     euclid = EuclideanRows(np.concatenate([q, g], axis=0))
-    top = np.empty((n, k1 + 1), dtype=np.intp)  # its first k2 columns are nearest(values, k2)
-    blend = np.empty((n_q, n - n_q))
-    for lo, block in euclid.blocks():
-        top[lo:lo + block.shape[0]] = nearest(block, k1 + 1)
-        if lo < n_q:
-            blend[lo:lo + block.shape[0]] = lam * block[:n_q - lo, n_q:]
+    top = euclid.ranked(k1 + 1)  # its first k2 columns are the matrix's k2 nearest
     entries = membership_entries(euclid, k_reciprocal_neighbors(top))
     near = top[:, :k2] if k2 > 1 else None
     jac = jaccard_rows(entries, n, near, num_rows=n_q)  # query rows only
+    blend = cdist(q, g)
+    blend *= lam
     blend += (1.0 - lam) * jac[:, n_q:]
     return blend
 

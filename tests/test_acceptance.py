@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_pseudolabel import euclidean_matrix, euclidean_values
 from test_retrieval import oracle_points
 from uda_reid.cli import run
 from uda_reid.encoder import init_params, ema_update
@@ -65,18 +66,19 @@ def test_criterion_2_oracle_equivalence(capsys):
         n = 10 + seed % 41
         k = 3 + seed % 5
         dm = pairwise_euclidean(rng.normal(size=(n, 4)))
-        got = [s.tolist() for s in k_reciprocal_neighbors(nearest(dm.values, k + 1))]
-        assert got == oracles.expanded_ref(dm.values, k)
+        values = euclidean_values(dm)
+        got = [s.tolist() for s in k_reciprocal_neighbors(nearest(values, k + 1))]
+        assert got == oracles.expanded_ref(values, k)
         jac = jaccard_distance(dm, k).values
         worst_jac = max(worst_jac, float(np.max(np.abs(
-            jac - oracles.jaccard_distance_ref(dm.values, k)))))
+            jac - oracles.jaccard_distance_ref(values, k)))))
 
         # density clustering on three separated blobs
         m = 4 + seed % 12
         centers = rng.normal(scale=8.0, size=(3, 2))
         pts = np.concatenate(
             [c + rng.normal(scale=0.5, size=(m, 2)) for c in centers])
-        dmc = pairwise_euclidean(pts)
+        dmc = euclidean_matrix(pts)
         out = dbscan(dmc, eps=1.5, min_pts=3)
         ref_labels, ref_count = oracles.dbscan_ref(dmc.values, 1.5, 3)
         assert out.num_clusters == ref_count

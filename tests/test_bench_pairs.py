@@ -114,6 +114,37 @@ def test_regressions_list_the_medians_worse_than_their_bound(script):
                               "bound": bound["op_s"]}
 
 
+@pytest.mark.parametrize("change_op_s,unresolved", [
+    ([1.0, 2.0, 3.0, 4.0, 5.0], True),   # the parent's own runs: inside its spread
+    ([0.5, 0.6, 0.7, 0.8, 0.9], False),  # every change run below every parent run
+    ([0.5, 0.6, 0.7, 0.8, 1.0], True),   # one change run ties the best parent run
+    ([1.5, 1.6, 1.7, 1.8, 1.9], True),   # better in every pair, not below every run
+])
+def test_unresolved_lists_parent_spreads_wider_than_the_bound(script, change_op_s, unresolved):
+    bound = {m["name"]: m["bound"] for m in json.loads(script.BENCHMARK.read_text())["end_to_end"]}
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]  # quartile spread 2.0, median 3.0
+    assert 2.0 > bound["op_s"] * 3.0
+    narrow = [2.9, 3.0, 3.0, 3.0, 3.1]  # quartile spread 0: resolved whatever the change
+    runs = (runs_of("relabel_4k", [(op, 100.0) for op in parent],
+                    [(op, 100.0) for op in change_op_s])
+            + runs_of("rerank_3k", [(op, 100.0) for op in narrow], [(op, 100.0) for op in parent]))
+    out = script.summarize(runs)
+    assert out["unresolved"] == ([{"workload": "relabel_4k", "metric": "op_s",
+                                   "parent_median": 3.0, "parent_iqr": 2.0,
+                                   "bound": bound["op_s"]}] if unresolved else [])
+
+
+def test_unresolved_on_a_higher_is_better_metric_needs_every_change_run_above(script):
+    parent = [0.2, 0.4, 0.6, 0.8, 0.9]  # quartile spread 0.4 around a median of 0.6
+    for change, unresolved in (([0.95] * 5, False), ([0.95] * 4 + [0.9], True)):
+        runs = [{"side": side, "workload": "rerank_3k", "seed": seed,
+                 "result": result(1.0, 100.0, map_rerank=value)}
+                for side, values in (("parent", parent), ("change", change))
+                for seed, value in enumerate(values, 1)]
+        listed = [(u["workload"], u["metric"]) for u in script.summarize(runs)["unresolved"]]
+        assert listed == ([("rerank_3k", "map_rerank")] if unresolved else [])
+
+
 def test_summary_without_the_claimed_workload_has_no_claim(script):
     out = script.summarize(runs_of("train_full", [(4.0, 48.0)], [(4.1, 48.5)]),
                            claim="relabel_4k:op_s")

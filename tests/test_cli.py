@@ -475,6 +475,17 @@ def test_negative_seed_exits_2_naming_the_field(argv, arts, tmp_path, monkeypatc
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("extra", [["--config", "milestones.cfg"], ["--lr-milestones=-1"]])
+def test_negative_lr_milestone_exits_2_naming_the_field(extra, arts, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "milestones.cfg").write_text("lr_milestones = -3,0\n")
+    code, out, err = go(["pretrain", "--data", arts["translated"], "--out", "never"]
+                        + TINY_TRAIN + extra)
+    assert code == 2 and out == "", err
+    assert "config field 'lr_milestones': must be >= 0" in err and "Traceback" not in err
+    assert not (tmp_path / "never").exists()
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_gradcheck_tolerance_out_of_range_exits_2_before_any_check(tol, monkeypatch):
     def no_checks(**kwargs):

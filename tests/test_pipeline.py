@@ -90,6 +90,7 @@ def test_lr_schedule():
     (dict(queue_capacity=0), "queue_capacity"),
     (dict(eps=0.0), "eps"),
     (dict(min_pts=0), "min_pts"),
+    (dict(lr_milestones=(2, -1)), "lr_milestones"),
 ])
 def test_config_validation_errors(kwargs, field):
     # the one check of each range: the kernels take validated values
@@ -100,6 +101,7 @@ def test_config_validation_errors(kwargs, field):
 @pytest.mark.parametrize("kwargs", [
     dict(alpha=0.0), dict(alpha=1.0), dict(lambda_soft=0.0), dict(lambda_soft=1.0),
     dict(lambda_moco=0.0), dict(margin=0.0), dict(weight_decay=0.0),
+    dict(lr_milestones=(0, 3)),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_config_accepts_boundary_values(kwargs):
     StageConfig(**kwargs).validate()
@@ -128,6 +130,10 @@ def test_config_from_kv_errors():
         config_from_kv(StageConfig, {"joint_source": "maybe"})
     with pytest.raises(ConfigError, match="epochs"):
         config_from_kv(StageConfig, {"epochs": "abc"})
+    # a negative milestone would decay the rate from epoch 0
+    with pytest.raises(ConfigError,
+                       match=r"'lr_milestones': must be >= 0, got \(-3, 0\)"):
+        config_from_kv(StageConfig, {"lr_milestones": "-3,0"})
 
 
 def test_load_stage_config(tmp_path):

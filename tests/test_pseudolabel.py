@@ -18,10 +18,26 @@ from uda_reid.pseudolabel import (DistanceMatrix, PseudoLabeling, dbscan, jaccar
                                   relabel_epoch)
 
 
+def euclidean_values(euclid):
+    """The dense matrix of a ``pairwise_euclidean`` stream: its row blocks,
+    concatenated.  The package itself never builds it."""
+    return np.concatenate([block for _, block in euclid.blocks()])
+
+
+def euclidean_matrix(x):
+    """The Euclidean matrix of the rows of ``x`` as the ``DistanceMatrix``
+    that ``dbscan`` clusters."""
+    return DistanceMatrix(euclidean_values(pairwise_euclidean(x)))
+
+
 def line_distances(positions):
-    """Distance matrix of points on a line, handy for hand-checkable cases."""
-    x = np.asarray(positions, dtype=np.float64)
-    return pairwise_euclidean(x[:, None])
+    """Distances of points on a line, handy for hand-checkable cases."""
+    return pairwise_euclidean(np.asarray(positions, dtype=np.float64)[:, None])
+
+
+def line_matrix(positions):
+    """``line_distances`` as a ``DistanceMatrix``, for ``dbscan``."""
+    return euclidean_matrix(np.asarray(positions, dtype=np.float64)[:, None])
 
 
 def random_distances(seed, n, d=4):
@@ -45,8 +61,8 @@ def oracle_distances(seed):
 
 
 def reciprocal_sets(dm, k):
-    """R*(p, k) of every row, from the matrix's (n, k + 1) rank table."""
-    return k_reciprocal_neighbors(nearest(dm.values, k + 1))
+    """R*(p, k) of every row, from the stream's (n, k + 1) rank table."""
+    return k_reciprocal_neighbors(dm.ranked(k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +73,17 @@ def test_pairwise_euclidean_triangle():
     pts = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
     dm = pairwise_euclidean(pts)
     assert dm.n == 3
-    assert dm.values[0, 1] == pytest.approx(3.0, abs=1e-12)
-    assert dm.values[1, 2] == pytest.approx(4.0, abs=1e-12)
-    assert dm.values[0, 2] == pytest.approx(5.0, abs=1e-12)
+    values = euclidean_values(dm)
+    assert values[0, 1] == pytest.approx(3.0, abs=1e-12)
+    assert values[1, 2] == pytest.approx(4.0, abs=1e-12)
+    assert values[0, 2] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_pairwise_matches_reference():
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(7, 3))
     dm = pairwise_euclidean(feats)
-    assert np.allclose(dm.values, oracles.pairwise_ref(feats), atol=1e-10)
+    assert np.allclose(euclidean_values(dm), oracles.pairwise_ref(feats), atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(128, 32), (ROW_BLOCK + 9, 5), (3, 1)])
@@ -88,6 +105,51 @@ def test_pairwise_euclidean_errors():
         pairwise_euclidean(np.array([[np.inf, 0.0]]))
 
 
+def stream_features(case):
+    """Feature rows spanning several row blocks, the last one partial: distinct
+    lattice points, copies of a few rows (off-diagonal zeros), copies of 40
+    rows over four blocks, or copies of 40 normal draws, whose (p, p)
+    products need not finish to exactly zero."""
+    rng = np.random.default_rng(0)
+    if case == "lattice":
+        grid = np.stack(np.meshgrid(np.arange(16), np.arange(16)), axis=-1).reshape(-1, 2)
+        return grid[rng.permutation(len(grid))[:2 * ROW_BLOCK + 45]]
+    if case == "duplicates":
+        return rng.integers(-2, 3, size=(5, 3))[rng.integers(0, 5, size=2 * ROW_BLOCK + 45)]
+    base = rng.normal(size=(40, 4)) if case == "normal" else rng.integers(-2, 3, size=(40, 4))
+    return base[rng.integers(0, 40, size=3 * ROW_BLOCK + 20)]
+
+
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "blocks", "normal"])
+def test_stream_entries_are_its_blocks_bitwise(case):
+    euclid = pairwise_euclidean(stream_features(case))
+    values = euclidean_values(euclid)
+    n = euclid.n
+    assert values.shape == (n, n) and n > 2 * ROW_BLOCK
+    # every entry, (p, p) among them, rows in increasing order
+    rows, members = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    assert np.array_equal(euclid.at(rows, members), values.reshape(-1))
+    # a few members per row, unsorted, repeated and including the row itself
+    rng = np.random.default_rng(1)
+    rows = np.sort(rng.integers(0, n, size=3 * n))
+    members = np.where(rng.random(rows.size) < 0.2, rows, rng.integers(0, n, size=rows.size))
+    assert np.any(rows == members)
+    assert np.array_equal(euclid.at(rows, members), values[rows, members])
+    assert euclid.at(rows[:0], members[:0]).size == 0
+
+
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "blocks", "normal"])
+def test_stream_ranks_as_nearest_on_its_blocks(case):
+    euclid = pairwise_euclidean(stream_features(case))
+    values = euclidean_values(euclid)
+    if case == "lattice":  # distinct points, many equal distances
+        assert np.unique(values).size < values.size // 100
+    elif case != "normal":  # copies: zeros off the diagonal
+        assert np.count_nonzero(values == 0.0) > euclid.n
+    for m in (1, 2, 8, euclid.n):
+        assert np.array_equal(euclid.ranked(m), nearest(values, m))
+
+
 # ---------------------------------------------------------------------------
 # k-reciprocal neighbor sets
 # ---------------------------------------------------------------------------
@@ -107,7 +169,7 @@ def test_expansion_unions_strongly_overlapping_halves():
     # half sets R(.,1): R(1,1) is empty (1's nearest is 0, 0's nearest is 1:
     # mutual), so expansion adds {0} via q=1 when 0 in base... spelled out
     # below by comparing against the independent literal implementation.
-    ref = oracles.expanded_ref(line_distances([0.0, 1.0, 2.0]).values, 2)
+    ref = oracles.expanded_ref(euclidean_values(line_distances([0.0, 1.0, 2.0])), 2)
     assert [s.tolist() for s in sets] == ref
 
 
@@ -117,7 +179,7 @@ def test_expansion_unions_strongly_overlapping_halves():
 def test_expanded_sets_match_reference(seed, k):
     dm = oracle_distances(seed)
     got = [s.tolist() for s in reciprocal_sets(dm, k)]
-    assert got == oracles.expanded_ref(dm.values, k)
+    assert got == oracles.expanded_ref(euclidean_values(dm), k)
 
 
 def tie_heavy_values(case):
@@ -125,14 +187,15 @@ def tie_heavy_values(case):
     "wide" and "tall"."""
     rng = np.random.default_rng(0)
     if case == "lattice":
-        return pairwise_euclidean(rng.integers(0, 3, size=(40, 2))).values
+        return euclidean_values(pairwise_euclidean(rng.integers(0, 3, size=(40, 2))))
     if case == "duplicates":
         base = rng.integers(-1, 2, size=(6, 2))
-        return pairwise_euclidean(base[rng.integers(0, 6, size=36)]).values
+        return euclidean_values(pairwise_euclidean(base[rng.integers(0, 6, size=36)]))
     if case == "all-equal":
         return np.full((20, 20), 0.5)
     if case == "blocks":  # several row blocks, the last one partial
-        return pairwise_euclidean(rng.integers(0, 4, size=(ROW_BLOCK + 45, 2))).values
+        return euclidean_values(pairwise_euclidean(rng.integers(0, 4,
+                                                                 size=(ROW_BLOCK + 45, 2))))
     if case == "wide":  # a query block against a larger gallery, as evaluate passes
         return cdist(rng.integers(0, 3, size=(ROW_BLOCK + 45, 2)),
                      rng.integers(0, 3, size=(3 * ROW_BLOCK + 7, 2)))
@@ -251,7 +314,7 @@ def test_jaccard_rejects_all_empty_membership():
 def test_jaccard_distance_matches_reference(seed):
     dm = random_distances(seed, n=10)
     got = jaccard_distance(dm, k=3)
-    ref = oracles.jaccard_distance_ref(dm.values, 3)
+    ref = oracles.jaccard_distance_ref(euclidean_values(dm), 3)
     assert np.allclose(got.values, ref, atol=1e-10)
 
 
@@ -297,7 +360,7 @@ def test_jaccard_rows_k2_errors():
         with pytest.raises(ValueError, match="k2 must"):
             jaccard_rows(membership_entries(dm, sets), dm.n, np.zeros((5, k2), dtype=np.intp))
     with pytest.raises(ValueError, match="k2 must"):  # one table row per matrix row
-        jaccard_rows(membership_entries(dm, sets), dm.n, nearest(dm.values, 2)[:4])
+        jaccard_rows(membership_entries(dm, sets), dm.n, dm.ranked(2)[:4])
 
 
 @pytest.mark.parametrize("seed,k,k2", [(seed, k, k2) for seed in (0, "lattice", "duplicates")
@@ -307,12 +370,12 @@ def test_jaccard_rows_expansion_equals_dense_average_bitwise(seed, k, k2):
     dm = oracle_distances(seed)
     sets = reciprocal_sets(dm, k)
     v = membership_matrix(dm, sets)
-    local = np.argsort(dm.values, axis=1, kind="stable")[:, :k2]
+    local = np.argsort(euclidean_values(dm), axis=1, kind="stable")[:, :k2]
     expanded = v[local[:, 0]]
     for rank in range(1, k2):
         expanded += v[local[:, rank]]
     expanded /= k2
-    got = jaccard_rows(membership_entries(dm, sets), dm.n, nearest(dm.values, k2))
+    got = jaccard_rows(membership_entries(dm, sets), dm.n, dm.ranked(k2))
     assert np.array_equal(got, oracles.jaccard_loop_ref(expanded))
 
 
@@ -331,7 +394,7 @@ def test_jaccard_query_rows_are_the_full_matrix_first_rows():
     # empty memberships among the query rows and after them
     entries = membership_entries(dm, random_sets(rng, n, 0.04, empty=(0, 7, n - 1)))
     # no expansion, then k2 = 3, which fills the empty rows from their neighbors
-    for near in (None, nearest(dm.values, 3)):
+    for near in (None, dm.ranked(3)):
         full = jaccard_rows(entries, n, near)
         for rows in (1, 8, ROW_BLOCK, ROW_BLOCK + 1, n):
             part = jaccard_rows(entries, n, near, num_rows=rows)
@@ -387,20 +450,20 @@ def test_jaccard_distant_pairs_are_fully_disjoint():
 # ---------------------------------------------------------------------------
 
 def test_dbscan_all_isolated():
-    out = dbscan(line_distances([0.0, 10.0, 20.0]), eps=1.0, min_pts=2)
+    out = dbscan(line_matrix([0.0, 10.0, 20.0]), eps=1.0, min_pts=2)
     assert out.num_clusters == 0
     assert np.all(out.assignment == PSEUDO_OUTLIER)
     assert out.num_outliers == 3
 
 
 def test_dbscan_identical_points_single_cluster():
-    out = dbscan(line_distances([5.0] * 6), eps=0.5, min_pts=4)
+    out = dbscan(line_matrix([5.0] * 6), eps=0.5, min_pts=4)
     assert out.num_clusters == 1
     assert np.all(out.assignment == 0)
 
 
 def test_dbscan_cluster_ids_follow_scan_order():
-    out = dbscan(line_distances([10.0, 10.1, 0.0, 0.1]), eps=0.5, min_pts=2)
+    out = dbscan(line_matrix([10.0, 10.1, 0.0, 0.1]), eps=0.5, min_pts=2)
     # the cluster containing row 0 gets id 0 even though it sits "later" on
     # the line; ids are assigned by first core encountered
     assert out.assignment.tolist() == [0, 0, 1, 1]
@@ -411,13 +474,13 @@ def test_dbscan_border_joins_lowest_index_core():
     b = [9.8, 9.9, 10.0, 10.1]
     border = [5.05]
     positions = a + border + b
-    out = dbscan(line_distances(positions), eps=4.8, min_pts=4)
+    out = dbscan(line_matrix(positions), eps=4.8, min_pts=4)
     # the border point reaches cores 0.3 (index 3) and 9.8 (index 5); the
     # lowest index wins, putting it with the left cluster
     assert out.num_clusters == 2
     assert out.assignment[4] == out.assignment[3]
 
-    flipped = dbscan(line_distances(positions[::-1]), eps=4.8, min_pts=4)
+    flipped = dbscan(line_matrix(positions[::-1]), eps=4.8, min_pts=4)
     # reversing the scan order flips which core has the lowest index
     assert flipped.assignment[4] == flipped.assignment[3]
     assert positions[::-1][3] == 9.8
@@ -428,7 +491,7 @@ def test_dbscan_matches_reference_exactly(seed):
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=6.0, size=(3, 2))
     pts = np.concatenate([c + rng.normal(scale=0.4, size=(6, 2)) for c in centers])
-    dm = pairwise_euclidean(pts)
+    dm = euclidean_matrix(pts)
     out = dbscan(dm, eps=1.2, min_pts=3)
     ref_labels, ref_count = oracles.dbscan_ref(dm.values, 1.2, 3)
     assert out.num_clusters == ref_count
@@ -439,7 +502,7 @@ def test_dbscan_permutation_invariant_up_to_relabeling():
     rng = np.random.default_rng(42)
     pts = np.concatenate([rng.normal(loc=0.0, scale=0.3, size=(5, 2)),
                           rng.normal(loc=8.0, scale=0.3, size=(5, 2))])
-    dm = pairwise_euclidean(pts)
+    dm = euclidean_matrix(pts)
     base = dbscan(dm, eps=1.5, min_pts=3)
     perm = rng.permutation(10)
     shuffled = DistanceMatrix(dm.values[np.ix_(perm, perm)])
@@ -456,9 +519,9 @@ def assert_dbscan_is_reference(dm, eps, min_pts):
 
 
 def shuffled_line(positions, seed=0):
-    """``line_distances`` of the positions in a seeded random row order."""
+    """``line_matrix`` of the positions in a seeded random row order."""
     positions = np.asarray(positions, dtype=np.float64)
-    return line_distances(positions[np.random.default_rng(seed).permutation(positions.size)])
+    return line_matrix(positions[np.random.default_rng(seed).permutation(positions.size)])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -469,7 +532,7 @@ def test_dbscan_matches_reference_across_row_blocks(seed):
     sizes = rng.integers(2, 13, size=40)
     centres = rng.normal(scale=5.0, size=(40, 3))
     pts = np.repeat(centres, sizes, axis=0) + 0.6 * rng.normal(size=(sizes.sum(), 3))
-    dm = pairwise_euclidean(pts[rng.permutation(len(pts))])
+    dm = euclidean_matrix(pts[rng.permutation(len(pts))])
     assert dm.n > 2 * ROW_BLOCK
     out = assert_dbscan_is_reference(dm, eps=1.0, min_pts=4)
     assert out.num_clusters > 10 and 0 < out.num_outliers < dm.n
@@ -507,14 +570,14 @@ def test_dbscan_distances_equal_to_eps_are_within():
     # integer lattice with holes: neighbor distances are exactly 1.0
     rng = np.random.default_rng(4)
     grid = np.stack(np.meshgrid(np.arange(16), np.arange(16)), axis=-1).reshape(-1, 2)
-    dm = pairwise_euclidean(grid[rng.permutation(len(grid))[:200]])
+    dm = euclidean_matrix(grid[rng.permutation(len(grid))[:200]])
     assert np.count_nonzero(dm.values == 1.0) > dm.n
     for min_pts in (2, 4, 5):
         assert_dbscan_is_reference(dm, eps=1.0, min_pts=min_pts)
 
 
 def test_dbscan_no_core_and_every_row_core():
-    dm = random_distances(5, n=3 * ROW_BLOCK, d=2)
+    dm = DistanceMatrix(euclidean_values(random_distances(5, n=3 * ROW_BLOCK, d=2)))
     none = assert_dbscan_is_reference(dm, eps=0.5, min_pts=dm.n + 1)
     assert none.num_clusters == 0 and none.num_outliers == dm.n
     every = assert_dbscan_is_reference(dm, eps=0.5, min_pts=1)
@@ -558,7 +621,7 @@ def test_dbscan_duplicate_rows_match_reference():
     # copies of 30 points: off-diagonal zeros, and ties at every distance
     rng = np.random.default_rng(6)
     base = rng.integers(-4, 5, size=(30, 2))
-    dm = pairwise_euclidean(base[rng.integers(0, 30, size=3 * ROW_BLOCK + 10)])
+    dm = euclidean_matrix(base[rng.integers(0, 30, size=3 * ROW_BLOCK + 10)])
     assert np.count_nonzero(dm.values == 0.0) > dm.n
     for eps, min_pts in ((0.5, 4), (1.0, 8), (1.5, 30)):
         assert_dbscan_is_reference(dm, eps, min_pts)
@@ -568,7 +631,7 @@ def test_dbscan_holds_no_dense_boolean():
     rng = np.random.default_rng(7)
     n = 2000
     pts = np.repeat(rng.normal(scale=4.0, size=(100, 4)), 20, axis=0)
-    dm = pairwise_euclidean(pts + 0.3 * rng.normal(size=(n, 4)))
+    dm = euclidean_matrix(pts + 0.3 * rng.normal(size=(n, 4)))
     tracemalloc.start()
     try:
         out = dbscan(dm, eps=1.0, min_pts=4)
@@ -585,7 +648,7 @@ def test_dbscan_memory_does_not_grow_with_min_pts():
     # every row is a non-core row with n neighbors; keeping their edges
     # would hold 16 bytes per entry
     n = 2000
-    dm = random_distances(8, n=n)
+    dm = DistanceMatrix(euclidean_values(random_distances(8, n=n)))
     eps, min_pts = dm.values.max(), n + 1
     tracemalloc.start()
     try:
@@ -679,9 +742,9 @@ def test_relabel_errors():
 
 
 def composed_relabel(ds, params, k, eps, min_pts):
-    """The relabel that keeps the Euclidean matrix alive through the
-    Jaccard kernel: ``dbscan(jaccard_distance(pairwise_euclidean(feats), k))``,
-    the entry point ``bench/test_bench.py`` checks."""
+    """The relabel composed from its traced entry points,
+    ``dbscan(jaccard_distance(pairwise_euclidean(feats), k))``, as
+    ``bench/test_bench.py`` checks it."""
     feats = l2_normalize_rows(encode_dataset(params, ds), "encoded feature")
     jac = jaccard_distance(pairwise_euclidean(feats), k)
     return jac, dbscan(jac, eps, min_pts)
@@ -736,9 +799,10 @@ def invariant_dataset(case):
 
 @pytest.mark.parametrize("case", ["clustered", "duplicates", "lattice"])
 def test_matrices_dbscan_trusts_hold_its_precondition_where_built(monkeypatch, case):
-    # dbscan checks nothing: the Euclidean matrix is square with an exactly
-    # zero diagonal, and the Jaccard one relabel_epoch hands it (bitwise
-    # jaccard_distance's) is also exactly symmetric and within [0, 1]
+    # dbscan checks nothing: the Jaccard matrix relabel_epoch hands it
+    # (bitwise jaccard_distance's) is square with an exactly zero diagonal,
+    # exactly symmetric and within [0, 1]; the Euclidean stream it is built
+    # from is square and finite with an exactly zero diagonal too
     ds = invariant_dataset(case)
     params = identity_encoder(ds.d)
     k = 30
@@ -755,7 +819,7 @@ def test_matrices_dbscan_trusts_hold_its_precondition_where_built(monkeypatch, c
     _, members, _ = membership_entries(euclid, reciprocal_sets(euclid, k))
     terms = np.bincount(members, minlength=ds.n)[members]  # a row's member meets its holders
     assert terms.sum() > 5 * pseudolabel.JACCARD_TERMS
-    e = euclid.values
+    e = euclidean_values(euclid)
     assert e.shape == (ds.n, ds.n) and np.all(np.diag(e) == 0.0) and np.all(np.isfinite(e))
     if case != "clustered":
         assert np.unique(e).size < e.size // 4  # ties beyond the mirrored pairs

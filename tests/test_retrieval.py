@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_pseudolabel import euclidean_values
 from uda_reid import retrieval
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.errors import DegenerateStructureError, NormalizationError
@@ -87,6 +88,24 @@ def test_rerank_lambda_one_is_plain_euclidean():
     assert np.array_equal(out, cdist(q, g))
 
 
+@pytest.mark.parametrize("case", [0, 1, (65, 200, 32), (200, 300, 16), (191, 450, 32),
+                                  (100, 1400, 32)],
+                         ids=lambda case: f"{case[0]}x{case[1]}-d{case[2]}"
+                         if isinstance(case, tuple) else f"oracle-{case}")
+def test_rerank_lambda_one_is_cdist_bitwise(case):
+    # draws where the pooled rows' products and cdist's query-gallery
+    # product differ in the last bits, so only a Euclidean term that is
+    # cdist itself makes lam = 1 exact
+    if isinstance(case, int):
+        q, g = oracle_points(case)
+    else:
+        n_q, n_g, d = case
+        rng = np.random.default_rng(0)
+        q, g = rng.normal(size=(n_q, d)), rng.normal(size=(n_g, d))
+    k1 = min(20, q.shape[0] + g.shape[0] - 1)
+    assert np.array_equal(rerank(q, g, k1=k1, k2=min(6, k1), lam=1.0), cdist(q, g))
+
+
 def oracle_points(seed):
     """(query, gallery): 4 x 8 random points for an integer seed, else a
     named case."""
@@ -127,22 +146,23 @@ def test_rerank_matches_stepwise_reference(seed, k1, k2):
 
 
 def rerank_full_sort(q, g, k1, k2, lam):
-    """rerank with a full stable argsort for the k2 expansion and the dense
-    row-loop Jaccard over every pooled row: the same arithmetic, in the same
-    order, as the package.  It keeps the pooled matrix alive until the final
-    blend, which ``rerank`` computes before it frees the matrix."""
+    """rerank with the dense pooled matrix, a full stable argsort for the k2
+    expansion and the dense row-loop Jaccard over every pooled row: the same
+    arithmetic, in the same order, as the package, whose Euclidean term is
+    ``cdist`` of the query and gallery rows."""
     n_q = q.shape[0]
     euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
-    v = membership_matrix(euclid, k_reciprocal_neighbors(nearest(euclid.values, k1 + 1)))
+    values = euclidean_values(euclid)
+    v = membership_matrix(euclid, k_reciprocal_neighbors(nearest(values, k1 + 1)))
     if k2 > 1:
-        local = np.argsort(euclid.values, axis=1, kind="stable")[:, :k2]
+        local = np.argsort(values, axis=1, kind="stable")[:, :k2]
         expanded = v[local[:, 0]]
         for rank in range(1, k2):
             expanded += v[local[:, rank]]
         expanded /= k2
         v = expanded
     jac = oracles.jaccard_loop_ref(v)
-    return lam * euclid.values[:n_q, n_q:] + (1.0 - lam) * jac[:n_q, n_q:]
+    return lam * cdist(q, g) + (1.0 - lam) * jac[:n_q, n_q:]
 
 
 @pytest.mark.parametrize("k1,k2,seed", [(k1, k2, seed) for k1, k2 in [(5, 1), (5, 3), (7, 7)]
@@ -165,7 +185,7 @@ def test_blocks_case_spans_row_blocks_and_rows_in_their_own_sets(k1):
     n_q, n = q.shape[0], q.shape[0] + g.shape[0]
     assert ROW_BLOCK < n_q and n_q % ROW_BLOCK and n > 3 * ROW_BLOCK
     euclid = pairwise_euclidean(np.concatenate([q, g], axis=0))
-    sets = k_reciprocal_neighbors(nearest(euclid.values, k1 + 1))
+    sets = k_reciprocal_neighbors(euclid.ranked(k1 + 1))
     assert any(p in members for p, members in enumerate(sets))
 
 
@@ -175,13 +195,15 @@ def test_rerank_holds_no_dense_membership():
     x = l2_normalize_rows(np.repeat(rng.normal(size=(75, 32)), 20, axis=0)
                           + 0.5 * rng.normal(size=(n, 32)))
     euclid_bytes = n * n * 8
-    # the pooled Euclidean matrix is never held, only its row blocks.  1,300
-    # queries: the (n_q, n) Jaccard rows (0.87x) beside the blend (0.19x),
-    # plus sparse entries and row-block temporaries, peak at 1.63x (numpy
-    # 2.4); the pooled matrix kept beside them peaks at 2.45x, and a dense
-    # membership and its k2 average would add 2x more.  100 queries: 0.83x;
-    # a pooled matrix, even one freed before the Jaccard rows exist, peaks at 1.23x
-    for n_q, bound in ((1300, 1.8), (100, 1.0)):
+    # the pooled Euclidean matrix is never held, only its row blocks, and the
+    # blend is built after the Jaccard kernel.  1,300 queries peak at 1.49x
+    # (numpy 2.4) inside that kernel: the (n_q, n) Jaccard rows (0.87x) plus
+    # sparse entries and term-block temporaries; the blend step after it
+    # peaks at 1.20x.  A blend held through the kernel peaks at 1.63x, the
+    # pooled matrix would add 1x, and a dense membership and its k2 average
+    # 2x more.  100 queries: 0.75x, also inside the kernel; a pooled matrix
+    # alone is 1x
+    for n_q, bound in ((1300, 1.6), (100, 0.9)):
         tracemalloc.start()
         try:
             rerank(x[:n_q], x[n_q:], k1=30, k2=6, lam=0.3)
