@@ -44,7 +44,7 @@ def seed_list(text: str) -> list[int]:
 def fidelity(text: str) -> float:
     """``--fidelity``: a translation fidelity that ``SynthConfig`` accepts."""
     try:
-        return SynthConfig(translation_fidelity=float(text)).validate().translation_fidelity
+        return SynthConfig(translation_fidelity=float(text)).translation_fidelity
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

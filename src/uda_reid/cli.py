@@ -116,7 +116,7 @@ def _add_config_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
 
 def _config(cls, args):
     """The ``cls`` config of the defaults, overridden by the ``--config``
-    file's lines, then by every config flag given; validated once.  A field
+    file's lines, then by every config flag given; validated once, when built.  A field
     that the command has no flag for is an unknown key in the file too."""
     from .datamodel import config_fields, config_from_kv, parse_kv
     from .errors import ConfigError
@@ -191,12 +191,6 @@ def _check_writes(args) -> None:
             named.append((flag, key))
 
 
-def _load_dataset(path):
-    from .datamodel import load_features
-
-    return load_features(path).validate()
-
-
 def _train(args, stage) -> dict:
     """Run ``stage(val_split) -> (params, log)``, write the params to
     ``--out`` and the log to ``--log``, and return the command's summary.
@@ -204,10 +198,11 @@ def _train(args, stage) -> dict:
     a bad file or a path that cannot be written fails first.  If anything
     fails, the files opened here that did not exist before are removed;
     appending nothing leaves a file unchanged."""
+    from .datamodel import load_features
     from .encoder import save_params
     from .retrieval import split_query_gallery
 
-    val_split = None if args.val is None else split_query_gallery(_load_dataset(args.val))
+    val_split = None if args.val is None else split_query_gallery(load_features(args.val))
     created = []
     try:
         for path in filter(None, (args.out, args.log)):
@@ -237,35 +232,37 @@ def _train(args, stage) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args) -> dict:
-    from .datamodel import SynthConfig, generate_synthetic, save_features
+    from .datamodel import SYNTH_NAMES, SynthConfig, generate_synthetic, save_features
 
     cfg = _config(SynthConfig, args)
     os.makedirs(args.out, exist_ok=True)
     paths = {}
-    for path, ds in zip(_synth_paths(args.out), generate_synthetic(cfg)):
+    for name, path, ds in zip(SYNTH_NAMES, _synth_paths(args.out), generate_synthetic(cfg)):
         save_features(path, ds)
-        paths[ds.name] = {"path": path, "rows": ds.n, "dim": ds.d}
+        paths[name] = {"path": path, "rows": ds.n, "dim": ds.d}
         _note(f"wrote {path} ({ds.n} rows)")
     return {"command": "synth", "seed": cfg.seed, "datasets": paths}
 
 
 def _cmd_pretrain(args) -> dict:
+    from .datamodel import load_features
     from .pipeline import StageConfig, stage_pretrain
 
     cfg = _config(StageConfig, args)
-    train = _load_dataset(args.data)
+    train = load_features(args.data)
     summary = _train(args, lambda val_split: stage_pretrain(train, cfg, val_split=val_split))
     _note(f"pretrained {cfg.epochs} epochs on {args.data} -> {args.out}")
     return summary
 
 
 def _cmd_baseline(args) -> dict:
+    from .datamodel import load_features
     from .encoder import load_params
     from .pipeline import StageConfig, stage_baseline
 
     cfg = _config(StageConfig, args)
     pretrained = load_params(args.params)
-    target = _load_dataset(args.data)
+    target = load_features(args.data)
     summary = _train(args, lambda val_split: stage_baseline(pretrained, target, cfg,
                                                             val_split=val_split))
     _note(f"self-trained {cfg.epochs} epochs on {args.data} -> {args.out}")
@@ -273,14 +270,15 @@ def _cmd_baseline(args) -> dict:
 
 
 def _cmd_mmtplus(args) -> dict:
+    from .datamodel import load_features
     from .encoder import load_params
     from .pipeline import StageConfig, stage_mmt_plus
 
     cfg = _config(StageConfig, args)
     pretrained = load_params(args.params)
     pretrained2 = load_params(args.params2) if args.params2 else None
-    source = _load_dataset(args.source)
-    target = _load_dataset(args.target)
+    source = load_features(args.source)
+    target = load_features(args.target)
 
     def train(val_split):
         teachers, log = stage_mmt_plus(pretrained, source, target, cfg,
@@ -293,14 +291,14 @@ def _cmd_mmtplus(args) -> dict:
 
 
 def _cmd_cluster(args) -> dict:
-    from .datamodel import save_features
+    from .datamodel import load_features, save_features
     from .encoder import load_params
     from .pipeline import StageConfig
     from .pseudolabel import relabel_epoch
 
     cfg = _config(StageConfig, args)
     params = load_params(args.params)
-    ds = _load_dataset(args.data)
+    ds = load_features(args.data)
     labeling = relabel_epoch(ds, params, k=cfg.k, eps=cfg.eps, min_pts=cfg.min_pts)
     out = args.out if args.out else args.data
     save_features(out, ds)
@@ -318,11 +316,11 @@ def _encoded_split(args, labelled):
     When ``labelled``, a row with no identity fails before anything is encoded."""
     import numpy as np
 
+    from .datamodel import load_features
     from .retrieval import QueryGallerySplit, require_identities
 
-    split = QueryGallerySplit(query=_load_dataset(args.query),
-                              gallery=_load_dataset(args.gallery))
-    split.validate()
+    split = QueryGallerySplit(query=load_features(args.query),
+                              gallery=load_features(args.gallery))
     if labelled:
         require_identities(split.query.identities, "query")
         require_identities(split.gallery.identities, "gallery")
@@ -377,11 +375,11 @@ def _cmd_evaluate(args) -> dict:
 
 
 def _cmd_ensemble(args) -> dict:
-    from .datamodel import save_features
+    from .datamodel import load_features, save_features
     from .encoder import encode_dataset, load_params
     from .retrieval import ensemble_features
 
-    ds = _load_dataset(args.data)
+    ds = load_features(args.data)
     parts = [encode_dataset(load_params(p), ds) for p in args.params]
     combined = ensemble_features(parts)
     save_features(args.out, replace(ds, features=combined))

@@ -70,7 +70,6 @@ class Dataset:
     cameras: np.ndarray     # (n,) int32
     domains: np.ndarray     # (n,) uint8, Domain values
     pseudo: np.ndarray      # (n,) int32, PSEUDO_OUTLIER = no cluster
-    name: str = ""
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
@@ -112,7 +111,7 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(features=self.features[idx], name=self.name,
+        return Dataset(features=self.features[idx],
                        **{col: getattr(self, col)[idx] for col in COLUMNS})
 
 
@@ -121,7 +120,6 @@ def concat_datasets(a: Dataset, b: Dataset) -> Dataset:
     if a.d != b.d:
         raise ValueError(f"feature dimension mismatch: {a.d} vs {b.d}")
     return Dataset(features=np.concatenate([a.features, b.features], axis=0),
-                   name=f"{a.name}+{b.name}" if a.name or b.name else "",
                    **{col: np.concatenate([getattr(a, col), getattr(b, col)])
                       for col in COLUMNS})
 
@@ -172,14 +170,14 @@ def load_features(path) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(feats))
     if bad.size:
         raise FormatError(pos + 4 * int(bad[0]), "non-finite feature value")
-    return Dataset(features=feats.reshape(n, d).copy(), **columns)
+    return Dataset(features=feats.reshape(n, d).copy(), **columns).validate()
 
 
 # ---------------------------------------------------------------------------
 # Synthetic two-domain generator
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     num_ids_source: int = 32
     num_ids_target: int = 32
@@ -192,7 +190,7 @@ class SynthConfig:
     shift_strength: float = 1.0         # rotation/scale intensity; 0 -> identity map
     shift_offset: float = 1.0           # offset magnitude; 0 -> zero offset
 
-    def validate(self):
+    def __post_init__(self):
         check_finite_floats(self)
         for fname in ("num_ids_source", "num_ids_target", "samples_per_id", "raw_dim", "cameras"):
             v = getattr(self, fname)
@@ -205,7 +203,6 @@ class SynthConfig:
                 raise ConfigError(fname, f"must be >= 0, got {getattr(self, fname)}")
         if self.seed < 0:
             raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        return self
 
 
 def _block_rotation(rng, d: int, lo: float, hi: float) -> np.ndarray:
@@ -250,7 +247,6 @@ def _domain_shift(cfg: SynthConfig, rng):
 
 def generate_synthetic(cfg: SynthConfig):
     """Build (source, target, translated) datasets; pure function of the config."""
-    cfg.validate()
     d = cfg.raw_dim
     signal = max(1, d // 2)
 
@@ -297,7 +293,7 @@ def generate_synthetic(cfg: SynthConfig):
     gamma = cfg.translation_fidelity
     translated_feats = (1.0 - gamma) * src_obs + gamma * src_raw
 
-    def build(feats, idents, cams, domain, name):
+    def build(feats, idents, cams, domain):
         n = len(idents)
         return Dataset(
             features=feats.astype(np.float32),
@@ -305,13 +301,12 @@ def generate_synthetic(cfg: SynthConfig):
             cameras=cams,
             domains=np.full(n, int(domain), dtype=np.uint8),
             pseudo=np.full(n, PSEUDO_OUTLIER, dtype=np.int32),
-            name=name,
         ).validate()
 
     parts = ((src_obs, src_ids, src_cams, Domain.SOURCE),
              (tgt_raw, tgt_ids, tgt_cams, Domain.TARGET),
              (translated_feats, src_ids, src_cams, Domain.TARGET))
-    return tuple(build(*part, name) for part, name in zip(parts, SYNTH_NAMES))
+    return tuple(build(*part) for part in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +372,11 @@ def parse_field(name: str, typ, raw: str):
 
 def config_from_kv(cls, pairs: dict, **overrides):
     """The ``cls`` config of its defaults, then ``pairs`` parsed from text,
-    then the typed ``overrides``; validated once, with every value in place."""
+    then the typed ``overrides``; validated once, by its constructor."""
     types = config_fields(cls)
     kwargs = {}
     for key, raw in pairs.items():
         if key not in types:
             raise ConfigError(key, "unknown configuration key")
         kwargs[key] = parse_field(key, types[key], raw)
-    cfg = cls(**{**kwargs, **overrides})
-    cfg.validate()
-    return cfg
+    return cls(**{**kwargs, **overrides})

@@ -217,7 +217,7 @@ def class_index(labels) -> ClassIndex:
 
 
 def check_classes(index: ClassIndex, p_classes: int) -> None:
-    """``pk_sample``'s check that the index holds p_classes classes."""
+    """Raise unless the index holds p_classes classes, as ``pk_sample`` trusts."""
     if index.classes.size < p_classes:
         raise MiningError(index.classes,
                           f"need {p_classes} usable labels, have {index.classes.size}")
@@ -229,9 +229,9 @@ def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
     of each row.
 
     Negative labels (unlabeled / outlier rows) are excluded.  Classes with
-    fewer than k_per rows are sampled with replacement.
+    fewer than k_per rows are sampled with replacement.  The index must hold
+    p_classes classes, unchecked: its callers ensure it (:func:`check_classes`).
     """
-    check_classes(index, p_classes)
     usable = index.classes
     # drawing positions makes the same draws as drawing the labels themselves
     chosen = rng.choice(usable.size, size=p_classes, replace=False)
@@ -249,7 +249,7 @@ def pk_sample(index: ClassIndex, p_classes: int, k_per: int,
 
 def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> None:
     """In place, teacher <- alpha*teacher + (1-alpha)*student on every array
-    (equal shapes).  ``alpha`` is unchecked: ``StageConfig.validate`` owns its range."""
+    (equal shapes).  ``alpha`` is unchecked: ``StageConfig`` owns its range."""
     s_arrays = student.all_arrays()
     for name, t_arr in teacher.all_arrays().items():
         t_arr *= alpha
@@ -260,7 +260,7 @@ def ema_update(teacher: EncoderParams, student: EncoderParams, alpha: float) -> 
 def queue_push(queue: np.ndarray, feats, capacity: int) -> np.ndarray:
     """A new FIFO queue: ``queue`` (rows, dim, oldest first; one per network of a
     stack) with the L2-normalized ``feats`` rows of its width appended, cut to
-    its newest ``capacity`` rows (unchecked: ``StageConfig.validate`` owns it)."""
+    its newest ``capacity`` rows (unchecked: ``StageConfig`` owns it)."""
     normed = l2_normalize_rows(feats, "queue feature")
     return np.concatenate([queue, normed], axis=-2)[..., -capacity:, :]
 

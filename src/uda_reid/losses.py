@@ -154,7 +154,7 @@ def moco_batch(queries, keys_pos, queue, tau: float) -> LossOut:
 
     Gradient flows to the raw (pre-normalization) queries only; the positive
     keys and queue entries are constants.  An empty queue gives zero loss.
-    ``tau`` is unchecked: ``StageConfig.validate`` owns its range (> 0).
+    ``tau`` is unchecked: ``StageConfig`` owns its range (> 0).
     """
     queries = np.asarray(queries, dtype=np.float64)
     keys_pos = np.asarray(keys_pos, dtype=np.float64)
@@ -190,7 +190,7 @@ def margin_classification_batch(features, class_weights, labels, mode: LossMode,
     ARCFACE replaces cos(theta_y) by cos(theta_y + m) with the summed angle
     clamped below pi; COSFACE uses cos(theta_y) - m.  Gradients flow to the
     raw features and raw class weights through the normalizations.  ``margin``
-    and ``scale`` are unchecked: ``StageConfig.validate`` owns their ranges.
+    and ``scale`` are unchecked: ``StageConfig`` owns their ranges.
     """
     feats = np.asarray(features, dtype=np.float64)
     weights = np.asarray(class_weights, dtype=np.float64)
@@ -235,6 +235,6 @@ def margin_classification_batch(features, class_weights, labels, mode: LossMode,
 def mmt_plus_total(soft, hard, moco, lambda_soft: float, lambda_moco: float):
     """lambda_soft*soft + (1-lambda_soft)*hard + lambda_moco*moco, per
     network when the parts are per-network arrays.  The weights are
-    unchecked: ``StageConfig.validate`` owns their ranges, and the training
+    unchecked: ``StageConfig`` owns their ranges, and the training
     loop's guard owns the finiteness of the result."""
     return lambda_soft * soft + (1.0 - lambda_soft) * hard + lambda_moco * moco

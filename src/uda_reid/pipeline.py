@@ -27,7 +27,7 @@ from .retrieval import (EvalReport, QueryGallerySplit, evaluate_split,
                         rerank, split_query_gallery)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageConfig:
     epochs: int = 10
     iters_per_epoch: int = 200
@@ -52,7 +52,7 @@ class StageConfig:
     lr_milestones: tuple[int, ...] = ()     # epochs at which lr decays by lr_gamma
     lr_gamma: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_finite_floats(self)
         positives = ["iters_per_epoch", "p_classes", "k_per", "lr", "tau",
                      "queue_capacity", "k", "eps", "min_pts", "encoder_dim",
@@ -254,9 +254,13 @@ def _train(params: EncoderParams, cfg: StageConfig, data: Dataset, rng: np.rando
     classifier moments.  Batches take labels from the index alone, never
     from a dataset's ``pseudo`` column.  Validation scores the first
     teacher, else the first network.  Raises before the first relabel unless
-    ``cfg.k_per`` > 1 without teachers (the triplet's positives) and
-    ``source`` has ``cfg.p_classes`` identities.
+    ``cfg.k_per`` > 1 without teachers (the triplet's positives),
+    ``source`` has ``cfg.p_classes`` identities and ``val_split`` has the
+    width of ``data``.
     """
+    if val_split is not None and val_split.query.d != data.d:
+        raise ValueError(f"validation rows are {val_split.query.d} features wide, "
+                         f"the training rows {data.d}")
     if teachers is None and cfg.k_per == 1:
         raise ConfigError("k_per", "must be > 1 for the triplet term's in-batch positives")
     if source is not None:
@@ -341,7 +345,6 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
     """Classification + hardest-mined triplet training on labeled data; raises
     before training unless 1 < ``cfg.p_classes`` <= the number of identities
     and ``cfg.k_per`` > 1."""
-    cfg.validate()
     train.validate()
     if np.any(train.identities < 0):
         raise ValueError("pretraining requires identity labels on every row")
@@ -366,7 +369,6 @@ def stage_baseline(pretrained: EncoderParams, target: Dataset, cfg: StageConfig,
     """Alternates pseudo-label refresh and supervised training on them; an
     epoch whose labelling has fewer than two clusters is skipped.  Raises
     before the first relabel unless ``cfg.k_per`` > 1."""
-    cfg.validate()
     if pretrained.d_in != target.d:
         raise ValueError("pretrained encoder dimension does not match data")
     params = pretrained.copy()
@@ -407,7 +409,6 @@ def stage_mmt_plus(pretrained: EncoderParams, source: Dataset, target: Dataset,
     of :func:`_train` with the teachers, and with the source block only
     under ``joint_source``.
     """
-    cfg.validate()
     if source.n == 0 or target.n == 0:
         raise ValueError("both datasets must be non-empty")
     if pretrained.d_in != source.d or source.d != target.d:

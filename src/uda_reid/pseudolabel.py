@@ -388,7 +388,7 @@ def _link(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 def dbscan(dist: DistanceMatrix, eps: float, min_pts: int) -> PseudoLabeling:
     """Connected components of core points under <= eps; border points join
     their lowest-index core neighbor's cluster; the rest are OUTLIER.
-    ``eps``/``min_pts`` are unchecked: ``StageConfig.validate`` owns them.
+    ``eps``/``min_pts`` are unchecked: ``StageConfig`` owns them.
     ``dist`` is unchecked too: it must be square with an exactly zero
     diagonal, as ``jaccard_distance``, its only builder, makes it.
 

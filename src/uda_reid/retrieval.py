@@ -15,12 +15,12 @@ from .pseudolabel import (EuclideanRows, jaccard_rows, k_reciprocal_neighbors,
                           membership_entries, nearest)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryGallerySplit:
     query: Dataset
     gallery: Dataset
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.query.d != self.gallery.d:
             raise ValueError("query/gallery feature dimensions differ")
         if self.query.n == 0 or self.gallery.n == 0:
@@ -61,10 +61,8 @@ def split_query_gallery(ds: Dataset, per_id: int = 2) -> QueryGallerySplit:
     rank = np.empty(ds.n, dtype=np.int64)  # a row's place among its identity's rows
     rank[order] = np.arange(ds.n) - (np.cumsum(counts) - counts)[ident[order]]
     query = rank < np.minimum(per_id, counts[ident] - 1)
-    split = QueryGallerySplit(query=ds.subset(np.flatnonzero(query)),
-                              gallery=ds.subset(np.flatnonzero(~query)))
-    split.validate()
-    return split
+    return QueryGallerySplit(query=ds.subset(np.flatnonzero(query)),
+                             gallery=ds.subset(np.flatnonzero(~query)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +222,6 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
 
 def evaluate_split(split: QueryGallerySplit, dist) -> EvalReport:
     """Protocol evaluation of the split's query x gallery distances."""
-    split.validate()
     return evaluate(dist, split.query.identities, split.query.cameras,
                     split.gallery.identities, split.gallery.cameras)
 

@@ -7,7 +7,10 @@ pipeline over five seeds and dominates the wall time (a minute or two).
 import importlib.util
 import io
 import json
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,7 +20,7 @@ import pytest
 import oracles
 from test_pseudolabel import euclidean_matrix, euclidean_values
 from test_retrieval import oracle_points
-from uda_reid.cli import run
+from uda_reid.cli import THREAD_VARS, run
 from uda_reid.encoder import init_params, ema_update
 from uda_reid.gradcheck import run_gradcheck
 from uda_reid.losses import mmt_plus_total
@@ -189,9 +192,17 @@ def test_criterion_4_protocol_fixtures(capsys):
 
 @pytest.fixture(scope="module")
 def ablation():
-    """Median validation mAP per arm, the grid of scripts/run_ablation.py."""
+    """Median validation mAP per arm, the grid of scripts/run_ablation.py.
+
+    The seeds run in spawned worker processes, each started with BLAS and
+    OpenMP pinned to one thread, so the cap is in place before numpy loads."""
     started = time.time()
-    per_seed = [ablation_arms(seed) for seed in range(5)]
+    with pytest.MonkeyPatch.context() as mp:
+        for var in THREAD_VARS:
+            mp.setenv(var, "1")  # inherited by the workers as they spawn
+        with ProcessPoolExecutor(min(2, os.cpu_count() or 1),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            per_seed = list(pool.map(ablation_arms, range(5)))
     medians = {arm: float(np.median([row[arm] for row in per_seed]))
                for arm in per_seed[0]}
     return medians, time.time() - started

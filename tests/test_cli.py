@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -885,6 +886,26 @@ def test_val_unlabelled_row_exits_2_before_training(command, arts, tmp_path, no_
                            "--log", tmp_path / "o.log"] + TINY_TRAIN)
     assert code == 2 and out == "", err
     assert "dataset row 7 has no identity (-1)" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["val.bin"]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "baseline", "mmtplus"])
+def test_val_of_another_width_exits_2_before_training(command, arts, tmp_path, monkeypatch):
+    # the width is checked before the first epoch, not by the first evaluation
+    def fail(*args, **kwargs):
+        raise AssertionError("training started")
+
+    for name in ("relabel_epoch", "adam_step"):
+        monkeypatch.setattr(pipeline, name, fail)
+    target = load_features(arts["target"])
+    val = tmp_path / "val.bin"
+    save_features(val, replace(target, features=target.features[:, :12]))
+    code, out, err = go([command] + train_inputs(command, arts)
+                        + ["--out", tmp_path / "o.params", "--val", val,
+                           "--log", tmp_path / "o.log"] + TINY_TRAIN)
+    assert code == 2 and out == "", err
+    assert "validation rows are 12 features wide, the training rows 16" in err
+    assert "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["val.bin"]
 
 

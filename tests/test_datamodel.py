@@ -1,5 +1,7 @@
 """Dataset container, binary round trips, and the synthetic generator."""
+import re
 import struct
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ def random_dataset(seed, n=12, d=6, unlabeled_target=False):
         cameras=rng.integers(0, 4, size=n).astype(np.int32),
         domains=domains,
         pseudo=np.full(n, PSEUDO_OUTLIER, dtype=np.int32),
-        name="t",
     )
 
 
@@ -201,10 +202,11 @@ def test_load_rejects_corruption(tmp_path):
 
 def test_load_every_truncation_and_bit_flip(tmp_path):
     """Every truncation prefix of a small file raises ValueError.  Every
-    single-bit flip raises ValueError from ``load_features`` or ``validate``,
-    or loads a valid dataset that saves back to the flipped bytes: the format
-    carries no checksum, so a flip to another legal value cannot be caught,
-    but it is never misread.  No other exception escapes either way."""
+    single-bit flip raises ValueError from ``load_features``, which validates
+    what it loads, or loads a valid dataset that saves back to the flipped
+    bytes: the format carries no checksum, so a flip to another legal value
+    cannot be caught, but it is never misread.  No other exception escapes
+    either way."""
     path = tmp_path / "ds.bin"
     save_features(path, random_dataset(11, n=4, d=2))
     blob = path.read_bytes()
@@ -212,7 +214,7 @@ def test_load_every_truncation_and_bit_flip(tmp_path):
     for size in range(len(blob)):
         bad.write_bytes(blob[:size])
         with pytest.raises(ValueError):
-            load_features(bad).validate()
+            load_features(bad)
     raised = set()
     for pos in range(len(blob)):
         for bit in range(8):
@@ -220,13 +222,35 @@ def test_load_every_truncation_and_bit_flip(tmp_path):
             flipped[pos] ^= 1 << bit
             bad.write_bytes(bytes(flipped))
             try:
-                save_features(back, load_features(bad).validate())
+                save_features(back, load_features(bad))
             except ValueError:
                 raised.add((pos, bit))
                 continue
             assert back.read_bytes() == bytes(flipped), (pos, bit)
     # a flip in the 14-byte header breaks the magic, the version or the sizes
     assert raised >= {(pos, bit) for pos in range(14) for bit in range(8)}
+
+
+@pytest.mark.parametrize("column,row,value,message", [
+    ("identities", 1, -5, "identity labels below the NONE sentinel"),
+    ("cameras", 2, -1, "camera ids must be >= 0"),
+    ("pseudo", 0, -3, "pseudo labels below the OUTLIER sentinel"),
+    ("identities", 0, IDENTITY_NONE, "source rows must carry ground-truth identities"),
+])
+def test_load_rejects_what_validate_rejects(column, row, value, message, tmp_path):
+    # a well-formed file whose values no Dataset may hold: the loader owns
+    # the check of data from outside the program
+    ds = random_dataset(3, n=4, d=2)
+    ds.domains[:] = int(Domain.SOURCE)
+    path = tmp_path / "ds.bin"
+    save_features(path, ds)
+    blob = bytearray(path.read_bytes())
+    # after the 14-byte header: 4 i4 identities, 4 i4 cameras, 4 u1 domain tags
+    offset = {"identities": 14, "cameras": 30, "pseudo": 50}[column] + 4 * row
+    struct.pack_into("<i", blob, offset, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=message):
+        load_features(path)
 
 
 def test_load_rejects_truncated_header(tmp_path):
@@ -298,13 +322,46 @@ def test_zero_strength_shift_is_identity_map():
 
 def test_synth_config_validation():
     with pytest.raises(ConfigError, match="translation_fidelity"):
-        SynthConfig(translation_fidelity=1.5).validate()
+        SynthConfig(translation_fidelity=1.5)
     with pytest.raises(ConfigError, match="samples_per_id"):
-        SynthConfig(samples_per_id=0).validate()
+        SynthConfig(samples_per_id=0)
     with pytest.raises(ConfigError, match="cluster_spread"):
-        SynthConfig(cluster_spread=-0.1).validate()
+        SynthConfig(cluster_spread=-0.1)
     with pytest.raises(ConfigError, match="'seed': must be >= 0, got -1"):
-        SynthConfig(seed=-1).validate()
+        SynthConfig(seed=-1)
+
+
+SYNTH_RULES = [
+    ("translation_fidelity", -0.1, "must be in [0, 1], got -0.1"),
+    ("translation_fidelity", 1.5, "must be in [0, 1], got 1.5"),
+    *[(name, 0, "must be a positive integer, got 0")
+      for name in ("num_ids_source", "num_ids_target", "samples_per_id", "raw_dim", "cameras")],
+    ("cluster_spread", -0.1, "must be >= 0, got -0.1"),
+    ("shift_strength", -1.0, "must be >= 0, got -1.0"),
+    ("seed", -1, "must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace", "config_from_kv"])
+@pytest.mark.parametrize("name,value,message", SYNTH_RULES,
+                         ids=[f"{name}={value}" for name, value, _ in SYNTH_RULES])
+def test_synth_config_rule_raises_through_every_builder(build, name, value, message):
+    # a SynthConfig is valid once built, however it is built
+    with pytest.raises(ConfigError, match=re.escape(f"'{name}': {message}")):
+        if build == "constructor":
+            SynthConfig(**{name: value})
+        elif build == "replace":
+            replace(SynthConfig(), **{name: value})
+        else:
+            config_from_kv(SynthConfig, {name: str(value)})
+
+
+@pytest.mark.parametrize("cls", [SynthConfig, StageConfig])
+def test_config_fields_cannot_be_assigned(cls):
+    cfg = cls()
+    with pytest.raises(FrozenInstanceError):
+        cfg.seed = 1
+    assert cfg.seed == 0
 
 
 FLOAT_FIELDS = [(cls, name) for cls in (SynthConfig, StageConfig)
@@ -324,7 +381,7 @@ def test_non_finite_float_field_is_a_config_error(cls, name, raw):
     """Every float field of both configs must be finite, whether set in
     code or from ``key = value`` text (flags and --config lines)."""
     with pytest.raises(ConfigError, match=f"'{name}': must be finite, got {raw}$"):
-        cls(**{name: float(raw)}).validate()
+        cls(**{name: float(raw)})
     with pytest.raises(ConfigError, match=f"'{name}': must be finite, got {raw}$"):
         config_from_kv(cls, {name: raw})
 

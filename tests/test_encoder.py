@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from uda_reid.datamodel import Dataset
 from uda_reid.encoder import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, EPS_VAR, AdamState,
-                              EncoderParams, adam_step, backward, class_index, classifier_backward,
-                              classifier_logits, ema_update, encode_dataset,
+                              EncoderParams, adam_step, backward, check_classes, class_index,
+                              classifier_backward, classifier_logits, ema_update, encode_dataset,
                               forward, forward_cached, init_params,
                               load_params, pk_sample, queue_push, save_params)
 from uda_reid.errors import (DivergenceError, FormatError, MiningError,
@@ -239,10 +239,12 @@ def test_pk_batch_rows_each_have_a_positive_and_a_negative(data, p, k, seed):
     assert np.unique(batch).size == p
 
 
-def test_pk_sample_requires_enough_classes():
-    with pytest.raises(MiningError, match="usable"):
-        pk_sample(class_index(np.array([0, 0, -1])), p_classes=2, k_per=1,
-                  rng=np.random.default_rng(0))
+def test_check_classes_requires_enough_usable_labels():
+    # pk_sample trusts this check, which its callers run on the index
+    index = class_index(np.array([0, 0, -1]))
+    with pytest.raises(MiningError, match=r"need 2 usable labels, have 1 \(labels: \[0\]\)"):
+        check_classes(index, 2)
+    check_classes(index, 1)
 
 
 def test_class_index_lists_each_usable_label_with_its_rows():

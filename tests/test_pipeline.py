@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from uda_reid.errors import ConfigError, DivergenceError
 from uda_reid.losses import LossOut
 from uda_reid.datamodel import config_from_kv, parse_kv
 from uda_reid.pseudolabel import PseudoLabeling
+from uda_reid.retrieval import QueryGallerySplit
 from uda_reid.pipeline import (Benchmark, EpochRecord, LossMode, RunLog,
                                StageConfig, default_benchmark,
                                eval_encoder, run_full_pipeline, stage_baseline,
@@ -60,7 +62,7 @@ def all_equal(a: EncoderParams, b: EncoderParams) -> bool:
 # ---------------------------------------------------------------------------
 
 def test_default_config_validates():
-    StageConfig().validate()
+    StageConfig()
 
 
 def test_lr_schedule():
@@ -75,7 +77,7 @@ def test_lr_schedule():
     assert cfg.lr_at(4) == pytest.approx(0.001)
 
 
-@pytest.mark.parametrize("kwargs,field", [
+RANGE_CASES = [
     (dict(iters_per_epoch=0), "iters_per_epoch"),
     (dict(epochs=-1), "epochs"),
     (dict(lambda_soft=1.5), "lambda_soft"),
@@ -91,11 +93,31 @@ def test_lr_schedule():
     (dict(eps=0.0), "eps"),
     (dict(min_pts=0), "min_pts"),
     (dict(lr_milestones=(2, -1)), "lr_milestones"),
-])
+]
+
+
+@pytest.mark.parametrize("kwargs,field", RANGE_CASES)
 def test_config_validation_errors(kwargs, field):
     # the one check of each range: the kernels take validated values
     with pytest.raises(ConfigError, match=field):
-        StageConfig(**kwargs).validate()
+        StageConfig(**kwargs)
+
+
+def as_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("build", ["replace", "config_from_kv"])
+@pytest.mark.parametrize("kwargs,field", RANGE_CASES,
+                         ids=[field for _, field in RANGE_CASES])
+def test_config_rule_raises_through_every_builder(build, kwargs, field):
+    # a StageConfig is valid once built: a copy with a field replaced and a
+    # config parsed from text go through the same constructor
+    with pytest.raises(ConfigError, match=f"'{field}': "):
+        if build == "replace":
+            replace(StageConfig(), **kwargs)
+        else:
+            config_from_kv(StageConfig, {k: as_text(v) for k, v in kwargs.items()})
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -104,7 +126,7 @@ def test_config_validation_errors(kwargs, field):
     dict(lr_milestones=(0, 3)),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_config_accepts_boundary_values(kwargs):
-    StageConfig(**kwargs).validate()
+    StageConfig(**kwargs)
 
 
 def test_config_from_kv_parses_every_type():
@@ -645,6 +667,29 @@ def test_mmt_is_bitwise_deterministic(bench, pretrained, student_stacks):
     assert log_a.to_jsonl() == log_b.to_jsonl()
 
 
+@pytest.mark.parametrize("stage", ["pretrain", "baseline", "mmt_plus"])
+def test_val_split_of_another_width_raises_before_any_step(bench, pretrained, monkeypatch,
+                                                          stage):
+    def fail(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(pipeline, "relabel_epoch", fail)
+    monkeypatch.setattr(pipeline, "pk_sample", fail)
+    split = bench.val_split
+    narrow = QueryGallerySplit(query=replace(split.query, features=split.query.features[:, :12]),
+                               gallery=replace(split.gallery,
+                                               features=split.gallery.features[:, :12]))
+    with pytest.raises(ValueError,
+                       match="validation rows are 12 features wide, the training rows 16"):
+        if stage == "pretrain":
+            stage_pretrain(bench.translated, tiny_cfg(), val_split=narrow)
+        elif stage == "baseline":
+            stage_baseline(pretrained, fresh_target(bench), tiny_cfg(), val_split=narrow)
+        else:
+            stage_mmt_plus(pretrained, bench.source, fresh_target(bench), tiny_cfg(),
+                           val_split=narrow)
+
+
 # ---------------------------------------------------------------------------
 # the arrays the step's kernels trust
 # ---------------------------------------------------------------------------
@@ -710,6 +755,10 @@ def ema_args(teacher, student, alpha):
         assert arr.shape == other.shape
 
 
+def pk_args(index, p_classes, k_per, rng):
+    assert index.classes.size >= p_classes  # check_classes, where the index is built
+
+
 def queue_args(queue, feats, capacity):
     finite64(queue, feats)
     assert feats.ndim == queue.ndim
@@ -727,13 +776,14 @@ PRECONDITIONS = {
     (pipeline, "adam_step"): adam_args,
     (pipeline, "ema_update"): ema_args,
     (pipeline, "queue_push"): queue_args,
+    (pipeline, "pk_sample"): pk_args,
 }
 
 
 @pytest.mark.parametrize("mode", list(LossMode), ids=lambda mode: mode.value)
 @pytest.mark.parametrize("stage", ["pretrain", "baseline", "mmt_joint", "mmt_solo"])
 def test_step_kernels_get_what_they_trust(bench, pretrained, monkeypatch, stage, mode):
-    # the kernels no longer check these arrays: each call of a tiny run of
+    # the kernels no longer check these arguments: each call of a tiny run of
     # every stage, under every hard loss, must meet what they trust
     calls = {}
 
@@ -759,7 +809,7 @@ def test_step_kernels_get_what_they_trust(bench, pretrained, monkeypatch, stage,
             else "margin_classification_batch")
     parts = ({"softmax_triplet_loss", "hardest_triplets"} if stage in ("pretrain", "baseline")
              else {"soft_ce_batch", "moco_batch", "ema_update", "queue_push"})
-    assert set(calls) == {hard, "cross_entropy_batch", "adam_step"} | parts
+    assert set(calls) == {hard, "cross_entropy_batch", "adam_step", "pk_sample"} | parts
     assert calls["adam_step"] == cfg.epochs * cfg.iters_per_epoch
 
 

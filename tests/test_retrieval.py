@@ -1,5 +1,7 @@
 """Re-ranking, camera adjustment, ensembling, and the ranking protocol."""
+import functools
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -74,6 +76,19 @@ def test_split_errors():
     # unlabelled rows would be split as one shared identity
     with pytest.raises(ValueError, match=r"dataset row 2 has no identity \(-1\)"):
         split_query_gallery(labeled_dataset([0, 0, -1, 1, 1, -1]))
+
+
+def test_split_is_valid_once_built():
+    split = split_query_gallery(labeled_dataset([0, 0, 1, 1]), per_id=1)
+    wide = labeled_dataset([0, 1], d=4)
+    empty = split.gallery.subset(np.array([], dtype=np.int64))
+    for build in (QueryGallerySplit, functools.partial(replace, split)):
+        with pytest.raises(ValueError, match="query/gallery feature dimensions differ"):
+            build(query=split.query, gallery=wide)
+        with pytest.raises(ValueError, match="query and gallery must be non-empty"):
+            build(query=split.query, gallery=empty)
+    with pytest.raises(FrozenInstanceError):
+        split.gallery = wide
 
 
 # ---------------------------------------------------------------------------
