@@ -11,7 +11,11 @@ thread itself.
 The output holds, per side and workload, the median of every end-to-end
 metric with its quartiles (q1, q3) and the summed ``attempted`` and
 ``failed`` counts; per workload and metric, in how many of the pairs the
-change read lower and in how many higher; ``regressions``, every workload's
+change read lower and in how many higher, and for an end-to-end metric the
+paired fields of ``pair_stats``: the per-pair change/parent ratios in seed
+order and their median, the pairs the change wins and loses in the
+direction BENCHMARK.json gives the metric, and the exact two-sided
+sign-test p of those; ``regressions``, every workload's
 end-to-end metric whose change median is worse than the parent's by more
 than BENCHMARK.json's bound, a share of the parent's median;
 ``unresolved``, every workload's end-to-end metric whose parent quartile
@@ -39,6 +43,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+import pair_stats
 
 SIDES = ("parent", "change")
 PAIRS = 10  # seeds 1..PAIRS, one pair each
@@ -91,6 +97,7 @@ def summarize(runs: list, claim: str | None = None) -> dict:
     optional claim from the runs, each a dict with ``side``, ``workload``,
     ``seed`` and the run's ``result`` line, in workload order.  A pair counts
     once both of its runs are present."""
+    spec = {m["name"]: m for m in load_spec()["end_to_end"]}
     entries, pairs, values = [], [], {}  # values: (workload, side, metric) -> per-run values
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_side = {side: {r["seed"]: r["result"] for r in runs
@@ -112,12 +119,14 @@ def summarize(runs: list, claim: str | None = None) -> dict:
         seeds = sorted(set(by_side["parent"]) & set(by_side["change"]))
         names = sorted({name for res in by_side["parent"].values() for name in res["metrics"]})
         for name in names:
-            diffs = [by_side["change"][s]["metrics"][name]["value"]
-                     - by_side["parent"][s]["metrics"][name]["value"] for s in seeds]
+            parent, change = ([by_side[side][s]["metrics"][name]["value"] for s in seeds]
+                              for side in SIDES)
+            diffs = [c - p for p, c in zip(parent, change)]
             pairs.append({"workload": workload, "metric": name, "pairs": len(seeds),
                           "change_lower": sum(d < 0 for d in diffs),
-                          "change_higher": sum(d > 0 for d in diffs)})
-    spec = {m["name"]: m for m in load_spec()["end_to_end"]}
+                          "change_higher": sum(d > 0 for d in diffs),
+                          **(pair_stats.paired(parent, change, spec[name]["better"])
+                             if name in spec else {})})
     median = {(e["workload"], e["side"], name): m
               for e in entries for name, m in e["metrics"].items()}
     compared = [(workload, name) for workload, side, name in median

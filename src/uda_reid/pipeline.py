@@ -344,8 +344,8 @@ def stage_pretrain(train: Dataset, cfg: StageConfig,
                    val_split: QueryGallerySplit | None = None) -> tuple[EncoderParams, RunLog]:
     """Classification + hardest-mined triplet training on labeled data; raises
     before training unless 1 < ``cfg.p_classes`` <= the number of identities
-    and ``cfg.k_per`` > 1."""
-    train.validate()
+    and ``cfg.k_per`` > 1.  ``train`` is trusted to be valid: its loader or
+    generator checked it."""
     if np.any(train.identities < 0):
         raise ValueError("pretraining requires identity labels on every row")
     dense, p_s = _dense_labels(train.identities)

@@ -12,12 +12,14 @@ row block at a time, ranks it block by block into a tie-exact rank table
 ``k_reciprocal_neighbors`` and ``jaccard_rows``' local expansion read, and
 recomputes the blocks once more for the distances at the R* members, the
 membership entries that ``jaccard_rows`` reads alone.  No n x n Euclidean
-array is built: relabel holds only its n x n Jaccard output, and ``rerank``
-in retrieval holds no n x n array.  ``jaccard_rows`` serves relabeling and
-re-ranking alike: it keeps the memberships as sparse (row, member, weight)
-entries, read through an inverted index, and its sums add the same terms in
-the same order as the dense forms ``membership_matrix`` and
-``jaccard_from_membership`` would.
+array is built.  ``jaccard_rows`` serves relabeling and re-ranking alike: it
+keeps the memberships as sparse (row, member, weight) entries, read through
+an inverted index, expands them row block by row block, and its sums add
+the same terms in the same order as the dense forms ``membership_matrix``
+and ``jaccard_from_membership`` would.  It returns the block of leading rows
+against the columns from a first one on: relabel asks for the whole n x n
+matrix, its only dense array, and ``rerank`` in retrieval for the (n_q, n_g)
+query x gallery block, so the block and the sparse entries are all it holds.
 
 ``dbscan`` clusters a ``DistanceMatrix``, the Jaccard matrix that
 ``jaccard_distance`` builds, without an n x n boolean: it scans the matrix
@@ -237,19 +239,25 @@ def _local_expansion(near: np.ndarray, rows, members, weights):
     """Entries, in row-major order, of V averaged over the rows that each row
     of the (n, k2) rank table ``near`` lists.  Row p takes, rank by rank, the
     entries of its neighbor of that rank; ``np.bincount`` sums each (p, g) in
-    rank order: bitwise the dense sum, which only adds exact zeros beyond."""
+    rank order: bitwise the dense sum, which only adds exact zeros beyond.
+    Rows are expanded ROW_BLOCK at a time, so the gathered terms of a block
+    are the only ones held."""
     n, k2 = near.shape
     offsets = _row_offsets(rows, n)
-    src = near.T.reshape(-1)  # rank-major: every row's rank 0 first
-    counts = offsets[src + 1] - offsets[src]
-    pick = _runs(offsets[src], counts)
-    keys = np.repeat(np.tile(np.arange(n) * n, k2), counts) + members[pick]
-    order = np.argsort(keys, kind="stable")  # merges k2 sorted runs; ties keep rank order
-    keys = keys[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    sums = np.bincount(np.cumsum(first) - 1, weights=weights[pick[order]])
-    cells = keys[first]
-    return cells // n, cells % n, sums / k2
+    cells, sums = [], []
+    for lo in range(0, n, ROW_BLOCK):
+        block = near[lo:lo + ROW_BLOCK]
+        src = block.T.reshape(-1)  # rank-major: every row's rank 0 first
+        counts = offsets[src + 1] - offsets[src]
+        pick = _runs(offsets[src], counts)
+        keys = np.repeat(np.tile(np.arange(lo, lo + len(block)) * n, k2), counts) + members[pick]
+        order = np.argsort(keys, kind="stable")  # merges k2 sorted runs; ties keep rank order
+        keys = keys[order]
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))
+        cells.append(keys[first])
+        sums.append(np.bincount(np.cumsum(first) - 1, weights=weights[pick[order]]) / k2)
+    cells = np.concatenate(cells)
+    return cells // n, cells % n, np.concatenate(sums)
 
 
 def _dense_row_sums(rows, members, weights, n: int) -> np.ndarray:
@@ -280,64 +288,75 @@ def _term_blocks(row_terms: np.ndarray):
         lo = hi
 
 
-def _jaccard(rows, members, weights, row_sums, num_rows: int) -> np.ndarray:
-    """Jaccard distances of rows [0, num_rows) of V to all its n rows, from
-    V's entries (row, member, weight) in row-major order and its row sums.
+def _jaccard(rows, members, weights, row_sums, num_rows: int,
+             first_col: int = 0) -> np.ndarray:
+    """Jaccard distances of rows [0, num_rows) of V to its rows [first_col, n),
+    from V's entries (row, member, weight) in row-major order and its row
+    sums.
 
     1 - sum(min)/sum(max) per row pair, with sum(max) taken as the two row
     sums minus sum(min).  A pair that shares no member is exactly 1.  For a
-    pair (p, q) that does, each member g that p holds meets every row q that
-    holds g, through an inverted index; ``np.bincount`` adds the min terms
-    in input order, which is increasing g for every pair, so the sums are
-    bitwise those of a dense loop over each row's members in order.
+    pair (p, q) that does, each member g that p holds meets every row q >=
+    first_col that holds g, through an inverted index; ``np.bincount`` adds
+    the min terms in input order, which is increasing g for every pair, so
+    the sums are bitwise those of a dense loop over each row's members in
+    order.  A zero weight, where exp(-d) underflows, adds only exact zeros,
+    so the sums are those of the nonzero entries alone.
     """
     n = row_sums.size
     if not row_sums.any():
         raise DegenerateStructureError("every expanded neighbor set is empty")
-    nonzero = weights != 0
-    rows, members, weights = rows[nonzero], members[nonzero], weights[nonzero]
-    # inverted index: the rows holding member g, in increasing row order
-    by_member = np.lexsort((rows, members))
-    holders, held = rows[by_member], weights[by_member]
-    holder_offsets = _row_offsets(members, n)
     offsets = _row_offsets(rows, n)
+    # inverted index: the rows >= first_col holding member g, in increasing
+    # row order, which a stable sort by member keeps from the row-major entries
+    tail = slice(offsets[first_col], None)
+    by_member = np.argsort(members[tail], kind="stable")
+    holders, held = rows[tail][by_member], weights[tail][by_member]
+    holder_offsets = _row_offsets(members[tail], n)
+    cols = n - first_col
+    head = slice(0, offsets[num_rows])
+    rows, members, weights = rows[head], members[head], weights[head]
     meets_all = holder_offsets[members + 1] - holder_offsets[members]
-    out = np.ones((num_rows, n))
+    out = np.ones((num_rows, cols))
     flat = out.reshape(-1)
-    for lo, hi in _term_blocks(np.bincount(rows, weights=meets_all, minlength=n)[:num_rows]):
+    for lo, hi in _term_blocks(np.bincount(rows, weights=meets_all, minlength=num_rows)):
         span = slice(offsets[lo], offsets[hi])
         g, meets = members[span], meets_all[span]
         pos = _runs(holder_offsets[g], meets)  # per entry, the run of g's holders
         terms = np.minimum(np.repeat(weights[span], meets), held[pos])
-        keys = np.repeat(rows[span] - lo, meets) * n + holders[pos]
-        inter = np.bincount(keys, weights=terms, minlength=(hi - lo) * n)
+        keys = np.repeat(rows[span] - lo, meets) * cols + (holders[pos] - first_col)
+        inter = np.bincount(keys, weights=terms, minlength=(hi - lo) * cols)
         hit = np.zeros(inter.size, dtype=bool)  # a bool block scans faster than inter
         hit[keys] = True
         shared = np.flatnonzero(hit)
-        p, q = lo + shared // n, shared % n
+        p, q = lo + shared // cols, first_col + shared % cols
         union = row_sums[p] + row_sums[q] - inter[shared]
         with np.errstate(invalid="ignore"):
             d = 1.0 - inter[shared] / union
         d[union <= 0] = 1.0  # a union that is not positive counts as disjoint
-        flat[lo * n + shared] = np.clip(d, 0.0, 1.0, out=d)
-    np.fill_diagonal(out, 0.0)
+        flat[lo * cols + shared] = np.clip(d, 0.0, 1.0, out=d)
+    diag = np.arange(first_col, num_rows)
+    out[diag, diag - first_col] = 0.0
     return out
 
 
 def jaccard_rows(entries, n: int, near: np.ndarray | None = None,
-                 num_rows: int | None = None) -> np.ndarray:
+                 num_rows: int | None = None, first_col: int = 0) -> np.ndarray:
     """Jaccard distances of rows [0, num_rows) (every row by default) of the
-    n-row membership matrix V whose ``membership_entries`` these are, to all
-    its rows.  Given the (n, k2) rank table ``near``, each membership row is
+    n-row membership matrix V whose ``membership_entries`` these are, to its
+    rows [first_col, n): the (num_rows, n - first_col) block, every column by
+    default.  Given the (n, k2) rank table ``near``, each membership row is
     first averaged over the k2 rows that its row of the table lists (local
     query expansion).  Computed from entries: no dense membership matrix is
-    built, and no distance matrix is read."""
+    built, no distance matrix is read, and the block is the only dense array
+    returned or held."""
     if near is not None and not (near.shape[0] == n and 1 <= near.shape[1] <= n):
         raise ValueError(f"k2 must satisfy 1 <= k2 <= n for an (n, k2) table, "
                          f"got shape {near.shape}, n={n}")
     if near is not None:
         entries = _local_expansion(near, *entries)
-    return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows)
+    return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows,
+                    first_col)
 
 
 def jaccard_distance(dist: EuclideanRows, k: int) -> DistanceMatrix:

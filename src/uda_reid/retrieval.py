@@ -89,9 +89,11 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
 
     The pooled Euclidean matrix is read as a stream of row blocks
     (``EuclideanRows``): ranked once, as ``jaccard_distance`` ranks it, then
-    read at the R* memberships; no n x n array is held.  The Euclidean term
-    is ``cdist`` of the query and gallery rows, so at ``lam = 1`` the result
-    is ``cdist`` itself.
+    read at the R* memberships; no n x n array is held.  ``jaccard_rows``
+    computes only the (n_q, n_g) query x gallery block, from sparse entries.
+    The Euclidean term is ``cdist`` of the query and gallery rows, blended
+    into that block in place, so ``rerank`` holds one (n_q, n_g) array
+    besides ``cdist``'s and at ``lam = 1`` the result is ``cdist`` itself.
     """
     q = np.asarray(query_feats, dtype=np.float64)
     g = np.asarray(gallery_feats, dtype=np.float64)
@@ -104,10 +106,12 @@ def rerank(query_feats, gallery_feats, k1: int = 30, k2: int = 6,
     top = euclid.ranked(k1 + 1)  # its first k2 columns are the matrix's k2 nearest
     entries = membership_entries(euclid, k_reciprocal_neighbors(top))
     near = top[:, :k2] if k2 > 1 else None
-    jac = jaccard_rows(entries, n, near, num_rows=n_q)  # query rows only
-    blend = cdist(q, g)
-    blend *= lam
-    blend += (1.0 - lam) * jac[:, n_q:]
+    blend = jaccard_rows(entries, n, near, num_rows=n_q, first_col=n_q)  # query x gallery
+    del euclid, top, entries, near  # not held through the blend
+    blend *= 1.0 - lam
+    dist = cdist(q, g)
+    dist *= lam
+    blend += dist  # bitwise lam * dist + (1 - lam) * jaccard: IEEE + commutes
     return blend
 
 

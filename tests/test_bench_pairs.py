@@ -1,12 +1,18 @@
-"""scripts/bench_pairs.py: the alternating run order and the summary it
-writes, on fake per-run result lines; no benchmark process is started."""
+"""scripts/bench_pairs.py and the paired statistics of scripts/pair_stats.py:
+the alternating run order and the summary it writes, on fake per-run result
+lines and on a committed BENCH_*.json; no benchmark process is started."""
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).parent.parent / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).parent.parent
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+sys.path.insert(0, str(SCRIPT.parent))  # as running a script puts its own directory first
+
+import pair_stats  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +237,57 @@ def test_every_benchmark_workload_and_end_to_end_metric_is_a_claim(script):
         for metric in spec["end_to_end"]:
             claim = f"{workload['name']}:{metric['name']}"
             assert script.claim_arg(claim) == claim
+
+
+def test_a_drift_shared_by_both_sides_gives_ratios_of_exactly_one(script):
+    drift = [1.0 + 0.37 * seed for seed in range(10)]  # the machine slows run by run
+    runs = runs_of("rerank_3k", [(d, 80.0 * d) for d in drift], [(d, 80.0 * d) for d in drift])
+    for pair in script.summarize(runs)["pairs"]:
+        assert pair["ratios"] == [1.0] * 10 and pair["ratio_median"] == 1.0
+        assert (pair["wins"], pair["losses"], pair["sign_p"]) == (0, 0, 1.0)
+
+
+def test_paired_fields_are_signed_by_the_metric_direction(script):
+    parent = [0.60, 0.70, 0.80, 0.90, 0.75]
+    change = [0.65, 0.72, 0.80, 0.85, 0.80]  # higher in 3 pairs, a tie, lower in 1
+    runs = [{"side": side, "workload": "rerank_3k", "seed": seed,
+             "result": result(2 * value, 100.0, map_rerank=value)}
+            for side, values in (("parent", parent), ("change", change))
+            for seed, value in enumerate(values, 1)]
+    by_metric = {p["metric"]: p for p in script.summarize(runs)["pairs"]}
+    assert (by_metric["map_rerank"]["wins"], by_metric["map_rerank"]["losses"]) == (3, 1)
+    assert (by_metric["op_s"]["wins"], by_metric["op_s"]["losses"]) == (1, 3)
+    assert by_metric["op_s"]["ratios"] == [c / p for p, c in zip(parent, change)]
+    assert by_metric["op_s"]["ratio_median"] == 0.72 / 0.70
+    assert by_metric["op_s"]["sign_p"] == 2 * 5 / 16  # two-sided tail at 1 of 4
+
+
+def test_a_per_layer_metric_has_pair_counts_only(script):
+    runs = runs_of("rerank_3k", [(1.0, 80.0)], [(1.1, 70.0)])
+    for run in runs:
+        run["result"]["metrics"]["retrieval.rerank_s"] = {"value": 0.2, "unit": "s"}
+    by_metric = {p["metric"]: p for p in script.summarize(runs)["pairs"]}
+    assert set(by_metric["retrieval.rerank_s"]) == {"workload", "metric", "pairs",
+                                                    "change_lower", "change_higher"}
+    assert by_metric["peak_rss_mb"]["wins"] == 1
+
+
+@pytest.mark.parametrize("wins,losses,p", [
+    (0, 10, 2 / 1024), (5, 0, 2 / 32), (14, 0, 2 / 16384),
+    (9, 1, 2 * 11 / 1024), (5, 5, 1.0), (0, 0, 1.0)])
+def test_sign_test_is_the_exact_two_sided_binomial_tail(wins, losses, p):
+    assert pair_stats.sign_test_p(wins, losses) == p
+
+
+def test_ten_better_pairs_of_ten_give_p_two_in_1024():
+    parent = [80.0 + seed for seed in range(10)]
+    fields = pair_stats.paired(parent, [v - 10.0 for v in parent], "lower")
+    assert (fields["wins"], fields["losses"], fields["sign_p"]) == (10, 0, 2 / 1024)
+
+
+def test_bench_30_op_s_ratio_medians(script):
+    runs = json.loads((ROOT / "BENCH_30.json").read_text())["runs"]
+    medians = {p["workload"]: p["ratio_median"] for p in script.summarize(runs)["pairs"]
+               if p["metric"] == "op_s"}
+    assert {w: round(m, 3) for w, m in medians.items()} == {
+        "train_full": 0.987, "relabel_4k": 0.995, "rerank_3k": 1.017}

@@ -220,6 +220,17 @@ def test_pretrain_rejects_unlabeled_rows(bench):
         stage_pretrain(ds, tiny_cfg())
 
 
+def test_pretrain_trusts_the_data_its_builder_checked(bench, monkeypatch):
+    # generate_synthetic validated the benchmark; pretraining does not scan it again
+    def never(self):
+        raise AssertionError("stage_pretrain re-validated its data")
+
+    expected, _ = stage_pretrain(bench.translated, tiny_cfg())
+    monkeypatch.setattr(Dataset, "validate", never)
+    params, log = stage_pretrain(bench.translated, tiny_cfg())
+    assert all_equal(params, expected) and log.records
+
+
 def test_pretrain_is_bitwise_deterministic(bench):
     a, log_a = stage_pretrain(bench.translated, tiny_cfg())
     b, log_b = stage_pretrain(bench.translated, tiny_cfg())

@@ -57,6 +57,10 @@ def oracle_distances(seed):
         centres = rng.normal(size=(12, 8))
         return pairwise_euclidean(np.repeat(centres, 10, axis=0)
                                   + 0.4 * rng.normal(size=(120, 8)))
+    if seed == "blocks":  # three full row blocks and a ragged fourth, 19 identities
+        centres = rng.normal(size=(19, 8))
+        return pairwise_euclidean(np.repeat(centres, 11, axis=0)
+                                  + 0.4 * rng.normal(size=(3 * ROW_BLOCK + 17, 8)))
     return random_distances(seed, n=12)
 
 
@@ -365,7 +369,7 @@ def test_jaccard_rows_k2_errors():
 
 @pytest.mark.parametrize("seed,k,k2", [(seed, k, k2) for seed in (0, "lattice", "duplicates")
                                        for k, k2 in ((3, 2), (5, 5), (7, 3))]
-                         + [("duplicates", 3, 13), ("clustered", 20, 6)])
+                         + [("duplicates", 3, 13), ("clustered", 20, 6), ("blocks", 20, 6)])
 def test_jaccard_rows_expansion_equals_dense_average_bitwise(seed, k, k2):
     dm = oracle_distances(seed)
     sets = reciprocal_sets(dm, k)
@@ -400,6 +404,33 @@ def test_jaccard_query_rows_are_the_full_matrix_first_rows():
             part = jaccard_rows(entries, n, near, num_rows=rows)
             assert part.shape == (rows, n)
             assert np.array_equal(part, full[:rows])
+
+
+@pytest.mark.parametrize("k2", [None, 1, 6])
+def test_jaccard_gallery_columns_are_the_full_rows_last_columns_bitwise(k2):
+    dm = oracle_distances("blocks")  # four row blocks, the last one ragged
+    n, n_q = dm.n, 2 * ROW_BLOCK + 30  # the query rows end inside the third block
+    entries = membership_entries(dm, reciprocal_sets(dm, 20))
+    near = None if k2 is None else dm.ranked(k2)
+    full = jaccard_rows(entries, n, near, num_rows=n_q)
+    for first_col in (0, 1, n_q, n - 1):
+        part = jaccard_rows(entries, n, near, num_rows=n_q, first_col=first_col)
+        assert part.shape == (n_q, n - first_col)
+        assert np.array_equal(part, full[:, first_col:])
+
+
+def test_jaccard_gallery_columns_with_zero_weights_equal_the_dense_form():
+    rng = np.random.default_rng(6)
+    n, n_q = 3 * ROW_BLOCK + 17, 2 * ROW_BLOCK + 30
+    dm = random_distances(6, n)
+    rows, members, weights = membership_entries(dm, random_sets(rng, n, 0.05))
+    weights[rng.random(weights.size) < 0.2] = 0.0  # as exp(-d) gives where it underflows
+    v = np.zeros((n, n))
+    v[rows, members] = weights
+    dense = jaccard_from_membership(v)  # reads only the nonzero entries
+    for first_col in (0, 1, n_q, n - 1):
+        assert np.array_equal(jaccard_rows((rows, members, weights), n, num_rows=n_q,
+                                           first_col=first_col), dense[:n_q, first_col:])
 
 
 def test_jaccard_term_budget_splits_blocks_without_changing_bits(monkeypatch):
