@@ -170,7 +170,7 @@ def summarize(runs: list, claim: str | None = None) -> dict:
         counts = next(p for p in pairs if p["workload"] == workload and p["metric"] == metric)
         parent, change = medians(workload, metric)
         iqr = median[workload, "parent", metric]["q3"] - median[workload, "parent", metric]["q1"]
-        change_better, claimed = counts[f"change_{better}"], gain(workload, metric)
+        change_better, claimed = counts["wins"], gain(workload, metric)
         out["claim"] = {"workload": workload, "metric": metric, "better": better,
                         "pairs": counts["pairs"], "change_better": change_better,
                         "parent_median": parent, "change_median": change,

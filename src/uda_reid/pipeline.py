@@ -238,8 +238,8 @@ def _train(params: EncoderParams, cfg: StageConfig, data: Dataset, rng: np.rando
 
     A step draws a PK batch of ``data``, ``cfg.p_classes`` classes (all, if
     fewer) of ``cfg.k_per`` rows, led by a block of ``source`` identities if
-    given (the target labels follow its classes).  Every network's total
-    from :func:`_batch_grads` is checked for finiteness before Adam steps
+    given (the target labels follow its classes).  Every network's total,
+    of :func:`_batch_grads`, is checked for finiteness before Adam steps
     and, with ``teachers`` (one per network), before the EMA and the queue
     push.  Any overflow or invalid operation in an epoch is a divergence
     there too.  This guard is the step's only finiteness check: the loss,
@@ -251,8 +251,8 @@ def _train(params: EncoderParams, cfg: StageConfig, data: Dataset, rng: np.rando
     cluster (no loss to learn from), is skipped.  Else the labelling's class
     index is built, the classifiers are rebuilt from class centroids (the
     source identities' first) and copied to the teachers, and Adam drops its
-    classifier moments.  Batches take labels from the index alone, never
-    from a dataset's ``pseudo`` column.  Validation scores the first
+    classifier moments.  Batches take labels from the index alone, and
+    never from a dataset's ``pseudo`` column.  Validation scores the first
     teacher, else the first network.  Raises before the first relabel unless
     ``cfg.k_per`` > 1 without teachers (the triplet's positives),
     ``source`` has ``cfg.p_classes`` identities and ``val_split`` has the

@@ -156,8 +156,8 @@ def _reciprocal(knn: np.ndarray) -> np.ndarray:
 
 
 def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
-    """Expanded reciprocal neighbor sets R*(p, k), sorted indices per row,
-    from the rank table ``top = nearest(values, k + 1)`` of an n x n matrix.
+    """Expanded reciprocal neighbor sets R*(p, k), sorted indices per row, of
+    the rank table ``top = nearest(values, k + 1)`` of an n x n matrix.
 
     R(p,k) keeps the k nearest neighbors of p that also list p among their
     own k nearest; R*(p,k) unions in R(q, ceil(k/2)) for every q in R(p,k)
@@ -290,9 +290,9 @@ def _term_blocks(row_terms: np.ndarray):
 
 def _jaccard(rows, members, weights, row_sums, num_rows: int,
              first_col: int = 0) -> np.ndarray:
-    """Jaccard distances of rows [0, num_rows) of V to its rows [first_col, n),
-    from V's entries (row, member, weight) in row-major order and its row
-    sums.
+    """Jaccard distances of rows [0, num_rows) of V to its rows [first_col, n)
+    computed from V's entries (row, member, weight) in row-major order and its
+    row sums.
 
     1 - sum(min)/sum(max) per row pair, with sum(max) taken as the two row
     sums minus sum(min).  A pair that shares no member is exactly 1.  For a
@@ -347,12 +347,10 @@ def jaccard_rows(entries, n: int, near: np.ndarray | None = None,
     rows [first_col, n): the (num_rows, n - first_col) block, every column by
     default.  Given the (n, k2) rank table ``near``, each membership row is
     first averaged over the k2 rows that its row of the table lists (local
-    query expansion).  Computed from entries: no dense membership matrix is
-    built, no distance matrix is read, and the block is the only dense array
-    returned or held."""
-    if near is not None and not (near.shape[0] == n and 1 <= near.shape[1] <= n):
-        raise ValueError(f"k2 must satisfy 1 <= k2 <= n for an (n, k2) table, "
-                         f"got shape {near.shape}, n={n}")
+    query expansion); ``rerank`` builds that table after checking k2, so it
+    is not checked again here.  Computed from entries: no dense membership
+    matrix is built, no distance matrix is read, and the block is the only
+    dense array returned or held."""
     if near is not None:
         entries = _local_expansion(near, *entries)
     return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows,

@@ -4,7 +4,7 @@ mAP/CMC evaluation protocol with top-limit truncation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class QueryGallerySplit:
 class EvalReport:
     mAP: float
     cmc: np.ndarray                       # cmc[r-1] = fraction matched by rank r
-    per_query_ap: list = field(default_factory=list)  # nan marks invalid queries
-    num_valid_queries: int = 0
+    num_valid_queries: int
 
     def to_dict(self) -> dict:
         return {"mAP": round(self.mAP, 6),
@@ -200,27 +199,22 @@ def evaluate(dist, ids_q, cams_q, ids_g, cams_g, top_limit: int = 100) -> EvalRe
     ranked = nearest(dist, min(n_g, top_limit + int(num_junk.max(initial=0))))
     max_rank = min(top_limit, n_g)
     cmc_counts = np.zeros(max_rank)
-    per_query_ap: list[float] = []
     aps = []
     for qi in range(n_q):
         if num_relevant[qi] == 0:
-            per_query_ap.append(float("nan"))
             continue
         order = ranked[qi]
         kept = order[~junk[qi, order]]
         window = same[qi, kept[:top_limit]]
         hit_ranks = np.flatnonzero(window) + 1  # 1-based
         precision = np.arange(1, hit_ranks.size + 1) / hit_ranks
-        ap = float(precision.sum() / min(top_limit, int(num_relevant[qi])))
-        per_query_ap.append(ap)
-        aps.append(ap)
+        aps.append(float(precision.sum() / min(top_limit, int(num_relevant[qi]))))
         if hit_ranks.size and hit_ranks[0] <= max_rank:
             cmc_counts[hit_ranks[0] - 1:] += 1
     if not aps:
         raise DegenerateStructureError("no query has a relevant gallery entry")
     return EvalReport(mAP=float(np.mean(aps)),
                       cmc=cmc_counts / len(aps),
-                      per_query_ap=per_query_ap,
                       num_valid_queries=len(aps))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import uda_reid
-from uda_reid import pipeline, retrieval
+from uda_reid import commands, pipeline
 from uda_reid.cli import run
 from uda_reid.datamodel import SYNTH_NAMES, load_features, save_features
 from uda_reid.encoder import init_params, load_params, save_params
@@ -491,7 +491,7 @@ def test_negative_lr_milestone_exits_2_naming_the_field(extra, arts, tmp_path, m
 def test_gradcheck_tolerance_out_of_range_exits_2_before_any_check(tol, monkeypatch):
     def no_checks(**kwargs):
         raise AssertionError("checks ran")
-    monkeypatch.setattr("uda_reid.gradcheck.run_gradcheck", no_checks)
+    monkeypatch.setattr("uda_reid.commands.run_gradcheck", no_checks)
     code, out, err = go(["gradcheck", "--trials", "1", "--tol", tol])
     assert code == 2 and out == "", err
     assert "--tol must be finite and > 0, got" in err and "Traceback" not in err
@@ -607,7 +607,7 @@ def no_training(monkeypatch):
         raise AssertionError("a training stage ran")
 
     for stage in ("stage_pretrain", "stage_baseline", "stage_mmt_plus"):
-        monkeypatch.setattr(f"uda_reid.pipeline.{stage}", fail)
+        monkeypatch.setattr(f"uda_reid.commands.{stage}", fail)
 
 
 def train_inputs(command, arts):
@@ -708,8 +708,8 @@ def test_output_naming_an_input_exits_2_before_any_work(argv, flags, arts, tmp_p
     def no_read(*args):
         raise AssertionError("an input was read")
 
-    monkeypatch.setattr("uda_reid.datamodel.load_features", no_read)
-    monkeypatch.setattr("uda_reid.encoder.load_params", no_read)
+    monkeypatch.setattr("uda_reid.commands.load_features", no_read)
+    monkeypatch.setattr("uda_reid.commands.load_params", no_read)
     code, out, err = go(argv)
     assert code == 2 and out == "", err
     path = argv[argv.index(flags.split()[0]) + 1]
@@ -729,7 +729,7 @@ def test_synth_config_among_its_outputs_exits_2_before_any_write(name, tmp_path,
     def no_synth(*args):
         raise AssertionError("data was generated")
 
-    monkeypatch.setattr("uda_reid.datamodel.generate_synthetic", no_synth)
+    monkeypatch.setattr("uda_reid.commands.generate_synthetic", no_synth)
     code, out, err = go(["synth", "--out", "d", "--config", f"d/{name}.bin"])
     assert code == 2 and out == "", err
     assert f"error: --out and --config name the same file: d/{name}.bin" in err
@@ -855,11 +855,11 @@ def test_evaluate_unlabelled_row_exits_2_naming_side_and_row(extra, arts, tmp_pa
                                                              monkeypatch):
     # an unlabelled row would be scored as one identity shared by every
     # other unlabelled row; it is rejected before anything is encoded
-    for module, name in ((retrieval, "rerank"), (pipeline, "encode_split")):
-        @functools.wraps(getattr(module, name))  # keeps the signature the flags read
+    for name in ("rerank", "encode_split"):
+        @functools.wraps(getattr(commands, name))  # keeps the signature the flags read
         def fail(*args, name=name, **kwargs):
             raise AssertionError(f"{name} ran")
-        monkeypatch.setattr(module, name, fail)
+        monkeypatch.setattr(commands, name, fail)
     unlabelled = unlabelled_copy(arts["target"], 5, tmp_path / "unl.bin")
     extra = [arts["pre"] if a == "PRE" else a for a in extra]
     for side, query, gallery in (("query", unlabelled, arts["target"]),

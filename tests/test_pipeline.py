@@ -656,7 +656,7 @@ def test_mmt_records_stage_losses(bench, pretrained):
 def test_teacher_state_export(bench, pretrained):
     # the CLI's --export names index the teachers in the order stage_mmt_plus
     # returns them; only the teachers export
-    from uda_reid.cli import _EXPORTS
+    from uda_reid.commands import _EXPORTS
     teachers, _ = stage_mmt_plus(pretrained, bench.source, fresh_target(bench),
                                  tiny_cfg(epochs=1))
     assert _EXPORTS == ("teacher1", "teacher2")

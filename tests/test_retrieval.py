@@ -332,6 +332,20 @@ def test_ensemble_errors():
 # evaluation protocol
 # ---------------------------------------------------------------------------
 
+def query_aps(dist, ids_q, cams_q, ids_g, cams_g, top_limit=100):
+    """Each query's AP: ``evaluate``'s mAP of that query's row alone, nan
+    where the row raises DegenerateStructureError (no relevant entry)."""
+    aps = []
+    for qi in range(len(ids_q)):
+        row = slice(qi, qi + 1)
+        try:
+            aps.append(evaluate(dist[row], ids_q[row], cams_q[row], ids_g, cams_g,
+                                top_limit=top_limit).mAP)
+        except DegenerateStructureError:
+            aps.append(float("nan"))
+    return aps
+
+
 def test_evaluate_perfect_single_query():
     dist = np.array([[0.1, 0.5, 0.9]])
     report = evaluate(dist, [1], [0], [1, 2, 3], [1, 1, 1])
@@ -366,8 +380,9 @@ def test_evaluate_invalid_queries_excluded_but_counted():
     ids_q = [1, 9]  # identity 9 never appears in the gallery
     report = evaluate(dist, ids_q, [0, 0], [1, 2], [1, 1])
     assert report.num_valid_queries == 1
-    assert np.isnan(report.per_query_ap[1])
-    assert report.mAP == pytest.approx(report.per_query_ap[0])
+    aps = query_aps(dist, ids_q, [0, 0], [1, 2], [1, 1])
+    assert np.isnan(aps[1])
+    assert report.mAP == pytest.approx(aps[0])
 
 
 def test_evaluate_map_is_mean_of_valid_aps():
@@ -376,7 +391,8 @@ def test_evaluate_map_is_mean_of_valid_aps():
     ids_q = [0, 1, 2, 0, 1, 9]
     ids_g = rng.integers(0, 4, size=10)
     report = evaluate(dist, ids_q, np.zeros(6, int), ids_g, np.ones(10, int))
-    valid = [a for a in report.per_query_ap if not np.isnan(a)]
+    valid = [a for a in query_aps(dist, ids_q, np.zeros(6, int), ids_g, np.ones(10, int))
+             if not np.isnan(a)]
     assert report.num_valid_queries == len(valid)
     assert report.mAP == pytest.approx(np.mean(valid), abs=1e-12)
 
@@ -398,7 +414,7 @@ def test_evaluate_ties_rank_by_gallery_index():
     # the relevant entry at gallery position 1 lands at rank 2
     dist = np.zeros((1, 3))
     report = evaluate(dist, [5], [0], [1, 5, 2], [1, 1, 1])
-    assert report.per_query_ap[0] == pytest.approx(0.5)
+    assert report.mAP == pytest.approx(0.5)
     assert np.allclose(report.cmc, [0.0, 1.0, 1.0])
 
 
@@ -493,7 +509,8 @@ def assert_evaluate_matches_full_sort(dist, ids_q, cams_q, ids_g, cams_g, top_li
     mean_ap, cmc, per_query_ap, num_valid = ref
     assert report.mAP == mean_ap
     assert report.cmc.tobytes() == cmc.tobytes()
-    assert np.array(report.per_query_ap).tobytes() == np.array(per_query_ap).tobytes()
+    got = query_aps(dist, ids_q, cams_q, ids_g, cams_g, top_limit)
+    assert np.array(got).tobytes() == np.array(per_query_ap).tobytes()
     assert report.num_valid_queries == num_valid
 
 
@@ -554,6 +571,6 @@ def test_evaluate_split_scores_the_split_labels():
 
 def test_report_to_dict_rounds():
     report = EvalReport(mAP=0.12345678, cmc=np.array([0.98765432, 1.0]),
-                        per_query_ap=[0.1], num_valid_queries=1)
+                        num_valid_queries=1)
     d = report.to_dict()
     assert d == {"mAP": 0.123457, "cmc": [0.987654, 1.0], "num_valid_queries": 1}
