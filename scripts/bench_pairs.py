@@ -13,9 +13,10 @@ metric with its quartiles (q1, q3) and the summed ``attempted`` and
 ``failed`` counts; per workload and metric, in how many of the pairs the
 change read lower and in how many higher, and for an end-to-end metric the
 paired fields of ``pair_stats``: the per-pair change/parent ratios in seed
-order and their median, the pairs the change wins and loses in the
-direction BENCHMARK.json gives the metric, and the exact two-sided
-sign-test p of those; ``regressions``, every workload's
+order, their median and its fixed-seed 95% percentile bootstrap interval
+(``ratio_ci``), the pairs the change wins and loses in the direction
+BENCHMARK.json gives the metric, and the exact two-sided sign-test p of
+those; ``regressions``, every workload's
 end-to-end metric whose change median is worse than the parent's by more
 than BENCHMARK.json's bound, a share of the parent's median;
 ``unresolved``, every workload's end-to-end metric whose parent quartile

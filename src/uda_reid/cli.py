@@ -7,7 +7,8 @@ Machine-readable results are printed to standard output as a single JSON
 object; progress and diagnostics go to standard error.  Exit codes: 0 on
 success, 1 on usage errors, 2 on data or format errors, 3 on numerical
 failures (training divergence, gradient-check tolerance breach).  An output
-naming an input or the other output exits 2 before any work (``_check_writes``).
+(``--out`` or ``--log``) naming an input or the other output exits 2 before
+any work; ``cluster --out`` may name its ``--data``, which it rewrites in place.
 
 ``--threads N`` caps BLAS/OpenMP parallelism; N below 1 exits 2 before any
 work starts.  The cap must be in place before numpy first loads, so this

@@ -65,16 +65,28 @@ def l2_normalize_rows_backward(d_hat, x, x_hat):
     return (d_hat - radial * x_hat) / np.linalg.norm(x, axis=-1)[..., None]
 
 
+def squared_distances(products, norms):
+    """Squared Euclidean distances from the products a.b and the summed
+    squared norms |a|^2 + |b|^2, in place on ``products``: norms - 2 a.b,
+    which rounding can leave below zero."""
+    products *= 2.0
+    return np.subtract(norms, products, out=products)
+
+
+def root_distances(squared):
+    """sqrt(max(s, 0)) of squared distances, in place."""
+    np.maximum(squared, 0.0, out=squared)
+    return np.sqrt(squared, out=squared)
+
+
 def finish_distances(products, a_sq, b_sq):
     """Euclidean distances from the products a.b and the squared norms,
-    in place on ``products``: sqrt(max((|a|^2 + |b|^2) - 2 a.b, 0)).
+    in place on ``products``: sqrt(max((|a|^2 + |b|^2) - 2 a.b, 0)), the
+    ``root_distances`` of ``squared_distances``.
 
     Elementwise, so the products of any subset of row pairs, with their
     norms gathered alike, finish to the bits that the whole block holds."""
-    products *= 2.0
-    np.subtract(a_sq + b_sq, products, out=products)
-    np.maximum(products, 0.0, out=products)
-    return np.sqrt(products, out=products)
+    return root_distances(squared_distances(products, a_sq + b_sq))
 
 
 def cdist(a, b):

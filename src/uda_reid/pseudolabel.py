@@ -6,17 +6,22 @@ distances, and cluster with density-based scanning.  Outliers keep the
 OUTLIER sentinel and are skipped by batch sampling downstream.
 
 The Euclidean matrix is read one way, as the ``EuclideanRows`` stream that
-``pairwise_euclidean`` returns: it computes the matrix from the features one
-row block at a time, ranks it block by block into a tie-exact rank table
-(``nearest``: ties break by the lower index) that both
-``k_reciprocal_neighbors`` and ``jaccard_rows``' local expansion read, and
-recomputes the blocks once more for the distances at the R* members, the
-membership entries that ``jaccard_rows`` reads alone.  No n x n Euclidean
-array is built.  ``jaccard_rows`` serves relabeling and re-ranking alike: it
-keeps the memberships as sparse (row, member, weight) entries, read through
-an inverted index, expands them row block by row block, and its sums add
-the same terms in the same order as the dense forms ``membership_matrix``
-and ``jaccard_from_membership`` would.  It returns the block of leading rows
+``pairwise_euclidean`` returns: it computes the squared distances from the
+features one row block at a time, ranks them block by block into the
+tie-exact rank table that ``nearest`` gives of the finished matrix (ties
+break by the lower index), which both ``k_reciprocal_neighbors`` and
+``jaccard_rows``' local expansion read, and recomputes the blocks once more
+for the distances at the R* members, the membership entries that
+``jaccard_rows`` reads alone.  The ranking takes roots only of the entries
+under a per-row bound, the m-th smallest of the row's column-class minima,
+about m per row; ``nearest`` is the same routine with one column per class.
+No n x n Euclidean array is built.
+
+``jaccard_rows`` serves relabeling and re-ranking alike: it keeps the
+memberships as sparse (row, member, weight) entries, read through an
+inverted index, expands them row block by row block, and its sums add the
+same terms in the same order as the dense forms ``membership_matrix`` and
+``jaccard_from_membership`` would.  It returns the block of leading rows
 against the columns from a first one on: relabel asks for the whole n x n
 matrix, its only dense array, and ``rerank`` in retrieval for the (n_q, n_g)
 query x gallery block, so the block and the sparse entries are all it holds.
@@ -38,9 +43,11 @@ import numpy as np
 from .datamodel import PSEUDO_OUTLIER, Dataset
 from .encoder import EncoderParams, encode_dataset
 from .errors import DegenerateStructureError
-from .numerics import ROW_BLOCK, finish_distances, l2_normalize_rows
+from .numerics import (ROW_BLOCK, finish_distances, l2_normalize_rows, root_distances,
+                       squared_distances)
 
 JACCARD_TERMS = 1 << 16  # min terms per block of the Jaccard kernel
+RANK_WIDTH = 16  # columns per class of the stream's rank bound
 
 
 @dataclass
@@ -68,10 +75,11 @@ class EuclideanRows:
     """The n x n Euclidean matrix of feature rows, computed from the features
     one ROW_BLOCK-row block at a time: no n x n array is held.
 
-    ``blocks`` finishes each block's products with ``finish_distances`` and
-    zeroes its diagonal.  ``at`` recomputes the products of the blocks that
-    hold the entries asked for and finishes only those: the same products
-    and the same elementwise formula, so bitwise what the blocks hold.
+    ``squared_blocks`` yields each block's squared distances with a zero
+    diagonal, which ``root_distances`` finishes to the matrix's block.
+    ``at`` recomputes the products of the blocks that hold the entries asked
+    for and finishes only those: the same products and the same elementwise
+    formula, so bitwise what the finished blocks hold.
     """
 
     def __init__(self, feats):
@@ -90,18 +98,38 @@ class EuclideanRows:
     def _products(self, lo: int) -> np.ndarray:
         return self.feats[lo:lo + ROW_BLOCK] @ self.feats.T
 
-    def blocks(self):
-        """(lo, rows [lo, lo + ROW_BLOCK) of the matrix) per block, in order."""
+    def squared_blocks(self):
+        """(lo, squared distances of rows [lo, lo + ROW_BLOCK)) per block, in
+        order: ``finish_distances``' s before its max and sqrt, with the
+        diagonal set to the zero that the finished matrix holds there.  The
+        blocks are written into the same two buffers, so a block holds only
+        until the next one is asked for."""
+        rows = min(ROW_BLOCK, self.n)
+        products, norms = np.empty((rows, self.n)), np.empty((rows, self.n))
+        diag = np.arange(rows)
         for lo in range(0, self.n, ROW_BLOCK):
-            block = finish_distances(self._products(lo), self.sq[lo:lo + ROW_BLOCK, None],
-                                     self.sq)
-            diag = np.arange(block.shape[0])
-            block[diag, lo + diag] = 0.0
+            rows = min(ROW_BLOCK, self.n - lo)
+            block = np.matmul(self.feats[lo:lo + rows], self.feats.T, out=products[:rows])
+            squared_distances(block, np.add(self.sq[lo:lo + rows, None], self.sq,
+                                            out=norms[:rows]))
+            block[diag[:rows], lo + diag[:rows]] = 0.0
             yield lo, block
 
     def ranked(self, m: int) -> np.ndarray:
-        """``nearest`` of the matrix, block by block: a row's ranks read its row alone."""
-        return np.concatenate([nearest(block, m) for _, block in self.blocks()])
+        """``nearest`` of the matrix, ranked on its squared blocks: a row's
+        ranks read its row alone, and only its candidates are finished.
+
+        A row's bound t is the m-th smallest of the minima of its column
+        classes, c = min(RANK_WIDTH, n // m) columns each (``_class_bound``).
+        The minima are m distinct entries at or below t, and the root is
+        monotone, so each of the row's first m entries has a root of at most
+        fl(sqrt(t)).  ``_root_bound`` widens t to keep every s whose root
+        rounds to at most that, so those entries are all candidates; the
+        candidates alone are finished, elementwise as the matrix is, and
+        sorted by (root, column).
+        """
+        width = min(RANK_WIDTH, self.n // m)
+        return _ranks(self.squared_blocks(), (self.n, self.n), m, width, squared=True)
 
     def at(self, rows, members) -> np.ndarray:
         """The entries (rows, members), ``rows`` in increasing order."""
@@ -130,20 +158,77 @@ def nearest(values: np.ndarray, m: int) -> np.ndarray:
     stable sort of the whole row gives them: by value, ties broken by the
     lower index, NaN last.
 
-    Per block of rows, a partition finds each row's m-th smallest value;
-    every entry not above it is kept, and only those are sorted by (row,
-    value, index).
+    ``_ranks`` with one column per class: per block of rows, a partition
+    finds each row's m-th smallest value; every entry not above it is kept,
+    and only those are sorted by (row, value, index).
     """
-    out = np.empty((values.shape[0], m), dtype=np.intp)
-    for start in range(0, values.shape[0], ROW_BLOCK):
-        block = values[start:start + ROW_BLOCK]
-        kth = np.partition(block, m - 1, axis=1)[:, m - 1:m]
+    blocks = ((lo, values[lo:lo + ROW_BLOCK]) for lo in range(0, values.shape[0], ROW_BLOCK))
+    return _ranks(blocks, values.shape, m)
+
+
+def _class_bound(keys: np.ndarray, m: int, width: int) -> np.ndarray:
+    """Per row of ``keys``, the m-th smallest (NaN last) of the minima of its
+    column classes: column j is in class j mod C, C = n // width, and the
+    n mod width tail columns form one class more.  The minima are m
+    distinct entries of the row, so the bound is not below its m-th
+    smallest entry; with width 1 it is that entry.  Needs width <= n // m."""
+    rows, n = keys.shape
+    classes = n // width
+    mins = keys  # one column per class: the minima are the entries
+    if width > 1:
+        mins = keys[:, :classes * width].reshape(rows, width, classes).min(axis=1)
+    if classes * width < n:
+        mins = np.concatenate([mins, keys[:, classes * width:].min(axis=1, keepdims=True)],
+                              axis=1)
+    return np.partition(mins, m - 1, axis=1)[:, m - 1:m]
+
+
+def _root_bound(bound: np.ndarray) -> np.ndarray:
+    """A bound on squared distances widened to keep every s whose root
+    rounds to at most the root of the bound.
+
+    For t > 0, D = fl(sqrt(t)) is a normal double, ulp u <= 2^-52 D.  If
+    sqrt(s) rounds to at most D, then sqrt(s) <= D + u/2 and sqrt(t) >= D -
+    u/2, so s / t <= ((1 + 2^-53) / (1 - 2^-53))^2 < 1 + 2^-50: the relative
+    margin 2^-40 covers it, and a rounded product is monotone.  For a
+    subnormal t the margin rounds away, and the floor, the smallest normal,
+    keeps the whole subnormal range instead.  NaN stays NaN, so such a row
+    keeps every entry; t <= 0 maps to 0, as only s <= 0 finish to a zero
+    root.
+    """
+    bound = np.maximum(bound, 0.0)
+    positive = bound > 0.0
+    with np.errstate(over="ignore"):  # a bound past the largest double keeps every entry
+        bound[positive] = bound[positive] * (1.0 + 2.0 ** -40) + np.finfo(np.float64).tiny
+    return bound
+
+
+def _ranks(blocks, shape, m: int, width: int = 1, squared: bool = False) -> np.ndarray:
+    """The rank table of a matrix of ``shape`` given as (lo, rows [lo, lo +
+    len)) blocks of at most ROW_BLOCK rows: each row's first m columns by
+    (value, column), NaN last.
+
+    Per block, the entries not above ``_class_bound`` are the candidates, at
+    least m per row, and only they are sorted.  With ``squared`` the blocks
+    hold squared distances: the bound is ``_root_bound``'s and the
+    candidates are ranked on their ``root_distances``, which are elementwise
+    and so bitwise the finished block's.
+    """
+    out = np.empty((shape[0], m), dtype=np.intp)
+    mask = np.empty((min(ROW_BLOCK, shape[0]), shape[1]), dtype=bool)
+    for lo, keys in blocks:
+        bound = _class_bound(keys, m, width)
+        if squared:
+            bound = _root_bound(bound)
+        above = np.greater(keys, bound, out=mask[:keys.shape[0]])
         # at least m per row, in row-major (row, index) order
-        rows, cols = np.divmod(np.flatnonzero(~(block > kth)), block.shape[1])
-        ranked = cols[np.lexsort((block[rows, cols], rows))]
-        counts = np.bincount(rows, minlength=block.shape[0])
-        first = np.cumsum(counts) - counts
-        out[start:start + ROW_BLOCK] = ranked[first[:, None] + np.arange(m)]
+        rows, cols = np.divmod(np.flatnonzero(np.logical_not(above, out=above)), shape[1])
+        values = keys[rows, cols]
+        if squared:
+            root_distances(values)
+        ranked = cols[np.lexsort((values, rows))]
+        counts = np.bincount(rows, minlength=keys.shape[0])
+        out[lo:lo + keys.shape[0]] = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(m)]
     return out
 
 

@@ -6,6 +6,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).parent.parent
@@ -291,3 +292,32 @@ def test_bench_30_op_s_ratio_medians(script):
                if p["metric"] == "op_s"}
     assert {w: round(m, 3) for w, m in medians.items()} == {
         "train_full": 0.987, "relabel_4k": 0.995, "rerank_3k": 1.017}
+
+
+def test_bootstrap_interval_of_one_seed_is_the_same_bytes():
+    values = [0.81, 0.93, 0.77, 1.02, 0.88, 0.95, 0.79, 0.84, 0.99, 0.90]
+    first = json.dumps(pair_stats.median_interval(values))
+    assert json.dumps(pair_stats.median_interval(values)) == first
+    low, high = json.loads(first)
+    assert min(values) <= low < float(np.median(values)) < high <= max(values)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.8123, 1.25])
+def test_constant_ratios_give_a_degenerate_interval_at_the_ratio(script, ratio):
+    parent = [2.0 ** (seed - 5) for seed in range(10)]  # a drift that scales exactly
+    runs = runs_of("relabel_4k", [(p, 100.0) for p in parent],
+                   [(p * ratio, 100.0) for p in parent])
+    pair = next(p for p in script.summarize(runs)["pairs"] if p["metric"] == "op_s")
+    assert pair["ratios"] == [ratio] * 10 and pair["ratio_ci"] == [ratio, ratio]
+    assert pair_stats.median_interval([ratio] * 10) == [ratio, ratio]
+
+
+def test_bench_34_ratio_intervals_hold_their_medians(script):
+    runs = json.loads((ROOT / "BENCH_34.json").read_text())["runs"]
+    summary = script.summarize(runs)
+    paired = [p for p in summary["pairs"] if "ratio_ci" in p]
+    assert len(paired) == 3 * 5  # every workload's end-to-end metrics
+    for pair in paired:
+        low, high = pair["ratio_ci"]
+        assert low <= pair["ratio_median"] <= high
+    assert json.dumps(script.summarize(runs)) == json.dumps(summary)

@@ -992,6 +992,15 @@ TRAIN_FLAGS = {"--config", "--log", "--val", "--epochs", "--iters-per-epoch",
                "--joint-source", "--lr-milestones", "--lr-gamma"}
 
 
+def test_help_states_the_output_rule_without_private_names():
+    code, _, err = go(["--help"])
+    assert code == 0
+    text = " ".join(err.split())
+    assert "naming an input or the other output exits 2 before any work" in text
+    assert "``cluster --out`` may name its ``--data``" in text
+    assert re.findall(r"(?<![\w-])_\w+", err) == []  # no private name of the package
+
+
 @pytest.mark.parametrize("command,flags", [
     ("synth", {"--out", "--config", "--num-ids-source", "--num-ids-target",
                "--samples-per-id", "--raw-dim", "--cluster-spread",

@@ -10,18 +10,24 @@ from uda_reid import pseudolabel, retrieval
 from uda_reid.datamodel import PSEUDO_OUTLIER, Dataset
 from uda_reid.encoder import encode_dataset, init_params
 from uda_reid.errors import DegenerateStructureError
-from uda_reid.numerics import ROW_BLOCK, cdist, l2_normalize_rows
-from uda_reid.pseudolabel import (DistanceMatrix, PseudoLabeling, dbscan, jaccard_distance,
-                                  jaccard_from_membership, jaccard_rows,
+from uda_reid.numerics import ROW_BLOCK, cdist, finish_distances, l2_normalize_rows, root_distances
+from uda_reid.pseudolabel import (RANK_WIDTH, DistanceMatrix, PseudoLabeling, dbscan,
+                                  jaccard_distance, jaccard_from_membership, jaccard_rows,
                                   k_reciprocal_neighbors, membership_entries,
                                   membership_matrix, nearest, pairwise_euclidean,
                                   relabel_epoch)
 
 
 def euclidean_values(euclid):
-    """The dense matrix of a ``pairwise_euclidean`` stream: its row blocks,
-    concatenated.  The package itself never builds it."""
-    return np.concatenate([block for _, block in euclid.blocks()])
+    """The dense matrix of a ``pairwise_euclidean`` stream: ``finish_distances``
+    of each row block's products with a zero diagonal, concatenated.  The
+    package itself never builds it."""
+    feats, sq = euclid.feats, euclid.sq
+    blocks = [finish_distances(feats[lo:lo + ROW_BLOCK] @ feats.T, sq[lo:lo + ROW_BLOCK, None], sq)
+              for lo in range(0, euclid.n, ROW_BLOCK)]
+    values = np.concatenate(blocks)
+    np.fill_diagonal(values, 0.0)
+    return values
 
 
 def euclidean_matrix(x):
@@ -110,18 +116,29 @@ def test_pairwise_euclidean_errors():
 
 
 def stream_features(case):
-    """Feature rows spanning several row blocks, the last one partial: distinct
-    lattice points, copies of a few rows (off-diagonal zeros), copies of 40
-    rows over four blocks, or copies of 40 normal draws, whose (p, p)
-    products need not finish to exactly zero."""
+    """Feature rows spanning several row blocks, the last one partial, and
+    never a multiple of RANK_WIDTH: distinct lattice points, copies of a few
+    rows (off-diagonal zeros), copies of 40 rows over four blocks, copies of
+    40 normal draws, whose (p, p) products need not finish to exactly zero
+    and some of whose squared distances round below it, those normal rows
+    with a tenth scaled until their squared norms overflow (inf and NaN
+    squared distances), or rows whose 16 nearest all fall in one column
+    class of the stream's rank bound (rows j and j + 13 copy one point)."""
     rng = np.random.default_rng(0)
     if case == "lattice":
         grid = np.stack(np.meshgrid(np.arange(16), np.arange(16)), axis=-1).reshape(-1, 2)
         return grid[rng.permutation(len(grid))[:2 * ROW_BLOCK + 45]]
     if case == "duplicates":
         return rng.integers(-2, 3, size=(5, 3))[rng.integers(0, 5, size=2 * ROW_BLOCK + 45)]
-    base = rng.normal(size=(40, 4)) if case == "normal" else rng.integers(-2, 3, size=(40, 4))
-    return base[rng.integers(0, 40, size=3 * ROW_BLOCK + 20)]
+    if case == "one class":  # 213 rows: 13 classes of 16 and a tail of 5 at m <= 13
+        centres = 10.0 * rng.normal(size=(13, 4))
+        return centres[np.arange(3 * ROW_BLOCK + 21) % 13] + 0.01 * rng.normal(size=(213, 4))
+    base = (rng.integers(-2, 3, size=(40, 4)) if case == "blocks"
+            else rng.normal(size=(40, 4)))
+    feats = base[rng.integers(0, 40, size=3 * ROW_BLOCK + 20)]
+    if case == "overflow":
+        feats[rng.random(len(feats)) < 0.1] *= 1e160
+    return feats
 
 
 @pytest.mark.parametrize("case", ["lattice", "duplicates", "blocks", "normal"])
@@ -143,15 +160,86 @@ def test_stream_entries_are_its_blocks_bitwise(case):
 
 
 @pytest.mark.parametrize("case", ["lattice", "duplicates", "blocks", "normal"])
-def test_stream_ranks_as_nearest_on_its_blocks(case):
+def test_squared_blocks_finish_to_the_matrix_bitwise(case):
     euclid = pairwise_euclidean(stream_features(case))
-    values = euclidean_values(euclid)
+    finished = [root_distances(block.copy()) for _, block in euclid.squared_blocks()]
+    assert np.array_equal(np.concatenate(finished), euclidean_values(euclid))
+
+
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "blocks", "normal", "overflow",
+                                  "one class"])
+def test_stream_ranks_as_nearest_on_its_blocks(case):
+    with np.errstate(over="ignore", invalid="ignore"):
+        euclid = pairwise_euclidean(stream_features(case))
+        values = euclidean_values(euclid)
+        squared = np.concatenate([block.copy() for _, block in euclid.squared_blocks()])
+    n = euclid.n
+    assert n % RANK_WIDTH  # a ragged tail of columns at every class width of 16
     if case == "lattice":  # distinct points, many equal distances
         assert np.unique(values).size < values.size // 100
-    elif case != "normal":  # copies: zeros off the diagonal
-        assert np.count_nonzero(values == 0.0) > euclid.n
-    for m in (1, 2, 8, euclid.n):
-        assert np.array_equal(euclid.ranked(m), nearest(values, m))
+    elif case == "normal":  # s <= 0 clamps: some distances of copies round below zero
+        assert np.any(squared < 0.0)
+    elif case == "overflow":  # squared norms overflow: inf and NaN entries
+        assert np.any(np.isnan(values)) and np.any(np.isinf(values))
+    elif case == "one class":  # the 13 nearest of a row sit in its class j mod 13
+        assert np.all(nearest(values, 13) % 13 == np.arange(n)[:, None] % 13)
+    else:  # copies: zeros off the diagonal
+        assert np.count_nonzero(values == 0.0) > n
+    # widths 16 down to 1: m <= n // 16, just above it, n // 3, and m > n // 2
+    for m in (1, 2, 8, 13, n // 16, n // 16 + 1, n // 3, n // 2 + 1, n - 1, n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(euclid.ranked(m), nearest(values, m))
+
+
+def tied_roots(base):
+    """Two consecutive doubles near ``base`` whose roots round to one double."""
+    s = base + np.spacing(base) * np.arange(-8, 8)
+    lo = np.flatnonzero(np.sqrt(s[:-1]) == np.sqrt(s[1:]))[0]
+    return s[lo], s[lo + 1]
+
+
+def test_squared_ranking_keeps_every_entry_whose_root_ties_the_bound(monkeypatch):
+    low, high = tied_roots(1.5)
+    tiny_low, tiny_high = tied_roots(np.finfo(np.float64).tiny)
+    # one row: the bound is `low`, and `high` two columns before it ties it
+    # after the root, so the lower index ranks first
+    row = np.array([[9.0, high, 4.0, low, 7.0, high, low]])
+    assert np.sqrt(high) == np.sqrt(low) and high > low
+    assert pseudolabel._ranks([(0, row)], row.shape, 1, squared=True).tolist() == [[1]]
+    # rows drawn from tied pairs, both zeros, values below zero, inf and NaN
+    pool = np.array([low, high, tiny_low, tiny_high, 0.0, -0.0, -3.0, -1e-300, 2.0,
+                     np.inf, np.nan])
+    rows = np.random.default_rng(0).choice(pool, size=(3 * ROW_BLOCK + 5, 37))
+    rows[:4] = [high, low] * 18 + [low]  # only two values
+    rows[4, ::2] = np.nan  # more NaN than other entries
+    finished = root_distances(rows.copy())
+    for m in (1, 2, 5, 18, 19, 36, 37):
+        for width in range(1, 37 // m + 1):
+            got = pseudolabel._ranks(((lo, rows[lo:lo + ROW_BLOCK].copy())
+                                      for lo in range(0, rows.shape[0], ROW_BLOCK)),
+                                     rows.shape, m, width, squared=True)
+            assert np.array_equal(got, nearest(finished, m))
+    # without the widening, the tied entry before the bound is lost
+    monkeypatch.setattr(pseudolabel, "_root_bound", lambda bound: bound)
+    assert pseudolabel._ranks([(0, row)], row.shape, 1, squared=True).tolist() == [[3]]
+
+
+@pytest.mark.parametrize("m", [2, 5, 11])
+def test_stream_finishes_only_its_candidates(monkeypatch, m):
+    # the ranking takes roots of a small multiple of n * m entries, not of n * n
+    euclid = oracle_distances("blocks")
+    finished = []
+    sqrt = np.sqrt
+
+    def counted(x, *args, **kwargs):
+        finished.append(np.size(x))
+        return sqrt(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sqrt", counted)
+    top = euclid.ranked(m)
+    monkeypatch.undo()
+    assert np.array_equal(top, nearest(euclidean_values(euclid), m))
+    assert euclid.n > 3 * ROW_BLOCK and sum(finished) <= 3 * euclid.n * m
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +353,15 @@ def test_neighbor_k_bounds():
 
 
 def test_each_distance_matrix_is_ranked_once(monkeypatch):
+    # the stream and ``nearest`` rank through one routine, once per matrix
     calls = []
+    ranks = pseudolabel._ranks
 
-    def counted(values, m):
+    def counted(blocks, shape, m, *args, **kwargs):
         calls.append(m)
-        return nearest(values, m)
+        return ranks(blocks, shape, m, *args, **kwargs)
 
-    monkeypatch.setattr(pseudolabel, "nearest", counted)
-    monkeypatch.setattr(retrieval, "nearest", counted)
+    monkeypatch.setattr(pseudolabel, "_ranks", counted)
     q, g = np.random.default_rng(0).normal(size=(2, 10, 4))
     retrieval.rerank(q, g, k1=5, k2=3)
     assert calls == [6]  # k2's expansion reads the first 3 columns
