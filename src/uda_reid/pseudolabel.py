@@ -19,12 +19,14 @@ No n x n Euclidean array is built.
 
 ``jaccard_rows`` serves relabeling and re-ranking alike: it keeps the
 memberships as sparse (row, member, weight) entries, read through an
-inverted index, expands them row block by row block, and its sums add the
-same terms in the same order as the dense forms ``membership_matrix`` and
-``jaccard_from_membership`` would.  It returns the block of leading rows
-against the columns from a first one on: relabel asks for the whole n x n
-matrix, its only dense array, and ``rerank`` in retrieval for the (n_q, n_g)
-query x gallery block, so the block and the sparse entries are all it holds.
+inverted index, and expands them row block by row block.  Every sum it
+takes over the memberships, the row sums and each pair's min terms alike,
+adds a row's members in increasing order, one after another; the dense
+``jaccard_from_membership`` passes a matrix's nonzeros to it.  It returns
+the block of leading rows against the columns from a first one on: relabel
+asks for the whole n x n matrix, its only dense array, and ``rerank`` in
+retrieval for the (n_q, n_g) query x gallery block, so the block and the
+sparse entries are all it holds.
 
 ``dbscan`` clusters a ``DistanceMatrix``, the Jaccard matrix that
 ``jaccard_distance`` builds, without an n x n boolean: it scans the matrix
@@ -264,7 +266,7 @@ def k_reciprocal_neighbors(top: np.ndarray) -> list[np.ndarray]:
     keep[keep.all(axis=1), k] = False
     knn = top[keep].reshape(n, k)
     r_k, r_half = _reciprocal(knn), _reciprocal(knn[:, :(k + 1) // 2])
-    half_sizes = (r_half >= 0).sum(axis=1)
+    half_sizes = np.count_nonzero(r_half >= 0, axis=1)
     rows = np.arange(n)[:, None]
     keys = [(rows * n + r_k)[r_k >= 0]]  # row * n + member
     # about n / k rows per block: the (rows, k, h) temporaries stay near n * h
@@ -300,7 +302,9 @@ def membership_entries(dist: EuclideanRows, neighbor_sets: list[np.ndarray]):
 
 
 def membership_matrix(dist: EuclideanRows, neighbor_sets: list[np.ndarray]) -> np.ndarray:
-    """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere.
+    """Row p holds exp(-D[p][g]) on g in R*(p), zero elsewhere: the dense
+    form of ``membership_entries``, whose nonzeros ``jaccard_from_membership``
+    reads back as entries.
 
     The package itself reads the memberships only as entries; this dense
     form stays because ``bench/spans.py`` names it in ``TRACED``."""
@@ -345,21 +349,6 @@ def _local_expansion(near: np.ndarray, rows, members, weights):
     return cells // n, cells % n, np.concatenate(sums)
 
 
-def _dense_row_sums(rows, members, weights, n: int) -> np.ndarray:
-    """The row sums of the dense V these entries fill, summed as dense rows:
-    numpy sums a row pairwise, so where its zeros sit can move the last bit,
-    and a sum over the nonzeros alone could differ from ``v.sum(axis=1)``."""
-    offsets = _row_offsets(rows, n)
-    sums = np.empty(n)
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        span = slice(offsets[lo], offsets[hi])
-        block = np.zeros((hi - lo, n))
-        block[rows[span] - lo, members[span]] = weights[span]
-        sums[lo:hi] = block.sum(axis=1)
-    return sums
-
-
 def _term_blocks(row_terms: np.ndarray):
     """[lo, hi) row ranges of at most ROW_BLOCK rows and, unless one row
     alone exceeds it, JACCARD_TERMS min terms: the term arrays of a block
@@ -373,22 +362,33 @@ def _term_blocks(row_terms: np.ndarray):
         lo = hi
 
 
-def _jaccard(rows, members, weights, row_sums, num_rows: int,
-             first_col: int = 0) -> np.ndarray:
-    """Jaccard distances of rows [0, num_rows) of V to its rows [first_col, n)
-    computed from V's entries (row, member, weight) in row-major order and its
-    row sums.
+def jaccard_rows(entries, n: int, near: np.ndarray | None = None,
+                 num_rows: int | None = None, first_col: int = 0) -> np.ndarray:
+    """Jaccard distances of rows [0, num_rows) (every row by default) of the
+    n-row membership matrix V whose ``membership_entries`` these are, to its
+    rows [first_col, n): the (num_rows, n - first_col) block, every column by
+    default.  Given the (n, k2) rank table ``near``, each membership row is
+    first averaged over the k2 rows that its row of the table lists (local
+    query expansion); ``rerank`` builds that table after checking k2, so it
+    is not checked again here.  Computed from entries: no dense membership
+    matrix is built, no distance matrix is read, and the block is the only
+    dense array returned or held.
 
     1 - sum(min)/sum(max) per row pair, with sum(max) taken as the two row
-    sums minus sum(min).  A pair that shares no member is exactly 1.  For a
-    pair (p, q) that does, each member g that p holds meets every row q >=
-    first_col that holds g, through an inverted index; ``np.bincount`` adds
-    the min terms in input order, which is increasing g for every pair, so
-    the sums are bitwise those of a dense loop over each row's members in
-    order.  A zero weight, where exp(-d) underflows, adds only exact zeros,
-    so the sums are those of the nonzero entries alone.
+    sums minus sum(min).  Every sum over V's entries follows one rule: a
+    row's members in increasing order, added one after another.
+    ``np.bincount`` adds in input order, which is row-major, so it gives the
+    row sums; the min terms of a pair (p, q) meet as each member g that p
+    holds meets every row q >= first_col that holds g, through an inverted
+    index, so they too arrive in increasing g.  A zero weight, where exp(-d)
+    underflows, adds only exact zeros, so the sums are those of the nonzero
+    entries alone.  A pair that shares no member is exactly 1.
     """
-    n = row_sums.size
+    if near is not None:
+        entries = _local_expansion(near, *entries)
+    rows, members, weights = entries
+    num_rows = n if num_rows is None else num_rows
+    row_sums = np.bincount(rows, weights=weights, minlength=n)
     if not row_sums.any():
         raise DegenerateStructureError("every expanded neighbor set is empty")
     offsets = _row_offsets(rows, n)
@@ -425,23 +425,6 @@ def _jaccard(rows, members, weights, row_sums, num_rows: int,
     return out
 
 
-def jaccard_rows(entries, n: int, near: np.ndarray | None = None,
-                 num_rows: int | None = None, first_col: int = 0) -> np.ndarray:
-    """Jaccard distances of rows [0, num_rows) (every row by default) of the
-    n-row membership matrix V whose ``membership_entries`` these are, to its
-    rows [first_col, n): the (num_rows, n - first_col) block, every column by
-    default.  Given the (n, k2) rank table ``near``, each membership row is
-    first averaged over the k2 rows that its row of the table lists (local
-    query expansion); ``rerank`` builds that table after checking k2, so it
-    is not checked again here.  Computed from entries: no dense membership
-    matrix is built, no distance matrix is read, and the block is the only
-    dense array returned or held."""
-    if near is not None:
-        entries = _local_expansion(near, *entries)
-    return _jaccard(*entries, _dense_row_sums(*entries, n), n if num_rows is None else num_rows,
-                    first_col)
-
-
 def jaccard_distance(dist: EuclideanRows, k: int) -> DistanceMatrix:
     """Jaccard distances over the R*(p, k) memberships of the Euclidean
     matrix ``dist``: ranked once, then read at the membership entries."""
@@ -452,14 +435,15 @@ def jaccard_distance(dist: EuclideanRows, k: int) -> DistanceMatrix:
 
 
 def jaccard_from_membership(v: np.ndarray) -> np.ndarray:
-    """1 - sum(min)/sum(max) per row pair of a dense membership matrix V.
-    The matrix is exactly symmetric: (p, q) and (q, p) add the same terms
-    in the same order.
+    """1 - sum(min)/sum(max) per row pair of a dense membership matrix V:
+    ``jaccard_rows`` of V's nonzero entries, so its sums follow the same
+    member-order rule.  The matrix is exactly symmetric: (p, q) and (q, p)
+    add the same terms in the same order.
 
     The package itself passes memberships as entries; this dense entry
     point stays because ``bench/spans.py`` names it in ``TRACED``."""
     rows, members = np.nonzero(v)
-    return _jaccard(rows, members, v[rows, members], v.sum(axis=1), v.shape[0])
+    return jaccard_rows((rows, members, v[rows, members]), v.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -140,10 +140,18 @@ def jaccard_ref(v):
 
 def jaccard_loop_ref(v):
     """1 - sum(min)/sum(max), one row at a time over its nonzero members in
-    increasing order, with numpy's dense row sums: the summation order the
-    package reproduces bit for bit."""
+    increasing order: every sum, the row sums too, adds a row's members in
+    that order one after another, the summation order the package
+    reproduces bit for bit.  The row sums are a plain loop on purpose:
+    ``v.sum`` sums pairwise and the builtin ``sum`` compensates from Python
+    3.12, and either can move the last bit."""
     n = v.shape[0]
-    row_sums = v.sum(axis=1)
+    row_sums = np.zeros(n)
+    for p in range(n):
+        acc = 0.0
+        for g in np.flatnonzero(v[p]):
+            acc += float(v[p, g])
+        row_sums[p] = acc
     inv_index = [np.flatnonzero(v[:, g]) for g in range(n)]
     out = np.empty((n, n))
     for p in range(n):

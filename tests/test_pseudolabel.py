@@ -531,6 +531,38 @@ def test_jaccard_term_budget_splits_blocks_without_changing_bits(monkeypatch):
     assert np.array_equal(full, oracles.jaccard_loop_ref(v))
 
 
+def test_jaccard_row_sums_add_members_in_order():
+    # row 0: 1.0 on itself, then 16 members of 2^-53 that each round away
+    # in order, while a pairwise sum adds them up first and keeps them
+    n = 18
+    v = np.zeros((n, n))
+    v[0, 0] = 1.0
+    v[0, 1:17] = 2.0 ** -53
+    v[17, [0, 17]] = 0.5  # shares member 0 with row 0
+    assert v.sum(axis=1)[0] == 1.0000000000000018
+    expected = 1.0 - 0.5 / (1.0 + 1.0 - 0.5)  # row sums 1.0 and 1.0, min term 0.5
+    rows, members = np.nonzero(v)
+    assert jaccard_rows((rows, members, v[rows, members]), n)[0, 17] == expected
+    assert jaccard_from_membership(v)[0, 17] == expected
+    assert oracles.jaccard_loop_ref(v)[0, 17] == expected
+
+
+def test_jaccard_rows_small_block_allocates_no_row_block():
+    n = 20_000  # a (ROW_BLOCK, n) float block is 10 MB
+    rows = np.repeat(np.arange(n), 2)
+    members = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    members = np.sort(members, axis=1).reshape(-1)
+    weights = np.full(2 * n, 0.5)
+    tracemalloc.start()
+    try:
+        got = jaccard_rows((rows, members, weights), n, num_rows=1, first_col=n - 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (1, 1) and got[0, 0] == 1.0 - 0.5 / 1.5  # they share member 0
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_jaccard_distance_holds_no_dense_membership():
     rng = np.random.default_rng(3)
     n = 1000
